@@ -7,63 +7,112 @@ the carrier of w) and I0(w) (hyperplanes sharing w's carrier exactly).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .errors import LemmaViolation, NotAnAutomorphism, UnknownHyperplane
-from .median import CubeComplex, hyperplanes_at
+import numpy as np
+
+from .errors import LemmaViolation, NotAnAutomorphism
+from .median import CubeComplex
 
 REDUCED_MODES = ("self-exclusive", "strict")
 
 
+def _ids(row):
+    """Hyperplane ids marked in a boolean row, as a set of ints."""
+    return set(np.flatnonzero(row).tolist())
+
+
+def _adjacency(M):
+    """Row index -> set of the column indices marked in a boolean matrix."""
+    out = {h: set() for h in range(len(M))}
+    iu, iw = np.nonzero(M)
+    for u, w in zip(iu.tolist(), iw.tolist()):
+        out[u].add(w)
+    return out
+
+
+@dataclass(frozen=True)
+class _Relation:
+    """Every hyperplane-pair relation of a complex, as (H, H) matrices."""
+
+    transverse: np.ndarray  # bool: all four quadrants of the sides are non-empty
+    contact: np.ndarray  # bool: carriers meet (u != w)
+    I: np.ndarray  # bool: I[u, w] iff u is in I(w), as u's carrier contains w's
+    common: np.ndarray  # float32: hyperplanes transverse to both u and w
+
+
+def _relation(X: CubeComplex) -> _Relation:
+    """The cached relation of X, checked once on every pair.
+
+    Raises LemmaViolation with a witness pair unless transversality is
+    sharing a square of X.squares, disjoint carriers are separated by a third
+    hyperplane, and I(w) matches its transversality characterization.
+    """
+    if X._relation is not None:
+        return X._relation
+    H, n = X.sides.shape
+    eye = np.eye(H, dtype=bool)
+    # float32 so products run in BLAS (exact below 2**24 vertices); one
+    # product gives the side overlaps AA, carrier-side KA and carrier KK
+    M = np.concatenate([X.sides, X.carriers]).astype(np.float32)
+    M = M @ M.T
+    AA, KA, G = M[:H, :H], M[H:, :H], M[H:, H:]
+    na, nk = np.diag(AA), np.diag(G)  # side_a and carrier sizes
+    quadrants = (AA, na[:, None] - AA, na[None, :] - AA,
+                 n - na[:, None] - na[None, :] + AA)
+    transverse = np.logical_and.reduce([q > 0 for q in quadrants])
+    contact = (G > 0) & ~eye
+    I = G == nk[None, :]
+
+    shares_square = np.zeros((H, H), dtype=bool)
+    for a, b, c, d in X.squares:
+        h1 = X.hyperplane_of_edge(a, b).id
+        h2 = X.hyperplane_of_edge(b, c).id
+        shares_square[h1, h2] = shares_square[h2, h1] = True
+    bad = transverse != shares_square
+    if bad.any():
+        u, w = np.argwhere(bad)[0].tolist()
+        raise LemmaViolation(
+            f"hyperplanes {u} and {w}: transverse={bool(transverse[u, w])} "
+            f"but share a square={bool(shares_square[u, w])}"
+        )
+
+    # inside_a[u, h]: u's carrier lies in side_a of h; inside_b: in side_b
+    inside_a = (KA == nk[:, None]).astype(np.float32)
+    inside_b = (KA == 0).astype(np.float32)
+    separated = inside_a @ inside_b.T
+    bad = ~contact & ~eye & (separated + separated.T == 0)
+    if bad.any():
+        u, w = np.argwhere(bad)[0].tolist()
+        raise LemmaViolation(
+            f"hyperplanes {u} and {w} have disjoint carriers but no separator"
+        )
+
+    # u is in I(w) iff u = w, or u is transverse to w and to every other
+    # hyperplane transverse to w
+    T = transverse.astype(np.float32)
+    common = T @ T
+    covered = common + T == T.sum(axis=0)[None, :]
+    characterized = eye | (transverse & covered)
+    bad = (I != characterized).any(axis=0)
+    if bad.any():
+        w = int(np.argmax(bad))
+        raise LemmaViolation(
+            f"I({w}) definitional {sorted(_ids(I[:, w]))} != characterization "
+            f"{sorted(_ids(characterized[:, w]))}"
+        )
+    X._relation = _Relation(transverse, contact, I, common)
+    return X._relation
+
+
 def interaction(X: CubeComplex, u, w):
     """Classify a hyperplane pair: equal, transverse, contact_osculating, separated."""
-    hu, hw = X.hyperplane(u), X.hyperplane(w)
-    if hu.id == hw.id:
+    u, w = X.hyperplane(u).id, X.hyperplane(w).id
+    if u == w:
         return "equal"
-    cache = getattr(X, "_interaction_cache", None)
-    if cache is None:
-        cache = X._interaction_cache = {}
-    key = (min(hu.id, hw.id), max(hu.id, hw.id))
-    if key in cache:
-        return cache[key]
-    quadrants = [
-        hu.side_a & hw.side_a,
-        hu.side_a & hw.side_b,
-        hu.side_b & hw.side_a,
-        hu.side_b & hw.side_b,
-    ]
-    transverse = all(quadrants)
-    # cross-check: transversality is equivalent to sharing a square
-    assert transverse == (key in _square_pairs(X)), (u, w)
-    if transverse:
-        result = "transverse"
-    elif hu.carrier & hw.carrier:
-        result = "contact_osculating"
-    else:
-        # separated: some third hyperplane has u and w on opposite sides
-        separated = any(
-            (hu.carrier <= h.side_a and hw.carrier <= h.side_b)
-            or (hu.carrier <= h.side_b and hw.carrier <= h.side_a)
-            for h in X.hyperplanes
-            if h.id not in (hu.id, hw.id)
-        )
-        assert separated, (u, w)  # disjoint carriers always leave a separator
-        result = "separated"
-    cache[key] = result
-    return result
-
-
-def _square_pairs(X):
-    """Unordered hyperplane id pairs sharing at least one square."""
-    pairs = getattr(X, "_square_pair_cache", None)
-    if pairs is None:
-        pairs = set()
-        for a, b, c, d in X.squares:
-            h1 = X.hyperplane_of_edge(a, b).id
-            h2 = X.hyperplane_of_edge(b, c).id
-            pairs.add((min(h1, h2), max(h1, h2)))
-        X._square_pair_cache = pairs
-    return pairs
+    rel = _relation(X)
+    if rel.transverse[u, w]:
+        return "transverse"
+    return "contact_osculating" if rel.contact[u, w] else "separated"
 
 
 @dataclass(frozen=True)
@@ -83,76 +132,73 @@ class ContactFamily:
         return sorted(self.contact)
 
 
+def _twins(rows):
+    """Groups of row indices with identical boolean rows."""
+    groups = {}
+    for h, row in enumerate(rows):
+        groups.setdefault(row.tobytes(), []).append(h)
+    return list(groups.values())
+
+
+def _reduced_classes(T, common, mode, ids):
+    """Twin classes of a crossing matrix T whose rows are the hyperplanes ids,
+    as a sorted list of sorted id tuples; common is T @ T.
+
+    Strict mode groups identical rows.  Self-exclusive mode leaves the
+    compared pair out of both neighbourhoods: it groups identical open rows
+    (a non-transverse pair) or identical closed rows (a transverse pair).  No
+    row has twins of both kinds, so together these partition the rows.
+    Raises LemmaViolation unless each class is pairwise neighbourhood-equal.
+    """
+    if mode == "strict":
+        groups = _twins(T)
+    else:
+        groups = [g for g in _twins(T) if len(g) > 1]
+        paired = {h for g in groups for h in g}
+        closed = _twins(T | np.eye(len(T), dtype=bool))
+        groups += [g for g in closed if g[0] not in paired]
+    label = np.empty(len(T), dtype=np.intp)
+    for i, g in enumerate(groups):
+        label[g] = i
+
+    t = T.sum(axis=1)
+    differ = t[:, None] + t[None, :] - 2 * common  # |T_u xor T_w|
+    if mode == "self-exclusive":
+        differ -= 2 * T  # the compared pair leaves both neighbourhoods
+    bad = (label[:, None] == label[None, :]) & (differ != 0)
+    if bad.any():
+        u, w = np.argwhere(bad)[0].tolist()
+        raise LemmaViolation(
+            f"reduced class {tuple(ids[i] for i in groups[label[u]])} is not "
+            f"pairwise neighborhood-equal (witness {ids[u]}, {ids[w]}, "
+            f"mode={mode})"
+        )
+    return sorted(tuple(ids[i] for i in g) for g in groups)
+
+
 def build_contact_family(X: CubeComplex, mode="self-exclusive") -> ContactFamily:
     if mode not in REDUCED_MODES:
         raise ValueError(f"mode must be one of {REDUCED_MODES}")
-    hids = [h.id for h in X.hyperplanes]
-    labels = {}
-    for u, w in combinations(hids, 2):
-        labels[(u, w)] = interaction(X, u, w)
-
-    contact = {h: set() for h in hids}
-    crossing = {h: set() for h in hids}
-    for (u, w), kind in labels.items():
-        if kind in ("transverse", "contact_osculating"):
-            contact[u].add(w)
-            contact[w].add(u)
-        if kind == "transverse":
-            crossing[u].add(w)
-            crossing[w].add(u)
-
-    def related(u, w):
-        if mode == "strict":
-            return crossing[u] == crossing[w]
-        drop = {u, w}
-        return crossing[u] - drop == crossing[w] - drop
-
-    parent = {h: h for h in hids}
-
-    def find(h):
-        while parent[h] != h:
-            parent[h] = parent[parent[h]]
-            h = parent[h]
-        return h
-
-    for u, w in combinations(hids, 2):
-        if related(u, w):
-            ru, rw = find(u), find(w)
-            if ru != rw:
-                parent[ru] = rw
-
-    groups = {}
-    for h in hids:
-        groups.setdefault(find(h), []).append(h)
-    classes = tuple(sorted(tuple(sorted(g)) for g in groups.values()))
+    rel = _relation(X)
+    T = rel.transverse
+    contact, crossing = _adjacency(rel.contact), _adjacency(T)
+    classes = tuple(_reduced_classes(T, rel.common, mode, range(len(T))))
     class_of = {h: i for i, cls in enumerate(classes) for h in cls}
-    # the same-neighborhood relation must hold pairwise within each class
-    for cls in classes:
-        for u, w in combinations(cls, 2):
-            if not related(u, w):
-                raise LemmaViolation(
-                    f"reduced class {cls} is not pairwise neighborhood-equal "
-                    f"(witness {u}, {w}, mode={mode})"
-                )
+    label = np.array([class_of[h] for h in range(len(T))], dtype=np.intp)
 
-    reduced = {i: set() for i in range(len(classes))}
-    for (u, w), kind in labels.items():
-        cu, cw = class_of[u], class_of[w]
-        if kind == "transverse" and cu != cw:
-            reduced[cu].add(cw)
-            reduced[cw].add(cu)
     # an edge between classes means every cross pair is transverse
-    for cu, nbrs in reduced.items():
-        for cw in nbrs:
-            for u in classes[cu]:
-                for w in classes[cw]:
-                    key = (u, w) if (u, w) in labels else (w, u)
-                    if labels[key] != "transverse":
-                        raise LemmaViolation(
-                            f"classes {classes[cu]} and {classes[cw]} mix "
-                            f"transverse and non-transverse pairs"
-                        )
-
+    linked = np.zeros((len(classes),) * 2, dtype=bool)
+    iu, iw = np.nonzero(T)
+    linked[label[iu], label[iw]] = True
+    linked &= ~np.eye(len(classes), dtype=bool)
+    bad = linked[np.ix_(label, label)] & ~T & (label[:, None] != label[None, :])
+    if bad.any():
+        u, w = np.argwhere(bad)[0].tolist()
+        raise LemmaViolation(
+            f"classes {classes[label[u]]} and {classes[label[w]]} mix "
+            f"transverse and non-transverse pairs"
+        )
+    reduced = _adjacency(linked)
     return ContactFamily(X, contact, crossing, classes, class_of, reduced, mode)
 
 
@@ -164,51 +210,18 @@ class InteractionSets:
 
 
 def interaction_sets(X: CubeComplex, w) -> InteractionSets:
-    """I(w) by the definitional intersection of the W_v containing w.
+    """I(w), the hyperplanes whose carrier contains w's, and I0(w), those
+    whose carrier equals w's.
 
-    Asserts the characterization: u is in I(w) iff u equals w, or u is
-    transverse to w and to every other hyperplane transverse to w; and u is
-    in I0(w) iff u and w have the same carrier.
+    The relation behind them checks the characterization: u is in I(w) iff u
+    equals w, or u is transverse to w and to every other hyperplane
+    transverse to w.
     """
-    hw = X.hyperplane(w)
-    sets = [hyperplanes_at(X, v) for v in sorted(hw.carrier, key=str)]
-    I = frozenset(set.intersection(*sets))
-
-    transverse_to_w = {
-        u.id
-        for u in X.hyperplanes
-        if u.id != hw.id and interaction(X, u.id, hw.id) == "transverse"
-    }
-    characterized = {hw.id}
-    for u in transverse_to_w:
-        if all(
-            interaction(X, u, t) == "transverse"
-            for t in transverse_to_w
-            if t != u
-        ):
-            characterized.add(u)
-    if I != frozenset(characterized):
-        raise LemmaViolation(
-            f"I({w}) definitional {sorted(I)} != characterization "
-            f"{sorted(characterized)}"
-        )
-
-    I0 = frozenset(
-        u for u in I if hw.id in _definitional_I(X, u)
+    w = X.hyperplane(w).id
+    I = _relation(X).I
+    return InteractionSets(
+        w, frozenset(_ids(I[:, w])), frozenset(_ids(I[:, w] & I[w]))
     )
-    for u in I0:
-        if X.hyperplane(u).carrier != hw.carrier:
-            raise LemmaViolation(f"{u} in I0({w}) but carriers differ")
-    for u in I - I0:
-        if X.hyperplane(u).carrier == hw.carrier:
-            raise LemmaViolation(f"{u} not in I0({w}) but carriers agree")
-    return InteractionSets(hw.id, I, I0)
-
-
-def _definitional_I(X, w):
-    hw = X.hyperplane(w)
-    sets = [hyperplanes_at(X, v) for v in hw.carrier]
-    return set.intersection(*sets)
 
 
 def all_interaction_sets(X: CubeComplex):
@@ -216,12 +229,9 @@ def all_interaction_sets(X: CubeComplex):
 
 
 def check_crossing_automorphism(F: ContactFamily, phi):
-    hids = set(F.crossing)
-    if set(phi) != hids or set(phi.values()) != hids:
-        raise NotAnAutomorphism("phi is not a bijection of the hyperplane ids")
-    for u in hids:
-        if {phi[w] for w in F.crossing[u]} != F.crossing[phi[u]]:
-            raise NotAnAutomorphism(f"crossing adjacency broken at {u}")
+    from .reconstruction import verify_automorphism
+
+    verify_automorphism(F.crossing, phi)
 
 
 def pushforward_reduced(F: ContactFamily, phi):

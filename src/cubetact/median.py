@@ -4,21 +4,22 @@ A finite CAT(0) cube complex is stored through its 1-skeleton, which is a
 median graph: every vertex triple has a unique vertex lying on geodesics
 between each pair.  All hyperplane-level geometry (sides, carriers, links,
 extremal vertices, the cubical structure induced on a hyperplane) is derived
-from that graph.
+from that graph.  Hyperplanes are the Djokovic-Winkler classes of its edges,
+held as side and carrier incidence matrices.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .errors import (
+    LemmaViolation,
     NotConnected,
     NotMedian,
     SizeLimitExceeded,
@@ -28,9 +29,6 @@ from .errors import (
 
 DEFAULT_VERTEX_CAP = 4096
 
-# 8-bit popcount table, used when counting medians over packed interval vectors.
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
-
 
 def vertex_cap() -> int:
     env = os.environ.get("CUBETACT_CAP_VERTICES")
@@ -39,7 +37,7 @@ def vertex_cap() -> int:
 
 @dataclass(frozen=True)
 class Hyperplane:
-    """An edge class under square-opposite parallelism, with its two sides."""
+    """A Djokovic-Winkler edge class, with its two sides and its carrier."""
 
     id: int
     dual_edges: frozenset  # frozensets {u, v}
@@ -66,9 +64,6 @@ class LinkGraph:
     nodes: frozenset  # hyperplane ids
     adjacency: frozenset  # frozensets {h1, h2}
 
-    def neighbors(self, h):
-        return {next(iter(e - {h})) for e in self.adjacency if h in e}
-
 
 class CubeComplex:
     """Immutable container for a validated median graph and its derived data.
@@ -89,8 +84,13 @@ class CubeComplex:
         self._dist = dist  # numpy (n, n) int matrix, indexed like self.vertices
         # squares are stored in cycle order (a, b, c, d): edges ab, bc, cd, da
         self.squares = tuple(squares)
+        # hyperplane data, filled together by compute_hyperplanes
         self._hyperplanes = None
+        self._sides = None
+        self._carriers = None
         self._edge_to_h = None
+        self._ids_at = None
+        self._relation = None  # contact.py's hyperplane-pair relation
         self._dimension = None
 
     def __len__(self):
@@ -111,11 +111,26 @@ class CubeComplex:
         self.check_vertex(v)
         return int(self._dist[self.index[u], self.index[v]])
 
-    @property
-    def hyperplanes(self):
+    def _theta(self):
         if self._hyperplanes is None:
             self._hyperplanes = compute_hyperplanes(self)
+
+    @property
+    def hyperplanes(self):
+        self._theta()
         return self._hyperplanes
+
+    @property
+    def sides(self):
+        """A: (H, n) bool, A[h, i] iff vertices[i] lies in side_a of h."""
+        self._theta()
+        return self._sides
+
+    @property
+    def carriers(self):
+        """K: (H, n) bool, K[h, i] iff vertices[i] lies in the carrier of h."""
+        self._theta()
+        return self._carriers
 
     def hyperplane(self, hid) -> Hyperplane:
         hs = self.hyperplanes
@@ -124,10 +139,7 @@ class CubeComplex:
         return hs[hid]
 
     def hyperplane_of_edge(self, u, v):
-        if self._edge_to_h is None:
-            self._edge_to_h = {
-                e: h for h in self.hyperplanes for e in h.dual_edges
-            }
+        self._theta()
         e = frozenset((u, v))
         if e not in self._edge_to_h:
             raise UnknownHyperplane((u, v))
@@ -135,13 +147,17 @@ class CubeComplex:
 
     @property
     def dimension(self):
-        """Largest family of pairwise-transverse hyperplanes at one vertex."""
+        """Largest family of pairwise-transverse hyperplanes.
+
+        Pairwise-transverse hyperplanes all cross one cube, so this is also
+        the largest such family at one vertex.
+        """
         if self._dimension is None:
-            best = 1 if self.edges else 0
-            for v in self.vertices:
-                lk = link_graph(self, v)
-                best = max(best, _clique_number(lk.nodes, lk.adjacency))
-            self._dimension = best
+            from .contact import _adjacency, _relation
+            from .reconstruction import maximal_cliques
+
+            crossing = _adjacency(_relation(self).transverse)
+            self._dimension = max(map(len, maximal_cliques(crossing)), default=0)
         return self._dimension
 
     def geodesic_vertices(self, u, v):
@@ -153,26 +169,6 @@ class CubeComplex:
             for w, k in self.index.items()
             if dv[i, k] + dv[k, j] == dv[i, j]
         }
-
-
-def _clique_number(nodes, adjacency):
-    nodes = sorted(nodes)
-    adj = {v: set() for v in nodes}
-    for e in adjacency:
-        u, v = tuple(e)
-        adj[u].add(v)
-        adj[v].add(u)
-    best = 0
-
-    def grow(clique, cands):
-        nonlocal best
-        best = max(best, len(clique))
-        for v in list(cands):
-            grow(clique | {v}, cands & adj[v])
-            cands = cands - {v}
-
-    grow(set(), set(nodes))
-    return best
 
 
 def _bfs_distances(vertices, adj):
@@ -230,16 +226,12 @@ def median_triple_defects(dist, first_only=True):
                 [ia, np.zeros((n, pad), dtype=bool)], axis=1
             )
         packed[a] = np.packbits(ia, axis=1)
-    fast_popcount = hasattr(np, "bitwise_count")
     defects = []
     for a in range(n):
         pa = packed[a]
         for b in range(a + 1, n):
             rows = pa[b][None, :] & pa & packed[b]  # (c, width)
-            if fast_popcount:
-                counts = np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
-            else:
-                counts = _POPCOUNT[rows].sum(axis=1)
+            counts = np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
             bad = np.nonzero(counts != 1)[0]
             for c in bad:
                 c = int(c)
@@ -295,75 +287,75 @@ def validate_complex(vertices, edges, cap=None) -> CubeComplex:
     _check_median(dist, vertices)
 
     squares = _find_squares(vertices, adj)
-    # In a median graph every 4-cycle is chordless; assert defensively that
-    # no chordful 4-cycle slipped through (would indicate a bug above).
+    # In a median graph every 4-cycle is chordless; check that no chordful
+    # 4-cycle slipped through (would indicate a bug above).
     for a, b, c, d in squares:
-        assert b not in adj[d] and a not in adj[c]
+        if b in adj[d] or a in adj[c]:
+            raise LemmaViolation(f"square {(a, b, c, d)} has a chord")
     return CubeComplex(vertices, edge_set, dist, squares)
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[rx] = ry
-
-
 def compute_hyperplanes(X: CubeComplex):
-    """Edge classes under the transitive closure of square-opposite parallelism."""
-    edges = sorted(X.edges, key=lambda e: tuple(sorted(e)))
-    uf = _UnionFind(edges)
-    for a, b, c, d in X.squares:
-        uf.union(frozenset((a, b)), frozenset((c, d)))
-        uf.union(frozenset((b, c)), frozenset((d, a)))
+    """Hyperplanes as the Djokovic-Winkler classes of the edges.
 
+    The side of edge uv is W_uv = {w : d(w, u) < d(w, v)}; edges lie in one
+    class when their sides agree up to complement.  Ids follow the classes'
+    smallest sorted edges, and side_a is the side whose first vertex in
+    X.vertices order has the smaller str.  Also fills X's side and carrier
+    matrices (see CubeComplex.sides and .carriers), its edge map and its
+    per-vertex id sets.  Raises LemmaViolation with a witness edge unless the
+    edges crossing each side are exactly the class's edges; since a class is
+    never empty, this also makes both sides non-empty.
+    """
+    n = len(X.vertices)
+    edges = sorted(tuple(sorted(e)) for e in X.edges)
+    eu = np.array([X.index[u] for u, _ in edges], dtype=np.intp)
+    ev = np.array([X.index[v] for _, v in edges], dtype=np.intp)
+    W = X._dist[eu] < X._dist[ev]  # (m, n): row e is the side of eu
+    W = W == W[:, :1]  # the complement where needed, so every row holds vertex 0
     classes = {}
-    for e in edges:
-        classes.setdefault(uf.find(e), []).append(e)
-    # deterministic ids: sort classes by their smallest edge
-    ordered = sorted(classes.values(), key=lambda es: tuple(sorted(es[0])))
+    for e, row in enumerate(np.packbits(W, axis=1)):
+        classes.setdefault(row.tobytes(), []).append(e)
+    # edges are sorted, so the classes arrive ordered by their smallest edge
+    classes = list(classes.values())
+    H = len(classes)
+    label = np.empty(len(edges), dtype=np.intp)
+    for h, es in enumerate(classes):
+        label[es] = h
+    A = W[[es[0] for es in classes]]
+    # swap to the other side where its first vertex has the smaller str
+    first_off = np.argmin(A, axis=1).tolist()
+    flip = [str(X.vertices[i]) < str(X.vertices[0]) for i in first_off]
+    A ^= np.array(flip, dtype=bool).reshape(H, 1)
+
+    crosses = A[:, eu] != A[:, ev]
+    bad = np.argwhere(crosses != (label[None, :] == np.arange(H)[:, None]))
+    if bad.size:
+        h, e = bad[0].tolist()
+        raise LemmaViolation(
+            f"edge {edges[e]} {'crosses' if crosses[h, e] else 'misses'} "
+            f"the sides of hyperplane {h} but belongs to hyperplane "
+            f"{int(label[e])}: the graph is not median"
+        )
+    K = np.zeros((H, n), dtype=bool)
+    K[label, eu] = True
+    K[label, ev] = True
 
     hyperplanes = []
-    for hid, dual in enumerate(ordered):
-        dual_set = set(dual)
-        # sides: components after removing the dual edges
-        comp = {}
-        for s in X.vertices:
-            if s in comp:
-                continue
-            queue = deque([s])
-            comp[s] = s
-            while queue:
-                u = queue.popleft()
-                for w in X.adj[u]:
-                    if frozenset((u, w)) in dual_set or w in comp:
-                        continue
-                    comp[w] = s
-                    queue.append(w)
-        roots = sorted(set(comp.values()), key=str)
-        if len(roots) != 2:
-            raise NotMedian(
-                tuple(sorted(dual_set, key=tuple))[:1],
-                [f"hyperplane leaves {len(roots)} components"],
-            )
-        side_a = frozenset(v for v in X.vertices if comp[v] == roots[0])
-        side_b = frozenset(v for v in X.vertices if comp[v] == roots[1])
-        carrier = frozenset(v for e in dual for v in e)
-        for e in dual:
-            u, v = tuple(e)
-            assert (u in side_a) != (v in side_a), "dual edge inside one side"
-        hyperplanes.append(
-            Hyperplane(hid, frozenset(dual_set), side_a, side_b, carrier)
-        )
+    for h, es in enumerate(classes):
+        dual = frozenset(frozenset(edges[e]) for e in es)
+        hyperplanes.append(Hyperplane(
+            h,
+            dual,
+            frozenset(X.vertices[i] for i in np.flatnonzero(A[h]).tolist()),
+            frozenset(X.vertices[i] for i in np.flatnonzero(~A[h]).tolist()),
+            frozenset(v for e in dual for v in e),
+        ))
+    X._sides, X._carriers = A, K
+    X._edge_to_h = {
+        frozenset(edges[e]): hyperplanes[h] for e, h in enumerate(label.tolist())
+    }
+    X._ids_at = tuple(frozenset(np.flatnonzero(col).tolist()) for col in K.T)
     return tuple(hyperplanes)
 
 
@@ -407,16 +399,14 @@ def helly_check(X: CubeComplex, family=None):
     A violating quadruple splits into two pairs whose intersections are
     disjoint, so it is enough to compare all pairs of pairwise intersections.
     """
-    if family is None:
-        family = []
-        for h in X.hyperplanes:
-            family.extend([h.side_a, h.side_b, h.carrier])
     n = len(X.vertices)
-    m = len(family)
-    M = np.zeros((m, n), dtype=bool)
-    for i, s in enumerate(family):
-        for v in s:
-            M[i, X.index[v]] = True
+    if family is None:  # side_a, side_b and carrier of each hyperplane
+        M = np.stack([X.sides, ~X.sides, X.carriers], axis=1).reshape(-1, n)
+    else:
+        M = np.zeros((len(family), n), dtype=bool)
+        for i, s in enumerate(family):
+            M[i, [X.index[v] for v in s]] = True
+    m = len(M)
     counts = M.astype(np.float32) @ M.astype(np.float32).T
     P = counts > 0  # pairwise intersection
 
@@ -445,9 +435,10 @@ def helly_check(X: CubeComplex, family=None):
 
 
 def hyperplanes_at(X: CubeComplex, v):
-    """The set W_v of ids of hyperplanes whose carrier contains v."""
+    """The set W_v of ids of hyperplanes whose carrier contains v: column v of K."""
     X.check_vertex(v)
-    return {h.id for h in X.hyperplanes if v in h.carrier}
+    X._theta()
+    return set(X._ids_at[X.index[v]])
 
 
 def separating(X: CubeComplex, A, B):
@@ -701,8 +692,3 @@ def complex_to_dot(X: CubeComplex) -> str:
     lines.append("}")
     return "\n".join(lines) + "\n"
 
-
-def dump_json(obj, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")

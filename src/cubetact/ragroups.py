@@ -12,6 +12,8 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from . import contact as _contact
 from . import median as _median
 from .errors import (
@@ -79,13 +81,7 @@ class DefiningGraph:
         return clique, rest
 
     def is_cone(self):
-        return any(
-            len(self.adj[g]) == len(self.vertices) - 1 for g in self.vertices
-        )
-
-    def is_complete(self):
-        n = len(self.vertices)
-        return all(len(self.adj[g]) == n - 1 for g in self.vertices)
+        return bool(self.join_decomposition()[0])
 
 
 def builtin_defining_graph(name) -> DefiningGraph:
@@ -279,8 +275,6 @@ def median_closure(gamma, kind, elements, cap):
     adding as few vertices as possible.  Returns (elements, D) where elements
     is the canonically sorted closure and D its ambient distance matrix.
     """
-    import numpy as np
-
     S = set(elements)
     while True:
         elems = sorted(S, key=lambda w: (word_length(kind, w), format_word(w)))
@@ -298,7 +292,12 @@ def median_closure(gamma, kind, elements, cap):
             return elems, D
         added = False
         for a, b, c, medians in defects:
-            assert not medians, "restricted set gained an extra median"
+            if medians:
+                raise LemmaViolation(
+                    f"triple {[format_word(elems[i]) for i in (a, b, c)]} has "
+                    f"medians {[format_word(elems[i]) for i in medians]} in "
+                    f"the restricted set"
+                )
             m = ambient_median(gamma, kind, elems[a], elems[b], elems[c])
             if m not in S:
                 S.add(m)
@@ -307,7 +306,12 @@ def median_closure(gamma, kind, elements, cap):
                     raise SizeLimitExceeded(
                         f"median closure of ball exceeds {cap} vertices"
                     )
-        assert added, "median-free triple but closure added nothing"
+        if not added:
+            a, b, c, _ = defects[0]
+            raise LemmaViolation(
+                f"triple {[format_word(elems[i]) for i in (a, b, c)]} has no "
+                f"median but the closure added nothing"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +365,6 @@ def _ball_complex(vertices, edges, ambient_dist, cap):
     closure scan already certifies the median property, so the full check in
     validate_complex would only repeat it.
     """
-    import numpy as np
-
     if len(vertices) > cap:
         raise SizeLimitExceeded(f"{len(vertices)} vertices exceeds cap {cap}")
     adj = {v: set() for v in vertices}
@@ -422,7 +424,10 @@ def build_ball(gamma: DefiningGraph, kind, radius, cap=None) -> Ball:
             if w2 in words:
                 edge = frozenset((format_word(w), format_word(w2)))
                 prev = edges.get(edge)
-                assert prev is None or prev == g, "edge with two labels"
+                if prev is not None and prev != g:
+                    raise LemmaViolation(
+                        f"edge {sorted(edge)} carries labels {prev} and {g}"
+                    )
                 edges[edge] = g
 
     vid_words = {format_word(w): w for w in ids}
@@ -481,7 +486,11 @@ def check_ball_links(ball: Ball, margin=2):
                     ball.gamma, ball.kind,
                     nf_inverse(ball.kind, ball.words[v]), ball.words[nbr],
                 )
-                assert len(diff) == 1 and diff[0][0] == g
+                if len(diff) != 1 or diff[0][0] != g:
+                    raise LemmaViolation(
+                        f"edge {v}-{nbr} labelled {g} joins words differing "
+                        f"by {format_word(diff)}"
+                    )
                 germ[h] = (g, 1 if diff[0][1] > 0 else -1)
         if set(germ.values()) != exp_nodes:
             raise LemmaViolation(
@@ -510,9 +519,7 @@ def ball_to_json(ball: Ball) -> dict:
 
 def definitional_I(X, hid):
     """I(w): hyperplane ids adjacent to every carrier vertex of w."""
-    h = X.hyperplane(hid)
-    sets = [_median.hyperplanes_at(X, v) for v in h.carrier]
-    return set.intersection(*sets)
+    return set(_contact.interaction_sets(X, hid).I)
 
 
 def star_inclusion_I_check(ball: Ball, margin=2) -> dict:
@@ -667,9 +674,15 @@ def _segment_classes(ball: Ball):
     seen = {}
     for g, cls in classes:
         for h in cls:
-            assert h not in seen, f"hyperplane {h} in two parallelism classes"
+            if h in seen:
+                raise LemmaViolation(
+                    f"hyperplane {h} in two parallelism classes ({seen[h]}, {g})"
+                )
+            if ball.labels[h] != g:
+                raise LemmaViolation(
+                    f"hyperplane {h} labelled {ball.labels[h]} in a {g} segment"
+                )
             seen[h] = g
-            assert ball.labels[h] == g
     return sorted(classes, key=lambda it: (it[0], sorted(it[1])))
 
 
@@ -681,24 +694,11 @@ def interior_reduced_classes(ball: Ball, margin=2, F=None):
     """
     if F is None:
         F = _contact.build_contact_family(ball.complex)
-    interior = ball.interior_hyperplanes(margin)
-    crossing = {h: F.crossing[h] & interior for h in interior}
-
-    classes = []
-    for h in sorted(interior):
-        for cls in classes:
-            u = cls[0]
-            if crossing[h] - {h, u} == crossing[u] - {h, u}:
-                cls.append(h)
-                break
-        else:
-            classes.append([h])
-    for cls in classes:
-        for u, w in combinations(cls, 2):
-            if crossing[u] - {u, w} != crossing[w] - {u, w}:
-                raise LemmaViolation(
-                    f"interior reduced class {cls} not pairwise equal"
-                )
+    interior = sorted(ball.interior_hyperplanes(margin))
+    crossing = {h: F.crossing[h] & set(interior) for h in interior}
+    T = _contact._relation(F.complex).transverse[np.ix_(interior, interior)]
+    Tf = T.astype(np.float32)
+    classes = _contact._reduced_classes(T, Tf @ Tf, "self-exclusive", interior)
     return [frozenset(cls) for cls in classes], crossing
 
 
@@ -818,14 +818,20 @@ def halfspace_twist(ball: Ball, x, y, side="A") -> HalfspaceTwist:
     for v, w in ball.words.items():
         if v in halfspace and v not in h.carrier:
             image = _invert_generator(ball.gamma, w, y)
-            assert word_length(ARTIN, image) == word_length(ARTIN, w)
+            if word_length(ARTIN, image) != word_length(ARTIN, w):
+                raise LemmaViolation(
+                    f"inverting {y} changes the length of {v}"
+                )
             perm[v] = format_word(image)
         else:
             perm[v] = v
     for v in h.carrier:
-        # carrier vertices contain no y letters, so the twist fixes them
-        assert format_word(_invert_generator(ball.gamma, ball.words[v], y)) == v
-        assert perm[v] == v
+        # carrier vertices contain no y letters, so the inversion fixes them
+        image = format_word(_invert_generator(ball.gamma, ball.words[v], y))
+        if image != v:
+            raise LemmaViolation(
+                f"inverting {y} moves carrier vertex {v} to {image}"
+            )
 
     from .reconstruction import verify_automorphism
 
@@ -888,17 +894,22 @@ def davis_phi(ball: Ball, a, b, base="1", margin=2) -> DavisPhi:
 
     a_plus = ha.side_of(va)  # the side the reflection acts on
     a_minus = ha.other_side(va)
+    rel = _contact._relation(X)
     partition = {}
     for h in X.hyperplanes:
         if h.id not in interior:
             continue
-        if h.id == ha.id or h.id in _contact_transverse(X, ha.id):
+        if h.id == ha.id or rel.transverse[ha.id, h.id]:
             partition[h.id] = "T"
         elif h.carrier <= a_plus:
             partition[h.id] = "A+"
-        else:
-            assert h.carrier <= a_minus, "carrier split without transversality"
+        elif h.carrier <= a_minus:
             partition[h.id] = "A-"
+        else:
+            raise LemmaViolation(
+                f"carrier of hyperplane {h.id} straddles non-transverse "
+                f"hyperplane {ha.id}"
+            )
 
     reflection = nf_mult(
         gamma, kind, nf_mult(gamma, kind, w, ((b, 1),)), nf_inverse(kind, w)
@@ -946,15 +957,15 @@ def davis_phi(ball: Ball, a, b, base="1", margin=2) -> DavisPhi:
     for u, part_u in partition.items():
         for v, part_v in partition.items():
             if part_u == "A+" and part_v == "A-":
-                if v in _contact_adjacent(X, u):
+                if rel.contact[u, v]:
                     raise LemmaViolation(
                         f"contact edge between halves: {u} ({part_u}), {v} ({part_v})"
                     )
 
     # contact adjacency must be preserved wherever phi is defined
     for u, v in combinations(sorted(phi), 2):
-        before = v in _contact_adjacent(X, u)
-        after = phi[v] in _contact_adjacent(X, phi[u])
+        before = rel.contact[u, v]
+        after = rel.contact[phi[u], phi[v]]
         if before != after:
             raise LemmaViolation(
                 f"phi breaks contact adjacency on ({u}, {v})"
@@ -987,24 +998,6 @@ def davis_phi(ball: Ball, a, b, base="1", margin=2) -> DavisPhi:
     )
 
 
-def _contact_transverse(X, hid):
-    return {
-        u.id
-        for u in X.hyperplanes
-        if u.id != hid and _contact.interaction(X, u.id, hid) == "transverse"
-    }
-
-
-def _contact_adjacent(X, hid):
-    return {
-        u.id
-        for u in X.hyperplanes
-        if u.id != hid
-        and _contact.interaction(X, u.id, hid)
-        in ("transverse", "contact_osculating")
-    }
-
-
 def syllable_shuffle(ball: Ball, sigma, apex=None) -> dict:
     """Shuffle the central coordinate of a cone-graph artin ball.
 
@@ -1018,9 +1011,7 @@ def syllable_shuffle(ball: Ball, sigma, apex=None) -> dict:
     if ball.kind != ARTIN:
         raise ValueError("the shuffle lives on artin balls")
     gamma = ball.gamma
-    apexes = [
-        g for g in gamma.vertices if len(gamma.adj[g]) == len(gamma.vertices) - 1
-    ]
+    apexes = gamma.join_decomposition()[0]
     if apex is None:
         if not apexes:
             raise NotACone("the defining graph has no apex vertex")

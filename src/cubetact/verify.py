@@ -37,12 +37,12 @@ def _entry(suite, anchor, checked, violations, t0):
         "anchor": anchor,
         "instancesChecked": checked,
         "violations": violations,
-        "seconds": round(time.time() - t0, 3),
+        "seconds": round(time.perf_counter() - t0, 3),
     }
 
 
 def suite_helly(instances):
-    t0 = time.time()
+    t0 = time.perf_counter()
     violations = []
     for name, X in instances:
         for v in _median.convexity_check(X):
@@ -60,7 +60,7 @@ def suite_helly(instances):
 
 
 def suite_cliques(instances):
-    t0 = time.time()
+    t0 = time.perf_counter()
     violations = []
     for name, X in instances:
         try:
@@ -78,7 +78,7 @@ def suite_cliques(instances):
 
 
 def suite_cone_links(instances):
-    t0 = time.time()
+    t0 = time.perf_counter()
     violations = []
     for name, X in instances:
         clique_of = {
@@ -101,7 +101,7 @@ def suite_cone_links(instances):
 
 
 def suite_iw(instances):
-    t0 = time.time()
+    t0 = time.perf_counter()
     violations = []
     for name, X in instances:
         try:
@@ -142,7 +142,7 @@ def suite_iw(instances):
 
 
 def suite_criterion(instances):
-    t0 = time.time()
+    t0 = time.perf_counter()
     violations = []
     for name, X in instances:
         for v, w in combinations(X.vertices, 2):
@@ -221,7 +221,7 @@ def interior_roundtrip(ball, margin=2):
 
 
 def suite_roundtrip(balls, margin=2):
-    t0 = time.time()
+    t0 = time.perf_counter()
     violations = []
     for name, ball in balls:
         for v in interior_roundtrip(ball, margin):
@@ -238,7 +238,7 @@ def suite_roundtrip(balls, margin=2):
 
 
 def suite_kernel(instances):
-    t0 = time.time()
+    t0 = time.perf_counter()
     violations = []
     for name, X in instances:
         try:
@@ -263,7 +263,7 @@ def suite_kernel(instances):
 
 
 def suite_davis(gamma, radius, a=None, b=None):
-    t0 = time.time()
+    t0 = time.perf_counter()
     violations = []
     if a is None or b is None:
         pairs = [
@@ -307,7 +307,7 @@ def suite_davis(gamma, radius, a=None, b=None):
 
 
 def suite_twist(gamma, radius, x=None, y=None):
-    t0 = time.time()
+    t0 = time.perf_counter()
     violations = []
     if x is None or y is None:
         pairs = [
@@ -346,7 +346,7 @@ def suite_twist(gamma, radius, x=None, y=None):
 
 
 def suite_extension_graph(gamma, radius):
-    t0 = time.time()
+    t0 = time.perf_counter()
     out = _rg.extension_graph_ball(gamma, radius)
     cmp_ = out["comparison"]
     violations = []
@@ -372,28 +372,23 @@ def suite_extension_graph(gamma, radius):
 
 def run_suites(names, instances=None, balls=None, gamma=None, radius=None):
     """Dispatch suites by name; returns the list of report entries."""
+    instances, balls = instances or [], balls or []
+    # the suites are looked up when called, so wrappers set on the module apply
+    runners = {
+        "helly": lambda: suite_helly(instances),
+        "cliques": lambda: suite_cliques(instances),
+        "cone-links": lambda: suite_cone_links(instances),
+        "iw": lambda: suite_iw(instances),
+        "criterion": lambda: suite_criterion(instances),
+        "roundtrip": lambda: suite_roundtrip(balls),
+        "kernel": lambda: suite_kernel(instances),
+        "davis": lambda: suite_davis(gamma, radius or 4),
+        "twist": lambda: suite_twist(gamma, radius or 3),
+        "extension-graph": lambda: suite_extension_graph(gamma, radius or 3),
+    }
     report = []
     for name in names:
-        if name == "helly":
-            report.append(suite_helly(instances or []))
-        elif name == "cliques":
-            report.append(suite_cliques(instances or []))
-        elif name == "cone-links":
-            report.append(suite_cone_links(instances or []))
-        elif name == "iw":
-            report.append(suite_iw(instances or []))
-        elif name == "criterion":
-            report.append(suite_criterion(instances or []))
-        elif name == "roundtrip":
-            report.append(suite_roundtrip(balls or []))
-        elif name == "kernel":
-            report.append(suite_kernel(instances or []))
-        elif name == "davis":
-            report.append(suite_davis(gamma, radius or 4))
-        elif name == "twist":
-            report.append(suite_twist(gamma, radius or 3))
-        elif name == "extension-graph":
-            report.append(suite_extension_graph(gamma, radius or 3))
-        else:
+        if name not in runners:
             raise ValueError(f"unknown suite {name!r}")
+        report.append(runners[name]())
     return report

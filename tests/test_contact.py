@@ -6,7 +6,7 @@ import pytest
 
 from cubetact import contact as ct
 from cubetact import median as md
-from cubetact.errors import NotAnAutomorphism
+from cubetact.errors import LemmaViolation, NotAnAutomorphism
 
 
 def hyperplane_by_edge(X, u, v):
@@ -159,3 +159,17 @@ def test_graph_to_dot():
     F = ct.build_contact_family(X)
     dot = ct.graph_to_dot(F.contact, "contact")
     assert "graph contact {" in dot and "--" in dot
+
+
+def test_missing_square_is_a_lemma_violation():
+    X = md.builtin_complex("DOMINO")
+    broken = md.CubeComplex(X.vertices, X.edges, X._dist, X.squares[1:])
+    with pytest.raises(LemmaViolation, match="share a square=False"):
+        ct.build_contact_family(broken)
+
+
+def test_reduced_class_check_is_live(monkeypatch):
+    X = md.builtin_complex("DOMINO")
+    monkeypatch.setattr(ct, "_twins", lambda rows: [list(range(len(rows)))])
+    with pytest.raises(LemmaViolation, match="not pairwise neighborhood-equal"):
+        ct.build_contact_family(X)
