@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 import random
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -28,6 +27,8 @@ from .errors import (
 )
 
 DEFAULT_VERTEX_CAP = 4096
+_PAIRS = 1024  # the majority kernel works in blocks of _PAIRS pairs by _KS rows
+_KS = 16
 
 
 def vertex_cap() -> int:
@@ -68,8 +69,8 @@ class LinkGraph:
 class CubeComplex:
     """Immutable container for a validated median graph and its derived data.
 
-    Use :func:`validate_complex` to construct one; the constructor itself does
-    not re-check the median property.
+    Use :func:`validate_complex` or :func:`certified_complex` to construct one;
+    the constructor itself does not re-check the median property.
     """
 
     def __init__(self, vertices, edges, dist, squares):
@@ -92,6 +93,7 @@ class CubeComplex:
         self._ids_at = None
         self._relation = None  # contact.py's hyperplane-pair relation
         self._dimension = None
+        self._squares_at = None  # vertex -> squares through it, for link_graph
 
     def __len__(self):
         return len(self.vertices)
@@ -171,22 +173,14 @@ class CubeComplex:
         }
 
 
-def _bfs_distances(vertices, adj):
-    n = len(vertices)
-    index = {v: i for i, v in enumerate(vertices)}
-    dist = np.full((n, n), -1, dtype=np.int32)
-    for s in vertices:
-        si = index[s]
-        dist[si, si] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            du = dist[si, index[u]]
-            for w in adj[u]:
-                wi = index[w]
-                if dist[si, wi] < 0:
-                    dist[si, wi] = du + 1
-                    queue.append(w)
+def _distances(adjacent, start):
+    """BFS distances from index start in a bool adjacency matrix, -1 if unreachable."""
+    dist = np.full(len(adjacent), -1, dtype=np.int32)
+    front, d = np.arange(len(adjacent)) == start, 0
+    while front.any():
+        dist[front] = d
+        front = adjacent[front].any(axis=0) & (dist < 0)
+        d += 1
     return dist
 
 
@@ -213,19 +207,10 @@ def median_triple_defects(dist, first_only=True):
     (a, b, c, median_indices) tuples; with first_only, stops at the first.
     """
     n = dist.shape[0]
-    if n <= 2:
-        return []
     d = dist.astype(np.int32)
-    width = (n + 7) // 8
-    pad = width * 8 - n
-    packed = np.empty((n, n, width), dtype=np.uint8)
-    for a in range(n):
-        ia = d[a][:, None] == d[a][None, :] + d  # (b, v)
-        if pad:
-            ia = np.concatenate(
-                [ia, np.zeros((n, pad), dtype=bool)], axis=1
-            )
-        packed[a] = np.packbits(ia, axis=1)
+    packed = np.empty((n, n, (n + 7) // 8), dtype=np.uint8)
+    for a in range(n):  # packbits zero-pads each row to whole bytes
+        packed[a] = np.packbits(d[a][:, None] == d[a][None, :] + d, axis=1)  # (b, v)
     defects = []
     for a in range(n):
         pa = packed[a]
@@ -233,27 +218,12 @@ def median_triple_defects(dist, first_only=True):
             rows = pa[b][None, :] & pa & packed[b]  # (c, width)
             counts = np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
             bad = np.nonzero(counts != 1)[0]
-            for c in bad:
-                c = int(c)
-                medians = [
-                    v for v in range(n)
-                    if (rows[c, v // 8] >> (7 - v % 8)) & 1
-                ]
+            for c in bad.tolist():
+                medians = np.flatnonzero(np.unpackbits(rows[c], count=n)).tolist()
                 defects.append((a, b, c, medians))
                 if first_only:
                     return defects
     return defects
-
-
-def _check_median(dist, vertices):
-    """Every triple must have exactly one median; returns None or raises."""
-    defects = median_triple_defects(dist, first_only=True)
-    if defects:
-        a, b, c, medians = defects[0]
-        raise NotMedian(
-            (vertices[a], vertices[b], vertices[c]),
-            [vertices[v] for v in medians],
-        )
 
 
 def validate_complex(vertices, edges, cap=None) -> CubeComplex:
@@ -268,31 +238,124 @@ def validate_complex(vertices, edges, cap=None) -> CubeComplex:
         cap = vertex_cap()
     if len(vertices) > cap:
         raise SizeLimitExceeded(f"{len(vertices)} vertices exceeds cap {cap}")
-    vset = set(vertices)
+    index = {v: i for i, v in enumerate(vertices)}
     edge_set = set()
-    adj = {v: set() for v in vertices}
+    A = np.zeros((len(vertices), len(vertices)), dtype=bool)
     for e in edges:
         u, v = tuple(e)
-        if u not in vset or v not in vset:
+        if u not in index or v not in index:
             raise UnknownVertex(e)
         if u == v:
             raise ValueError(f"self-loop at {u!r}; the graph must be simple")
         edge_set.add(frozenset((u, v)))
-        adj[u].add(v)
-        adj[v].add(u)
+        A[index[u], index[v]] = A[index[v], index[u]] = True
 
-    dist = _bfs_distances(vertices, adj)
+    dist = np.array([_distances(A, i) for i in range(len(vertices))])
     if (dist < 0).any():
         raise NotConnected("graph is not connected")
-    _check_median(dist, vertices)
+    for a, b, c, medians in median_triple_defects(dist, first_only=True):
+        raise NotMedian(
+            (vertices[a], vertices[b], vertices[c]), [vertices[v] for v in medians]
+        )
 
-    squares = _find_squares(vertices, adj)
+    X = CubeComplex(vertices, edge_set, dist, ())
+    X.squares = tuple(_find_squares(X.vertices, X.adj))
     # In a median graph every 4-cycle is chordless; check that no chordful
     # 4-cycle slipped through (would indicate a bug above).
-    for a, b, c, d in squares:
-        if b in adj[d] or a in adj[c]:
+    for a, b, c, d in X.squares:
+        if b in X.adj[d] or a in X.adj[c]:
             raise LemmaViolation(f"square {(a, b, c, d)} has a chord")
-    return CubeComplex(vertices, edge_set, dist, squares)
+    return X
+
+
+def hamming_distances(rows):
+    """int32 popcount-XOR distances of packed 0/1 rows, one byte column at a time."""
+    D = np.zeros((len(rows), len(rows)), dtype=np.int32)
+    for col in rows.T:
+        D += np.bitwise_count(col[:, None] ^ col)
+    return D
+
+
+def majority_closure(rows, cap):
+    """Close distinct packed 0/1 rows (as np.packbits gives) under bitwise majority.
+
+    Round by round, each triple i < j < k once: a round takes the k added in
+    the round before (every k at first), in blocks of _PAIRS pairs (i, j) by
+    _KS rows k.  A majority is looked up by a 64-bit key, distinct on the
+    rows, and compared with the row found, so membership is exact.  Returns
+    (closed, witnesses): closed starts with rows, and its row len(rows) + t
+    is the majority of rows witnesses[t] = (i, j, k).  Raises
+    SizeLimitExceeded past cap rows.
+    """
+    width = max(8, -(-rows.shape[1] // 8) * 8)  # bytes in whole uint64 words
+    pad = np.zeros((len(rows), width - rows.shape[1]), dtype=np.uint8)
+    R = np.hstack([rows, pad]).view(np.uint64)
+    whole = np.dtype((np.void, width))  # a row as one item
+    witnesses, lo, rng = [], 0, random.Random(0)
+    while lo < len(R):
+        n = len(R)
+        if n > cap:
+            raise SizeLimitExceeded(f"majority closure exceeds {cap} vertices")
+        mult = np.array([rng.getrandbits(64) | 1 for _ in R[0]], dtype=np.uint64)
+        keys = R @ mult  # wraps modulo 2**64
+        order = np.argsort(keys)
+        keys = keys[order]
+        if (np.diff(keys) == 0).any():  # two rows share a key: draw again
+            if len(np.unique(R.view(whole))) < n:
+                raise ValueError("majority_closure needs distinct rows")
+            continue
+        starts = np.arange(n + 1) * np.arange(-1, n) // 2  # first pair (., j)
+        new = {}  # row bytes -> witness
+        for p0 in range(0, int(starts[n - 1]), _PAIRS):
+            P = np.arange(p0, min(p0 + _PAIRS, int(starts[n - 1])))
+            J = np.searchsorted(starts, P, side="right") - 1
+            I = P - starts[J]
+            both, either = R[I] & R[J], R[I] | R[J]
+            for k0 in range(max(lo, int(J[0]) + 1), n, _KS):
+                K = np.arange(k0, min(k0 + _KS, n))
+                m = both | (R[K][:, None] & either)  # (k, pair, word)
+                pos = order[np.minimum(np.searchsorted(keys, m @ mult), n - 1)]
+                missing = R.view(whole)[pos, 0] != m.view(whole)[..., 0]
+                kk, pp = np.nonzero(missing & (J < K[:, None]))
+                _, first = np.unique(m[kk, pp].view(whole), return_index=True)
+                for t in np.sort(first).tolist():
+                    new.setdefault(m[kk[t], pp[t]].tobytes(),
+                                   (int(I[pp[t]]), int(J[pp[t]]), int(K[kk[t]])))
+                if n + len(new) > cap:
+                    raise SizeLimitExceeded(f"majority closure exceeds {cap} vertices")
+        R = np.vstack([R, np.frombuffer(b"".join(new), np.uint64).reshape(-1, R.shape[1])])
+        witnesses += new.values()
+        lo = n
+    return R.view(np.uint8)[:, :rows.shape[1]], witnesses
+
+
+def certified_complex(vertices, edges, dist) -> CubeComplex:
+    """The complex on distinct majority-closed 0/1 rows, without the n^3 scan.
+
+    dist is the hamming_distances of such rows, vertices name them in order.
+    Raises LemmaViolation unless the edges are exactly the pairs at Hamming
+    distance 1, NotConnected unless they connect the rows.  Then the graph
+    is median with metric dist.  Proof: for rows u != v take a path
+    u = x_0, ..., x_L = v.  Each y_i = maj(u, v, x_i) is a row (the rows are
+    closed) in the cube interval [u, v], and y_i, y_i+1 differ at most where
+    x_i, x_i+1 do, so the first y_i != u is a neighbour of u one step nearer
+    to v.  Induction on the Hamming distance d(u, v) gives a path of length
+    d(u, v), and none is shorter.  So maj(a, b, c) lies on geodesics between
+    each pair of a, b, c, and any vertex that does agrees with it in every
+    coordinate: medians exist and are unique.
+    """
+    edges = {frozenset(e) for e in edges}
+    ones = {
+        frozenset((vertices[i], vertices[j]))
+        for i, j in np.argwhere(np.triu(dist == 1)).tolist()
+    }
+    for e in sorted(map(sorted, edges ^ ones))[:1]:
+        raise LemmaViolation(f"the edges and the Hamming-1 pairs differ at {e}")
+    if (_distances(dist == 1, 0) < 0).any():
+        raise NotConnected("the Hamming-1 graph of the rows is not connected")
+    X = CubeComplex(vertices, edges, dist, ())
+    X.squares = tuple(_find_squares(X.vertices, X.adj))
+    return X
 
 
 def compute_hyperplanes(X: CubeComplex):
@@ -456,14 +519,16 @@ def separating(X: CubeComplex, A, B):
 def link_graph(X: CubeComplex, v) -> LinkGraph:
     X.check_vertex(v)
     nodes = hyperplanes_at(X, v)
+    if X._squares_at is None:
+        X._squares_at = {u: [] for u in X.vertices}
+        for sq in X.squares:
+            for u in sq:
+                X._squares_at[u].append(sq)
     adjacency = set()
-    for a, b, c, d in X.squares:
-        if v not in (a, b, c, d):
-            continue
-        cyc = [frozenset((a, b)), frozenset((b, c)), frozenset((c, d)), frozenset((d, a))]
-        at_v = [e for e in cyc if v in e]
-        h1 = X.hyperplane_of_edge(*tuple(at_v[0])).id
-        h2 = X.hyperplane_of_edge(*tuple(at_v[1])).id
+    for sq in X._squares_at[v]:
+        i = sq.index(v)  # the square's edges at v go to its cycle neighbours
+        h1 = X.hyperplane_of_edge(v, sq[i - 1]).id
+        h2 = X.hyperplane_of_edge(v, sq[(i + 1) % 4]).id
         if h1 != h2:
             adjacency.add(frozenset((h1, h2)))
     return LinkGraph(v, frozenset(nodes), frozenset(adjacency))
@@ -522,11 +587,11 @@ def hyperplane_complex(X: CubeComplex, hid) -> CubeComplex:
 
 
 def random_median_complex(ambient_dim, seed_count, rng_seed, cap=None) -> CubeComplex:
-    """Median closure of random 0/1-vectors inside the hypercube.
+    """Majority closure of random 0/1-vectors inside the hypercube.
 
-    The closure of any vertex subset of a median graph under coordinatewise
-    majority is again median, so the induced Hamming-adjacency subgraph always
-    passes validation.  Deterministic for a fixed rng_seed.
+    A closed set can still be disconnected (two antipodal seeds, say): then
+    the closest pair between the first two components, in string order, is
+    bridged by a bit-flip path and closed again.  Deterministic per rng_seed.
     """
     if not 1 <= ambient_dim <= 12:
         raise ValueError(f"ambient_dim must be in 1..12, got {ambient_dim}")
@@ -539,70 +604,26 @@ def random_median_complex(ambient_dim, seed_count, rng_seed, cap=None) -> CubeCo
     while len(points) < min(seed_count, 2 ** ambient_dim):
         points.add(tuple(rng.randint(0, 1) for _ in range(ambient_dim)))
 
-    def close_majority(pts):
-        frontier = set(pts)
-        while frontier:
-            new = set()
-            all_pts = sorted(pts)
-            for p in sorted(frontier):
-                for q, r in combinations(all_pts, 2):
-                    m = tuple(
-                        (a & b) | (c & (a | b)) for a, b, c in zip(p, q, r)
-                    )
-                    if m not in pts and m not in new:
-                        new.add(m)
-            pts |= new
-            if len(pts) > cap:
-                raise SizeLimitExceeded(f"median closure exceeded {cap} vertices")
-            frontier = new
-        return pts
-
-    def components(pts):
-        comps = []
-        seen = set()
-        for s in sorted(pts):
-            if s in seen:
-                continue
-            comp = {s}
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                for i in range(ambient_dim):
-                    w = u[:i] + (1 - u[i],) + u[i + 1:]
-                    if w in pts and w not in comp:
-                        comp.add(w)
-                        queue.append(w)
-            seen |= comp
-            comps.append(comp)
-        return comps
-
-    # A majority-closed set can still induce a disconnected subgraph (two
-    # antipodal seeds, say): bridge the closest inter-component pair with a
-    # bit-flip path and re-close until connected.
-    points = close_majority(points)
+    weights = 1 << np.arange(ambient_dim)[::-1]  # codes sort like the strings
+    codes = np.unique([int("".join(map(str, p)), 2) for p in points])
     while True:
-        comps = components(points)
-        if len(comps) == 1:
+        rows = np.packbits((codes[:, None] & weights) > 0, axis=1)
+        rows = majority_closure(rows, cap)[0]
+        codes = np.unique(np.unpackbits(rows, axis=1, count=ambient_dim) @ weights)
+        D = np.bitwise_count(codes[:, None] ^ codes).astype(np.int32)
+        c0 = _distances(D == 1, 0) >= 0
+        if c0.all():
             break
-        c0, c1 = comps[0], comps[1]
-        p, q = min(
-            ((p, q) for p in sorted(c0) for q in sorted(c1)),
-            key=lambda pq: (sum(a != b for a, b in zip(*pq)), pq),
-        )
-        cur = p
-        for i in range(ambient_dim):
-            if cur[i] != q[i]:
-                cur = cur[:i] + (q[i],) + cur[i + 1:]
-                points.add(cur)
-        points = close_majority(points)
+        a, b = np.flatnonzero(c0), np.flatnonzero(_distances(D == 1, np.argmin(c0)) >= 0)
+        i, j = np.unravel_index(np.argmin(D[np.ix_(a, b)]), (len(a), len(b)))
+        p, q = codes[a[i]], codes[b[j]]
+        # flip the differing coordinates in ascending order, keeping each step
+        codes = np.append(codes, p ^ np.cumsum(weights[((p ^ q) & weights) > 0]))
+        codes = np.unique(codes)
 
-    verts = sorted("".join(map(str, p)) for p in points)
-    edges = {
-        frozenset((u, v))
-        for u, v in combinations(verts, 2)
-        if sum(a != b for a, b in zip(u, v)) == 1
-    }
-    return validate_complex(verts, edges, cap=cap)
+    verts = [format(c, f"0{ambient_dim}b") for c in codes.tolist()]
+    edges = [(verts[i], verts[j]) for i, j in np.argwhere(np.triu(D == 1)).tolist()]
+    return certified_complex(verts, edges, D)
 
 
 # ---------------------------------------------------------------------------

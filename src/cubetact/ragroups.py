@@ -267,51 +267,59 @@ def ambient_median(gamma, kind, x, y, z):
         v = nf_mult(gamma, kind, inv_step, v)
 
 
+def _walls(gamma, w):
+    """Yield the keys of the walls that the normal-form path from 1 to w crosses.
+
+    The edge from q to q.g (g positive in artin groups) is dual to the wall
+    (g, shortest element of q<lk g>) (Davis, ch. 4; Charney).  A coxeter
+    path only leaves q where q.g is longer, so q<lk g> there names the same
+    wall as q<st g> would.  The shortest element drops from q, right to left,
+    each syllable in lk g that commutes with every kept one after it.
+    """
+    prefix = ()
+    for g, e in w:
+        lk = gamma.lk(g)
+        for k in range(min(e, 0), max(e, 0)):  # the edge leaving q = prefix.g^k
+            kept = []
+            for h, f in reversed(prefix + ((g, k),) if k else prefix):
+                if h not in lk or not all(gamma.commute(h, x) for x, _ in kept):
+                    kept.append((h, f))
+            yield g, _canonicalize(gamma, kept[::-1])
+        prefix += ((g, e),)
+
+
 def median_closure(gamma, kind, elements, cap):
     """Close a set of group elements under triple medians.
 
     Word-metric balls need not be median-closed (commuting clusters push
-    medians past the radius); the closure restores the median property while
-    adding as few vertices as possible.  Returns (elements, D) where elements
-    is the canonically sorted closure and D its ambient distance matrix.
+    medians past the radius).  An element's row marks the walls separating
+    it from 1, so ambient distance is Hamming distance and the median is
+    majority: median.majority_closure closes the rows, and ambient_median
+    names each new row from its witness triple.  Returns (elements, D): the
+    closure in (length, format) order and its ambient distance matrix.
     """
-    S = set(elements)
-    while True:
-        elems = sorted(S, key=lambda w: (word_length(kind, w), format_word(w)))
-        n = len(elems)
-        inv = [nf_inverse(kind, w) for w in elems]
-        D = np.zeros((n, n), dtype=np.int32)
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = word_length(kind, nf_mult(gamma, kind, inv[i], elems[j]))
-                D[i, j] = D[j, i] = d
-        # Ambient medians are unique, so restricting to S only ever loses
-        # them: every defect is a zero-median triple.
-        defects = _median.median_triple_defects(D, first_only=False)
-        if not defects:
-            return elems, D
-        added = False
-        for a, b, c, medians in defects:
-            if medians:
-                raise LemmaViolation(
-                    f"triple {[format_word(elems[i]) for i in (a, b, c)]} has "
-                    f"medians {[format_word(elems[i]) for i in medians]} in "
-                    f"the restricted set"
-                )
-            m = ambient_median(gamma, kind, elems[a], elems[b], elems[c])
-            if m not in S:
-                S.add(m)
-                added = True
-                if len(S) > cap:
-                    raise SizeLimitExceeded(
-                        f"median closure of ball exceeds {cap} vertices"
-                    )
-        if not added:
-            a, b, c, _ = defects[0]
+    def shortlex(w):
+        return word_length(kind, w), format_word(w)
+
+    elems = sorted(set(elements), key=shortlex)
+    column = {}
+    walls = [[column.setdefault(k, len(column)) for k in _walls(gamma, w)]
+             for w in elems]
+    rows = np.zeros((len(elems), len(column)), dtype=bool)
+    for i, cols in enumerate(walls):
+        rows[i, cols] = True
+    rows, witnesses = _median.majority_closure(np.packbits(rows, axis=1), cap)
+    for row, triple in zip(rows[len(elems):], witnesses):
+        m = ambient_median(gamma, kind, *(elems[i] for i in triple))
+        cols = sorted(column.get(k, -1) for k in _walls(gamma, m))
+        if cols != np.flatnonzero(np.unpackbits(row, count=len(column))).tolist():
             raise LemmaViolation(
-                f"triple {[format_word(elems[i]) for i in (a, b, c)]} has no "
-                f"median but the closure added nothing"
+                f"median {format_word(m)} of {[format_word(elems[i]) for i in triple]} "
+                f"does not have the majority of their walls"
             )
+        elems.append(m)
+    order = sorted(range(len(elems)), key=lambda i: shortlex(elems[i]))
+    return [elems[i] for i in order], _median.hamming_distances(rows[order])
 
 
 # ---------------------------------------------------------------------------
@@ -358,28 +366,6 @@ class Ball:
         return out
 
 
-def _ball_complex(vertices, edges, ambient_dist, cap):
-    """Build the ball's complex, reusing the closure's median certificate.
-
-    When the induced graph metric coincides with the ambient word metric the
-    closure scan already certifies the median property, so the full check in
-    validate_complex would only repeat it.
-    """
-    if len(vertices) > cap:
-        raise SizeLimitExceeded(f"{len(vertices)} vertices exceeds cap {cap}")
-    adj = {v: set() for v in vertices}
-    for e in edges:
-        u, v = tuple(e)
-        adj[u].add(v)
-        adj[v].add(u)
-    dist = _median._bfs_distances(vertices, adj)
-    if (dist < 0).any() or not np.array_equal(dist, ambient_dist):
-        return _median.validate_complex(vertices, edges, cap=cap)
-    squares = _median._find_squares(vertices, adj)
-    edge_set = {frozenset(e) for e in edges}
-    return _median.CubeComplex(vertices, edge_set, dist, squares)
-
-
 def _letters(gamma, kind):
     if kind == COXETER:
         return [(g, 1) for g in gamma.vertices]
@@ -387,11 +373,13 @@ def _letters(gamma, kind):
 
 
 def build_ball(gamma: DefiningGraph, kind, radius, cap=None) -> Ball:
-    """BFS over normal forms up to the given word length.
+    """BFS over normal forms up to the given word length, median-closed.
 
-    The resulting graph is validated as a median complex; hyperplane labels
+    The complex is certified by median.certified_complex; hyperplane labels
     are checked to be well-defined.
     """
+    if kind not in (ARTIN, COXETER):
+        raise ValueError(f"kind must be {ARTIN!r} or {COXETER!r}")
     if radius < 1:
         raise ValueError("radius must be >= 1")
     if cap is None:
@@ -412,8 +400,6 @@ def build_ball(gamma: DefiningGraph, kind, radius, cap=None) -> Ball:
                 words.add(w2)
                 queue.append(w2)
 
-    # commuting clusters can push medians just past the radius; restore the
-    # median property with as few extra vertices as possible
     ids, ambient_dist = median_closure(gamma, kind, words, cap)
     words = set(ids)
 
@@ -431,7 +417,7 @@ def build_ball(gamma: DefiningGraph, kind, radius, cap=None) -> Ball:
                 edges[edge] = g
 
     vid_words = {format_word(w): w for w in ids}
-    X = _ball_complex(list(vid_words), list(edges), ambient_dist, cap)
+    X = _median.certified_complex(list(vid_words), edges, ambient_dist)
 
     labels = {}
     for h in X.hyperplanes:

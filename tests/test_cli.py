@@ -37,6 +37,11 @@ def test_generate_ball(capsys):
     assert len(doc["vertices"]) == 13
 
 
+def test_generate_ball_rejects_unknown_kind(capsys):
+    code, out, err = run(capsys, "generate", "--ball", "C5", "foo", "1")
+    assert code == 2 and "kind" in err and out == ""
+
+
 def test_generate_requires_source(capsys):
     code, _, err = run(capsys, "generate")
     assert code == 2 and "error" in err

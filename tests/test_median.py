@@ -3,10 +3,17 @@
 from collections import deque
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from cubetact import median as md
-from cubetact.errors import NotConnected, NotMedian, SizeLimitExceeded, UnknownVertex
+from cubetact.errors import (
+    LemmaViolation,
+    NotConnected,
+    NotMedian,
+    SizeLimitExceeded,
+    UnknownVertex,
+)
 
 
 def brute_medians(vertices, adj, triple):
@@ -203,6 +210,40 @@ def test_random_median_complex_bad_args():
         md.random_median_complex(0, 5, 1)
     with pytest.raises(ValueError):
         md.random_median_complex(6, 0, 1)
+
+
+def packed(*strings):
+    return np.packbits(np.array([[c == "1" for c in s] for s in strings]), axis=1)
+
+
+def test_certified_complex_needs_the_hamming_1_edges():
+    verts = ["00", "01", "10", "11"]
+    D = md.hamming_distances(packed(*verts))
+    cycle = [("00", "01"), ("01", "11"), ("11", "10"), ("10", "00")]
+    X = md.certified_complex(verts, cycle, D)
+    assert X.squares == (("00", "01", "11", "10"),)
+    with pytest.raises(LemmaViolation, match="Hamming-1 pairs differ"):
+        md.certified_complex(verts, cycle[:3], D)
+    with pytest.raises(LemmaViolation, match="Hamming-1 pairs differ"):
+        md.certified_complex(verts, cycle + [("00", "11")], D)
+
+
+def test_certified_complex_needs_connected_rows():
+    with pytest.raises(NotConnected):
+        md.certified_complex(["00", "11"], [], md.hamming_distances(packed("00", "11")))
+
+
+def test_majority_closure_cap():
+    rows = packed("110", "101", "011")  # their majority 111 is new
+    closed, witnesses = md.majority_closure(rows, 4)
+    assert closed.tolist() == packed("110", "101", "011", "111").tolist()
+    assert witnesses == [(0, 1, 2)]
+    with pytest.raises(SizeLimitExceeded):
+        md.majority_closure(rows, 3)
+    with pytest.raises(SizeLimitExceeded):
+        md.random_median_complex(6, 5, 1, cap=3)
+    with pytest.raises(ValueError, match="distinct"):
+        md.majority_closure(packed("110", "101", "110"), 4)
 
 
 def test_json_roundtrip():

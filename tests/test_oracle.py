@@ -1,21 +1,30 @@
-"""The incidence-matrix hyperplane core against the square-parallelism oracle.
+"""The fast paths against the original ones, kept here as oracles.
 
-The reference below is the original path: hyperplanes are union-find classes
-of square-opposite edges with one BFS per side, hyperplane pairs are
-classified one at a time from frozensets, reduced classes come from a
-union-find over the neighbourhood relation, I(w) intersects the W_v over
-w's carrier, and the dimension is the largest clique of a link graph.  The
-fast path must agree with it, in both reduced modes, on the builtins, random
-complexes and the session balls.
+Hyperplanes: the reference is the original path, where hyperplanes are
+union-find classes of square-opposite edges with one BFS per side,
+hyperplane pairs are classified one at a time from frozensets, reduced
+classes come from a union-find over the neighbourhood relation, I(w)
+intersects the W_v over w's carrier, and the dimension is the largest clique
+of a link graph.  The fast path must agree with it, in both reduced modes,
+on the builtins, random complexes and the session balls.
+
+Instances: the references are the tuple-majority random generator and the
+ball closure that rebuilds the word-metric distance matrix with nf_mult and
+adds the ambient median of every defect triple, both validated by the n^3
+certificate of validate_complex.  The wall-row majority kernel and the
+certified constructor must give the same complexes.
 """
 
+import random
 from collections import deque
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from cubetact import contact as ct
 from cubetact import median as md
+from cubetact import ragroups as rg
 
 
 def reference_hyperplanes(X):
@@ -201,3 +210,165 @@ def test_oracle_random():
 )
 def test_oracle_balls(fixture, request):
     check_against_oracle(request.getfixturevalue(fixture).complex)
+
+
+def reference_random_median_complex(ambient_dim, seed_count, rng_seed):
+    """Tuple-majority closure, bit-flip bridges, string edges, validation."""
+    rng = random.Random(rng_seed)
+    points = set()
+    while len(points) < min(seed_count, 2 ** ambient_dim):
+        points.add(tuple(rng.randint(0, 1) for _ in range(ambient_dim)))
+
+    def close_majority(pts):
+        frontier = set(pts)
+        while frontier:
+            new = set()
+            all_pts = sorted(pts)
+            for p in sorted(frontier):
+                for q, r in combinations(all_pts, 2):
+                    m = tuple(
+                        (a & b) | (c & (a | b)) for a, b, c in zip(p, q, r)
+                    )
+                    if m not in pts and m not in new:
+                        new.add(m)
+            pts |= new
+            frontier = new
+        return pts
+
+    def components(pts):
+        comps = []
+        seen = set()
+        for s in sorted(pts):
+            if s in seen:
+                continue
+            comp = {s}
+            queue = deque([s])
+            while queue:
+                u = queue.popleft()
+                for i in range(ambient_dim):
+                    w = u[:i] + (1 - u[i],) + u[i + 1:]
+                    if w in pts and w not in comp:
+                        comp.add(w)
+                        queue.append(w)
+            seen |= comp
+            comps.append(comp)
+        return comps
+
+    points = close_majority(points)
+    while True:
+        comps = components(points)
+        if len(comps) == 1:
+            break
+        c0, c1 = comps[0], comps[1]
+        p, q = min(
+            ((p, q) for p in sorted(c0) for q in sorted(c1)),
+            key=lambda pq: (sum(a != b for a, b in zip(*pq)), pq),
+        )
+        cur = p
+        for i in range(ambient_dim):
+            if cur[i] != q[i]:
+                cur = cur[:i] + (q[i],) + cur[i + 1:]
+                points.add(cur)
+        points = close_majority(points)
+
+    verts = sorted("".join(map(str, p)) for p in points)
+    edges = {
+        frozenset((u, v))
+        for u, v in combinations(verts, 2)
+        if sum(a != b for a, b in zip(u, v)) == 1
+    }
+    return md.validate_complex(verts, edges)
+
+
+def reference_median_closure(gamma, kind, elements):
+    """Add the ambient median of every triple without one, rebuilding the
+    word-metric distance matrix with nf_mult each round."""
+    S = set(elements)
+    while True:
+        elems = sorted(S, key=lambda w: (rg.word_length(kind, w), rg.format_word(w)))
+        n = len(elems)
+        inv = [rg.nf_inverse(kind, w) for w in elems]
+        D = np.zeros((n, n), dtype=np.int32)
+        for i in range(n):
+            for j in range(i + 1, n):
+                d = rg.word_length(kind, rg.nf_mult(gamma, kind, inv[i], elems[j]))
+                D[i, j] = D[j, i] = d
+        defects = md.median_triple_defects(D, first_only=False)
+        if not defects:
+            return elems, D
+        for a, b, c, medians in defects:
+            assert not medians  # ambient medians are unique
+            S.add(rg.ambient_median(gamma, kind, elems[a], elems[b], elems[c]))
+        assert len(S) > n
+
+
+def assert_same_complex(X, Y):
+    assert X.vertices == Y.vertices
+    assert X.edges == Y.edges
+    assert X._dist.dtype == Y._dist.dtype
+    np.testing.assert_array_equal(X._dist, Y._dist)
+    assert X.squares == Y.squares
+
+
+def check_ball_against_oracle(ball):
+    """Same closure and distances as the reference; same complex as validation."""
+    gamma, kind = ball.gamma, ball.kind
+    words = {w for w in ball.words.values() if rg.word_length(kind, w) <= ball.radius}
+    ref_elems, ref_D = reference_median_closure(gamma, kind, words)
+    elems, D = rg.median_closure(gamma, kind, words, md.vertex_cap())
+    assert elems == ref_elems
+    assert D.dtype == ref_D.dtype
+    np.testing.assert_array_equal(D, ref_D)
+    X = ball.complex
+    assert list(X.vertices) == [rg.format_word(w) for w in ref_elems]
+    assert_same_complex(X, md.validate_complex(X.vertices, X.edges))
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(6, 5, s) for s in range(1, 101)] + [(8, 10, 2), (8, 10, 5)],
+    ids=lambda shape: "-".join(map(str, shape)),
+)
+def test_random_generator_against_oracle(shape):
+    assert_same_complex(md.random_median_complex(*shape), reference_random_median_complex(*shape))
+
+
+@pytest.mark.parametrize("radius", [1, 2])
+@pytest.mark.parametrize("kind", [rg.ARTIN, rg.COXETER])
+@pytest.mark.parametrize("name", rg.BUILTIN_GRAPHS)
+def test_ball_closure_against_oracle(name, kind, radius):
+    check_ball_against_oracle(rg.build_ball(rg.builtin_defining_graph(name), kind, radius))
+
+
+@pytest.mark.parametrize(
+    "fixture",
+    ["y_c5_r3", "y_p4_r4", "y_st5_r3", "y_st5_r4", "x_c5_r2", "x_f2_r3", "z2_r3"],
+)
+def test_session_ball_closure_against_oracle(fixture, request):
+    check_ball_against_oracle(request.getfixturevalue(fixture))
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_majority_kernel_against_tuple_closure(seed):
+    """Same closed set as the tuple closure, over two 64-bit words, with each
+    new row the majority of earlier rows, its witnesses."""
+    rng = np.random.default_rng(seed)
+    bits = np.unique(rng.integers(0, 2, (4, 70)).astype(bool), axis=0)
+    closed, witnesses = md.majority_closure(np.packbits(bits, axis=1), md.vertex_cap())
+    got = np.unpackbits(closed, axis=1, count=70).astype(bool)
+    assert np.array_equal(got[:len(bits)], bits)
+    for t, (i, j, k) in enumerate(witnesses):
+        assert i < j < k < len(bits) + t
+        maj = (got[i] & got[j]) | (got[k] & (got[i] | got[j]))
+        np.testing.assert_array_equal(got[len(bits) + t], maj)
+    pts = {tuple(map(int, b)) for b in bits}
+    frontier = set(pts)
+    while frontier:  # the tuple closure
+        new = {
+            tuple((a & b) | (c & (a | b)) for a, b, c in zip(p, q, r))
+            for p in frontier for q, r in combinations(sorted(pts), 2)
+        } - pts
+        pts |= new
+        frontier = new
+    assert {tuple(map(int, b)) for b in got} == pts
+    assert len(got) == len(pts)

@@ -11,7 +11,9 @@ from cubetact import ragroups as rg
 from cubetact.errors import (
     BallTooSmall,
     GeneratorsAdjacent,
+    LemmaViolation,
     NotACone,
+    SizeLimitExceeded,
     StarNotContained,
     UnknownGenerator,
     UnknownVertex,
@@ -177,6 +179,21 @@ def test_ball_closure_can_exceed_radius(y_st5_r3):
     deep = [v for v, d in y_st5_r3.depth.items() if d < 0]
     assert deep
     assert not set(deep) & y_st5_r3.interior_vertices(0)
+
+
+def test_ball_closure_checks_named_medians(monkeypatch):
+    st5 = rg.builtin_defining_graph("STAR_EQ5")
+    assert len(rg.build_ball(st5, rg.COXETER, 2).complex) == 21  # 19 + 2 medians
+    with pytest.raises(SizeLimitExceeded):
+        rg.build_ball(st5, rg.COXETER, 2, cap=20)
+    monkeypatch.setattr(rg, "ambient_median", lambda gamma, kind, x, y, z: x)
+    with pytest.raises(LemmaViolation, match="majority of their walls"):
+        rg.build_ball(st5, rg.COXETER, 2)
+
+
+def test_ball_of_the_trivial_group():
+    X = rg.build_ball(rg.DefiningGraph([], []), rg.ARTIN, 1).complex
+    assert X.vertices == ("1",) and not X.edges and X._dist.tolist() == [[0]]
 
 
 def test_hyperplane_labels(z2_r3):
