@@ -127,10 +127,6 @@ class ContactFamily:
     reduced: dict  # class index -> set of class indices
     mode: str
 
-    @property
-    def hyperplane_ids(self):
-        return sorted(self.contact)
-
 
 def _twins(rows):
     """Groups of row indices with identical boolean rows."""
@@ -278,9 +274,7 @@ def family_to_json(F: ContactFamily) -> dict:
         "crossing": _graph_json(F.crossing),
         "reduced": {
             "classes": [list(cls) for cls in F.classes],
-            "edges": sorted(
-                sorted((u, w)) for u in F.reduced for w in F.reduced[u] if u < w
-            ),
+            "edges": _graph_json(F.reduced)["edges"],
         },
     }
 

@@ -29,6 +29,7 @@ from .errors import (
 DEFAULT_VERTEX_CAP = 4096
 _PAIRS = 1024  # the majority kernel works in blocks of _PAIRS pairs by _KS rows
 _KS = 16
+_CELLS = 1 << 24  # compute_hyperplanes holds blocks of about this many bools
 
 
 def vertex_cap() -> int:
@@ -73,7 +74,7 @@ class CubeComplex:
     the constructor itself does not re-check the median property.
     """
 
-    def __init__(self, vertices, edges, dist, squares):
+    def __init__(self, vertices, edges, dist, squares=None):
         self.vertices = tuple(vertices)
         self.index = {v: i for i, v in enumerate(self.vertices)}
         self.edges = frozenset(frozenset(e) for e in edges)
@@ -83,8 +84,7 @@ class CubeComplex:
             self.adj[u].add(v)
             self.adj[v].add(u)
         self._dist = dist  # numpy (n, n) int matrix, indexed like self.vertices
-        # squares are stored in cycle order (a, b, c, d): edges ab, bc, cd, da
-        self.squares = tuple(squares)
+        self._squares = None if squares is None else tuple(squares)
         # hyperplane data, filled together by compute_hyperplanes
         self._hyperplanes = None
         self._sides = None
@@ -103,6 +103,21 @@ class CubeComplex:
             f"CubeComplex({len(self.vertices)} vertices, {len(self.edges)} edges, "
             f"{len(self.squares)} squares)"
         )
+
+    @property
+    def squares(self):
+        """The 4-cycles in cycle order (a, b, c, d): edges ab, bc, cd, da.
+
+        The graph is bipartite, so none of them has a chord.
+        """
+        if self._squares is None:
+            found = {}
+            for a in self.vertices:
+                for b, d in combinations(sorted(self.adj[a]), 2):
+                    for c in (self.adj[b] & self.adj[d]) - {a}:
+                        found.setdefault(frozenset((a, b, c, d)), (a, b, c, d))
+            self._squares = tuple(sorted(found.values()))
+        return self._squares
 
     def check_vertex(self, v):
         if v not in self.index:
@@ -164,13 +179,9 @@ class CubeComplex:
 
     def geodesic_vertices(self, u, v):
         """All vertices on some geodesic between u and v (the interval)."""
-        i, j = self.index[u], self.index[v]
-        dv = self._dist
-        return {
-            w
-            for w, k in self.index.items()
-            if dv[i, k] + dv[k, j] == dv[i, j]
-        }
+        du, dv = self._dist[self.index[u]], self._dist[self.index[v]]
+        on = np.flatnonzero(du + dv == du[self.index[v]]).tolist()
+        return {self.vertices[w] for w in on}
 
 
 def _distances(adjacent, start):
@@ -184,27 +195,27 @@ def _distances(adjacent, start):
     return dist
 
 
-def _find_squares(vertices, adj):
-    """Chordless 4-cycles, each as a cycle-ordered tuple (a, b, c, d)."""
-    squares = {}
-    for a in vertices:
-        for b, d in combinations(sorted(adj[a]), 2):
-            if b in adj[d]:
-                continue  # chord bd
-            for c in adj[b] & adj[d]:
-                if c == a or c in adj[a]:
-                    continue  # not a 4-cycle / chord ac
-                key = frozenset((a, b, c, d))
-                if key not in squares:
-                    squares[key] = (a, b, c, d)
-    return sorted(squares.values())
+def _medians(d, i, j, k):
+    """Indices of the vertices on geodesics between each pair of i, j, k."""
+    on = (d[i] + d[j] == d[i, j]) & (d[j] + d[k] == d[j, k]) & (d[i] + d[k] == d[i, k])
+    return np.flatnonzero(on).tolist()
+
+
+def _not_median(X, *triple):
+    """NotMedian for a triple of vertex indices of X, naming all its medians."""
+    medians = _medians(X._dist, *triple)
+    return NotMedian([X.vertices[t] for t in triple], [X.vertices[m] for m in medians])
 
 
 def median_triple_defects(dist, first_only=True):
     """Triples (a, b, c) of indices whose median count differs from one.
 
-    ``dist`` must be a symmetric integer distance matrix.  Yields
-    (a, b, c, median_indices) tuples; with first_only, stops at the first.
+    The n^3 scan, kept as the reference that the tests compare
+    validate_complex and the ball closure with; no code of the package
+    calls it, and it stays here because perfbench reports it as a layer.
+    ``dist`` must be a symmetric integer distance matrix.
+    Returns (a, b, c, median_indices) tuples; with first_only, stops at
+    the first.
     """
     n = dist.shape[0]
     d = dist.astype(np.int32)
@@ -229,7 +240,12 @@ def median_triple_defects(dist, first_only=True):
 def validate_complex(vertices, edges, cap=None) -> CubeComplex:
     """Check that the given graph is a finite connected median graph.
 
-    Raises NotConnected or NotMedian (with a witness triple) otherwise.
+    A connected graph is median exactly when it is bipartite, its
+    Djokovic-Winkler classes embed it isometrically in a cube (checked by
+    compute_hyperplanes, whose classes stay on X), and the image is closed
+    under majority (one round of the majority kernel on the rows of sides):
+    then the proof of certified_complex applies.  Raises NotConnected, or
+    NotMedian with a triple that has 0 or at least 2 medians.
     """
     vertices = list(dict.fromkeys(vertices))
     if not vertices:
@@ -253,18 +269,14 @@ def validate_complex(vertices, edges, cap=None) -> CubeComplex:
     dist = np.array([_distances(A, i) for i in range(len(vertices))])
     if (dist < 0).any():
         raise NotConnected("graph is not connected")
-    for a, b, c, medians in median_triple_defects(dist, first_only=True):
-        raise NotMedian(
-            (vertices[a], vertices[b], vertices[c]), [vertices[v] for v in medians]
-        )
-
-    X = CubeComplex(vertices, edge_set, dist, ())
-    X.squares = tuple(_find_squares(X.vertices, X.adj))
-    # In a median graph every 4-cycle is chordless; check that no chordful
-    # 4-cycle slipped through (would indicate a bug above).
-    for a, b, c, d in X.squares:
-        if b in X.adj[d] or a in X.adj[c]:
-            raise LemmaViolation(f"square {(a, b, c, d)} has a chord")
+    X = CubeComplex(vertices, edge_set, dist)
+    # an edge ij inside one BFS layer: no vertex of ij is a median of (0, i, j)
+    for i, j in np.argwhere(np.triu(A) & (dist[0][:, None] == dist[0]))[:1].tolist():
+        raise _not_median(X, 0, i, j)
+    # with an isometric embedding, a median must have the majority row
+    rows = np.packbits(X.sides.T, axis=1)
+    for _, triple in _majority_round(rows, 0, random.Random(0)):
+        raise _not_median(X, *triple)
     return X
 
 
@@ -276,57 +288,72 @@ def hamming_distances(rows):
     return D
 
 
+def _majority_round(rows, lo, rng):
+    """One round of majority_closure on distinct packed 0/1 rows.
+
+    Checks each triple i < j < k with k >= lo, in blocks of _PAIRS pairs
+    (i, j) by _KS rows k, on the rows as whole uint64 words.  A majority is
+    looked up by a 64-bit key and compared with the row found, so membership
+    is exact.  The key multiplies the row's 32-bit chunks by multipliers drawn
+    from rng until the keys are distinct on the rows; two rows then share a
+    key with probability at most 2**-33 per draw.  Yields
+    (row bytes, (i, j, k)) for each majority that is not a row, once per
+    block, in the order found.
+    """
+    n, width = len(rows), max(8, -(-rows.shape[1] // 8) * 8)  # bytes in whole words
+    R = np.zeros((n, width), dtype=np.uint8)
+    R[:, :rows.shape[1]] = rows
+    R, whole = R.view(np.uint64), np.dtype((np.void, width))  # a row as one item
+    while True:
+        mult = np.array([rng.getrandbits(64) for _ in range(width // 4)], np.uint64)
+        keys = R.view(np.uint32) @ mult  # wraps modulo 2**64
+        order = np.argsort(keys)
+        keys = keys[order]
+        if not (np.diff(keys) == 0).any():
+            break
+        if len(np.unique(R.view(whole))) < n:  # else two rows share a key: draw again
+            raise ValueError("majority_closure needs distinct rows")
+    starts = np.arange(n + 1) * np.arange(-1, n) // 2  # first pair (., j)
+    for p0 in range(0, int(starts[n - 1]), _PAIRS):
+        P = np.arange(p0, min(p0 + _PAIRS, int(starts[n - 1])))
+        J = np.searchsorted(starts, P, side="right") - 1
+        I = P - starts[J]
+        both, either = R[I] & R[J], R[I] | R[J]
+        for k0 in range(max(lo, int(J[0]) + 1), n, _KS):
+            K = np.arange(k0, min(k0 + _KS, n))
+            m = both | (R[K][:, None] & either)  # (k, pair, word)
+            found = R[order[np.searchsorted(keys, m.view(np.uint32) @ mult) % n]]
+            missing = np.logical_or.reduce(  # word by word: faster than any(axis=-1)
+                [found[..., w] != m[..., w] for w in range(width // 8)])
+            kk, pp = np.nonzero(missing & (J < K[:, None]))
+            _, first = np.unique(m[kk, pp].view(whole), return_index=True)
+            for t in np.sort(first).tolist():
+                yield (m[kk[t], pp[t]].view(np.uint8)[:rows.shape[1]].tobytes(),
+                       (int(I[pp[t]]), int(J[pp[t]]), int(K[kk[t]])))
+
+
 def majority_closure(rows, cap):
     """Close distinct packed 0/1 rows (as np.packbits gives) under bitwise majority.
 
-    Round by round, each triple i < j < k once: a round takes the k added in
-    the round before (every k at first), in blocks of _PAIRS pairs (i, j) by
-    _KS rows k.  A majority is looked up by a 64-bit key, distinct on the
-    rows, and compared with the row found, so membership is exact.  Returns
-    (closed, witnesses): closed starts with rows, and its row len(rows) + t
-    is the majority of rows witnesses[t] = (i, j, k).  Raises
-    SizeLimitExceeded past cap rows.
+    Each round (_majority_round) takes the k added in the round before, every
+    k at first.  Returns (closed, witnesses): closed starts with rows, and its
+    row len(rows) + t is the majority of rows witnesses[t] = (i, j, k).
+    Raises SizeLimitExceeded past cap rows.
     """
-    width = max(8, -(-rows.shape[1] // 8) * 8)  # bytes in whole uint64 words
-    pad = np.zeros((len(rows), width - rows.shape[1]), dtype=np.uint8)
-    R = np.hstack([rows, pad]).view(np.uint64)
-    whole = np.dtype((np.void, width))  # a row as one item
     witnesses, lo, rng = [], 0, random.Random(0)
-    while lo < len(R):
-        n = len(R)
+    while lo < len(rows):
+        n = len(rows)
         if n > cap:
             raise SizeLimitExceeded(f"majority closure exceeds {cap} vertices")
-        mult = np.array([rng.getrandbits(64) | 1 for _ in R[0]], dtype=np.uint64)
-        keys = R @ mult  # wraps modulo 2**64
-        order = np.argsort(keys)
-        keys = keys[order]
-        if (np.diff(keys) == 0).any():  # two rows share a key: draw again
-            if len(np.unique(R.view(whole))) < n:
-                raise ValueError("majority_closure needs distinct rows")
-            continue
-        starts = np.arange(n + 1) * np.arange(-1, n) // 2  # first pair (., j)
         new = {}  # row bytes -> witness
-        for p0 in range(0, int(starts[n - 1]), _PAIRS):
-            P = np.arange(p0, min(p0 + _PAIRS, int(starts[n - 1])))
-            J = np.searchsorted(starts, P, side="right") - 1
-            I = P - starts[J]
-            both, either = R[I] & R[J], R[I] | R[J]
-            for k0 in range(max(lo, int(J[0]) + 1), n, _KS):
-                K = np.arange(k0, min(k0 + _KS, n))
-                m = both | (R[K][:, None] & either)  # (k, pair, word)
-                pos = order[np.minimum(np.searchsorted(keys, m @ mult), n - 1)]
-                missing = R.view(whole)[pos, 0] != m.view(whole)[..., 0]
-                kk, pp = np.nonzero(missing & (J < K[:, None]))
-                _, first = np.unique(m[kk, pp].view(whole), return_index=True)
-                for t in np.sort(first).tolist():
-                    new.setdefault(m[kk[t], pp[t]].tobytes(),
-                                   (int(I[pp[t]]), int(J[pp[t]]), int(K[kk[t]])))
-                if n + len(new) > cap:
-                    raise SizeLimitExceeded(f"majority closure exceeds {cap} vertices")
-        R = np.vstack([R, np.frombuffer(b"".join(new), np.uint64).reshape(-1, R.shape[1])])
+        for row, triple in _majority_round(rows, lo, rng):
+            new.setdefault(row, triple)
+            if n + len(new) > cap:
+                raise SizeLimitExceeded(f"majority closure exceeds {cap} vertices")
+        added = np.frombuffer(b"".join(new), np.uint8).reshape(len(new), rows.shape[1])
+        rows, lo = np.vstack([rows, added]), n
         witnesses += new.values()
-        lo = n
-    return R.view(np.uint8)[:, :rows.shape[1]], witnesses
+    return rows, witnesses
 
 
 def certified_complex(vertices, edges, dist) -> CubeComplex:
@@ -353,9 +380,36 @@ def certified_complex(vertices, edges, dist) -> CubeComplex:
         raise LemmaViolation(f"the edges and the Hamming-1 pairs differ at {e}")
     if (_distances(dist == 1, 0) < 0).any():
         raise NotConnected("the Hamming-1 graph of the rows is not connected")
-    X = CubeComplex(vertices, edges, dist, ())
-    X.squares = tuple(_find_squares(X.vertices, X.adj))
-    return X
+    return CubeComplex(vertices, edges, dist)
+
+
+def _ladder(d, a, b, u, v):
+    """A triple with 0 or at least 2 medians in a connected bipartite graph.
+
+    d is its distance matrix; the edge ab crosses the sides of the class of
+    the edge uv, with a on u's side (W_xy = {w : d(w, x) < d(w, y)}), but
+    W_ab != W_uv.  Proof: by parity d(a, v) = d(a, u) + 1 and d(b, u) =
+    d(b, v) + 1, so the edge ab forces t = d(a, u) = d(b, v), and t > 0 as
+    ab != uv.  A neighbour a' of a with d(a', u) = t - 1 has d(a', v) = t and
+    d(a', b) = 2.  If (a', b, v) has one median m, adding its three geodesic
+    equations gives d(a', m) = d(b, m) = 1 and d(m, v) = t - 1: a, b, m, a'
+    is a 4-cycle, and a'm crosses with a' on u's side at t - 1.  If
+    W_a'm = W_ab the walk goes on from a'm; it stops by t = 1, where
+    a'm = uv.  Else some w lies in one of W_ab, W_a'm only.  If
+    d(w, a) < d(w, b), parity gives d(w, m) = d(w, a) and d(w, a') =
+    d(w, b) = d(w, a) + 1, so a and m are medians of (w, b, a'); if not,
+    d(w, a') = d(w, b) = d(w, a) - 1 = d(w, m) - 1, so a' and b are medians
+    of (w, a, m).
+    """
+    while True:
+        a2 = int(np.flatnonzero((d[a] == 1) & (d[u] == d[a, u] - 1))[0])
+        med = _medians(d, a2, b, v)
+        if len(med) != 1:
+            return a2, b, v
+        m = med[0]
+        for w in np.flatnonzero((d[a] < d[b]) != (d[a2] < d[m]))[:1].tolist():
+            return (w, b, a2) if d[w, a] < d[w, b] else (w, a, m)
+        a, b = a2, m
 
 
 def compute_hyperplanes(X: CubeComplex):
@@ -366,46 +420,51 @@ def compute_hyperplanes(X: CubeComplex):
     smallest sorted edges, and side_a is the side whose first vertex in
     X.vertices order has the smaller str.  Also fills X's side and carrier
     matrices (see CubeComplex.sides and .carriers), its edge map and its
-    per-vertex id sets.  Raises LemmaViolation with a witness edge unless the
-    edges crossing each side are exactly the class's edges; since a class is
-    never empty, this also makes both sides non-empty.
+    per-vertex id sets.  X must be connected and bipartite.  Unless the
+    edges crossing each side are exactly the class's edges, which makes
+    the classes embed X isometrically in a cube, raises NotMedian with a
+    witness triple from _ladder; since a class is never empty, this also
+    makes both sides non-empty.
     """
-    n = len(X.vertices)
+    n, D = len(X.vertices), X._dist
     edges = sorted(tuple(sorted(e)) for e in X.edges)
     eu = np.array([X.index[u] for u, _ in edges], dtype=np.intp)
     ev = np.array([X.index[v] for _, v in edges], dtype=np.intp)
-    W = X._dist[eu] < X._dist[ev]  # (m, n): row e is the side of eu
-    W = W == W[:, :1]  # the complement where needed, so every row holds vertex 0
+
+    def sides(es):  # W_uv of the edges es, complemented to hold vertex 0
+        W = D[eu[es]] < D[ev[es]]
+        return W == W[:, :1]
+
+    step = max(1, _CELLS // (n + len(edges)))  # rows of sides, or of crossings
     classes = {}
-    for e, row in enumerate(np.packbits(W, axis=1)):
-        classes.setdefault(row.tobytes(), []).append(e)
+    for e0 in range(0, len(edges), step):
+        for e, row in enumerate(np.packbits(sides(np.s_[e0:e0 + step]), axis=1), e0):
+            classes.setdefault(row.tobytes(), []).append(e)
     # edges are sorted, so the classes arrive ordered by their smallest edge
-    classes = list(classes.values())
-    H = len(classes)
-    label = np.empty(len(edges), dtype=np.intp)
-    for h, es in enumerate(classes):
+    first = np.array([es[0] for es in classes.values()], dtype=np.intp)
+    H, label = len(first), np.empty(len(edges), dtype=np.intp)
+    for h, es in enumerate(classes.values()):
         label[es] = h
-    A = W[[es[0] for es in classes]]
+    A = sides(first) if H < n else None  # a partial cube has fewer than n classes
+    for h0 in range(0, H, step):  # every edge of class h crosses its sides (bipartite)
+        B = sides(first[h0:h0 + step]) if A is None else A[h0:h0 + step]
+        bad = (B[:, eu] != B[:, ev]) & (label != np.arange(h0, h0 + len(B))[:, None])
+        if bad.any():
+            h, e = divmod(int(bad.argmax()), len(edges))  # the first, row by row
+            a, b, u, v = eu[e], ev[e], eu[first[h0 + h]], ev[first[h0 + h]]
+            if D[a, u] > D[a, v]:
+                u, v = v, u
+            raise _not_median(X, *_ladder(D, a, b, u, v))
     # swap to the other side where its first vertex has the smaller str
     first_off = np.argmin(A, axis=1).tolist()
     flip = [str(X.vertices[i]) < str(X.vertices[0]) for i in first_off]
     A ^= np.array(flip, dtype=bool).reshape(H, 1)
-
-    crosses = A[:, eu] != A[:, ev]
-    bad = np.argwhere(crosses != (label[None, :] == np.arange(H)[:, None]))
-    if bad.size:
-        h, e = bad[0].tolist()
-        raise LemmaViolation(
-            f"edge {edges[e]} {'crosses' if crosses[h, e] else 'misses'} "
-            f"the sides of hyperplane {h} but belongs to hyperplane "
-            f"{int(label[e])}: the graph is not median"
-        )
     K = np.zeros((H, n), dtype=bool)
     K[label, eu] = True
     K[label, ev] = True
 
     hyperplanes = []
-    for h, es in enumerate(classes):
+    for h, es in enumerate(classes.values()):
         dual = frozenset(frozenset(edges[e]) for e in es)
         hyperplanes.append(Hyperplane(
             h,
@@ -469,16 +528,11 @@ def helly_check(X: CubeComplex, family=None):
         M = np.zeros((len(family), n), dtype=bool)
         for i, s in enumerate(family):
             M[i, [X.index[v] for v in s]] = True
-    m = len(M)
     counts = M.astype(np.float32) @ M.astype(np.float32).T
     P = counts > 0  # pairwise intersection
 
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m) if P[i, j]]
-    if not pairs:
-        return []
-    I = np.array([p[0] for p in pairs], dtype=np.intp)
-    J = np.array([p[1] for p in pairs], dtype=np.intp)
-    R = np.array([M[i] & M[j] for i, j in pairs], dtype=np.float32)
+    I, J = np.argwhere(np.triu(P, k=1)).T.copy()  # the intersecting pairs i < j
+    R = (M[I] & M[J]).astype(np.float32)
     G = R @ R.T  # common vertices of (i ^ j) and (k ^ l)
     empty = G == 0
     ok_pairs = (
@@ -491,10 +545,7 @@ def helly_check(X: CubeComplex, family=None):
         & (J[:, None] != J[None, :])
     )
     bad = np.argwhere(np.triu(empty & ok_pairs & distinct, k=1))
-    violations = []
-    for a, b in bad:
-        violations.append(tuple(sorted({I[a], J[a], I[b], J[b]})))
-    return sorted(set(violations))
+    return sorted({tuple(sorted({I[a], J[a], I[b], J[b]})) for a, b in bad})
 
 
 def hyperplanes_at(X: CubeComplex, v):
@@ -537,8 +588,7 @@ def link_graph(X: CubeComplex, v) -> LinkGraph:
 def is_cone(nodes, adjacency):
     """Whether some node is adjacent to all others; returns (bool, apex).
 
-    The empty graph counts as a (vacuous) cone with no apex, so that a vertex
-    of a single edge comes out extremal.
+    The empty graph counts as a (vacuous) cone with no apex.
     """
     nodes = set(nodes)
     if not nodes:
@@ -555,9 +605,9 @@ def is_cone(nodes, adjacency):
 
 
 def is_extremal(X: CubeComplex, v):
+    """Whether the link of v is a cone with an apex (so not the empty link)."""
     lk = link_graph(X, v)
-    cone, _ = is_cone(lk.nodes, lk.adjacency)
-    return cone
+    return is_cone(lk.nodes, lk.adjacency)[1] is not None
 
 
 def dual_edge_id(e):
@@ -573,17 +623,13 @@ def hyperplane_complex(X: CubeComplex, hid) -> CubeComplex:
     square of X.
     """
     h = X.hyperplane(hid)
-    verts = sorted(dual_edge_id(e) for e in h.dual_edges)
-    edges = set()
-    for a, b, c, d in X.squares:
-        pairs = [
-            (frozenset((a, b)), frozenset((c, d))),
-            (frozenset((b, c)), frozenset((d, a))),
-        ]
-        for e1, e2 in pairs:
-            if e1 in h.dual_edges and e2 in h.dual_edges:
-                edges.add(frozenset((dual_edge_id(e1), dual_edge_id(e2))))
-    return validate_complex(verts, edges)
+    edges = {
+        (dual_edge_id(e1), dual_edge_id(e2))
+        for a, b, c, d in X.squares
+        for e1, e2 in (((a, b), (c, d)), ((b, c), (d, a)))
+        if {frozenset(e1), frozenset(e2)} <= h.dual_edges
+    }
+    return validate_complex(sorted(dual_edge_id(e) for e in h.dual_edges), edges)
 
 
 def random_median_complex(ambient_dim, seed_count, rng_seed, cap=None) -> CubeComplex:
@@ -629,45 +675,27 @@ def random_median_complex(ambient_dim, seed_count, rng_seed, cap=None) -> CubeCo
 # ---------------------------------------------------------------------------
 # Built-in instances
 
-def _complex(vertices, edges):
-    return validate_complex(vertices, [frozenset(e) for e in edges])
+_GRIDS = {  # vertices are digit strings, joined at L1 distance 1
+    "EDGE": ["0", "1"],
+    "SQUARE": ["00", "01", "10", "11"],
+    "Q3": [f"{i:03b}" for i in range(8)],
+    "PATH3": ["0", "1", "2", "3"],
+    "DOMINO": [f"{x}{y}" for x in range(3) for y in range(2)],  # 2x1 squares
+}
 
 
 def builtin_complex(name) -> CubeComplex:
     name = name.upper()
-    if name == "EDGE":
-        return _complex(["0", "1"], [("0", "1")])
-    if name == "SQUARE":
-        return _complex(
-            ["00", "01", "10", "11"],
-            [("00", "01"), ("01", "11"), ("11", "10"), ("10", "00")],
-        )
-    if name == "Q3":
-        verts = ["".join(bits) for bits in
-                 ("000", "001", "010", "011", "100", "101", "110", "111")]
-        edges = [
-            (u, v)
-            for u, v in combinations(verts, 2)
-            if sum(a != b for a, b in zip(u, v)) == 1
-        ]
-        return _complex(verts, edges)
-    if name == "PATH3":
-        return _complex(["0", "1", "2", "3"], [("0", "1"), ("1", "2"), ("2", "3")])
     if name == "TRIPOD":
-        return _complex(
-            ["c", "l1", "l2", "l3"], [("c", "l1"), ("c", "l2"), ("c", "l3")]
-        )
-    if name == "DOMINO":
-        # 2x1 grid of squares: vertices (x, y), x in 0..2, y in 0..1
-        verts = [f"{x}{y}" for x in range(3) for y in range(2)]
-        edges = []
-        for x in range(3):
-            edges.append((f"{x}0", f"{x}1"))
-        for x in range(2):
-            for y in range(2):
-                edges.append((f"{x}{y}", f"{x + 1}{y}"))
-        return _complex(verts, edges)
-    raise KeyError(f"unknown builtin complex {name!r}")
+        leaves = ["l1", "l2", "l3"]
+        return validate_complex(["c", *leaves], [("c", leaf) for leaf in leaves])
+    if name not in _GRIDS:
+        raise KeyError(f"unknown builtin complex {name!r}")
+    verts = _GRIDS[name]
+    return validate_complex(verts, [
+        (u, v) for u, v in combinations(verts, 2)
+        if sum(abs(int(a) - int(b)) for a, b in zip(u, v)) == 1
+    ])
 
 
 BUILTIN_COMPLEXES = ("EDGE", "SQUARE", "Q3", "PATH3", "TRIPOD", "DOMINO")
@@ -684,7 +712,11 @@ def complex_to_json(X: CubeComplex) -> dict:
 
 
 def complex_from_json(doc) -> CubeComplex:
-    return validate_complex(doc["vertices"], [frozenset(e) for e in doc["edges"]])
+    for e in doc["edges"]:
+        if not (isinstance(e, list) and len(e) == 2
+                and all(isinstance(v, (str, int, float)) for v in e)):
+            raise ValueError(f"edge {e!r} is not a list of two vertex names")
+    return validate_complex(doc["vertices"], doc["edges"])
 
 
 def hyperplane_report(X: CubeComplex) -> list:

@@ -386,28 +386,30 @@ def build_ball(gamma: DefiningGraph, kind, radius, cap=None) -> Ball:
         cap = _median.vertex_cap()
     letters = _letters(gamma, kind)
 
-    words = {()}
+    def step(w):  # w times each letter
+        return [nf_mult(gamma, kind, w, (letter,)) for letter in letters]
+
+    words = {(): None}  # word -> its products, filled by the BFS
     queue = deque([()])
     while queue:
         w = queue.popleft()
-        for g, e in letters:
-            w2 = nf_mult(gamma, kind, w, ((g, e),))
+        words[w] = step(w)
+        for w2 in words[w]:
             if word_length(kind, w2) > radius:
                 continue
             if w2 not in words:
                 if len(words) >= cap:
                     raise SizeLimitExceeded(f"ball exceeds {cap} vertices")
-                words.add(w2)
+                words[w2] = None
                 queue.append(w2)
 
     ids, ambient_dist = median_closure(gamma, kind, words, cap)
-    words = set(ids)
+    products = {w: words.get(w) or step(w) for w in ids}
 
     edges = {}
-    for w in words:
-        for g, e in letters:
-            w2 = nf_mult(gamma, kind, w, ((g, e),))
-            if w2 in words:
+    for w, ws in products.items():
+        for (g, _), w2 in zip(letters, ws):
+            if w2 in products:
                 edge = frozenset((format_word(w), format_word(w2)))
                 prev = edges.get(edge)
                 if prev is not None and prev != g:

@@ -72,6 +72,38 @@ def test_analyze_rejects_non_median(tmp_path, capsys):
     assert code == 2 and "median" in err
 
 
+def test_analyze_single_vertex(tmp_path, capsys):
+    """The empty link is a cone without an apex: the vertex is not extremal."""
+    src = tmp_path / "point.json"
+    src.write_text(json.dumps({"vertices": ["a"], "edges": []}))
+    code, out, _ = run(capsys, "analyze", "--in", str(src))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["atlas"] == {"a": {"clique": [], "extremal": False}}
+    assert doc["reconstruction"]["vertices"] == [[]]
+
+
+def test_verify_cone_links_single_vertex(tmp_path, capsys):
+    src = tmp_path / "point.json"
+    src.write_text(json.dumps({"vertices": ["a"], "edges": []}))
+    code, out, _ = run(capsys, "verify", "--suite", "cone-links", "--in", str(src))
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+
+
+@pytest.mark.parametrize("edge, message", [
+    (["a", "a"], "self-loop at 'a'"),
+    (["a", "b", "c"], "not a list of two vertex names"),
+    ("ab", "not a list of two vertex names"),
+    ([["a"], "b"], "not a list of two vertex names"),
+])
+def test_analyze_rejects_malformed_edge(tmp_path, capsys, edge, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"vertices": ["a", "b", "c"], "edges": [edge]}))
+    code, out, err = run(capsys, "analyze", "--in", str(bad))
+    assert code == 2 and out == "" and message in err
+
+
 def test_analyze_missing_file(capsys):
     code, _, err = run(capsys, "verify", "--in", "/nonexistent.json")
     assert code == 2 and "error" in err

@@ -246,6 +246,18 @@ def test_majority_closure_cap():
         md.majority_closure(packed("110", "101", "110"), 4)
 
 
+def test_majority_keys_separate_rows_differing_in_top_bits():
+    """Columns 56 and 120 are the top bits of the two 64-bit words (packbits
+    order, little-endian).  A key that multiplies whole words by odd
+    multipliers gives rows differing only there equal keys on every draw."""
+    bits = np.zeros((3, 128), dtype=bool)
+    bits[1, [56, 120]] = True
+    bits[2, 0] = True  # the majority of the three rows is row 0
+    rows = np.packbits(bits, axis=1)
+    closed, witnesses = md.majority_closure(rows, 3)
+    assert closed.tolist() == rows.tolist() and witnesses == []
+
+
 def test_json_roundtrip():
     for name in md.BUILTIN_COMPLEXES:
         X = md.builtin_complex(name)

@@ -10,9 +10,14 @@ on the builtins, random complexes and the session balls.
 
 Instances: the references are the tuple-majority random generator and the
 ball closure that rebuilds the word-metric distance matrix with nf_mult and
-adds the ambient median of every defect triple, both validated by the n^3
-certificate of validate_complex.  The wall-row majority kernel and the
-certified constructor must give the same complexes.
+adds the ambient median of every defect triple of the n^3 median scan.  The
+wall-row majority kernel and the certified constructor must give the same
+complexes.
+
+Certificate: the reference is the n^3 median scan, md.median_triple_defects.
+validate_complex (bipartite layers, Θ-classes, one majority round) must
+accept exactly the connected graphs that the scan accepts, and name a triple
+whose median count, found by brute force, is not one.
 """
 
 import random
@@ -25,6 +30,7 @@ import pytest
 from cubetact import contact as ct
 from cubetact import median as md
 from cubetact import ragroups as rg
+from cubetact.errors import NotConnected, NotMedian
 
 
 def reference_hyperplanes(X):
@@ -372,3 +378,79 @@ def test_majority_kernel_against_tuple_closure(seed):
         frontier = new
     assert {tuple(map(int, b)) for b in got} == pts
     assert len(got) == len(pts)
+
+
+def random_graphs(count, seed):
+    """Random graphs, random bipartite graphs, and random median complexes
+    with up to two vertex pairs toggled (edge added or removed), in turn."""
+    rng = random.Random(seed)
+    for t in range(count):
+        if t % 3 == 2:
+            X = md.random_median_complex(
+                rng.randint(2, 5), rng.randint(2, 6), rng.randrange(10 ** 6)
+            )
+            vertices, edges = list(X.vertices), {tuple(sorted(e)) for e in X.edges}
+            for _ in range(rng.randint(0, 2)):
+                edges ^= {tuple(sorted(rng.sample(vertices, 2)))}
+        else:
+            vertices = [f"v{i}" for i in range(rng.randint(3, 10))]
+            side = [rng.randint(0, t % 3) for _ in vertices]  # all 0 for t % 3 == 0
+            p = rng.uniform(0.1, 0.6)
+            edges = {
+                (vertices[i], vertices[j])
+                for i, j in combinations(range(len(vertices)), 2)
+                if (t % 3 == 0 or side[i] != side[j]) and rng.random() < p
+            }
+        yield vertices, edges
+
+
+def bfs_distances(vertices, edges):
+    adj = {v: set() for v in vertices}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    D = np.full((len(vertices), len(vertices)), -1, dtype=np.int32)
+    for s, source in enumerate(vertices):
+        seen, queue = {source: 0}, deque([source])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u] - seen.keys():
+                seen[w] = seen[u] + 1
+                queue.append(w)
+        for v, d in seen.items():
+            D[s, vertices.index(v)] = d
+    return D
+
+
+def test_validate_complex_against_the_triple_scan(monkeypatch):
+    """Same accept/reject as the n^3 scan; every witness has 0 or >= 2
+    medians; the ladder walk of compute_hyperplanes runs from rungs t >= 2."""
+    rungs, ladder = [], md._ladder
+    monkeypatch.setattr(
+        md, "_ladder", lambda d, a, b, u, v: rungs.append(d[a, u]) or ladder(d, a, b, u, v)
+    )
+    outcomes = []
+    for vertices, edges in random_graphs(1500, seed=4):
+        D = bfs_distances(vertices, edges)
+        if (D < 0).any():
+            with pytest.raises(NotConnected):
+                md.validate_complex(vertices, edges)
+            continue
+        defects = md.median_triple_defects(D)
+        try:
+            md.validate_complex(vertices, edges)
+        except NotMedian as ex:
+            i, j, k = map(vertices.index, ex.triple)
+            medians = [
+                vertices[m] for m in range(len(D))
+                if D[i, m] + D[m, j] == D[i, j] and D[j, m] + D[m, k] == D[j, k]
+                and D[i, m] + D[m, k] == D[i, k]
+            ]
+            assert len(medians) != 1 and sorted(medians) == ex.medians
+            assert defects, (vertices, edges)
+            outcomes.append(False)
+        else:
+            assert not defects, (vertices, edges)
+            outcomes.append(True)
+    assert outcomes.count(True) > 100 and outcomes.count(False) > 100
+    assert max(rungs) >= 2

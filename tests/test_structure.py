@@ -1,4 +1,4 @@
-"""Source-level guarantees: no bare asserts, one suite table, one user of
+"""Source-level guarantees: no bare asserts, one suite table, no caller of
 the n^3 median scan."""
 
 import ast
@@ -29,26 +29,16 @@ def test_run_suites_dispatches_every_suite_by_name(monkeypatch):
         verify.run_suites(["bogus"])
 
 
-def test_only_validate_complex_reaches_the_triple_scan():
-    """The n^3 median scan is for outside input; generated complexes are
-    certified by median.certified_complex instead."""
-    def refs(tree):
-        return sum(
-            "median_triple_defects" in (
-                getattr(node, "id", None), getattr(node, "attr", None),
-                getattr(node, "name", None) if isinstance(node, ast.alias) else None,
-            )
-            for node in ast.walk(tree)
-        )
-
-    inside = 0
+def test_no_source_module_calls_the_triple_scan():
+    """Every complex is certified by Θ-classes and the majority kernel.  The
+    n^3 median scan stays defined in median.py, where the benchmark's traced
+    run measures it, only as the reference of tests/test_oracle.py."""
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        allowed = sum(
-            refs(fn) for fn in ast.walk(tree)
-            if isinstance(fn, ast.FunctionDef) and fn.name == "validate_complex"
-            and path.name == "median.py"
-        )
-        assert refs(tree) == allowed, f"{path.name} reaches median_triple_defects"
-        inside += allowed
-    assert inside >= 1
+        uses = [
+            node.lineno for node in ast.walk(tree)
+            if "median_triple_defects" in (getattr(node, "id", None),
+                                           getattr(node, "attr", None))
+            or isinstance(node, ast.alias) and node.name == "median_triple_defects"
+        ]
+        assert not uses, f"{path.name} uses median_triple_defects at lines {uses}"
