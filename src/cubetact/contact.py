@@ -41,66 +41,27 @@ class _Relation:
 
 
 def _relation(X: CubeComplex) -> _Relation:
-    """The cached relation of X, checked once on every pair.
+    """The relation of X, computed once and cached on X.
 
-    Raises LemmaViolation with a witness pair unless transversality is
-    sharing a square of X.squares, disjoint carriers are separated by a third
-    hyperplane, and I(w) matches its transversality characterization.
+    The suites of verify.py check it against squares, separators and the
+    transversality characterization of I(w).
     """
     if X._relation is not None:
         return X._relation
     H, n = X.sides.shape
-    eye = np.eye(H, dtype=bool)
     # float32 so products run in BLAS (exact below 2**24 vertices); one
-    # product gives the side overlaps AA, carrier-side KA and carrier KK
+    # product gives the side overlaps AA and the carrier overlaps KK
     M = np.concatenate([X.sides, X.carriers]).astype(np.float32)
     M = M @ M.T
-    AA, KA, G = M[:H, :H], M[H:, :H], M[H:, H:]
+    AA, G = M[:H, :H], M[H:, H:]
     na, nk = np.diag(AA), np.diag(G)  # side_a and carrier sizes
     quadrants = (AA, na[:, None] - AA, na[None, :] - AA,
                  n - na[:, None] - na[None, :] + AA)
     transverse = np.logical_and.reduce([q > 0 for q in quadrants])
-    contact = (G > 0) & ~eye
-    I = G == nk[None, :]
-
-    shares_square = np.zeros((H, H), dtype=bool)
-    for a, b, c, d in X.squares:
-        h1 = X.hyperplane_of_edge(a, b).id
-        h2 = X.hyperplane_of_edge(b, c).id
-        shares_square[h1, h2] = shares_square[h2, h1] = True
-    bad = transverse != shares_square
-    if bad.any():
-        u, w = np.argwhere(bad)[0].tolist()
-        raise LemmaViolation(
-            f"hyperplanes {u} and {w}: transverse={bool(transverse[u, w])} "
-            f"but share a square={bool(shares_square[u, w])}"
-        )
-
-    # inside_a[u, h]: u's carrier lies in side_a of h; inside_b: in side_b
-    inside_a = (KA == nk[:, None]).astype(np.float32)
-    inside_b = (KA == 0).astype(np.float32)
-    separated = inside_a @ inside_b.T
-    bad = ~contact & ~eye & (separated + separated.T == 0)
-    if bad.any():
-        u, w = np.argwhere(bad)[0].tolist()
-        raise LemmaViolation(
-            f"hyperplanes {u} and {w} have disjoint carriers but no separator"
-        )
-
-    # u is in I(w) iff u = w, or u is transverse to w and to every other
-    # hyperplane transverse to w
     T = transverse.astype(np.float32)
-    common = T @ T
-    covered = common + T == T.sum(axis=0)[None, :]
-    characterized = eye | (transverse & covered)
-    bad = (I != characterized).any(axis=0)
-    if bad.any():
-        w = int(np.argmax(bad))
-        raise LemmaViolation(
-            f"I({w}) definitional {sorted(_ids(I[:, w]))} != characterization "
-            f"{sorted(_ids(characterized[:, w]))}"
-        )
-    X._relation = _Relation(transverse, contact, I, common)
+    X._relation = _Relation(
+        transverse, (G > 0) & ~np.eye(H, dtype=bool), G == nk[None, :], T @ T
+    )
     return X._relation
 
 
@@ -209,8 +170,8 @@ def interaction_sets(X: CubeComplex, w) -> InteractionSets:
     """I(w), the hyperplanes whose carrier contains w's, and I0(w), those
     whose carrier equals w's.
 
-    The relation behind them checks the characterization: u is in I(w) iff u
-    equals w, or u is transverse to w and to every other hyperplane
+    The iw suite of verify.py checks the characterization: u is in I(w) iff
+    u equals w, or u is transverse to w and to every other hyperplane
     transverse to w.
     """
     w = X.hyperplane(w).id

@@ -29,7 +29,8 @@ from .errors import (
 DEFAULT_VERTEX_CAP = 4096
 _PAIRS = 1024  # the majority kernel works in blocks of _PAIRS pairs by _KS rows
 _KS = 16
-_CELLS = 1 << 24  # compute_hyperplanes holds blocks of about this many bools
+_CELLS = 1 << 18  # compute_hyperplanes checks sides in blocks of about this many bools
+_ALLOC_LIMIT = 1 << 30  # bytes: a larger single allocation raises SizeLimitExceeded
 
 
 def vertex_cap() -> int:
@@ -420,11 +421,14 @@ def compute_hyperplanes(X: CubeComplex):
     smallest sorted edges, and side_a is the side whose first vertex in
     X.vertices order has the smaller str.  Also fills X's side and carrier
     matrices (see CubeComplex.sides and .carriers), its edge map and its
-    per-vertex id sets.  X must be connected and bipartite.  Unless the
-    edges crossing each side are exactly the class's edges, which makes
-    the classes embed X isometrically in a cube, raises NotMedian with a
-    witness triple from _ladder; since a class is never empty, this also
-    makes both sides non-empty.
+    per-vertex id sets.  X must be connected and bipartite.
+
+    Classes are found one at a time: the smallest edge uv in no class yet
+    takes every edge crossing W_uv (in a bipartite graph every edge of its
+    class does).  Unless all of them have the side W_uv, which makes the
+    classes embed X isometrically in a cube, raises NotMedian at the first
+    that does not, with a witness triple from _ladder; since a class is
+    never empty, this also makes both sides non-empty.
     """
     n, D = len(X.vertices), X._dist
     edges = sorted(tuple(sorted(e)) for e in X.edges)
@@ -435,26 +439,41 @@ def compute_hyperplanes(X: CubeComplex):
         W = D[eu[es]] < D[ev[es]]
         return W == W[:, :1]
 
-    step = max(1, _CELLS // (n + len(edges)))  # rows of sides, or of crossings
-    classes = {}
-    for e0 in range(0, len(edges), step):
-        for e, row in enumerate(np.packbits(sides(np.s_[e0:e0 + step]), axis=1), e0):
-            classes.setdefault(row.tobytes(), []).append(e)
-    # edges are sorted, so the classes arrive ordered by their smallest edge
-    first = np.array([es[0] for es in classes.values()], dtype=np.intp)
-    H, label = len(first), np.empty(len(edges), dtype=np.intp)
-    for h, es in enumerate(classes.values()):
-        label[es] = h
-    A = sides(first) if H < n else None  # a partial cube has fewer than n classes
-    for h0 in range(0, H, step):  # every edge of class h crosses its sides (bipartite)
-        B = sides(first[h0:h0 + step]) if A is None else A[h0:h0 + step]
-        bad = (B[:, eu] != B[:, ev]) & (label != np.arange(h0, h0 + len(B))[:, None])
-        if bad.any():
-            h, e = divmod(int(bad.argmax()), len(edges))  # the first, row by row
-            a, b, u, v = eu[e], ev[e], eu[first[h0 + h]], ev[first[h0 + h]]
-            if D[a, u] > D[a, v]:
-                u, v = v, u
-            raise _not_median(X, *_ladder(D, a, b, u, v))
+    step = max(1, _CELLS // n)  # sides compared at once
+    label = np.full(len(edges), -1, dtype=np.intp)
+    starts, rows, classes = [], [], []  # each class's first edge, side and edges
+
+    def check(h0, h1):  # in class order, every edge of h0..h1-1 has its class's side
+        R = np.array(rows[h0:h1])
+        hs = np.repeat(np.arange(h1 - h0), [len(es) for es in classes[h0:h1]])
+        fs = np.concatenate(classes[h0:h1])
+        for p0 in range(0, len(fs), step):
+            bad = (sides(fs[p0:p0 + step]) != R[hs[p0:p0 + step]]).any(axis=1)
+            for p in (p0 + np.flatnonzero(bad))[:1].tolist():
+                a, b, e = eu[fs[p]], ev[fs[p]], starts[h0 + hs[p]]
+                u, v = eu[e], ev[e]
+                if D[a, u] > D[a, v]:
+                    u, v = v, u
+                raise _not_median(X, *_ladder(D, a, b, u, v))
+
+    h0 = unchecked = 0
+    for e in range(len(edges)):
+        if label[e] >= 0:
+            continue
+        W = D[eu[e]] < D[ev[e]]
+        row = W == W[0]
+        members = (row[eu] != row[ev]).nonzero()[0]
+        label[members] = len(rows)
+        starts.append(e)
+        rows.append(row)
+        classes.append(members)
+        unchecked += len(members)
+        if unchecked >= step:
+            check(h0, len(rows))
+            h0, unchecked = len(rows), 0
+    if unchecked:
+        check(h0, len(rows))
+    H, A = len(rows), np.array(rows, dtype=bool).reshape(-1, n)
     # swap to the other side where its first vertex has the smaller str
     first_off = np.argmin(A, axis=1).tolist()
     flip = [str(X.vertices[i]) < str(X.vertices[0]) for i in first_off]
@@ -464,27 +483,45 @@ def compute_hyperplanes(X: CubeComplex):
     K[label, ev] = True
 
     hyperplanes = []
-    for h, es in enumerate(classes.values()):
-        dual = frozenset(frozenset(edges[e]) for e in es)
+    sides_a, sides_b = _true_columns(A), _true_columns(~A)
+    for h, (es, side_a, side_b) in enumerate(zip(classes, sides_a, sides_b)):
+        dual = frozenset(frozenset(edges[e]) for e in es.tolist())
         hyperplanes.append(Hyperplane(
             h,
             dual,
-            frozenset(X.vertices[i] for i in np.flatnonzero(A[h]).tolist()),
-            frozenset(X.vertices[i] for i in np.flatnonzero(~A[h]).tolist()),
+            frozenset(X.vertices[i] for i in side_a),
+            frozenset(X.vertices[i] for i in side_b),
             frozenset(v for e in dual for v in e),
         ))
     X._sides, X._carriers = A, K
     X._edge_to_h = {
         frozenset(edges[e]): hyperplanes[h] for e, h in enumerate(label.tolist())
     }
-    X._ids_at = tuple(frozenset(np.flatnonzero(col).tolist()) for col in K.T)
+    X._ids_at = tuple(map(frozenset, _true_columns(K.T)))
     return tuple(hyperplanes)
+
+
+def _true_columns(M):
+    """The column indices of the True entries of each row of M, as lists."""
+    cols, ends = M.nonzero()[1].tolist(), np.cumsum(M.sum(axis=1)).tolist()
+    return [cols[i:j] for i, j in zip([0] + ends, ends)]
+
+
+def _reserve(nbytes, what):
+    """Raise SizeLimitExceeded, before allocating, if nbytes is over _ALLOC_LIMIT."""
+    if nbytes > _ALLOC_LIMIT:
+        raise SizeLimitExceeded(
+            f"{what} needs about {nbytes} bytes, over the limit of {_ALLOC_LIMIT}"
+        )
 
 
 def _interval_tensor(X: CubeComplex):
     """T[u, v, w] == True iff w lies on a geodesic from u to v."""
     t = getattr(X, "_itensor", None)
     if t is None:
+        n = len(X.vertices)
+        # an int32 sum, then the bools
+        _reserve(5 * n ** 3, f"the interval tensor of {n} vertices")
         d = X._dist.astype(np.int32)
         t = (d[:, None, :] + d.T[None, :, :]) == d[:, :, None]
         X._itensor = t
@@ -532,6 +569,8 @@ def helly_check(X: CubeComplex, family=None):
     P = counts > 0  # pairwise intersection
 
     I, J = np.argwhere(np.triu(P, k=1)).T.copy()  # the intersecting pairs i < j
+    # float32 R and G, and about six bool matrices of pairs x pairs at once
+    _reserve(len(I) * (4 * n + 10 * len(I)), f"the Helly check of {len(I)} pairs")
     R = (M[I] & M[J]).astype(np.float32)
     G = R @ R.T  # common vertices of (i ^ j) and (k ^ l)
     empty = G == 0
@@ -585,12 +624,20 @@ def link_graph(X: CubeComplex, v) -> LinkGraph:
     return LinkGraph(v, frozenset(nodes), frozenset(adjacency))
 
 
+def _apexes(nodes, neighbours):
+    """The nodes adjacent to every other node, in the given order.
+
+    neighbours maps each node to the set of its neighbours among nodes.
+    """
+    others = len(nodes) - 1
+    return [v for v in nodes if len(neighbours[v]) == others]
+
+
 def is_cone(nodes, adjacency):
     """Whether some node is adjacent to all others; returns (bool, apex).
 
     The empty graph counts as a (vacuous) cone with no apex.
     """
-    nodes = set(nodes)
     if not nodes:
         return True, None
     neigh = {v: set() for v in nodes}
@@ -598,10 +645,8 @@ def is_cone(nodes, adjacency):
         u, v = tuple(e)
         neigh[u].add(v)
         neigh[v].add(u)
-    for v in sorted(nodes, key=str):
-        if neigh[v] == nodes - {v}:
-            return True, v
-    return False, None
+    apex = _apexes(sorted(neigh, key=str), neigh)[:1]
+    return (True, apex[0]) if apex else (False, None)
 
 
 def is_extremal(X: CubeComplex, v):

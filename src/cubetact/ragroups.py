@@ -73,10 +73,7 @@ class DefiningGraph:
 
         Returns (clique_part, rest); the rest is never a cone.
         """
-        n = len(self.vertices)
-        clique = tuple(
-            g for g in self.vertices if len(self.adj[g]) == n - 1
-        )
+        clique = tuple(_median._apexes(self.vertices, self.adj))
         rest = tuple(g for g in self.vertices if g not in clique)
         return clique, rest
 
@@ -522,17 +519,17 @@ def star_inclusion_I_check(ball: Ball, margin=2) -> dict:
     X = ball.complex
     interior = ball.interior_hyperplanes(margin)
     report = {"margin": margin, "hyperplanes": {}, "mismatches": []}
+    meets = _contact._relation(X).contact | np.eye(len(X.hyperplanes), dtype=bool)
     for h in X.hyperplanes:
         if h.id not in interior:
             continue
-        I = definitional_I(X, h.id)
-        I0 = {u for u in I if X.hyperplane(u).carrier == h.carrier}
+        sets = _contact.interaction_sets(X, h.id)
+        I, I0 = set(sets.I), set(sets.I0)
         st_w = ball.gamma.st(ball.labels[h.id])
         formula_I = {
-            u.id
-            for u in X.hyperplanes
-            if (u.carrier & h.carrier)
-            and st_w <= ball.gamma.st(ball.labels[u.id])
+            u
+            for u in np.flatnonzero(meets[h.id]).tolist()
+            if st_w <= ball.gamma.st(ball.labels[u])
         }
         formula_I0 = {
             u for u in formula_I if st_w == ball.gamma.st(ball.labels[u])

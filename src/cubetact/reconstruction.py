@@ -12,7 +12,6 @@ from .errors import (
     AmbiguousClique,
     CliqueLimitExceeded,
     HyperplaneNotPreserved,
-    LemmaViolation,
     NotAnAutomorphism,
     UnknownClique,
     UnknownVertex,
@@ -81,45 +80,23 @@ class CliqueAtlas:
 def clique_atlas(X: CubeComplex, F: ContactFamily = None, cap=DEFAULT_CLIQUE_CAP):
     """Match maximal cliques of the contact graph with vertex hyperplane sets.
 
-    Verifies, with witnesses, that (a) every clique lies in some W_v, (b) every
-    maximal clique equals some W_v, and (c) W_v is maximal and uniquely
-    attained iff the link of v is not a cone.
+    A maximal clique is matched with v when it is W_v and no other vertex
+    attains it.  The cliques suite of verify.py checks that every maximal
+    clique is some W_v, and that v is matched iff its link is not a cone.
     """
     if F is None:
         F = build_contact_family(X)
     cliques = tuple(maximal_cliques(F.contact, cap=cap))
     clique_of = {v: frozenset(hyperplanes_at(X, v)) for v in X.vertices}
-    extremal = {v: is_extremal(X, v) for v in X.vertices}
-    wv_sets = set(clique_of.values())
-
-    for cl in cliques:
-        # (a) is implied by (b) for maximal cliques; check (b) directly
-        if frozenset(cl) not in wv_sets:
-            raise LemmaViolation(f"maximal clique {cl} equals no W_v")
-    # (a) for *all* cliques: every edge of the contact graph lies in a maximal
-    # clique, so it is enough that subsets of maximal cliques are covered;
-    # spot-check every pairwise-contact pair anyway.
-    for u in F.contact:
-        for w in F.contact[u]:
-            if not any(u in s and w in s for s in wv_sets):
-                raise LemmaViolation(f"contact pair ({u},{w}) lies in no W_v")
-
     attained_by = {}
     for v, s in clique_of.items():
         attained_by.setdefault(s, []).append(v)
-
-    vertex_of = {}
-    clique_set = {frozenset(cl) for cl in cliques}
-    for v in X.vertices:
-        s = clique_of[v]
-        unique_max = s in clique_set and len(attained_by[s]) == 1
-        if unique_max != (not extremal[v]):
-            raise LemmaViolation(
-                f"vertex {v}: maximal-and-unique={unique_max} but "
-                f"extremal={extremal[v]}"
-            )
-        if unique_max:
-            vertex_of[tuple(sorted(s))] = v
+    vertex_of = {
+        cl: attained_by[frozenset(cl)][0]
+        for cl in cliques
+        if len(attained_by.get(frozenset(cl), ())) == 1
+    }
+    extremal = {v: is_extremal(X, v) for v in X.vertices}
     return CliqueAtlas(cliques, vertex_of, clique_of, extremal)
 
 
@@ -252,30 +229,16 @@ def rho_vertex(X: CubeComplex, phi, v, atlas: CliqueAtlas = None):
     raise UnknownClique(v)
 
 
-def kernel_subgroup(X: CubeComplex, F: ContactFamily = None):
+def kernel_subgroup(X: CubeComplex):
     """Generators (transpositions inside non-singleton I0 classes) of the
-    subgroup of contact automorphisms fixing every maximal clique setwise.
+    subgroup of contact automorphisms fixing every maximal clique setwise;
+    the kernel suite of verify.py checks that they are such automorphisms.
     """
-    if F is None:
-        F = build_contact_family(X)
-    isets = all_interaction_sets(X)
-    classes = {}
-    for w, s in isets.items():
-        classes[frozenset(s.I0)] = None
-    classes = sorted((sorted(c) for c in classes), key=tuple)
-
-    hids = sorted(F.contact)
-    cliques = maximal_cliques(F.contact)
+    classes = sorted({tuple(sorted(s.I0)) for s in all_interaction_sets(X).values()})
     generators = []
     for cls in classes:
         for u, w in combinations(cls, 2):
-            perm = {h: h for h in hids}
+            perm = {h.id: h.id for h in X.hyperplanes}
             perm[u], perm[w] = w, u
-            verify_automorphism(F.contact, perm)
-            for cl in cliques:
-                if {perm[h] for h in cl} != set(cl):
-                    raise LemmaViolation(
-                        f"I0 transposition ({u} {w}) moves maximal clique {cl}"
-                    )
             generators.append(perm)
     return generators

@@ -4,6 +4,11 @@ Each suite runs a machine check of one structural statement on one or more
 instances and returns a report entry: a stable id, a human-readable anchor
 describing the statement, the number of instances checked and a list of
 violation witnesses.  An empty violation list means the suite passed.
+
+The statements are checked here and nowhere else: the contact relation, the
+clique atlas and the kernel generators only compute.  Each suite is a table
+row (anchor, check); one runner times the check over the instances and
+builds the entry.
 """
 
 from __future__ import annotations
@@ -11,155 +16,111 @@ from __future__ import annotations
 import time
 from itertools import combinations
 
+import numpy as np
+
 from . import contact as _contact
 from . import median as _median
 from . import ragroups as _rg
 from . import reconstruction as _rec
-from .errors import CubetactError, LemmaViolation
-
-SUITES = (
-    "helly",
-    "cliques",
-    "cone-links",
-    "iw",
-    "criterion",
-    "roundtrip",
-    "kernel",
-    "davis",
-    "twist",
-    "extension-graph",
-)
+from .errors import CubetactError, LemmaViolation, NotAnAutomorphism
 
 
-def _entry(suite, anchor, checked, violations, t0):
-    return {
-        "lemmaId": suite,
-        "anchor": anchor,
-        "instancesChecked": checked,
-        "violations": violations,
-        "seconds": round(time.perf_counter() - t0, 3),
-    }
+def _helly(X):
+    for v in _median.convexity_check(X):
+        yield {"nonconvex": v}
+    for quad in _median.helly_check(X):
+        yield {"quadruple": list(quad)}
 
 
-def suite_helly(instances):
-    t0 = time.perf_counter()
-    violations = []
-    for name, X in instances:
-        for v in _median.convexity_check(X):
-            violations.append({"instance": name, "nonconvex": v})
-        for quad in _median.helly_check(X):
-            violations.append({"instance": name, "quadruple": list(quad)})
-    return _entry(
-        "helly",
-        "halfspaces and carriers are convex; four pairwise-intersecting "
-        "convex sets share a vertex",
-        len(instances),
-        violations,
-        t0,
-    )
+def _cliques(X):
+    """Transverse is sharing a square, disjoint carriers are separated by a
+    third hyperplane, and the clique atlas: every maximal clique of the
+    contact graph is some W_v, and W_v is maximal and attained by v alone
+    iff the link of v is not a cone.  (Every clique lies in some W_v holds
+    by definition: contact = K K^T > 0.)
+    """
+    rel = _contact._relation(X)
+    H = len(rel.contact)
+    shares_square = np.zeros((H, H), dtype=bool)
+    for a, b, c, d in X.squares:
+        h1 = X.hyperplane_of_edge(a, b).id
+        h2 = X.hyperplane_of_edge(b, c).id
+        shares_square[h1, h2] = shares_square[h2, h1] = True
+    for u, w in np.argwhere(rel.transverse != shares_square)[:1].tolist():
+        raise LemmaViolation(
+            f"hyperplanes {u} and {w}: transverse={bool(rel.transverse[u, w])} "
+            f"but share a square={bool(shares_square[u, w])}"
+        )
 
+    # inside_a[u, h]: u's carrier lies in side_a of h; inside_b: in side_b
+    K = X.carriers.astype(np.float32)
+    KA, nk = K @ X.sides.T.astype(np.float32), K.sum(axis=1)
+    inside_a = (KA == nk[:, None]).astype(np.float32)
+    inside_b = (KA == 0).astype(np.float32)
+    separated = inside_a @ inside_b.T
+    bad = ~rel.contact & ~np.eye(H, dtype=bool) & (separated + separated.T == 0)
+    for u, w in np.argwhere(bad)[:1].tolist():
+        raise LemmaViolation(
+            f"hyperplanes {u} and {w} have disjoint carriers but no separator"
+        )
 
-def suite_cliques(instances):
-    t0 = time.perf_counter()
-    violations = []
-    for name, X in instances:
-        try:
-            _rec.clique_atlas(X)
-        except LemmaViolation as ex:
-            violations.append({"instance": name, "witness": str(ex)})
-    return _entry(
-        "cliques",
-        "cliques of the contact graph are vertex hyperplane sets; maximal "
-        "cliques are exactly the maximal W_v",
-        len(instances),
-        violations,
-        t0,
-    )
-
-
-def suite_cone_links(instances):
-    t0 = time.perf_counter()
-    violations = []
-    for name, X in instances:
-        clique_of = {
-            v: frozenset(_median.hyperplanes_at(X, v)) for v in X.vertices
-        }
-        for v in X.vertices:
-            contained = any(
-                clique_of[v] <= clique_of[w] for w in X.vertices if w != v
+    atlas = _rec.clique_atlas(X)
+    wv_sets = set(atlas.clique_of.values())
+    for cl in atlas.cliques:
+        if frozenset(cl) not in wv_sets:
+            raise LemmaViolation(f"maximal clique {cl} equals no W_v")
+    for v in X.vertices:
+        unique_max = atlas.vertex_of.get(tuple(sorted(atlas.clique_of[v]))) == v
+        if unique_max == atlas.extremal[v]:
+            raise LemmaViolation(
+                f"vertex {v}: maximal-and-unique={unique_max} but "
+                f"extremal={atlas.extremal[v]}"
             )
-            if contained != _median.is_extremal(X, v):
-                violations.append({"instance": name, "vertex": str(v)})
-    return _entry(
-        "cone-links",
-        "W_v is contained in W_w for some other vertex w exactly when the "
-        "link of v is a cone",
-        len(instances),
-        violations,
-        t0,
-    )
+    return ()
 
 
-def suite_iw(instances):
-    t0 = time.perf_counter()
-    violations = []
-    for name, X in instances:
-        try:
-            isets = _contact.all_interaction_sets(X)
-        except LemmaViolation as ex:
-            violations.append({"instance": name, "witness": str(ex)})
-            continue
-        dim = X.dimension
-        classes = {}
-        for w, s in isets.items():
-            if len(s.I) > dim:
-                violations.append(
-                    {"instance": name, "hyperplane": w, "I_size": len(s.I)}
-                )
-            classes.setdefault(s.I0, set()).add(w)
-        # I0 classes partition the hyperplanes
-        seen = set()
-        for cls in classes.values():
-            if cls & seen:
-                violations.append(
-                    {"instance": name, "overlap": sorted(cls & seen)}
-                )
-            seen |= cls
-        for cls, members in classes.items():
-            if set(cls) != members:
-                violations.append(
-                    {"instance": name, "class": sorted(cls),
-                     "members": sorted(members)}
-                )
-    return _entry(
-        "iw",
-        "I(w) matches its transversality characterization, I0 classes "
-        "partition the hyperplanes, and |I(w)| is at most the dimension",
-        len(instances),
-        violations,
-        t0,
-    )
+def _cone_links(X):
+    clique_of = {v: frozenset(_median.hyperplanes_at(X, v)) for v in X.vertices}
+    for v in X.vertices:
+        contained = any(clique_of[v] <= clique_of[w] for w in X.vertices if w != v)
+        if contained != _median.is_extremal(X, v):
+            yield {"vertex": str(v)}
 
 
-def suite_criterion(instances):
-    t0 = time.perf_counter()
-    violations = []
-    for name, X in instances:
-        for v, w in combinations(X.vertices, 2):
-            if w in X.adj[v]:
-                continue
-            if _rec.adjacency_criterion(X, v, w):
-                violations.append(
-                    {"instance": name, "pair": [str(v), str(w)]}
-                )
-    return _entry(
-        "criterion",
-        "non-adjacent vertices always admit a third vertex x with "
-        "W_v ^ W_w contained in W_v ^ W_x",
-        len(instances),
-        violations,
-        t0,
-    )
+def _iw(X):
+    """u is in I(w) iff u = w, or u is transverse to w and to every other
+    hyperplane transverse to w; then the I0 and dimension checks."""
+    rel = _contact._relation(X)
+    T = rel.transverse
+    covered = rel.common + T == T.sum(axis=0)[None, :]
+    characterized = np.eye(len(T), dtype=bool) | (T & covered)
+    for w in np.flatnonzero((rel.I != characterized).any(axis=0))[:1].tolist():
+        raise LemmaViolation(
+            f"I({w}) definitional {np.flatnonzero(rel.I[:, w]).tolist()} != "
+            f"characterization {np.flatnonzero(characterized[:, w]).tolist()}"
+        )
+
+    dim = X.dimension
+    classes = {}
+    for w, s in _contact.all_interaction_sets(X).items():
+        if len(s.I) > dim:
+            yield {"hyperplane": w, "I_size": len(s.I)}
+        classes.setdefault(s.I0, set()).add(w)
+    # I0 classes partition the hyperplanes
+    seen = set()
+    for cls in classes.values():
+        if cls & seen:
+            yield {"overlap": sorted(cls & seen)}
+        seen |= cls
+    for cls, members in classes.items():
+        if set(cls) != members:
+            yield {"class": sorted(cls), "members": sorted(members)}
+
+
+def _criterion(X):
+    for v, w in combinations(X.vertices, 2):
+        if w not in X.adj[v] and _rec.adjacency_criterion(X, v, w):
+            yield {"pair": [str(v), str(w)]}
 
 
 def interior_roundtrip(ball, margin=2):
@@ -220,51 +181,162 @@ def interior_roundtrip(ball, margin=2):
     return violations
 
 
-def suite_roundtrip(balls, margin=2):
-    t0 = time.perf_counter()
-    violations = []
-    for name, ball in balls:
-        for v in interior_roundtrip(ball, margin):
-            v["instance"] = name
-            violations.append(v)
-    return _entry(
-        "roundtrip",
+def _kernel(X):
+    """Each kernel generator is a contact automorphism of order two fixing
+    every maximal clique setwise."""
+    contact = _contact.build_contact_family(X).contact
+    cliques = _rec.maximal_cliques(contact)
+    for perm in _rec.kernel_subgroup(X):
+        try:
+            _rec.verify_automorphism(contact, perm)
+        except NotAnAutomorphism as ex:
+            raise LemmaViolation(str(ex)) from ex
+        moved = " ".join(str(h) for h in perm if perm[h] != h)
+        for cl in cliques:
+            if {perm[h] for h in cl} != set(cl):
+                raise LemmaViolation(
+                    f"I0 transposition ({moved}) moves maximal clique {cl}"
+                )
+        if any(perm[perm[h]] != h for h in perm):
+            yield {"witness": "generator of order > 2"}
+
+
+def _davis(pair, gamma, radius):
+    ball = _rg.build_ball(gamma, _rg.COXETER, radius)
+    try:
+        d = _rg.davis_phi(ball, *pair)
+    except CubetactError as ex:
+        raise LemmaViolation(str(ex)) from ex
+    return {"witness": {
+        "square": list(d.witness_square),
+        "broken_edge": list(d.broken_edge),
+        "a_hyperplane": d.a_hyperplane,
+        "b_hyperplane": d.b_hyperplane,
+    }}
+
+
+def _twist(pair, gamma, radius):
+    ball = _rg.build_ball(gamma, _rg.ARTIN, radius)
+    try:
+        tw = _rg.halfspace_twist(ball, *pair)
+    except CubetactError as ex:
+        raise LemmaViolation(str(ex)) from ex
+    return {"witness": {"hyperplane": tw.hyperplane, "moved": len(tw.moved)}}
+
+
+def _extension_graph(gamma, radius):
+    cmp_ = _rg.extension_graph_ball(gamma, radius)["comparison"]
+    if cmp_ is None:
+        return {}
+    if cmp_.get("skipped"):
+        return {"skipped": cmp_["skipped"]}
+    if not cmp_["isomorphic"]:
+        raise LemmaViolation(
+            "truncated extension graph differs from the interior reduced "
+            "crossing graph"
+        )
+    return {}
+
+
+# suite -> (anchor, check).  A check takes one instance and returns its
+# violations, or (the group suites) a dict of extra entry fields; it raises
+# LemmaViolation to report one witness for the instance.
+_TABLE = {
+    "helly": (
+        "halfspaces and carriers are convex; four pairwise-intersecting "
+        "convex sets share a vertex", _helly),
+    "cliques": (
+        "cliques of the contact graph are vertex hyperplane sets; maximal "
+        "cliques are exactly the maximal W_v", _cliques),
+    "cone-links": (
+        "W_v is contained in W_w for some other vertex w exactly when the "
+        "link of v is a cone", _cone_links),
+    "iw": (
+        "I(w) matches its transversality characterization, I0 classes "
+        "partition the hyperplanes, and |I(w)| is at most the dimension", _iw),
+    "criterion": (
+        "non-adjacent vertices always admit a third vertex x with "
+        "W_v ^ W_w contained in W_v ^ W_x", _criterion),
+    "roundtrip": (
         "the contact graph determines the interior 1-skeleton through "
         "maximal cliques, and rho inverts iota on interior vertices",
-        len(balls),
-        violations,
-        t0,
-    )
+        interior_roundtrip),
+    "kernel": (
+        "transpositions within I0 classes generate contact automorphisms "
+        "of order two fixing every maximal clique", _kernel),
+    "davis": (
+        "reflection automorphism of the contact graph with a "
+        "square-breaking vertex image", _davis),
+    "twist": (
+        "piecewise halfspace automorphism fixing a carrier pointwise", _twist),
+    "extension-graph": (
+        "the truncated extension graph matches the interior reduced "
+        "crossing graph when all defining-graph links are distinct",
+        _extension_graph),
+}
+SUITES = tuple(_TABLE)
+
+
+def _run(suite, instances, *args, violations=()):
+    """The report entry of one suite's check over (name, instance) pairs.
+
+    Violations get their instance's name, unless it is None (the group
+    suites, which check one generator pair or graph).  args follow the
+    instance in each call; violations are found before any instance.
+    """
+    anchor, check = _TABLE[suite]
+    t0 = time.perf_counter()
+    violations, extra = list(violations), {}
+    for name, instance in instances:
+        label = {} if name is None else {"instance": name}
+        try:
+            found = check(instance, *args)
+            if isinstance(found, dict):
+                extra.update(found)
+                continue
+            for v in found:
+                violations.append({**label, **v})
+        except LemmaViolation as ex:
+            violations.append({**label, "witness": str(ex)})
+    return {
+        "lemmaId": suite,
+        "anchor": anchor,
+        "instancesChecked": len(instances),
+        "violations": violations,
+        "seconds": round(time.perf_counter() - t0, 3),
+        **extra,
+    }
+
+
+def suite_helly(instances):
+    return _run("helly", instances)
+
+
+def suite_cliques(instances):
+    return _run("cliques", instances)
+
+
+def suite_cone_links(instances):
+    return _run("cone-links", instances)
+
+
+def suite_iw(instances):
+    return _run("iw", instances)
+
+
+def suite_criterion(instances):
+    return _run("criterion", instances)
+
+
+def suite_roundtrip(balls, margin=2):
+    return _run("roundtrip", balls, margin)
 
 
 def suite_kernel(instances):
-    t0 = time.perf_counter()
-    violations = []
-    for name, X in instances:
-        try:
-            gens = _rec.kernel_subgroup(X)
-        except CubetactError as ex:
-            violations.append({"instance": name, "witness": str(ex)})
-            continue
-        for perm in gens:
-            square = {h: perm[perm[h]] for h in perm}
-            if any(square[h] != h for h in square):
-                violations.append(
-                    {"instance": name, "witness": "generator of order > 2"}
-                )
-    return _entry(
-        "kernel",
-        "transpositions within I0 classes generate contact automorphisms "
-        "of order two fixing every maximal clique",
-        len(instances),
-        violations,
-        t0,
-    )
+    return _run("kernel", instances)
 
 
 def suite_davis(gamma, radius, a=None, b=None):
-    t0 = time.perf_counter()
-    violations = []
     if a is None or b is None:
         pairs = [
             (x, y)
@@ -273,42 +345,13 @@ def suite_davis(gamma, radius, a=None, b=None):
             if x != y and gamma.st(x) <= gamma.st(y)
         ]
         if not pairs:
-            return _entry(
-                "davis",
-                "reflection automorphism of the contact graph with a "
-                "square-breaking vertex image",
-                0,
-                [{"witness": "no star containment in the defining graph"}],
-                t0,
-            )
+            return _run("davis", [], violations=[
+                {"witness": "no star containment in the defining graph"}])
         a, b = pairs[0]
-    ball = _rg.build_ball(gamma, _rg.COXETER, radius)
-    try:
-        d = _rg.davis_phi(ball, a, b)
-    except CubetactError as ex:
-        violations.append({"witness": str(ex)})
-        return _entry("davis", "reflection automorphism", 1, violations, t0)
-    report = {
-        "square": list(d.witness_square),
-        "broken_edge": list(d.broken_edge),
-        "a_hyperplane": d.a_hyperplane,
-        "b_hyperplane": d.b_hyperplane,
-    }
-    entry = _entry(
-        "davis",
-        "reflection automorphism of the contact graph with a "
-        "square-breaking vertex image",
-        1,
-        violations,
-        t0,
-    )
-    entry["witness"] = report
-    return entry
+    return _run("davis", [(None, (a, b))], gamma, radius)
 
 
 def suite_twist(gamma, radius, x=None, y=None):
-    t0 = time.perf_counter()
-    violations = []
     if x is None or y is None:
         pairs = [
             (u, v)
@@ -316,77 +359,29 @@ def suite_twist(gamma, radius, x=None, y=None):
             if not gamma.commute(u, v)
         ]
         if not pairs:
-            return _entry(
-                "twist",
-                "piecewise halfspace automorphism fixing a carrier pointwise",
-                0,
-                [{"witness": "the defining graph is complete"}],
-                t0,
-            )
+            return _run("twist", [], violations=[
+                {"witness": "the defining graph is complete"}])
         x, y = pairs[0]
-    ball = _rg.build_ball(gamma, _rg.ARTIN, radius)
-    try:
-        tw = _rg.halfspace_twist(ball, x, y)
-    except CubetactError as ex:
-        violations.append({"witness": str(ex)})
-        return _entry("twist", "piecewise halfspace automorphism", 1,
-                      violations, t0)
-    entry = _entry(
-        "twist",
-        "piecewise halfspace automorphism fixing a carrier pointwise",
-        1,
-        violations,
-        t0,
-    )
-    entry["witness"] = {
-        "hyperplane": tw.hyperplane,
-        "moved": len(tw.moved),
-    }
-    return entry
+    return _run("twist", [(None, (x, y))], gamma, radius)
 
 
 def suite_extension_graph(gamma, radius):
-    t0 = time.perf_counter()
-    out = _rg.extension_graph_ball(gamma, radius)
-    cmp_ = out["comparison"]
-    violations = []
-    if cmp_ is not None and not cmp_.get("skipped") and not cmp_["isomorphic"]:
-        violations.append(
-            {"witness": "truncated extension graph differs from the "
-             "interior reduced crossing graph"}
-        )
-    entry = _entry(
-        "extension-graph",
-        "the truncated extension graph matches the interior reduced "
-        "crossing graph when all defining-graph links are distinct",
-        1,
-        violations,
-        t0,
-    )
-    if cmp_ is not None and cmp_.get("skipped"):
-        entry["skipped"] = cmp_["skipped"]
-    return entry
+    return _run("extension-graph", [(None, gamma)], radius)
 
 
 def run_suites(names, instances=None, balls=None, gamma=None, radius=None):
     """Dispatch suites by name; returns the list of report entries."""
-    instances, balls = instances or [], balls or []
-    # the suites are looked up when called, so wrappers set on the module apply
-    runners = {
-        "helly": lambda: suite_helly(instances),
-        "cliques": lambda: suite_cliques(instances),
-        "cone-links": lambda: suite_cone_links(instances),
-        "iw": lambda: suite_iw(instances),
-        "criterion": lambda: suite_criterion(instances),
-        "roundtrip": lambda: suite_roundtrip(balls),
-        "kernel": lambda: suite_kernel(instances),
-        "davis": lambda: suite_davis(gamma, radius or 4),
-        "twist": lambda: suite_twist(gamma, radius or 3),
-        "extension-graph": lambda: suite_extension_graph(gamma, radius or 3),
+    args = {
+        "roundtrip": (balls or [],),
+        "davis": (gamma, radius or 4),
+        "twist": (gamma, radius or 3),
+        "extension-graph": (gamma, radius or 3),
     }
     report = []
     for name in names:
-        if name not in runners:
+        if name not in _TABLE:
             raise ValueError(f"unknown suite {name!r}")
-        report.append(runners[name]())
+        # looked up when called, so wrappers set on the module apply
+        suite = globals()["suite_" + name.replace("-", "_")]
+        report.append(suite(*args.get(name, (instances or [],))))
     return report

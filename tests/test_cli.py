@@ -148,3 +148,20 @@ def test_unknown_suite_rejected(capsys):
     with pytest.raises(SystemExit):
         cli.main(["verify", "--suite", "bogus"])
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("suite, runs", [
+    # success, a failed precondition, no generator pair
+    ("davis", [("P4", "3"), ("P4", "1"), ("C5", "3")]),
+    ("twist", [("C5", "2"), ("F2", "1"), ("EDGE2", "2")]),
+])
+def test_verify_group_suite_keeps_its_anchor(capsys, suite, runs):
+    anchors, codes = set(), []
+    for graph, radius in runs:
+        code, out, _ = run(capsys, "verify", "--suite", suite,
+                           "--graph", graph, "--radius", radius)
+        (entry,) = json.loads(out)["suites"]
+        anchors.add(entry["anchor"])
+        codes.append(code)
+    assert codes == [0, 1, 1]
+    assert anchors == {cli._verify._TABLE[suite][0]}

@@ -6,6 +6,7 @@ import pytest
 
 from cubetact import contact as ct
 from cubetact import median as md
+from cubetact import verify as vf
 from cubetact.errors import LemmaViolation, NotAnAutomorphism
 
 
@@ -164,8 +165,9 @@ def test_graph_to_dot():
 def test_missing_square_is_a_lemma_violation():
     X = md.builtin_complex("DOMINO")
     broken = md.CubeComplex(X.vertices, X.edges, X._dist, X.squares[1:])
-    with pytest.raises(LemmaViolation, match="share a square=False"):
-        ct.build_contact_family(broken)
+    (violation,) = vf.suite_cliques([("broken", broken)])["violations"]
+    assert violation["instance"] == "broken"
+    assert "share a square=False" in violation["witness"]
 
 
 def test_reduced_class_check_is_live(monkeypatch):

@@ -284,3 +284,16 @@ def test_distance_matches_bfs():
     assert X.d("000", "111") == 3
     assert X.d("000", "000") == 0
     assert X.d("010", "001") == 2
+
+
+@pytest.mark.parametrize("check, what", [
+    (md.helly_check, "the Helly check of"),
+    (md.convexity_check, "the interval tensor of 4 vertices"),
+])
+def test_large_allocations_are_estimated_first(monkeypatch, check, what):
+    X = md.builtin_complex("SQUARE")
+    check(X)  # both fit the default limit
+    monkeypatch.setattr(md, "_ALLOC_LIMIT", 100)
+    with pytest.raises(SizeLimitExceeded, match=f"{what}.* needs about [0-9]+ bytes, "
+                       "over the limit of 100"):
+        check(md.builtin_complex("SQUARE"))

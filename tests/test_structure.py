@@ -1,5 +1,5 @@
 """Source-level guarantees: no bare asserts, one suite table, no caller of
-the n^3 median scan."""
+the n^3 median scan, and no theorem check inside the computing core."""
 
 import ast
 from pathlib import Path
@@ -42,3 +42,20 @@ def test_no_source_module_calls_the_triple_scan():
             or isinstance(node, ast.alias) and node.name == "median_triple_defects"
         ]
         assert not uses, f"{path.name} uses median_triple_defects at lines {uses}"
+
+
+@pytest.mark.parametrize("module, func", [
+    ("contact", "_relation"),
+    ("reconstruction", "clique_atlas"),
+    ("reconstruction", "kernel_subgroup"),
+])
+def test_core_functions_only_compute(module, func):
+    """Theorem checks live in the verify suites, not on the computing path."""
+    path = Path(cubetact.__file__).parent / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == func]
+    raised = [
+        node.lineno for node in ast.walk(fn)
+        if isinstance(node, ast.Raise) and "LemmaViolation" in ast.unparse(node)
+    ]
+    assert not raised, f"{module}.{func} raises LemmaViolation at lines {raised}"

@@ -1,0 +1,92 @@
+"""The suites own the theorem checks: each check is live through its suite,
+and the runner labels, converts and times uniformly."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from cubetact import contact as ct
+from cubetact import median as md
+from cubetact import reconstruction as rc
+from cubetact import verify as vf
+from cubetact.errors import LemmaViolation
+
+
+def witnesses(entry):
+    return [v["witness"] for v in entry["violations"]]
+
+
+def patch_relation(monkeypatch, **fields):
+    real = ct._relation
+    monkeypatch.setattr(
+        ct, "_relation",
+        lambda X: dataclasses.replace(real(X), **{
+            k: f(real(X)) for k, f in fields.items()}),
+    )
+
+
+def test_cliques_checks_separators(monkeypatch):
+    # with no contact at all, the touching carriers of PATH3 have no separator
+    patch_relation(monkeypatch, contact=lambda rel: np.zeros_like(rel.contact))
+    (w,) = witnesses(vf.suite_cliques([("p", md.builtin_complex("PATH3"))]))
+    assert w == "hyperplanes 0 and 1 have disjoint carriers but no separator"
+
+
+def test_iw_checks_the_characterization(monkeypatch):
+    patch_relation(monkeypatch, I=lambda rel: np.eye(len(rel.I), dtype=bool))
+    entry = vf.suite_iw([("sq", md.builtin_complex("SQUARE"))])
+    assert entry["violations"] == [
+        {"instance": "sq", "witness": "I(0) definitional [0] != characterization [0, 1]"}
+    ]
+
+
+def test_cliques_checks_every_maximal_clique_is_a_vertex_set(monkeypatch):
+    real = rc.maximal_cliques
+    monkeypatch.setattr(rc, "maximal_cliques",
+                        lambda adj, cap=None: real(adj) + [(0,)])
+    (w,) = witnesses(vf.suite_cliques([("sq", md.builtin_complex("SQUARE"))]))
+    assert w == "maximal clique (0,) equals no W_v"
+
+
+def test_cliques_checks_extremal_vertices(monkeypatch):
+    real = rc.is_extremal
+    monkeypatch.setattr(rc, "is_extremal", lambda X, v: not real(X, v))
+    (w,) = witnesses(vf.suite_cliques([("sq", md.builtin_complex("SQUARE"))]))
+    assert w == "vertex 00: maximal-and-unique=False but extremal=False"
+
+
+@pytest.mark.parametrize("u, w, witness", [
+    (0, 1, "adjacency broken at 0"),
+    (0, 2, "I0 transposition (0 2) moves maximal clique (0, 1)"),
+])
+def test_kernel_checks_each_transposition(monkeypatch, u, w, witness):
+    X = md.builtin_complex("PATH3")  # contact graph: the path 0 - 1 - 2
+    perm = {0: 0, 1: 1, 2: 2, u: w, w: u}
+    monkeypatch.setattr(rc, "kernel_subgroup", lambda X: [perm])
+    assert witnesses(vf.suite_kernel([("p", X)])) == [witness]
+
+
+def test_core_does_not_check(monkeypatch):
+    """A broken square set no longer stops the contact family or the atlas."""
+    X = md.builtin_complex("DOMINO")
+    broken = md.CubeComplex(X.vertices, X.edges, X._dist, X.squares[1:])
+    assert ct.build_contact_family(broken).contact == ct.build_contact_family(X).contact
+    assert rc.clique_atlas(broken).cliques == rc.clique_atlas(X).cliques
+
+
+def test_runner_labels_instances_and_converts_lemma_violations(monkeypatch):
+    def check(X):
+        yield {"found": len(X)}
+        raise LemmaViolation("the witness")
+
+    monkeypatch.setitem(vf._TABLE, "cone-links", ("the anchor", check))
+    X = md.builtin_complex("SQUARE")
+    entry = vf.suite_cone_links([("a", X), ("b", X)])
+    assert entry["violations"] == [
+        {"instance": "a", "found": 4}, {"instance": "a", "witness": "the witness"},
+        {"instance": "b", "found": 4}, {"instance": "b", "witness": "the witness"},
+    ]
+    assert entry["anchor"] == "the anchor" and entry["instancesChecked"] == 2
+    assert set(entry) == {"lemmaId", "anchor", "instancesChecked",
+                          "violations", "seconds"}
