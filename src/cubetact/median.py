@@ -29,7 +29,7 @@ from .errors import (
 DEFAULT_VERTEX_CAP = 4096
 _PAIRS = 1024  # the majority kernel works in blocks of _PAIRS pairs by _KS rows
 _KS = 16
-_CELLS = 1 << 18  # compute_hyperplanes checks sides in blocks of about this many bools
+_CELLS = 1 << 18  # cells per block of the quadrangle check in validate_complex
 _ALLOC_LIMIT = 1 << 30  # bytes: a larger single allocation raises SizeLimitExceeded
 
 
@@ -94,7 +94,7 @@ class CubeComplex:
         self._ids_at = None
         self._relation = None  # contact.py's hyperplane-pair relation
         self._dimension = None
-        self._squares_at = None  # vertex -> squares through it, for link_graph
+        self._pairs = None  # the distance-2 pair table
 
     def __len__(self):
         return len(self.vertices)
@@ -106,18 +106,44 @@ class CubeComplex:
         )
 
     @property
+    def pair_table(self):
+        """The distance-2 pair table: (i, j) -> common neighbours of i and j.
+
+        Keys are the index pairs i < j with a common neighbour (in a
+        bipartite graph, the pairs at distance 2), values those neighbours
+        in increasing index order.  Built once from the adjacency sets, in
+        sum-of-squared-degrees work.  Raises NotMedian at the first third
+        common neighbour (a K_{2,3}; see validate_complex), so every value
+        has one or two entries.
+        """
+        if self._pairs is None:
+            table = {}
+            for c, v in enumerate(self.vertices):
+                for pair in combinations(sorted(self.index[w] for w in self.adj[v]), 2):
+                    common = table.setdefault(pair, [])
+                    common.append(c)
+                    if len(common) == 3:
+                        raise _not_median(self, *common)
+            self._pairs = table
+        return self._pairs
+
+    @property
     def squares(self):
         """The 4-cycles in cycle order (a, b, c, d): edges ab, bc, cd, da.
 
-        The graph is bipartite, so none of them has a chord.
+        Each is a pair b, d of the pair table with two common neighbours a,
+        c.  It is read from the one of its two pairs whose common neighbours
+        hold its first vertex a in vertex order, with b < d; the graph is
+        bipartite, so no square has a chord.
         """
         if self._squares is None:
-            found = {}
-            for a in self.vertices:
-                for b, d in combinations(sorted(self.adj[a]), 2):
-                    for c in (self.adj[b] & self.adj[d]) - {a}:
-                        found.setdefault(frozenset((a, b, c, d)), (a, b, c, d))
-            self._squares = tuple(sorted(found.values()))
+            V, found = self.vertices, []
+            for (i, j), common in self.pair_table.items():
+                if len(common) == 2 and common[0] < i:
+                    a, c = common
+                    b, d = sorted((V[i], V[j]))
+                    found.append((V[a], b, V[c], d))
+            self._squares = tuple(sorted(found))
         return self._squares
 
     def check_vertex(self, v):
@@ -196,24 +222,22 @@ def _distances(adjacent, start):
     return dist
 
 
-def _medians(d, i, j, k):
-    """Indices of the vertices on geodesics between each pair of i, j, k."""
+def _not_median(X, i, j, k):
+    """NotMedian for a triple of vertex indices of X, naming all its medians:
+    the vertices on geodesics between each pair of i, j, k."""
+    d = X._dist
     on = (d[i] + d[j] == d[i, j]) & (d[j] + d[k] == d[j, k]) & (d[i] + d[k] == d[i, k])
-    return np.flatnonzero(on).tolist()
-
-
-def _not_median(X, *triple):
-    """NotMedian for a triple of vertex indices of X, naming all its medians."""
-    medians = _medians(X._dist, *triple)
-    return NotMedian([X.vertices[t] for t in triple], [X.vertices[m] for m in medians])
+    return NotMedian([X.vertices[t] for t in (i, j, k)],
+                     [X.vertices[m] for m in np.flatnonzero(on).tolist()])
 
 
 def median_triple_defects(dist, first_only=True):
     """Triples (a, b, c) of indices whose median count differs from one.
 
     The n^3 scan, kept as the reference that the tests compare
-    validate_complex and the ball closure with; no code of the package
-    calls it, and it stays here because perfbench reports it as a layer.
+    validate_complex's local certificate and the ball closure with; no
+    code of the package calls it, and it stays here because perfbench
+    reports it as a layer.
     ``dist`` must be a symmetric integer distance matrix.
     Returns (a, b, c, median_indices) tuples; with first_only, stops at
     the first.
@@ -241,12 +265,36 @@ def median_triple_defects(dist, first_only=True):
 def validate_complex(vertices, edges, cap=None) -> CubeComplex:
     """Check that the given graph is a finite connected median graph.
 
-    A connected graph is median exactly when it is bipartite, its
-    Djokovic-Winkler classes embed it isometrically in a cube (checked by
-    compute_hyperplanes, whose classes stay on X), and the image is closed
-    under majority (one round of the majority kernel on the rows of sides):
-    then the proof of certified_complex applies.  Raises NotConnected, or
-    NotMedian with a triple that has 0 or at least 2 medians.
+    Theorem (Mulder, The interval function of a graph, 1980; Bandelt and
+    Chepoi, Metric graph theory and geometry: a survey, 2008): a connected
+    graph is median exactly when
+      (1) it is bipartite,
+      (2) no two vertices have three common neighbours (no K_{2,3}: in a
+          bipartite graph every K_{2,3} is induced), and
+      (3) it satisfies the quadrangle condition: if d(u, v) = d(u, w) = k
+          and v, w have a common neighbour at distance k + 1 from u, they
+          also have one at distance k - 1.
+    (1) and (3) give every triple (u, v, w) a median.  Let x in I(v, w) be
+    nearest to u, k = d(u, x).  Induction on d(x, z) shows d(u, z) = k +
+    d(x, z) for z in I(x, v), which lies in I(v, w): at d(x, z) = 1 by the
+    choice of x and parity; if d(x, z) = j + 1 and d(u, z) = k + j - 1, a
+    geodesic z, z1, z0, ... to x and (3) for (u, z0, z) give y ~ z0, z with
+    d(u, y) = k + j - 2, yet y in I(x, v) is at j from x.  So x is in
+    I(u, v), likewise in I(u, w).  (2) makes the median unique (modular
+    graphs without K_{2,3}, in the sources above).
+
+    Checks the three in that order, (2) while building X.pair_table and (3)
+    on its pairs against the distance rows, in blocks of about _CELLS
+    cells.  Raises NotConnected, or NotMedian with a triple that has 0 or
+    at least 2 medians:
+      (1) an edge ij inside one BFS layer from vertex 0: a median of
+          (0, i, j) is i or j, and neither lies between 0 and the other;
+      (2) three common neighbours c1, c2, c3 of a pair a, b: they are
+          pairwise at distance 2 through a, so a and b are both medians;
+      (3) u, v, w breaking the quadrangle condition: a median lies in
+          I(v, w), which is v, w and their common neighbours; v is not in
+          I(u, w), as d(u, w) = k, nor w in I(u, v), and a common neighbour
+          m is in I(u, v) only if d(u, m) = k - 1, which none is.
     """
     vertices = list(dict.fromkeys(vertices))
     if not vertices:
@@ -271,13 +319,18 @@ def validate_complex(vertices, edges, cap=None) -> CubeComplex:
     if (dist < 0).any():
         raise NotConnected("graph is not connected")
     X = CubeComplex(vertices, edge_set, dist)
-    # an edge ij inside one BFS layer: no vertex of ij is a median of (0, i, j)
     for i, j in np.argwhere(np.triu(A) & (dist[0][:, None] == dist[0]))[:1].tolist():
         raise _not_median(X, 0, i, j)
-    # with an isometric embedding, a median must have the majority row
-    rows = np.packbits(X.sides.T, axis=1)
-    for _, triple in _majority_round(rows, 0, random.Random(0)):
-        raise _not_median(X, *triple)
+    table = X.pair_table
+    vw = np.array(list(table), dtype=np.intp).reshape(-1, 2)
+    common = np.array([(c[0], c[-1]) for c in table.values()], dtype=np.intp).reshape(-1, 2)
+    step = max(1, _CELLS // len(vertices))
+    for p0 in range(0, len(vw), step):  # rows: pairs vw; columns: vertices u
+        dv, dw = dist[vw[p0:p0 + step, 0]], dist[vw[p0:p0 + step, 1]]
+        c = common[p0:p0 + step]
+        bad = (dv == dw) & (dist[c[:, 0]] > dv) & (dist[c[:, 1]] > dv)
+        for p, u in np.argwhere(bad)[:1].tolist():
+            raise _not_median(X, u, *vw[p0 + p].tolist())
     return X
 
 
@@ -384,35 +437,6 @@ def certified_complex(vertices, edges, dist) -> CubeComplex:
     return CubeComplex(vertices, edges, dist)
 
 
-def _ladder(d, a, b, u, v):
-    """A triple with 0 or at least 2 medians in a connected bipartite graph.
-
-    d is its distance matrix; the edge ab crosses the sides of the class of
-    the edge uv, with a on u's side (W_xy = {w : d(w, x) < d(w, y)}), but
-    W_ab != W_uv.  Proof: by parity d(a, v) = d(a, u) + 1 and d(b, u) =
-    d(b, v) + 1, so the edge ab forces t = d(a, u) = d(b, v), and t > 0 as
-    ab != uv.  A neighbour a' of a with d(a', u) = t - 1 has d(a', v) = t and
-    d(a', b) = 2.  If (a', b, v) has one median m, adding its three geodesic
-    equations gives d(a', m) = d(b, m) = 1 and d(m, v) = t - 1: a, b, m, a'
-    is a 4-cycle, and a'm crosses with a' on u's side at t - 1.  If
-    W_a'm = W_ab the walk goes on from a'm; it stops by t = 1, where
-    a'm = uv.  Else some w lies in one of W_ab, W_a'm only.  If
-    d(w, a) < d(w, b), parity gives d(w, m) = d(w, a) and d(w, a') =
-    d(w, b) = d(w, a) + 1, so a and m are medians of (w, b, a'); if not,
-    d(w, a') = d(w, b) = d(w, a) - 1 = d(w, m) - 1, so a' and b are medians
-    of (w, a, m).
-    """
-    while True:
-        a2 = int(np.flatnonzero((d[a] == 1) & (d[u] == d[a, u] - 1))[0])
-        med = _medians(d, a2, b, v)
-        if len(med) != 1:
-            return a2, b, v
-        m = med[0]
-        for w in np.flatnonzero((d[a] < d[b]) != (d[a2] < d[m]))[:1].tolist():
-            return (w, b, a2) if d[w, a] < d[w, b] else (w, a, m)
-        a, b = a2, m
-
-
 def compute_hyperplanes(X: CubeComplex):
     """Hyperplanes as the Djokovic-Winkler classes of the edges.
 
@@ -421,42 +445,20 @@ def compute_hyperplanes(X: CubeComplex):
     smallest sorted edges, and side_a is the side whose first vertex in
     X.vertices order has the smaller str.  Also fills X's side and carrier
     matrices (see CubeComplex.sides and .carriers), its edge map and its
-    per-vertex id sets.  X must be connected and bipartite.
+    per-vertex id sets.
 
+    X must be median, as validate_complex and certified_complex make sure.
     Classes are found one at a time: the smallest edge uv in no class yet
-    takes every edge crossing W_uv (in a bipartite graph every edge of its
-    class does).  Unless all of them have the side W_uv, which makes the
-    classes embed X isometrically in a cube, raises NotMedian at the first
-    that does not, with a witness triple from _ladder; since a class is
-    never empty, this also makes both sides non-empty.
+    takes every edge crossing W_uv.  In a median graph these are exactly
+    the edges of its class, each with the side W_uv, and the classes embed
+    X isometrically in a cube.
     """
     n, D = len(X.vertices), X._dist
     edges = sorted(tuple(sorted(e)) for e in X.edges)
     eu = np.array([X.index[u] for u, _ in edges], dtype=np.intp)
     ev = np.array([X.index[v] for _, v in edges], dtype=np.intp)
-
-    def sides(es):  # W_uv of the edges es, complemented to hold vertex 0
-        W = D[eu[es]] < D[ev[es]]
-        return W == W[:, :1]
-
-    step = max(1, _CELLS // n)  # sides compared at once
     label = np.full(len(edges), -1, dtype=np.intp)
-    starts, rows, classes = [], [], []  # each class's first edge, side and edges
-
-    def check(h0, h1):  # in class order, every edge of h0..h1-1 has its class's side
-        R = np.array(rows[h0:h1])
-        hs = np.repeat(np.arange(h1 - h0), [len(es) for es in classes[h0:h1]])
-        fs = np.concatenate(classes[h0:h1])
-        for p0 in range(0, len(fs), step):
-            bad = (sides(fs[p0:p0 + step]) != R[hs[p0:p0 + step]]).any(axis=1)
-            for p in (p0 + np.flatnonzero(bad))[:1].tolist():
-                a, b, e = eu[fs[p]], ev[fs[p]], starts[h0 + hs[p]]
-                u, v = eu[e], ev[e]
-                if D[a, u] > D[a, v]:
-                    u, v = v, u
-                raise _not_median(X, *_ladder(D, a, b, u, v))
-
-    h0 = unchecked = 0
+    rows, classes = [], []  # each class's side (holding vertex 0) and edges
     for e in range(len(edges)):
         if label[e] >= 0:
             continue
@@ -464,15 +466,8 @@ def compute_hyperplanes(X: CubeComplex):
         row = W == W[0]
         members = (row[eu] != row[ev]).nonzero()[0]
         label[members] = len(rows)
-        starts.append(e)
         rows.append(row)
         classes.append(members)
-        unchecked += len(members)
-        if unchecked >= step:
-            check(h0, len(rows))
-            h0, unchecked = len(rows), 0
-    if unchecked:
-        check(h0, len(rows))
     H, A = len(rows), np.array(rows, dtype=bool).reshape(-1, n)
     # swap to the other side where its first vertex has the smaller str
     first_off = np.argmin(A, axis=1).tolist()
@@ -607,21 +602,19 @@ def separating(X: CubeComplex, A, B):
 
 
 def link_graph(X: CubeComplex, v) -> LinkGraph:
-    X.check_vertex(v)
+    """Hyperplanes at v, joined when their edges at v span a square.
+
+    Two neighbours of v span a square there when their entry in
+    X.pair_table holds a second common neighbour.
+    """
     nodes = hyperplanes_at(X, v)
-    if X._squares_at is None:
-        X._squares_at = {u: [] for u in X.vertices}
-        for sq in X.squares:
-            for u in sq:
-                X._squares_at[u].append(sq)
-    adjacency = set()
-    for sq in X._squares_at[v]:
-        i = sq.index(v)  # the square's edges at v go to its cycle neighbours
-        h1 = X.hyperplane_of_edge(v, sq[i - 1]).id
-        h2 = X.hyperplane_of_edge(v, sq[(i + 1) % 4]).id
-        if h1 != h2:
-            adjacency.add(frozenset((h1, h2)))
-    return LinkGraph(v, frozenset(nodes), frozenset(adjacency))
+    table, V = X.pair_table, X.vertices
+    adjacency = frozenset(
+        frozenset((X.hyperplane_of_edge(v, V[b]).id, X.hyperplane_of_edge(v, V[d]).id))
+        for b, d in combinations(sorted(X.index[w] for w in X.adj[v]), 2)
+        if len(table[b, d]) == 2
+    )
+    return LinkGraph(v, frozenset(nodes), adjacency)
 
 
 def _apexes(nodes, neighbours):

@@ -14,10 +14,17 @@ adds the ambient median of every defect triple of the n^3 median scan.  The
 wall-row majority kernel and the certified constructor must give the same
 complexes.
 
-Certificate: the reference is the n^3 median scan, md.median_triple_defects.
-validate_complex (bipartite layers, Θ-classes, one majority round) must
-accept exactly the connected graphs that the scan accepts, and name a triple
-whose median count, found by brute force, is not one.
+Squares and links: the reference squares come from a triple loop over each
+vertex and two of its neighbours, and the reference link of v from the
+squares through v.  The pair table must give the same squares, in the same
+order, and the same links.
+
+Certificate: the references are the n^3 median scan, md.median_triple_defects,
+and the earlier certificate: the Djokovic-Winkler sides embed the graph
+isometrically in a cube and one majority round adds no row.  validate_complex
+(bipartite layers, then the pair table's K_{2,3} and quadrangle checks) must
+accept exactly the connected graphs that they accept, and name a triple whose
+median count, found by brute force, is not one.
 """
 
 import random
@@ -26,6 +33,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubetact import contact as ct
 from cubetact import median as md
@@ -168,7 +177,33 @@ def reference_dimension(X):
     return best
 
 
+def reference_squares(X):
+    """Each 4-cycle once, from its first vertex a and two neighbours b < d."""
+    found = {}
+    for a in X.vertices:
+        for b, d in combinations(sorted(X.adj[a]), 2):
+            for c in (X.adj[b] & X.adj[d]) - {a}:
+                found.setdefault(frozenset((a, b, c, d)), (a, b, c, d))
+    return tuple(sorted(found.values()))
+
+
+def reference_link_graph(X, v):
+    """The hyperplanes at v, joined through each square at v."""
+    adjacency = set()
+    for sq in reference_squares(X):
+        if v in sq:
+            i = sq.index(v)
+            h1 = X.hyperplane_of_edge(v, sq[i - 1]).id
+            h2 = X.hyperplane_of_edge(v, sq[(i + 1) % 4]).id
+            if h1 != h2:
+                adjacency.add(frozenset((h1, h2)))
+    return md.LinkGraph(v, frozenset(md.hyperplanes_at(X, v)), frozenset(adjacency))
+
+
 def check_against_oracle(X):
+    assert X.squares == reference_squares(X)
+    for v in X.vertices:
+        assert md.link_graph(X, v) == reference_link_graph(X, v)
     hyps = reference_hyperplanes(X)
     got = [(h.dual_edges, h.side_a, h.side_b, h.carrier) for h in X.hyperplanes]
     assert got == hyps
@@ -422,35 +457,102 @@ def bfs_distances(vertices, edges):
     return D
 
 
-def test_validate_complex_against_the_triple_scan(monkeypatch):
-    """Same accept/reject as the n^3 scan; every witness has 0 or >= 2
-    medians; the ladder walk of compute_hyperplanes runs from rungs t >= 2."""
-    rungs, ladder = [], md._ladder
-    monkeypatch.setattr(
-        md, "_ladder", lambda d, a, b, u, v: rungs.append(d[a, u]) or ladder(d, a, b, u, v)
-    )
-    outcomes = []
-    for vertices, edges in random_graphs(1500, seed=4):
-        D = bfs_distances(vertices, edges)
-        if (D < 0).any():
-            with pytest.raises(NotConnected):
-                md.validate_complex(vertices, edges)
-            continue
-        defects = md.median_triple_defects(D)
-        try:
+def check_validation(vertices, edges):
+    """validate_complex against the triple scan.  Returns "disconnected",
+    "accepted", or the median count of the witness, which is not one."""
+    D = bfs_distances(vertices, edges)
+    if (D < 0).any():
+        with pytest.raises(NotConnected):
             md.validate_complex(vertices, edges)
-        except NotMedian as ex:
-            i, j, k = map(vertices.index, ex.triple)
-            medians = [
-                vertices[m] for m in range(len(D))
-                if D[i, m] + D[m, j] == D[i, j] and D[j, m] + D[m, k] == D[j, k]
-                and D[i, m] + D[m, k] == D[i, k]
-            ]
-            assert len(medians) != 1 and sorted(medians) == ex.medians
-            assert defects, (vertices, edges)
-            outcomes.append(False)
-        else:
-            assert not defects, (vertices, edges)
-            outcomes.append(True)
-    assert outcomes.count(True) > 100 and outcomes.count(False) > 100
-    assert max(rungs) >= 2
+        return "disconnected"
+    defects = md.median_triple_defects(D)
+    try:
+        md.validate_complex(vertices, edges)
+    except NotMedian as ex:
+        i, j, k = map(vertices.index, ex.triple)
+        medians = [
+            vertices[m] for m in range(len(D))
+            if D[i, m] + D[m, j] == D[i, j] and D[j, m] + D[m, k] == D[j, k]
+            and D[i, m] + D[m, k] == D[i, k]
+        ]
+        assert len(medians) != 1 and sorted(medians) == ex.medians
+        assert defects, (vertices, edges)
+        return len(medians)
+    assert not defects, (vertices, edges)
+    return "accepted"
+
+
+def test_validate_complex_against_the_triple_scan():
+    """Same accept/reject as the n^3 scan; every witness has 0 or >= 2
+    medians, and both kinds occur."""
+    outcomes = [check_validation(*graph) for graph in random_graphs(1500, seed=4)]
+    counts = [o for o in outcomes if isinstance(o, int)]
+    assert outcomes.count("accepted") > 100 and len(counts) > 100
+    assert 0 in counts and max(counts) >= 2
+
+
+def reference_accepts(vertices, edges):
+    """The earlier certificate: the Djokovic-Winkler sides W_uv of the edges
+    embed the connected graph isometrically in a cube, and one round of the
+    majority kernel on the rows adds no row (see md.certified_complex)."""
+    D = bfs_distances(vertices, edges)
+    idx = {v: i for i, v in enumerate(vertices)}
+    sides = {tuple(W == W[0]) for W in (D[idx[u]] < D[idx[v]] for u, v in edges)}
+    rows = np.packbits(np.array(sorted(sides), dtype=bool).reshape(-1, len(D)).T, axis=1)
+    if not np.array_equal(md.hamming_distances(rows), D):
+        return False
+    return next(md._majority_round(rows, 0, random.Random(0)), None) is None
+
+
+def test_validate_complex_against_the_majority_round():
+    for vertices, edges in random_graphs(600, seed=5):
+        if (bfs_distances(vertices, edges) >= 0).all():
+            try:
+                md.validate_complex(vertices, edges)
+                accepted = True
+            except NotMedian:
+                accepted = False
+            assert accepted == reference_accepts(vertices, edges), (vertices, edges)
+
+
+GRID = [(x, y) for x in range(3) for y in range(3)]
+CUBE = [(x, y, z) for x in range(2) for y in range(2) for z in range(2)]
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs of at most 9 vertices: arbitrary ones, or vertex subsets of
+    the 3x3 grid or the 3-cube at L1 distance 1 with up to two vertex pairs
+    toggled, which are often median or fail only the quadrangle condition."""
+    if draw(st.booleans()):
+        vertices = [f"v{i}" for i in range(draw(st.integers(1, 9)))]
+        pairs = list(combinations(vertices, 2))
+        bits = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        return vertices, [e for e, bit in zip(pairs, bits) if bit]
+    points = draw(st.lists(st.sampled_from(draw(st.sampled_from([GRID, CUBE]))),
+                           min_size=1, unique=True))
+    vertices = ["".join(map(str, p)) for p in points]
+    pairs = list(combinations(vertices, 2))
+    edges = {(u, v) for (u, v), (p, q) in zip(pairs, combinations(points, 2))
+             if sum(abs(a - b) for a, b in zip(p, q)) == 1}
+    if pairs:
+        edges ^= set(draw(st.lists(st.sampled_from(pairs), max_size=2)))
+    return vertices, sorted(edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs())
+def test_local_certificate_property(graph):
+    """On graphs of at most 9 vertices, validate_complex accepts exactly what
+    the triple scan accepts, and every witness has 0 or >= 2 medians."""
+    check_validation(*graph)
+
+
+def test_dense_non_median_input_stops_at_a_third_common_neighbour():
+    """K_{40,40}: the pair table stops at the first K_{2,3}, whose three
+    vertices on one side have all 40 of the other side as medians."""
+    left, right = [f"a{i:02}" for i in range(40)], [f"b{i:02}" for i in range(40)]
+    with pytest.raises(NotMedian) as exc:
+        md.validate_complex(left + right, [(a, b) for a in left for b in right])
+    assert exc.value.triple == ("a00", "a01", "a02")
+    assert exc.value.medians == right

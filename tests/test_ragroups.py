@@ -290,6 +290,20 @@ def test_star_inclusion_star_eq5(y_st5_r3):
     )
 
 
+def test_star_inclusion_formula_counts_osculating_hyperplanes():
+    """Near the boundary the formula ranges over carrier contact, not only
+    transversality: on the whole P4/coxeter/2 ball, hyperplane 5 (label d)
+    osculates 4 (label c) and 6 (d) osculates 2 (c), St d <= St c, and I
+    stays a singleton, so the formula and I differ there."""
+    ball = rg.build_ball(rg.builtin_defining_graph("P4"), rg.COXETER, 2)
+    assert (len(ball.complex), len(ball.complex.hyperplanes)) == (14, 10)
+    report = rg.star_inclusion_I_check(ball, margin=0)
+    entries = report["hyperplanes"]
+    assert entries[5]["formula_I"] == [4, 5] and entries[5]["I"] == [5]
+    assert entries[6]["formula_I"] == [2, 6] and entries[6]["I"] == [6]
+    assert report["mismatches"] == [5, 6, 7, 8]
+
+
 def test_star_inclusion_rejects_artin(z2_r3):
     with pytest.raises(ValueError):
         rg.star_inclusion_I_check(z2_r3)
