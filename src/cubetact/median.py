@@ -29,7 +29,7 @@ from .errors import (
 DEFAULT_VERTEX_CAP = 4096
 _PAIRS = 1024  # the majority kernel works in blocks of _PAIRS pairs by _KS rows
 _KS = 16
-_CELLS = 1 << 18  # cells per block of the quadrangle check in validate_complex
+_CELLS = 1 << 18  # cells per block: quadrangle, convexity and Helly checks
 _ALLOC_LIMIT = 1 << 30  # bytes: a larger single allocation raises SizeLimitExceeded
 
 
@@ -72,18 +72,25 @@ class CubeComplex:
     """Immutable container for a validated median graph and its derived data.
 
     Use :func:`validate_complex` or :func:`certified_complex` to construct one;
-    the constructor itself does not re-check the median property.
+    the constructor itself only checks that the edges join two distinct
+    known vertices (UnknownVertex, ValueError), not the median property.
     """
 
     def __init__(self, vertices, edges, dist, squares=None):
         self.vertices = tuple(vertices)
         self.index = {v: i for i, v in enumerate(self.vertices)}
-        self.edges = frozenset(frozenset(e) for e in edges)
         self.adj = {v: set() for v in self.vertices}
-        for e in self.edges:
+        edge_set = set()
+        for e in edges:  # the one pass over the edges, in input order
             u, v = tuple(e)
+            if u not in self.adj or v not in self.adj:
+                raise UnknownVertex(e)
+            if u == v:
+                raise ValueError(f"self-loop at {u!r}; the graph must be simple")
             self.adj[u].add(v)
             self.adj[v].add(u)
+            edge_set.add(frozenset((u, v)))
+        self.edges = frozenset(edge_set)
         self._dist = dist  # numpy (n, n) int matrix, indexed like self.vertices
         self._squares = None if squares is None else tuple(squares)
         # hyperplane data, filled together by compute_hyperplanes
@@ -231,6 +238,15 @@ def _not_median(X, i, j, k):
                      [X.vertices[m] for m in np.flatnonzero(on).tolist()])
 
 
+def _pair_arrays(X):
+    """The pairs (v, w) of X.pair_table, and their first and last common
+    neighbours (equal for a pair with one), as two (p, 2) index arrays."""
+    table = X.pair_table
+    vw = np.array(list(table), dtype=np.intp).reshape(-1, 2)
+    common = np.array([(c[0], c[-1]) for c in table.values()], dtype=np.intp).reshape(-1, 2)
+    return vw, common
+
+
 def median_triple_defects(dist, first_only=True):
     """Triples (a, b, c) of indices whose median count differs from one.
 
@@ -303,28 +319,20 @@ def validate_complex(vertices, edges, cap=None) -> CubeComplex:
         cap = vertex_cap()
     if len(vertices) > cap:
         raise SizeLimitExceeded(f"{len(vertices)} vertices exceeds cap {cap}")
-    index = {v: i for i, v in enumerate(vertices)}
-    edge_set = set()
-    A = np.zeros((len(vertices), len(vertices)), dtype=bool)
-    for e in edges:
-        u, v = tuple(e)
-        if u not in index or v not in index:
-            raise UnknownVertex(e)
-        if u == v:
-            raise ValueError(f"self-loop at {u!r}; the graph must be simple")
-        edge_set.add(frozenset((u, v)))
-        A[index[u], index[v]] = A[index[v], index[u]] = True
+    X = CubeComplex(vertices, edges, None)  # X._dist is set once it is connected
+    n, index = len(vertices), X.index
+    A = np.zeros((n, n), dtype=bool)
+    A[np.repeat(np.arange(n), [len(X.adj[v]) for v in vertices]),
+      [index[w] for v in vertices for w in X.adj[v]]] = True
 
-    dist = np.array([_distances(A, i) for i in range(len(vertices))])
+    dist = np.array([_distances(A, i) for i in range(n)])
     if (dist < 0).any():
         raise NotConnected("graph is not connected")
-    X = CubeComplex(vertices, edge_set, dist)
+    X._dist = dist
     for i, j in np.argwhere(np.triu(A) & (dist[0][:, None] == dist[0]))[:1].tolist():
         raise _not_median(X, 0, i, j)
-    table = X.pair_table
-    vw = np.array(list(table), dtype=np.intp).reshape(-1, 2)
-    common = np.array([(c[0], c[-1]) for c in table.values()], dtype=np.intp).reshape(-1, 2)
-    step = max(1, _CELLS // len(vertices))
+    vw, common = _pair_arrays(X)
+    step = max(1, _CELLS // n)
     for p0 in range(0, len(vw), step):  # rows: pairs vw; columns: vertices u
         dv, dw = dist[vw[p0:p0 + step, 0]], dist[vw[p0:p0 + step, 1]]
         c = common[p0:p0 + step]
@@ -425,16 +433,16 @@ def certified_complex(vertices, edges, dist) -> CubeComplex:
     each pair of a, b, c, and any vertex that does agrees with it in every
     coordinate: medians exist and are unique.
     """
-    edges = {frozenset(e) for e in edges}
+    X = CubeComplex(vertices, edges, dist)
     ones = {
         frozenset((vertices[i], vertices[j]))
         for i, j in np.argwhere(np.triu(dist == 1)).tolist()
     }
-    for e in sorted(map(sorted, edges ^ ones))[:1]:
+    for e in sorted(map(sorted, X.edges ^ ones))[:1]:
         raise LemmaViolation(f"the edges and the Hamming-1 pairs differ at {e}")
     if (_distances(dist == 1, 0) < 0).any():
         raise NotConnected("the Hamming-1 graph of the rows is not connected")
-    return CubeComplex(vertices, edges, dist)
+    return X
 
 
 def compute_hyperplanes(X: CubeComplex):
@@ -510,40 +518,52 @@ def _reserve(nbytes, what):
         )
 
 
-def _interval_tensor(X: CubeComplex):
-    """T[u, v, w] == True iff w lies on a geodesic from u to v."""
-    t = getattr(X, "_itensor", None)
-    if t is None:
-        n = len(X.vertices)
-        # an int32 sum, then the bools
-        _reserve(5 * n ** 3, f"the interval tensor of {n} vertices")
-        d = X._dist.astype(np.int32)
-        t = (d[:, None, :] + d.T[None, :, :]) == d[:, :, None]
-        X._itensor = t
-    return t
+def _family_rows(X: CubeComplex):
+    """side_a, side_b and carrier of each hyperplane in turn, as (3H, n) bool rows."""
+    return np.stack([X.sides, ~X.sides, X.carriers], axis=1).reshape(-1, len(X.vertices))
+
+
+def _nonconvex(X: CubeComplex, M):
+    """Which rows of the (m, n) bool matrix M are not convex vertex sets of X.
+
+    Local-to-global convexity (Mulder, The interval function of a graph,
+    1980; Bandelt and Chepoi, Metric graph theory and geometry: a survey,
+    2008): in a median graph, a connected set is convex iff it contains
+    I(v, w), that is v, w and their common neighbours, for each of its pairs
+    v, w at distance 2.  A set S with first vertex r is connected when each
+    other s in S has a neighbour in S nearer to r, and a convex S has one, on
+    a geodesic from s to r.  So S is convex iff it passes both checks: the
+    descent on the edges and the pairs of X.pair_table.  Rows are checked
+    in blocks of about _CELLS (row, edge or pair) cells.
+    """
+    D, (vw, common) = X._dist, _pair_arrays(X)
+    x, y = np.nonzero(D == 1)  # directed edges x -> y, sorted by x
+    starts = np.flatnonzero(np.diff(x, prepend=-1))  # each vertex's first edge
+    bad = np.zeros(len(M), dtype=bool)
+    step = max(1, _CELLS // max(1, len(x) + len(vw)))
+    for s0 in range(0, len(M), step):
+        S = M[s0:s0 + step]
+        if len(x):
+            Dr = D[S.argmax(axis=1)]  # distances from each set's first vertex
+            down = np.logical_or.reduceat(S[:, y] & (Dr[:, y] < Dr[:, x]), starts, axis=1)
+            bad[s0:s0 + step] = (S & ~down & (Dr > 0)).any(axis=1)
+        inside = S[:, common[:, 0]] & S[:, common[:, 1]]
+        bad[s0:s0 + step] |= (S[:, vw[:, 0]] & S[:, vw[:, 1]] & ~inside).any(axis=1)
+    return bad
 
 
 def is_convex_set(X: CubeComplex, vertices):
     """Whether a vertex set is geodesically convex (interval-closed)."""
-    idx = np.array(sorted(X.index[v] for v in vertices), dtype=np.intp)
-    if idx.size <= 1:
-        return True
-    outside = np.setdiff1d(np.arange(len(X.vertices)), idx)
-    if outside.size == 0:
-        return True
-    t = _interval_tensor(X)
-    return not t[np.ix_(idx, idx, outside)].any()
+    row = np.zeros((1, len(X.vertices)), dtype=bool)
+    row[0, [X.index[v] for v in vertices]] = True
+    return not _nonconvex(X, row)[0]
 
 
 def convexity_check(X: CubeComplex):
     """Halfspaces and carriers must all be convex; returns violation list."""
-    violations = []
-    for h in X.hyperplanes:
-        for name, s in (("sideA", h.side_a), ("sideB", h.side_b),
-                        ("carrier", h.carrier)):
-            if not is_convex_set(X, s):
-                violations.append({"hyperplane": h.id, "set": name})
-    return violations
+    bad = _nonconvex(X, _family_rows(X)).reshape(-1, 3)
+    names = ("sideA", "sideB", "carrier")
+    return [{"hyperplane": h, "set": names[k]} for h, k in np.argwhere(bad).tolist()]
 
 
 def helly_check(X: CubeComplex, family=None):
@@ -552,34 +572,50 @@ def helly_check(X: CubeComplex, family=None):
     Any four pairwise-intersecting sets of the family must share a vertex.
     A violating quadruple splits into two pairs whose intersections are
     disjoint, so it is enough to compare all pairs of pairwise intersections.
+    The p intersecting pairs i < j are compared in row blocks of about
+    _CELLS cells, the rows a0 <= a < a1 with the pairs b >= a0 only, so
+    besides the p x n intersection rows one block is held at a time.
+    Returns the sorted quadruples (i, j, k, l) of family indices, as ints,
+    i < j < k < l.
+
+    Raises SizeLimitExceeded before the intersection rows are built: when
+    the p x p comparison exceeds _ALLOC_LIMIT cells, or the rows and one
+    block exceed _ALLOC_LIMIT bytes.
     """
     n = len(X.vertices)
-    if family is None:  # side_a, side_b and carrier of each hyperplane
-        M = np.stack([X.sides, ~X.sides, X.carriers], axis=1).reshape(-1, n)
+    if family is None:
+        M = _family_rows(X)
     else:
         M = np.zeros((len(family), n), dtype=bool)
         for i, s in enumerate(family):
             M[i, [X.index[v] for v in s]] = True
-    counts = M.astype(np.float32) @ M.astype(np.float32).T
-    P = counts > 0  # pairwise intersection
-
-    I, J = np.argwhere(np.triu(P, k=1)).T.copy()  # the intersecting pairs i < j
-    # float32 R and G, and about six bool matrices of pairs x pairs at once
-    _reserve(len(I) * (4 * n + 10 * len(I)), f"the Helly check of {len(I)} pairs")
+    Mf = M.astype(np.float32)
+    P = Mf @ Mf.T > 0  # pairwise intersection
+    I, J = np.nonzero(np.triu(P, k=1))  # the intersecting pairs i < j
+    p = len(I)
+    if p * p > _ALLOC_LIMIT:
+        raise SizeLimitExceeded(
+            f"the Helly check of {p} pairs compares {p * p} cells, "
+            f"over the limit of {_ALLOC_LIMIT}"
+        )
+    # float32 R, the rows of P at I and J, and about 16 bytes per block cell
+    _reserve(p * (4 * n + 2 * len(M)) + 16 * min(p * p, max(_CELLS, p)),
+             f"the Helly check of {p} pairs")
     R = (M[I] & M[J]).astype(np.float32)
-    G = R @ R.T  # common vertices of (i ^ j) and (k ^ l)
-    empty = G == 0
-    ok_pairs = (
-        P[np.ix_(I, I)] & P[np.ix_(I, J)] & P[np.ix_(J, I)] & P[np.ix_(J, J)]
-    )
-    distinct = (
-        (I[:, None] != I[None, :])
-        & (I[:, None] != J[None, :])
-        & (J[:, None] != I[None, :])
-        & (J[:, None] != J[None, :])
-    )
-    bad = np.argwhere(np.triu(empty & ok_pairs & distinct, k=1))
-    return sorted({tuple(sorted({I[a], J[a], I[b], J[b]})) for a, b in bad})
+    PI, PJ = P[I], P[J]
+    found, a0 = set(), 0
+    while a0 < p:  # no mask for b <= a: G[a, a] > 0, and (b, a) repeats (a, b)
+        a1 = min(p, a0 + max(1, _CELLS // (p - a0)))
+        Ia, Ja, Ib, Jb = I[a0:a1, None], J[a0:a1, None], I[a0:], J[a0:]
+        PIa, PJa = PI[a0:a1], PJ[a0:a1]
+        bad = R[a0:a1] @ R[a0:].T == 0
+        bad &= PIa[:, Ib] & PIa[:, Jb] & PJa[:, Ib] & PJa[:, Jb]
+        bad &= (Ia != Ib) & (Ia != Jb) & (Ja != Ib) & (Ja != Jb)
+        a, b = np.nonzero(bad)
+        quads = np.sort([I[a0 + a], J[a0 + a], I[a0 + b], J[a0 + b]], axis=0)
+        found.update(map(tuple, quads.T.tolist()))
+        a0 = a1
+    return sorted(found)
 
 
 def hyperplanes_at(X: CubeComplex, v):

@@ -1,5 +1,7 @@
 """Median graph validation, hyperplanes and convexity."""
 
+import json
+import tracemalloc
 from collections import deque
 from itertools import combinations
 
@@ -184,16 +186,15 @@ def test_helly_builtin():
         assert md.helly_check(md.builtin_complex(name)) == []
 
 
+# four pairwise-intersecting 3-sets of SQUARE with empty total intersection
+PLANTED = [{"00", "01", "11"}, {"01", "11", "10"}, {"11", "10", "00"}, {"10", "00", "01"}]
+
+
 def test_helly_detects_planted_violation():
-    # plant four pairwise-intersecting 3-sets with empty total intersection
-    X = md.builtin_complex("SQUARE")
-    family = [
-        {"00", "01", "11"},
-        {"01", "11", "10"},
-        {"11", "10", "00"},
-        {"10", "00", "01"},
-    ]
-    assert md.helly_check(X, family=family) == [(0, 1, 2, 3)]
+    found = md.helly_check(md.builtin_complex("SQUARE"), family=PLANTED)
+    assert found == [(0, 1, 2, 3)]
+    assert all(type(i) is int for quad in found for i in quad)
+    assert json.loads(json.dumps(found)) == [[0, 1, 2, 3]]
 
 
 def test_random_median_complex_deterministic():
@@ -279,6 +280,15 @@ def test_unknown_vertex():
         X.d("0", "zzz")
 
 
+def test_edge_errors_are_raised_in_edge_order():
+    """The first bad edge decides: an unknown end or a self-loop."""
+    with pytest.raises(UnknownVertex) as exc:
+        md.validate_complex("abc", [("a", "b"), ("a", "zz"), ("c", "c")])
+    assert exc.value.args == (("a", "zz"),)
+    with pytest.raises(ValueError, match="^self-loop at 'c'; the graph must be simple$"):
+        md.validate_complex("abc", [("a", "b"), ("c", "c"), ("a", "zz")])
+
+
 def test_distance_matches_bfs():
     X = md.builtin_complex("Q3")
     assert X.d("000", "111") == 3
@@ -286,14 +296,30 @@ def test_distance_matches_bfs():
     assert X.d("010", "001") == 2
 
 
-@pytest.mark.parametrize("check, what", [
-    (md.helly_check, "the Helly check of"),
-    (md.convexity_check, "the interval tensor of 4 vertices"),
-])
-def test_large_allocations_are_estimated_first(monkeypatch, check, what):
+@pytest.mark.parametrize("family, what", [
+    (None, "the Helly check of 13 pairs compares 169 cells"),
+    (PLANTED, "the Helly check of 6 pairs needs about [0-9]+ bytes"),
+], ids=["comparison", "allocation"])
+def test_large_allocations_are_estimated_first(monkeypatch, family, what):
+    """The p x p comparison is refused by its cell count, then the
+    intersection rows and one block by their bytes, both before any is built."""
     X = md.builtin_complex("SQUARE")
-    check(X)  # both fit the default limit
+    md.helly_check(X, family)  # both fit the default limit
     monkeypatch.setattr(md, "_ALLOC_LIMIT", 100)
-    with pytest.raises(SizeLimitExceeded, match=f"{what}.* needs about [0-9]+ bytes, "
-                       "over the limit of 100"):
-        check(md.builtin_complex("SQUARE"))
+    with pytest.raises(SizeLimitExceeded, match=f"^{what}, over the limit of 100$"):
+        md.helly_check(X, family)
+
+
+def test_c5_artin_3_convexity_runs_and_helly_is_refused_up_front(x_c5_r3):
+    """Local convexity holds no n^3 tensor (748 MB here); the Helly check
+    refuses the 309,280 pairs before it builds their 657 MB of rows."""
+    X = x_c5_r3.complex
+    assert md.convexity_check(X) == []
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitExceeded, match="^the Helly check of 309280 pairs "):
+            md.helly_check(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2 ** 20

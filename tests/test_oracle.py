@@ -25,6 +25,12 @@ isometrically in a cube and one majority round adds no row.  validate_complex
 (bipartite layers, then the pair table's K_{2,3} and quadrangle checks) must
 accept exactly the connected graphs that they accept, and name a triple whose
 median count, found by brute force, is not one.
+
+Convexity and Helly: the references are the interval tensor T[u, v, w] (w on
+a geodesic from u to v, 5 n^3 bytes), read through one np.ix_ slice per set,
+and the unblocked Gram Helly check, which holds about 10 bytes per pair of
+intersecting pairs.  Local convexity (descent and the pair table) and the
+row-blocked Helly check must give the same answers and the same lists.
 """
 
 import random
@@ -556,3 +562,185 @@ def test_dense_non_median_input_stops_at_a_third_common_neighbour():
         md.validate_complex(left + right, [(a, b) for a in left for b in right])
     assert exc.value.triple == ("a00", "a01", "a02")
     assert exc.value.medians == right
+
+
+def interval_tensor(X):
+    """T[u, v, w] == True iff w lies on a geodesic from u to v."""
+    d = X._dist.astype(np.int32)
+    return (d[:, None, :] + d.T[None, :, :]) == d[:, :, None]
+
+
+def reference_is_convex(X, vertices, T):
+    """Interval-closed: no w outside the set between two of its vertices."""
+    idx = np.array(sorted(X.index[v] for v in vertices), dtype=np.intp)
+    outside = np.setdiff1d(np.arange(len(X.vertices)), idx)
+    if idx.size <= 1 or outside.size == 0:
+        return True
+    return not T[np.ix_(idx, idx, outside)].any()
+
+
+def reference_convexity_check(X):
+    T = interval_tensor(X)
+    return [
+        {"hyperplane": h.id, "set": name}
+        for h in X.hyperplanes
+        for name, s in (("sideA", h.side_a), ("sideB", h.side_b), ("carrier", h.carrier))
+        if not reference_is_convex(X, s, T)
+    ]
+
+
+def reference_helly(X, family=None):
+    """All pairs of intersecting pairs at once, in one Gram matrix."""
+    n = len(X.vertices)
+    if family is None:
+        M = np.stack([X.sides, ~X.sides, X.carriers], axis=1).reshape(-1, n)
+    else:
+        M = np.zeros((len(family), n), dtype=bool)
+        for i, s in enumerate(family):
+            M[i, [X.index[v] for v in s]] = True
+    P = M.astype(np.float32) @ M.astype(np.float32).T > 0
+    I, J = np.argwhere(np.triu(P, k=1)).T.copy()
+    R = (M[I] & M[J]).astype(np.float32)
+    empty = R @ R.T == 0
+    ok_pairs = P[np.ix_(I, I)] & P[np.ix_(I, J)] & P[np.ix_(J, I)] & P[np.ix_(J, J)]
+    distinct = (
+        (I[:, None] != I[None, :]) & (I[:, None] != J[None, :])
+        & (J[:, None] != I[None, :]) & (J[:, None] != J[None, :])
+    )
+    bad = np.argwhere(np.triu(empty & ok_pairs & distinct, k=1))
+    return sorted({tuple(sorted({I[a], J[a], I[b], J[b]})) for a, b in bad})
+
+
+def family_sets(X):
+    return [s for h in X.hyperplanes for s in (h.side_a, h.side_b, h.carrier)]
+
+
+def check_convexity_and_helly(X, helly_sets=None):
+    """Same violation lists as the tensor and the Gram check; the Helly
+    reference runs on the first helly_sets sets of the family, if given."""
+    assert md.convexity_check(X) == reference_convexity_check(X)
+    T = interval_tensor(X)
+    for s in family_sets(X):
+        assert md.is_convex_set(X, s) == reference_is_convex(X, s, T)
+    if helly_sets is None:
+        assert md.helly_check(X) == reference_helly(X)
+    else:
+        family = family_sets(X)[:helly_sets]
+        assert md.helly_check(X, family) == reference_helly(X, family)
+        assert md.helly_check(X) == []
+
+
+@pytest.mark.parametrize("name", md.BUILTIN_COMPLEXES)
+def test_convexity_and_helly_builtins(name):
+    check_convexity_and_helly(md.builtin_complex(name))
+
+
+def test_convexity_and_helly_random():
+    for seed in range(1, 101):
+        check_convexity_and_helly(md.random_median_complex(6, 5, seed))
+
+
+@pytest.mark.parametrize(
+    "fixture",
+    ["y_c5_r3", "y_p4_r4", "y_st5_r3", "y_st5_r4", "x_c5_r2", "x_f2_r3", "z2_r3"],
+)
+def test_convexity_and_helly_balls(fixture, request):
+    """The Gram reference holds 10 p^2 bytes, 0.5-0.9 GB on the full
+    families of x_c5_r2 and x_f2_r3, so it sees the first 80 sets of each
+    ball (at most 3,160 pairs); the blocked check runs on the whole family."""
+    check_convexity_and_helly(request.getfixturevalue(fixture).complex, helly_sets=80)
+
+
+def random_subsets(X, count, rng):
+    """Vertex sets of X: grown along edges from a random vertex (connected),
+    or drawn with a random density (mostly not), in turn."""
+    V = X.vertices
+    for t in range(count):
+        if t % 2:
+            q = rng.random()
+            yield {v for v in V if rng.random() < q}
+            continue
+        grown = {rng.choice(V)}
+        for _ in range(rng.randrange(len(V))):
+            frontier = sorted({w for v in grown for w in X.adj[v]} - grown)
+            if not frontier:
+                break
+            grown.add(rng.choice(frontier))
+        yield grown
+
+
+def replace_hyperplane_sets(X, rng):
+    """Give each hyperplane of X random vertex sets, kept or drawn afresh:
+    side_a, its complement side_b and the carrier, in the objects and the
+    matrices alike, so that convexity_check has violations to list."""
+    V, hyps = X.vertices, []
+    for h in X.hyperplanes:
+        side_a, carrier = h.side_a, h.carrier
+        if rng.random() < 0.3:
+            side_a = frozenset(v for v in V if rng.random() < 0.5)
+        if rng.random() < 0.3:
+            carrier = frozenset(v for v in V if rng.random() < 0.5)
+        hyps.append(md.Hyperplane(h.id, h.dual_edges, side_a,
+                                  frozenset(V) - side_a, carrier))
+    X._hyperplanes = tuple(hyps)
+    X._sides = np.array([[v in h.side_a for v in V] for h in hyps], dtype=bool)
+    X._carriers = np.array([[v in h.carrier for v in V] for h in hyps], dtype=bool)
+
+
+def test_local_convexity_against_the_tensor():
+    """is_convex_set on 5,000 connected and unconnected subsets of random
+    complexes, and convexity_check once their hyperplanes get random sets."""
+    rng = random.Random(7)
+    outcomes, listed = [], 0
+    for seed in range(50):
+        X = md.random_median_complex(rng.randint(2, 6), rng.randint(2, 7), seed)
+        T = interval_tensor(X)
+        for S in random_subsets(X, 100, rng):
+            got = md.is_convex_set(X, S)
+            assert got == reference_is_convex(X, S, T), (seed, sorted(S))
+            outcomes.append(got)
+        replace_hyperplane_sets(X, rng)
+        violations = md.convexity_check(X)
+        assert violations == reference_convexity_check(X)
+        listed += len(violations)
+    assert len(outcomes) == 5000 and listed > 50
+    assert 1000 < sum(outcomes) < 4000
+
+
+@pytest.mark.parametrize("cells", [1, md._CELLS])
+def test_blocked_helly_against_the_gram_matrix(monkeypatch, cells):
+    """1,500 random families on random complexes and balls, blocks of one
+    row and of the default size: the same quadruples as the Gram check."""
+    monkeypatch.setattr(md, "_CELLS", cells)
+    rng = random.Random(11)
+    grounds = [md.random_median_complex(rng.randint(2, 6), rng.randint(2, 7), s)
+               for s in range(30)]
+    grounds += [md.builtin_complex(name) for name in md.BUILTIN_COMPLEXES]
+    violated = 0
+    for t in range(1500):
+        X = grounds[t % len(grounds)]
+        sets = list(random_subsets(X, rng.randint(2, 12), rng))
+        if X.hyperplanes and t % 3:  # mix in halfspaces and carriers
+            sets += rng.sample(family_sets(X), min(4, 3 * len(X.hyperplanes)))
+        rng.shuffle(sets)
+        got = md.helly_check(X, sets)
+        assert got == reference_helly(X, sets), (t, sets)
+        violated += bool(got)
+    assert 300 < violated < 1200
+
+
+@st.composite
+def median_graphs_and_subsets(draw):
+    X = md.random_median_complex(draw(st.integers(1, 4)), draw(st.integers(1, 6)),
+                                 draw(st.integers(0, 10 ** 6)))
+    bits = draw(st.lists(st.booleans(), min_size=len(X), max_size=len(X)))
+    return X, {v for v, bit in zip(X.vertices, bits) if bit}
+
+
+@settings(max_examples=300, deadline=None)
+@given(median_graphs_and_subsets())
+def test_local_convexity_property(graph_and_subset):
+    """On median graphs of at most 16 vertices, local convexity agrees with
+    the interval tensor on every vertex subset drawn."""
+    X, S = graph_and_subset
+    assert md.is_convex_set(X, S) == reference_is_convex(X, S, interval_tensor(X))

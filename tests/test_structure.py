@@ -1,6 +1,7 @@
 """Source-level guarantees: no bare asserts, one suite table, no caller of
 the n^3 median scan, one caller of the majority round, a local median
-certificate, and no theorem check inside the computing core."""
+certificate, no interval tensor, and no theorem check inside the computing
+core."""
 
 import ast
 from pathlib import Path
@@ -84,6 +85,14 @@ def test_no_ladder_walk_is_left():
     """Certified input never fails the class check, so its ladder walk is gone."""
     for path in SOURCES:
         assert "_ladder" not in path.read_text(encoding="utf-8"), path.name
+
+
+def test_no_interval_tensor_is_left():
+    """Convexity is checked locally, so no n^3 interval tensor or its cache
+    stays in the package; the tensor is the reference of tests/test_oracle.py."""
+    for path in SOURCES:
+        text = path.read_text(encoding="utf-8")
+        assert "_interval_tensor" not in text and "_itensor" not in text, path.name
 
 
 @pytest.mark.parametrize("module, func", [
