@@ -29,7 +29,7 @@ from .errors import (
 DEFAULT_VERTEX_CAP = 4096
 _PAIRS = 1024  # the majority kernel works in blocks of _PAIRS pairs by _KS rows
 _KS = 16
-_CELLS = 1 << 18  # cells per block: quadrangle, convexity and Helly checks
+_CELLS = 1 << 18  # cells per block: quadrangle, descent, convexity and Helly checks
 _ALLOC_LIMIT = 1 << 30  # bytes: a larger single allocation raises SizeLimitExceeded
 
 
@@ -154,13 +154,13 @@ class CubeComplex:
         return self._squares
 
     def check_vertex(self, v):
+        """The index of v; raises UnknownVertex if v is not a vertex."""
         if v not in self.index:
             raise UnknownVertex(v)
+        return self.index[v]
 
     def d(self, u, v):
-        self.check_vertex(u)
-        self.check_vertex(v)
-        return int(self._dist[self.index[u], self.index[v]])
+        return int(self._dist[self.check_vertex(u), self.check_vertex(v)])
 
     def _theta(self):
         if self._hyperplanes is None:
@@ -213,8 +213,9 @@ class CubeComplex:
 
     def geodesic_vertices(self, u, v):
         """All vertices on some geodesic between u and v (the interval)."""
-        du, dv = self._dist[self.index[u]], self._dist[self.index[v]]
-        on = np.flatnonzero(du + dv == du[self.index[v]]).tolist()
+        iu, iv = self.check_vertex(u), self.check_vertex(v)
+        du, dv = self._dist[iu], self._dist[iv]
+        on = np.flatnonzero(du + dv == du[iv]).tolist()
         return {self.vertices[w] for w in on}
 
 
@@ -300,9 +301,8 @@ def validate_complex(vertices, edges, cap=None) -> CubeComplex:
     graphs without K_{2,3}, in the sources above).
 
     Checks the three in that order, (2) while building X.pair_table and (3)
-    on its pairs against the distance rows, in blocks of about _CELLS
-    cells.  Raises NotConnected, or NotMedian with a triple that has 0 or
-    at least 2 medians:
+    on its pairs (_quadrangle_failure).  Raises NotConnected, or NotMedian
+    with a triple that has 0 or at least 2 medians:
       (1) an edge ij inside one BFS layer from vertex 0: a median of
           (0, i, j) is i or j, and neither lies between 0 and the other;
       (2) three common neighbours c1, c2, c3 of a pair a, b: they are
@@ -331,15 +331,30 @@ def validate_complex(vertices, edges, cap=None) -> CubeComplex:
     X._dist = dist
     for i, j in np.argwhere(np.triu(A) & (dist[0][:, None] == dist[0]))[:1].tolist():
         raise _not_median(X, 0, i, j)
-    vw, common = _pair_arrays(X)
-    step = max(1, _CELLS // n)
+    bad = _quadrangle_failure(X)
+    if bad:
+        raise _not_median(X, *bad)
+    return X
+
+
+def _quadrangle_failure(X: CubeComplex):
+    """The first index triple (u, v, w) of X breaking the quadrangle
+    condition, or None.
+
+    (v, w) is a pair of X.pair_table with d(u, v) = d(u, w) and every common
+    neighbour farther from u (in a bipartite graph they are at d(u, v) + 1,
+    none at d(u, v) - 1).  Pairs are checked against the distance rows in
+    blocks of about _CELLS cells.
+    """
+    dist, (vw, common) = X._dist, _pair_arrays(X)
+    step = max(1, _CELLS // len(dist))
     for p0 in range(0, len(vw), step):  # rows: pairs vw; columns: vertices u
         dv, dw = dist[vw[p0:p0 + step, 0]], dist[vw[p0:p0 + step, 1]]
         c = common[p0:p0 + step]
         bad = (dv == dw) & (dist[c[:, 0]] > dv) & (dist[c[:, 1]] > dv)
         for p, u in np.argwhere(bad)[:1].tolist():
-            raise _not_median(X, u, *vw[p0 + p].tolist())
-    return X
+            return (u, *vw[p0 + p].tolist())
+    return None
 
 
 def hamming_distances(rows):
@@ -348,6 +363,43 @@ def hamming_distances(rows):
     for col in rows.T:
         D += np.bitwise_count(col[:, None] ^ col)
     return D
+
+
+def majority_closed_locally(D):
+    """Whether a local test certifies distinct 0/1 rows with Hamming
+    distances D as closed under bitwise majority; sound, not complete.
+
+    Let G join the rows at distance 1.  The rows are majority-closed if
+      (a) descent: for all rows u != v, some neighbour w of v in G has
+          D[u, w] = D[u, v] - 1, and
+      (b) G satisfies the quadrangle condition (see validate_complex).
+    Proof: by (a) and induction on D[u, v], G has a path from u to v of
+    length D[u, v], and none is shorter, as an edge changes the distance to
+    u by one; so G is connected with metric D.  G is bipartite (an edge
+    changes the parity of a row's weight), and two rows at distance 2 have
+    at most two common neighbours, the rows between them in the cube: no
+    K_{2,3}.  With (b), G is median (validate_complex).  The median m of
+    rows a, b, c lies on geodesics of G between each pair, which are cube
+    geodesics as G has metric D, so m agrees with two of a, b, c wherever
+    they agree: m = maj(a, b, c) is a row.  A closed set can fail (a):
+    {010, 001, 101} is closed, but 010 has no neighbour.  (a) checks every
+    u != v, equal rows included, in blocks of about _CELLS (u, directed
+    edge) cells, in the reduceat style of _nonconvex.
+    """
+    n = len(D)
+    x, y = np.nonzero(D == 1)  # directed edges x -> y, sorted by x
+    starts = np.flatnonzero(np.diff(x, prepend=-1))  # each vertex's first edge
+    if len(starts) < n:  # a vertex without a neighbour
+        return n < 2
+    step = max(1, _CELLS // len(x))
+    for u0 in range(0, n, step):
+        Du = D[u0:u0 + step]
+        down = np.logical_or.reduceat(Du[:, y] < Du[:, x], starts, axis=1)
+        down[np.arange(len(Du)), np.arange(u0, u0 + len(Du))] = True  # v = u
+        if not down.all():
+            return False
+    G = CubeComplex(range(n), zip(x[x < y].tolist(), y[x < y].tolist()), D)
+    return _quadrangle_failure(G) is None
 
 
 def _majority_round(rows, lo, rng):
@@ -555,7 +607,7 @@ def _nonconvex(X: CubeComplex, M):
 def is_convex_set(X: CubeComplex, vertices):
     """Whether a vertex set is geodesically convex (interval-closed)."""
     row = np.zeros((1, len(X.vertices)), dtype=bool)
-    row[0, [X.index[v] for v in vertices]] = True
+    row[0, [X.check_vertex(v) for v in vertices]] = True
     return not _nonconvex(X, row)[0]
 
 
@@ -588,7 +640,7 @@ def helly_check(X: CubeComplex, family=None):
     else:
         M = np.zeros((len(family), n), dtype=bool)
         for i, s in enumerate(family):
-            M[i, [X.index[v] for v in s]] = True
+            M[i, [X.check_vertex(v) for v in s]] = True
     Mf = M.astype(np.float32)
     P = Mf @ Mf.T > 0  # pairwise intersection
     I, J = np.nonzero(np.triu(P, k=1))  # the intersecting pairs i < j

@@ -291,9 +291,12 @@ def median_closure(gamma, kind, elements, cap):
     Word-metric balls need not be median-closed (commuting clusters push
     medians past the radius).  An element's row marks the walls separating
     it from 1, so ambient distance is Hamming distance and the median is
-    majority: median.majority_closure closes the rows, and ambient_median
-    names each new row from its witness triple.  Returns (elements, D): the
-    closure in (length, format) order and its ambient distance matrix.
+    majority.  median.majority_closed_locally certifies rows that miss no
+    majority; only when it fails does median.majority_closure close the
+    rows, and ambient_median names each new row from its witness triple.
+    Elements that form a connected subgraph, as a ball does, fail the test
+    only when a majority is missing.  Returns (elements, D): the closure in
+    (length, format) order and its ambient distance matrix.
     """
     def shortlex(w):
         return word_length(kind, w), format_word(w)
@@ -305,18 +308,22 @@ def median_closure(gamma, kind, elements, cap):
     rows = np.zeros((len(elems), len(column)), dtype=bool)
     for i, cols in enumerate(walls):
         rows[i, cols] = True
-    rows, witnesses = _median.majority_closure(np.packbits(rows, axis=1), cap)
-    for row, triple in zip(rows[len(elems):], witnesses):
-        m = ambient_median(gamma, kind, *(elems[i] for i in triple))
-        cols = sorted(column.get(k, -1) for k in _walls(gamma, m))
-        if cols != np.flatnonzero(np.unpackbits(row, count=len(column))).tolist():
-            raise LemmaViolation(
-                f"median {format_word(m)} of {[format_word(elems[i]) for i in triple]} "
-                f"does not have the majority of their walls"
-            )
-        elems.append(m)
+    rows = np.packbits(rows, axis=1)
+    D = _median.hamming_distances(rows)
+    if not _median.majority_closed_locally(D):
+        rows, witnesses = _median.majority_closure(rows, cap)
+        for row, triple in zip(rows[len(elems):], witnesses):
+            m = ambient_median(gamma, kind, *(elems[i] for i in triple))
+            cols = sorted(column.get(k, -1) for k in _walls(gamma, m))
+            if cols != np.flatnonzero(np.unpackbits(row, count=len(column))).tolist():
+                raise LemmaViolation(
+                    f"median {format_word(m)} of {[format_word(elems[i]) for i in triple]} "
+                    f"does not have the majority of their walls"
+                )
+            elems.append(m)
+        D = _median.hamming_distances(rows)
     order = sorted(range(len(elems)), key=lambda i: shortlex(elems[i]))
-    return [elems[i] for i in order], _median.hamming_distances(rows[order])
+    return [elems[i] for i in order], D[np.ix_(order, order)]
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +379,10 @@ def _letters(gamma, kind):
 def build_ball(gamma: DefiningGraph, kind, radius, cap=None) -> Ball:
     """BFS over normal forms up to the given word length, median-closed.
 
-    The complex is certified by median.certified_complex; hyperplane labels
-    are checked to be well-defined.
+    median_closure adds the missing medians, with the majority kernel only
+    when the local test finds one missing.  The complex is certified by
+    median.certified_complex; hyperplane labels are checked to be
+    well-defined.
     """
     if kind not in (ARTIN, COXETER):
         raise ValueError(f"kind must be {ARTIN!r} or {COXETER!r}")

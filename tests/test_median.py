@@ -280,6 +280,20 @@ def test_unknown_vertex():
         X.d("0", "zzz")
 
 
+@pytest.mark.parametrize("call", [
+    lambda X: md.is_convex_set(X, {"zz"}),
+    lambda X: md.helly_check(X, [{"00"}, {"zz"}]),
+    lambda X: X.geodesic_vertices("zz", "00"),
+    lambda X: X.geodesic_vertices("00", "zz"),
+], ids=["is_convex_set", "helly_check", "geodesic_from", "geodesic_to"])
+def test_unknown_vertex_in_a_vertex_set(call):
+    """A vertex not in X raises UnknownVertex, which the CLI reports, not a
+    bare KeyError."""
+    with pytest.raises(UnknownVertex) as exc:
+        call(md.builtin_complex("SQUARE"))
+    assert exc.value.args == ("zz",)
+
+
 def test_edge_errors_are_raised_in_edge_order():
     """The first bad edge decides: an unknown end or a self-loop."""
     with pytest.raises(UnknownVertex) as exc:

@@ -24,7 +24,10 @@ and the earlier certificate: the Djokovic-Winkler sides embed the graph
 isometrically in a cube and one majority round adds no row.  validate_complex
 (bipartite layers, then the pair table's K_{2,3} and quadrangle checks) must
 accept exactly the connected graphs that they accept, and name a triple whose
-median count, found by brute force, is not one.
+median count, found by brute force, is not one.  The local closure test of
+0/1 rows (md.majority_closed_locally) must never pass a set that the majority
+kernel grows, and must pass every closed set whose Hamming-1 graph is
+connected.
 
 Convexity and Helly: the references are the interval tensor T[u, v, w] (w on
 a geodesic from u to v, 5 n^3 bytes), read through one np.ix_ slice per set,
@@ -45,7 +48,7 @@ from hypothesis import strategies as st
 from cubetact import contact as ct
 from cubetact import median as md
 from cubetact import ragroups as rg
-from cubetact.errors import NotConnected, NotMedian
+from cubetact.errors import NotConnected, NotMedian, SizeLimitExceeded
 
 
 def reference_hyperplanes(X):
@@ -562,6 +565,62 @@ def test_dense_non_median_input_stops_at_a_third_common_neighbour():
         md.validate_complex(left + right, [(a, b) for a in left for b in right])
     assert exc.value.triple == ("a00", "a01", "a02")
     assert exc.value.medians == right
+
+
+def random_row_sets(count, seed):
+    """Distinct 0/1 row sets of 2-8 columns and at most 40 rows, in turn:
+    random subsets of the cube, sets grown one Hamming neighbour at a time
+    (connected), and majority closures of a few random rows with up to two
+    rows removed or added."""
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        cols = int(rng.integers(2, 9))
+        size = int(rng.integers(1, min(40, 2 ** cols) + 1))
+        if t % 3 == 0:
+            codes = rng.choice(2 ** cols, size, replace=False)
+        elif t % 3 == 1:
+            codes = {int(rng.integers(2 ** cols))}
+            while len(codes) < size:
+                codes.add(int(rng.choice(sorted(codes))) ^ 1 << int(rng.integers(cols)))
+        else:
+            cols = min(cols, 5)
+            seeds = np.unique(rng.integers(0, 2, (int(rng.integers(1, 5)), cols)), axis=0)
+            bits = np.unpackbits(md.majority_closure(np.packbits(seeds, axis=1), 32)[0],
+                                 axis=1, count=cols)
+            codes = set((bits @ (1 << np.arange(cols))).tolist())
+            for _ in range(int(rng.integers(0, 3))):
+                codes ^= {int(rng.integers(2 ** cols))}
+            codes = codes or {0}
+        codes = np.array(sorted(codes))
+        yield (codes[:, None] >> np.arange(cols) & 1).astype(bool)
+
+
+def check_local_closure(bits):
+    """md.majority_closed_locally against the kernel: it never passes a set
+    the kernel grows, and on a connected Hamming-1 graph it passes exactly
+    the closed sets.  Returns (connected, closed)."""
+    rows = np.packbits(bits, axis=1)
+    D = md.hamming_distances(rows)
+    passed = md.majority_closed_locally(D)
+    try:  # capped at len(rows), the kernel raises at its first new row
+        md.majority_closure(rows, len(rows))
+        closed = True
+    except SizeLimitExceeded:
+        closed = False
+    edges = np.argwhere(np.triu(D == 1)).tolist()
+    connected = (bfs_distances(list(range(len(rows))), edges) >= 0).all()
+    assert closed or not passed, bits.astype(int)
+    if connected:
+        assert passed == closed, bits.astype(int)
+    return bool(connected), closed
+
+
+def test_local_closure_against_the_kernel():
+    """Each (connected, closed) outcome occurs more than 50 times, closed
+    disconnected sets, which the test may reject, included."""
+    outcomes = [check_local_closure(bits) for bits in random_row_sets(1500, seed=6)]
+    assert all(outcomes.count(kind) > 50
+               for kind in [(True, True), (True, False), (False, True), (False, False)])
 
 
 def interval_tensor(X):

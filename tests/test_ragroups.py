@@ -186,9 +186,26 @@ def test_ball_closure_checks_named_medians(monkeypatch):
     assert len(rg.build_ball(st5, rg.COXETER, 2).complex) == 21  # 19 + 2 medians
     with pytest.raises(SizeLimitExceeded):
         rg.build_ball(st5, rg.COXETER, 2, cap=20)
-    monkeypatch.setattr(rg, "ambient_median", lambda gamma, kind, x, y, z: x)
-    with pytest.raises(LemmaViolation, match="majority of their walls"):
+    with monkeypatch.context() as patch:
+        patch.setattr(rg, "ambient_median", lambda gamma, kind, x, y, z: x)
+        with pytest.raises(LemmaViolation, match="majority of their walls"):
+            rg.build_ball(st5, rg.COXETER, 2)
+    monkeypatch.setattr(md, "majority_closure", _no_kernel)
+    with pytest.raises(RuntimeError, match="kernel ran"):  # 2 medians are missing
         rg.build_ball(st5, rg.COXETER, 2)
+
+
+def _no_kernel(rows, cap):
+    raise RuntimeError("the majority kernel ran")
+
+
+def test_ball_closure_skips_the_kernel_on_closed_balls(monkeypatch):
+    """Balls that miss no median are certified by the local test alone."""
+    monkeypatch.setattr(md, "majority_closure", _no_kernel)
+    X = rg.build_ball(rg.builtin_defining_graph("P4"), rg.COXETER, 4).complex
+    assert len(X) == 68
+    X = rg.build_ball(rg.builtin_defining_graph("C5"), rg.ARTIN, 3).complex
+    assert (len(X), len(X.edges), len(X.hyperplanes)) == (531, 710, 350)
 
 
 def test_ball_of_the_trivial_group():

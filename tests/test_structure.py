@@ -1,7 +1,8 @@
 """Source-level guarantees: no bare asserts, one suite table, no caller of
-the n^3 median scan, one caller of the majority round, a local median
-certificate, no interval tensor, and no theorem check inside the computing
-core."""
+the n^3 median scan, one caller of the majority round, the kernel only
+where medians may be missing, a local median certificate with one
+quadrangle check, no interval tensor, and no theorem check inside the
+computing core."""
 
 import ast
 from pathlib import Path
@@ -48,18 +49,43 @@ def test_no_source_module_calls_the_triple_scan():
         assert not uses, f"{path.name} uses median_triple_defects at lines {uses}"
 
 
-def test_majority_round_is_called_only_by_majority_closure():
-    """The random generator and the ball closure share one kernel; outside
-    input is certified without it."""
-    callers = set()
+def users(name):
+    """(file, top-level definition) pairs of src/ whose code names `name`."""
+    found = set()
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for top in tree.body:
             for node in ast.walk(top):
-                if "_majority_round" in (getattr(node, "id", None),
-                                         getattr(node, "attr", None)):
-                    callers.add((path.name, getattr(top, "name", "<module>")))
-    assert callers == {("median.py", "majority_closure")}
+                if name in (getattr(node, "id", None), getattr(node, "attr", None)):
+                    found.add((path.name, getattr(top, "name", "<module>")))
+    return found
+
+
+def test_majority_round_is_called_only_by_majority_closure():
+    """The random generator and the ball closure share one kernel; outside
+    input is certified without it."""
+    assert users("_majority_round") == {("median.py", "majority_closure")}
+
+
+def test_majority_closure_runs_only_where_medians_may_be_missing():
+    """Random points are closed by the kernel; a ball reaches it only through
+    median_closure, after its local test fails."""
+    assert users("majority_closure") == {
+        ("median.py", "random_median_complex"), ("ragroups.py", "median_closure")}
+    assert users("majority_closed_locally") == {("ragroups.py", "median_closure")}
+
+
+def test_one_quadrangle_check():
+    """A quadrangle check reads the common neighbours of the distance-2 pairs.
+    They are read only by the squares and links, the convexity check and
+    _quadrangle_failure, which validate_complex and the ball test share."""
+    assert users("_quadrangle_failure") == {
+        ("median.py", "validate_complex"), ("median.py", "majority_closed_locally")}
+    assert users("_pair_arrays") == {
+        ("median.py", "_nonconvex"), ("median.py", "_quadrangle_failure")}
+    assert users("pair_table") == {
+        ("median.py", "CubeComplex"), ("median.py", "_pair_arrays"),
+        ("median.py", "link_graph")}
 
 
 def test_validate_complex_reaches_neither_the_kernel_nor_the_classes(monkeypatch):
