@@ -29,7 +29,7 @@ from .errors import (
 DEFAULT_VERTEX_CAP = 4096
 _PAIRS = 1024  # the majority kernel works in blocks of _PAIRS pairs by _KS rows
 _KS = 16
-_CELLS = 1 << 18  # cells per block: quadrangle, descent, convexity and Helly checks
+_CELLS = 1 << 18  # cells per block: quadrangle, descent, convexity, Helly checks, BFS
 _ALLOC_LIMIT = 1 << 30  # bytes: a larger single allocation raises SizeLimitExceeded
 
 
@@ -230,11 +230,54 @@ def _distances(adjacent, start):
     return dist
 
 
+def _all_distances(adjacent):
+    """All-pairs BFS distances in a bool adjacency matrix, -1 if unreachable.
+
+    Bit-parallel multi-source BFS (Then et al., The more the merrier:
+    efficient multi-source graph traversal, PVLDB 8(4), 2014): the sources
+    go in blocks of whole uint64 words, and bit t of a vertex's packed
+    column says that source t of the block has reached it.  One level step
+    ORs each vertex's column with its neighbours' (np.bitwise_or.reduceat
+    over the directed edges and a self-loop per vertex); the bits it adds
+    are the vertices at the next distance, written into the int32 result,
+    column t for source t, as distances are symmetric.  A block's gathered
+    columns take about _CELLS bytes, and no level's columns are kept.
+    """
+    n = len(adjacent)
+    x, y = np.nonzero(adjacent | np.eye(n, dtype=bool))  # x -> y, sorted by x
+    starts = np.searchsorted(x, np.arange(n))  # each vertex's first edge
+    dist = np.full((n, n), -1, dtype=np.int32)
+    words = min(-(-n // 64), max(1, _CELLS // (8 * len(y))))  # per column
+    for s0 in range(0, n, 64 * words):
+        b = min(64 * words, n - s0)
+        eye = np.eye(n, 64 * words, -s0, dtype=bool)  # source s0 + t at bit t
+        seen = front = np.packbits(eye, axis=1).view(np.uint64)
+        cols, d = dist[:, s0:s0 + b], 0
+        while front.any():
+            cols[np.unpackbits(front.view(np.uint8), axis=1, count=b).view(bool)] = d
+            front = np.bitwise_or.reduceat(seen[y], starts, axis=0)
+            seen, front = front, front ^ seen
+            d += 1
+    return dist
+
+
+def _adjacency_matrix(X):
+    """The (n, n) bool adjacency matrix of X, indexed like X.vertices."""
+    n, index = len(X.vertices), X.index
+    degrees = [len(X.adj[v]) for v in X.vertices]
+    neighbours = (index[w] for v in X.vertices for w in X.adj[v])
+    A = np.zeros((n, n), dtype=bool)
+    A[np.repeat(np.arange(n), degrees), np.fromiter(neighbours, np.intp, sum(degrees))] = True
+    return A
+
+
 def _not_median(X, i, j, k):
     """NotMedian for a triple of vertex indices of X, naming all its medians:
-    the vertices on geodesics between each pair of i, j, k."""
-    d = X._dist
-    on = (d[i] + d[j] == d[i, j]) & (d[j] + d[k] == d[j, k]) & (d[i] + d[k] == d[i, k])
+    the vertices on geodesics between each pair of i, j, k.  Reads only the
+    three BFS rows of i, j and k, so it serves before X._dist is set."""
+    A = _adjacency_matrix(X)
+    di, dj, dk = (_distances(A, t) for t in (i, j, k))
+    on = (di + dj == di[j]) & (dj + dk == dj[k]) & (di + dk == di[k])
     return NotMedian([X.vertices[t] for t in (i, j, k)],
                      [X.vertices[m] for m in np.flatnonzero(on).tolist()])
 
@@ -300,9 +343,16 @@ def validate_complex(vertices, edges, cap=None) -> CubeComplex:
     I(u, v), likewise in I(u, w).  (2) makes the median unique (modular
     graphs without K_{2,3}, in the sources above).
 
-    Checks the three in that order, (2) while building X.pair_table and (3)
-    on its pairs (_quadrangle_failure).  Raises NotConnected, or NotMedian
-    with a triple that has 0 or at least 2 medians:
+    Checks the three in that order: (1) on the BFS layers from vertex 0,
+    which also show that the graph is connected; (2) while building
+    X.pair_table; (3) on its pairs (_quadrangle_failure), against the
+    all-pairs distances of the bit-parallel BFS _all_distances, which
+    become X._dist.  The all-pairs distances come last because their level
+    step reads every edge once per level and source block: a bipartite
+    graph without K_{2,3} has O(n^{3/2}) edges (Kovari-Sos-Turan), so dense
+    non-median input is refused by (1) or (2) before it gets there.
+    Raises NotConnected, or NotMedian with a triple that has 0 or at least
+    2 medians:
       (1) an edge ij inside one BFS layer from vertex 0: a median of
           (0, i, j) is i or j, and neither lies between 0 and the other;
       (2) three common neighbours c1, c2, c3 of a pair a, b: they are
@@ -319,18 +369,15 @@ def validate_complex(vertices, edges, cap=None) -> CubeComplex:
         cap = vertex_cap()
     if len(vertices) > cap:
         raise SizeLimitExceeded(f"{len(vertices)} vertices exceeds cap {cap}")
-    X = CubeComplex(vertices, edges, None)  # X._dist is set once it is connected
-    n, index = len(vertices), X.index
-    A = np.zeros((n, n), dtype=bool)
-    A[np.repeat(np.arange(n), [len(X.adj[v]) for v in vertices]),
-      [index[w] for v in vertices for w in X.adj[v]]] = True
-
-    dist = np.array([_distances(A, i) for i in range(n)])
-    if (dist < 0).any():
+    X = CubeComplex(vertices, edges, None)  # X._dist is set by step (3)
+    A = _adjacency_matrix(X)
+    d0 = _distances(A, 0)
+    if (d0 < 0).any():
         raise NotConnected("graph is not connected")
-    X._dist = dist
-    for i, j in np.argwhere(np.triu(A) & (dist[0][:, None] == dist[0]))[:1].tolist():
+    for i, j in np.argwhere(np.triu(A) & (d0[:, None] == d0))[:1].tolist():
         raise _not_median(X, 0, i, j)
+    X.pair_table  # raises at a K_{2,3}
+    X._dist = _all_distances(A)
     bad = _quadrangle_failure(X)
     if bad:
         raise _not_median(X, *bad)

@@ -337,3 +337,17 @@ def test_c5_artin_3_convexity_runs_and_helly_is_refused_up_front(x_c5_r3):
     finally:
         tracemalloc.stop()
     assert peak < 50 * 2 ** 20
+
+
+def test_all_pairs_distances_keep_no_level():
+    """A 400-vertex path has diameter 399: the all-sources BFS holds one
+    block's columns, not one set per level (about 8 MB more here)."""
+    V = [f"p{i:03}" for i in range(400)]
+    tracemalloc.start()
+    try:
+        X = md.validate_complex(V, list(zip(V, V[1:])))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert X.d("p000", "p399") == 399
+    assert peak < 6 * 2 ** 20

@@ -29,6 +29,10 @@ median count, found by brute force, is not one.  The local closure test of
 kernel grows, and must pass every closed set whose Hamming-1 graph is
 connected.
 
+Distances: the reference is a Python BFS from each source.  The bit-parallel
+all-sources BFS (md._all_distances) must give the same matrix, in one source
+block or several, and an accepted graph must carry it as X._dist.
+
 Convexity and Helly: the references are the interval tensor T[u, v, w] (w on
 a geodesic from u to v, 5 n^3 bytes), read through one np.ix_ slice per set,
 and the unblocked Gram Helly check, which holds about 10 bytes per pair of
@@ -36,9 +40,11 @@ intersecting pairs.  Local convexity (descent and the pair table) and the
 row-blocked Helly check must give the same answers and the same lists.
 """
 
+import json
 import random
 from collections import deque
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +55,8 @@ from cubetact import contact as ct
 from cubetact import median as md
 from cubetact import ragroups as rg
 from cubetact.errors import NotConnected, NotMedian, SizeLimitExceeded
+
+CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
 
 
 def reference_hyperplanes(X):
@@ -476,7 +484,7 @@ def check_validation(vertices, edges):
         return "disconnected"
     defects = md.median_triple_defects(D)
     try:
-        md.validate_complex(vertices, edges)
+        X = md.validate_complex(vertices, edges)
     except NotMedian as ex:
         i, j, k = map(vertices.index, ex.triple)
         medians = [
@@ -488,6 +496,7 @@ def check_validation(vertices, edges):
         assert defects, (vertices, edges)
         return len(medians)
     assert not defects, (vertices, edges)
+    assert np.array_equal(X._dist, D), (vertices, edges)
     return "accepted"
 
 
@@ -557,14 +566,65 @@ def test_local_certificate_property(graph):
     check_validation(*graph)
 
 
-def test_dense_non_median_input_stops_at_a_third_common_neighbour():
+def test_dense_non_median_input_stops_at_a_third_common_neighbour(monkeypatch):
     """K_{40,40}: the pair table stops at the first K_{2,3}, whose three
-    vertices on one side have all 40 of the other side as medians."""
+    vertices on one side have all 40 of the other side as medians, before
+    any all-pairs distance is computed."""
     left, right = [f"a{i:02}" for i in range(40)], [f"b{i:02}" for i in range(40)]
+
+    def unreachable(adjacent):
+        raise AssertionError("all-pairs distances computed on dense input")
+
+    monkeypatch.setattr(md, "_all_distances", unreachable)
     with pytest.raises(NotMedian) as exc:
         md.validate_complex(left + right, [(a, b) for a in left for b in right])
     assert exc.value.triple == ("a00", "a01", "a02")
     assert exc.value.medians == right
+
+
+def test_connectivity_is_checked_before_the_pair_table():
+    """A K_{2,3} next to a lone vertex is refused as disconnected."""
+    edges = [(a, b) for a in "ab" for b in "cde"]
+    with pytest.raises(NotConnected):
+        md.validate_complex("abcdef", edges)
+    with pytest.raises(NotMedian):
+        md.validate_complex("abcde", edges)
+
+
+def adjacency_matrix(vertices, edges):
+    A = np.zeros((len(vertices), len(vertices)), dtype=bool)
+    for u, v in edges:
+        i, j = vertices.index(u), vertices.index(v)
+        A[i, j] = A[j, i] = True
+    return A
+
+
+def distance_inputs():
+    """(vertices, edges) of the builtins, random(6, 5, 1..100), the
+    benchmark corpus, two disconnected graphs and the one-vertex graph."""
+    for name in md.BUILTIN_COMPLEXES:
+        X = md.builtin_complex(name)
+        yield list(X.vertices), [tuple(e) for e in X.edges]
+    for seed in range(1, 101):
+        X = md.random_median_complex(6, 5, seed)
+        yield list(X.vertices), [tuple(e) for e in X.edges]
+    for path in sorted(CORPUS.glob("*.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        yield doc["vertices"], [tuple(e) for e in doc["edges"]]
+    yield list("abcdefghij"), [("a", "b"), ("b", "c"), ("e", "f"), ("g", "h"), ("h", "e")]
+    path = [f"v{i}" for i in range(70)]
+    yield path, [e for e in zip(path, path[1:]) if e != ("v40", "v41")]
+    yield ["x"], []
+
+
+@pytest.mark.parametrize("cells", [1, md._CELLS])
+def test_all_distances_against_bfs(monkeypatch, cells):
+    """At _CELLS = 1 a block holds one word of 64 sources, so the 68-284
+    vertex inputs take several blocks, the last one partial."""
+    monkeypatch.setattr(md, "_CELLS", cells)
+    for vertices, edges in distance_inputs():
+        D = md._all_distances(adjacency_matrix(vertices, edges))
+        assert np.array_equal(D, bfs_distances(vertices, edges)), vertices[:3]
 
 
 def random_row_sets(count, seed):

@@ -1,8 +1,8 @@
 """Source-level guarantees: no bare asserts, one suite table, no caller of
 the n^3 median scan, one caller of the majority round, the kernel only
 where medians may be missing, a local median certificate with one
-quadrangle check, no interval tensor, and no theorem check inside the
-computing core."""
+quadrangle check, one all-sources BFS, no interval tensor, and no theorem
+check inside the computing core."""
 
 import ast
 from pathlib import Path
@@ -78,14 +78,21 @@ def test_majority_closure_runs_only_where_medians_may_be_missing():
 def test_one_quadrangle_check():
     """A quadrangle check reads the common neighbours of the distance-2 pairs.
     They are read only by the squares and links, the convexity check and
-    _quadrangle_failure, which validate_complex and the ball test share."""
+    _quadrangle_failure, which validate_complex and the ball test share;
+    validate_complex builds the table first, for its K_{2,3} check."""
     assert users("_quadrangle_failure") == {
         ("median.py", "validate_complex"), ("median.py", "majority_closed_locally")}
     assert users("_pair_arrays") == {
         ("median.py", "_nonconvex"), ("median.py", "_quadrangle_failure")}
     assert users("pair_table") == {
         ("median.py", "CubeComplex"), ("median.py", "_pair_arrays"),
-        ("median.py", "link_graph")}
+        ("median.py", "link_graph"), ("median.py", "validate_complex")}
+
+
+def test_only_validate_complex_computes_all_pairs_distances():
+    """Outside input is the one place where distances come from a BFS of
+    every source; generated complexes take their Hamming distances."""
+    assert users("_all_distances") == {("median.py", "validate_complex")}
 
 
 def test_validate_complex_reaches_neither_the_kernel_nor_the_classes(monkeypatch):
