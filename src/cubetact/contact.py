@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LemmaViolation, NotAnAutomorphism
+from .errors import NotAnAutomorphism
 from .median import CubeComplex
 
 REDUCED_MODES = ("self-exclusive", "strict")
@@ -37,7 +37,6 @@ class _Relation:
     transverse: np.ndarray  # bool: all four quadrants of the sides are non-empty
     contact: np.ndarray  # bool: carriers meet (u != w)
     I: np.ndarray  # bool: I[u, w] iff u is in I(w), as u's carrier contains w's
-    common: np.ndarray  # float32: hyperplanes transverse to both u and w
 
 
 def _relation(X: CubeComplex) -> _Relation:
@@ -58,9 +57,8 @@ def _relation(X: CubeComplex) -> _Relation:
     quadrants = (AA, na[:, None] - AA, na[None, :] - AA,
                  n - na[:, None] - na[None, :] + AA)
     transverse = np.logical_and.reduce([q > 0 for q in quadrants])
-    T = transverse.astype(np.float32)
     X._relation = _Relation(
-        transverse, (G > 0) & ~np.eye(H, dtype=bool), G == nk[None, :], T @ T
+        transverse, (G > 0) & ~np.eye(H, dtype=bool), G == nk[None, :]
     )
     return X._relation
 
@@ -97,15 +95,20 @@ def _twins(rows):
     return list(groups.values())
 
 
-def _reduced_classes(T, common, mode, ids):
+def _reduced_classes(T, mode, ids):
     """Twin classes of a crossing matrix T whose rows are the hyperplanes ids,
-    as a sorted list of sorted id tuples; common is T @ T.
+    as a sorted list of sorted id tuples.
 
     Strict mode groups identical rows.  Self-exclusive mode leaves the
     compared pair out of both neighbourhoods: it groups identical open rows
-    (a non-transverse pair) or identical closed rows (a transverse pair).  No
-    row has twins of both kinds, so together these partition the rows.
-    Raises LemmaViolation unless each class is pairwise neighbourhood-equal.
+    (open twins: T_u = T_w, so T[u, w] = T[w, w] = 0) or identical closed
+    rows (closed twins: T_u | {u} = T_w | {w}, so T[u, w] = 1 and the rows
+    differ in u and w only).  Either way the rows agree outside the compared
+    pair, so each class is pairwise neighbourhood-equal by construction.  No
+    row has twins of both kinds: if w is an open and x a closed twin of u,
+    then x is in T_u = T_w, so w is in T_x, a subset of T_u | {u}, against
+    T[u, w] = 0.  So the open groups and the remaining closed groups
+    partition the rows.
     """
     if mode == "strict":
         groups = _twins(T)
@@ -114,22 +117,6 @@ def _reduced_classes(T, common, mode, ids):
         paired = {h for g in groups for h in g}
         closed = _twins(T | np.eye(len(T), dtype=bool))
         groups += [g for g in closed if g[0] not in paired]
-    label = np.empty(len(T), dtype=np.intp)
-    for i, g in enumerate(groups):
-        label[g] = i
-
-    t = T.sum(axis=1)
-    differ = t[:, None] + t[None, :] - 2 * common  # |T_u xor T_w|
-    if mode == "self-exclusive":
-        differ -= 2 * T  # the compared pair leaves both neighbourhoods
-    bad = (label[:, None] == label[None, :]) & (differ != 0)
-    if bad.any():
-        u, w = np.argwhere(bad)[0].tolist()
-        raise LemmaViolation(
-            f"reduced class {tuple(ids[i] for i in groups[label[u]])} is not "
-            f"pairwise neighborhood-equal (witness {ids[u]}, {ids[w]}, "
-            f"mode={mode})"
-        )
     return sorted(tuple(ids[i] for i in g) for g in groups)
 
 
@@ -139,22 +126,16 @@ def build_contact_family(X: CubeComplex, mode="self-exclusive") -> ContactFamily
     rel = _relation(X)
     T = rel.transverse
     contact, crossing = _adjacency(rel.contact), _adjacency(T)
-    classes = tuple(_reduced_classes(T, rel.common, mode, range(len(T))))
+    classes = tuple(_reduced_classes(T, mode, range(len(T))))
     class_of = {h: i for i, cls in enumerate(classes) for h in cls}
     label = np.array([class_of[h] for h in range(len(T))], dtype=np.intp)
 
-    # an edge between classes means every cross pair is transverse
+    # two members of a class have equal rows outside the class, so T is
+    # constant on the cross pairs of two classes: one transverse pair links
     linked = np.zeros((len(classes),) * 2, dtype=bool)
     iu, iw = np.nonzero(T)
     linked[label[iu], label[iw]] = True
     linked &= ~np.eye(len(classes), dtype=bool)
-    bad = linked[np.ix_(label, label)] & ~T & (label[:, None] != label[None, :])
-    if bad.any():
-        u, w = np.argwhere(bad)[0].tolist()
-        raise LemmaViolation(
-            f"classes {classes[label[u]]} and {classes[label[w]]} mix "
-            f"transverse and non-transverse pairs"
-        )
     reduced = _adjacency(linked)
     return ContactFamily(X, contact, crossing, classes, class_of, reduced, mode)
 

@@ -4,7 +4,7 @@ automorphisms of the complex and automorphisms of its contact graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .contact import ContactFamily, all_interaction_sets, build_contact_family
@@ -14,7 +14,6 @@ from .errors import (
     HyperplaneNotPreserved,
     NotAnAutomorphism,
     UnknownClique,
-    UnknownVertex,
 )
 from .median import CubeComplex, hyperplanes_at, is_extremal
 

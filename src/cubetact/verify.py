@@ -6,9 +6,10 @@ describing the statement, the number of instances checked and a list of
 violation witnesses.  An empty violation list means the suite passed.
 
 The statements are checked here and nowhere else: the contact relation, the
-clique atlas and the kernel generators only compute.  Each suite is a table
-row (anchor, check); one runner times the check over the instances and
-builds the entry.
+reduced classes, the clique atlas, the kernel generators and the exotic
+automorphisms (the Davis reflection phi and the halfspace twist) only
+compute.  Each suite is a table row (anchor, check); one runner times the
+check over the instances and builds the entry.
 """
 
 from __future__ import annotations
@@ -92,7 +93,8 @@ def _iw(X):
     hyperplane transverse to w; then the I0 and dimension checks."""
     rel = _contact._relation(X)
     T = rel.transverse
-    covered = rel.common + T == T.sum(axis=0)[None, :]
+    Tf = T.astype(np.float32)
+    covered = Tf @ Tf + T == T.sum(axis=0)[None, :]
     characterized = np.eye(len(T), dtype=bool) | (T & covered)
     for w in np.flatnonzero((rel.I != characterized).any(axis=0))[:1].tolist():
         raise LemmaViolation(
@@ -202,11 +204,46 @@ def _kernel(X):
 
 
 def _davis(pair, gamma, radius):
+    """The reflection fixes every hyperplane transverse or equal to the
+    a-hyperplane (so the piecewise phi is consistent), no contact edge joins
+    the two halves, phi preserves contact, and rho(phi) breaks the square."""
     ball = _rg.build_ball(gamma, _rg.COXETER, radius)
     try:
         d = _rg.davis_phi(ball, *pair)
     except CubetactError as ex:
         raise LemmaViolation(str(ex)) from ex
+    X = ball.complex
+    C = _contact._relation(X).contact
+
+    def reflect(vid):
+        return _rg.format_word(
+            _rg.nf_mult(gamma, _rg.COXETER, d.reflection, ball.words[vid]))
+
+    for hid, part in d.partition.items():
+        if part != "T":
+            continue
+        for e in X.hyperplane(hid).dual_edges:
+            iu, iv = (reflect(v) for v in e)
+            if iu in ball.words and iv in ball.words:
+                if X.hyperplane_of_edge(iu, iv).id != hid:
+                    raise LemmaViolation(
+                        f"reflection moves transverse hyperplane {hid}")
+                break
+
+    plus = [h for h, p in d.partition.items() if p == "A+"]
+    minus = [h for h, p in d.partition.items() if p == "A-"]
+    for i, j in np.argwhere(C[np.ix_(plus, minus)])[:1].tolist():
+        raise LemmaViolation(
+            f"contact edge between halves: {plus[i]} (A+), {minus[j]} (A-)")
+    ids = sorted(d.phi)
+    img = [d.phi[h] for h in ids]
+    broken = np.triu(C[np.ix_(ids, ids)] != C[np.ix_(img, img)], 1)
+    for i, j in np.argwhere(broken)[:1].tolist():
+        raise LemmaViolation(f"phi breaks contact adjacency on ({ids[i]}, {ids[j]})")
+    if d.broken_edge is None:
+        raise LemmaViolation(
+            f"rho(phi) preserves the square at {d.witness_square[0]!r}; "
+            "no witness found")
     return {"witness": {
         "square": list(d.witness_square),
         "broken_edge": list(d.broken_edge),
@@ -216,10 +253,21 @@ def _davis(pair, gamma, radius):
 
 
 def _twist(pair, gamma, radius):
+    """The twist fixes the carrier of its hyperplane pointwise (carrier words
+    avoid y, so the two pieces agree there) and is a ball automorphism."""
     ball = _rg.build_ball(gamma, _rg.ARTIN, radius)
     try:
         tw = _rg.halfspace_twist(ball, *pair)
     except CubetactError as ex:
+        raise LemmaViolation(str(ex)) from ex
+    for v in sorted(ball.complex.hyperplane(tw.hyperplane).carrier):
+        image = tw.perm.get(v)
+        if image != v:
+            raise LemmaViolation(
+                f"inverting {pair[1]} moves carrier vertex {v} to {image}")
+    try:
+        _rec.verify_automorphism(ball.complex.adj, tw.perm)
+    except NotAnAutomorphism as ex:
         raise LemmaViolation(str(ex)) from ex
     return {"witness": {"hyperplane": tw.hyperplane, "moved": len(tw.moved)}}
 

@@ -146,14 +146,17 @@ def test_criterion_7_davis(y_p4_r4, y_c5_r3, criterion_report):
         rg.davis_phi(y_c5_r3, "a", "b")
     except StarNotContained:
         rejected = True
-    ok = broken and rejected
+    checked = vf.suite_davis(y_p4_r4.gamma, 4, "a", "b")["violations"] == []
+    ok = broken and rejected and checked
     criterion_report(
         7, ok,
         f"P4 reflection breaks square {out.witness_square} at edge "
-        f"{out.broken_edge}; C5 is rejected",
+        f"{out.broken_edge}, the davis suite finds no violation; C5 is "
+        "rejected",
     )
     assert broken
     assert rejected
+    assert checked
 
 
 def test_criterion_8_star_inclusion(y_p4_r4, y_st5_r4, criterion_report):
@@ -220,6 +223,7 @@ def test_criterion_9_halfspace_twist(x_f2_r3, x_c5_r3, criterion_report):
         ("C5", x_c5_r3, "a", "c"),
     ):
         tw = rg.halfspace_twist(ball, x, y)
+        rc.verify_automorphism(ball.complex.adj, tw.perm)
         carrier = ball.complex.hyperplane(tw.hyperplane).carrier
         ok = ok and bool(tw.moved)
         ok = ok and all(tw.perm[v] == v for v in carrier)

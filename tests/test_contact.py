@@ -7,7 +7,7 @@ import pytest
 from cubetact import contact as ct
 from cubetact import median as md
 from cubetact import verify as vf
-from cubetact.errors import LemmaViolation, NotAnAutomorphism
+from cubetact.errors import NotAnAutomorphism
 
 
 def hyperplane_by_edge(X, u, v):
@@ -169,9 +169,3 @@ def test_missing_square_is_a_lemma_violation():
     assert violation["instance"] == "broken"
     assert "share a square=False" in violation["witness"]
 
-
-def test_reduced_class_check_is_live(monkeypatch):
-    X = md.builtin_complex("DOMINO")
-    monkeypatch.setattr(ct, "_twins", lambda rows: [list(range(len(rows)))])
-    with pytest.raises(LemmaViolation, match="not pairwise neighborhood-equal"):
-        ct.build_contact_family(X)

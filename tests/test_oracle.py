@@ -33,6 +33,12 @@ Distances: the reference is a Python BFS from each source.  The bit-parallel
 all-sources BFS (md._all_distances) must give the same matrix, in one source
 block or several, and an accepted graph must carry it as X._dist.
 
+Cliques: the reference is networkx's find_cliques, where networkx is
+installed (it is no runtime dependency).  maximal_cliques must give the same
+cliques, isolated vertices as singletons, on the contact and crossing graphs
+of the builtins, random complexes and the session balls, and on seeded
+random graphs.
+
 Convexity and Helly: the references are the interval tensor T[u, v, w] (w on
 a geodesic from u to v, 5 n^3 bytes), read through one np.ix_ slice per set,
 and the unblocked Gram Helly check, which holds about 10 bytes per pair of
@@ -54,6 +60,7 @@ from hypothesis import strategies as st
 from cubetact import contact as ct
 from cubetact import median as md
 from cubetact import ragroups as rg
+from cubetact import reconstruction as rc
 from cubetact.errors import NotConnected, NotMedian, SizeLimitExceeded
 
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
@@ -268,6 +275,36 @@ def test_oracle_random():
 )
 def test_oracle_balls(fixture, request):
     check_against_oracle(request.getfixturevalue(fixture).complex)
+
+
+def test_maximal_cliques_against_networkx(request):
+    nx = pytest.importorskip("networkx")
+
+    def check(adjacency):
+        G = nx.Graph()
+        G.add_nodes_from(adjacency)
+        G.add_edges_from((u, w) for u in adjacency for w in adjacency[u])
+        expected = sorted(tuple(sorted(cl)) for cl in nx.find_cliques(G))
+        assert rc.maximal_cliques(adjacency) == expected
+
+    complexes = [md.builtin_complex(name) for name in md.BUILTIN_COMPLEXES]
+    complexes += [md.random_median_complex(6, 5, seed) for seed in range(1, 51)]
+    complexes += [request.getfixturevalue(f).complex for f in (
+        "y_c5_r3", "y_p4_r4", "y_st5_r3", "y_st5_r4", "x_c5_r2", "x_f2_r3", "z2_r3")]
+    for X in complexes:
+        F = ct.build_contact_family(X)
+        check(F.contact)
+        check(F.crossing)
+
+    rng = random.Random(0)
+    for _ in range(300):
+        n, p = rng.randint(1, 14), rng.random()
+        adjacency = {v: set() for v in range(n)}
+        for u, w in combinations(range(n), 2):
+            if rng.random() < p:
+                adjacency[u].add(w)
+                adjacency[w].add(u)
+        check(adjacency)
 
 
 def reference_random_median_complex(ambient_dim, seed_count, rng_seed):

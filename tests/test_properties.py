@@ -1,11 +1,14 @@
-"""Property-based invariants for normal forms, random instances and the
-local majority-closure test."""
+"""Property-based invariants for normal forms, random instances, the
+local majority-closure test and the reduced (twin) classes."""
+
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubetact import contact as ct
 from cubetact import median as md
 from cubetact import ragroups as rg
 from cubetact.errors import NotConnected, SizeLimitExceeded
@@ -131,3 +134,47 @@ def test_local_closure_test_is_sound_and_complete_on_connected_rows(bits):
     elif closed:
         with pytest.raises(NotConnected):
             md.certified_complex(range(len(rows)), np.argwhere(np.triu(D == 1)).tolist(), D)
+
+
+@st.composite
+def crossing_matrices(draw):
+    """Symmetric zero-diagonal boolean matrices of 1-24 rows, rich in twins:
+    a random graph on m groups (a looped group is a clique of closed twins,
+    an unlooped one an independent set of open twins), blown up onto the
+    rows, with up to three pairs toggled."""
+    n = draw(st.integers(1, 24))
+    m = draw(st.integers(1, n))
+    group = np.array(draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)))
+    B = np.array(draw(st.lists(st.booleans(), min_size=m * m, max_size=m * m)))
+    B = np.triu(B.reshape(m, m))
+    T = (B | B.T)[np.ix_(group, group)]
+    for u, w in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=3)):
+        T[u, w] = T[w, u] = not T[u, w]
+    np.fill_diagonal(T, False)
+    return T
+
+
+@pytest.mark.parametrize("mode", ct.REDUCED_MODES)
+@settings(max_examples=200, deadline=None)
+@given(crossing_matrices())
+def test_reduced_classes_are_the_twin_classes(mode, T):
+    """The classes partition the rows, two rows share a class iff their
+    neighbourhoods are equal (leaving the compared pair out in self-exclusive
+    mode), and T is constant on the cross pairs of any two classes."""
+    n = len(T)
+    classes = ct._reduced_classes(T, mode, range(n))
+    assert sorted(h for cls in classes for h in cls) == list(range(n))
+    label = np.empty(n, dtype=int)
+    for i, cls in enumerate(classes):
+        label[list(cls)] = i
+
+    agree = T[:, None, :] == T[None, :, :]  # agree[u, w, k]: T[u, k] == T[w, k]
+    if mode == "self-exclusive":
+        idx = np.arange(n)
+        agree[idx, :, idx] = agree[:, idx, idx] = True
+    assert ((label[:, None] == label[None, :]) == agree.all(axis=2)).all()
+
+    for A, B in combinations(classes, 2):
+        block = T[np.ix_(A, B)]
+        assert block.all() or not block.any()

@@ -396,6 +396,16 @@ def test_extension_graph_c5(x_c5_r3):
     assert cmp["isomorphic"]
 
 
+@pytest.mark.parametrize("ball", ["x_c5_r3", "x_f2_r3", "z2_r3"])
+def test_segment_classes_are_disjoint_and_labelled(ball, request):
+    """The merge keeps classes disjoint and each class carries its label."""
+    ball = request.getfixturevalue(ball)
+    classes = rg._segment_classes(ball)
+    members = [h for _, cls in classes for h in cls]
+    assert len(members) == len(set(members))
+    assert all(ball.labels[h] == g for g, cls in classes for h in cls)
+
+
 def test_extension_graph_f2(x_f2_r3):
     out = rg.extension_graph_ball(x_f2_r3.gamma, 3, ball=x_f2_r3)
     # free group: no crossings at all, and the comparison is skipped because

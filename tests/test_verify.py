@@ -8,6 +8,7 @@ import pytest
 
 from cubetact import contact as ct
 from cubetact import median as md
+from cubetact import ragroups as rg
 from cubetact import reconstruction as rc
 from cubetact import verify as vf
 from cubetact.errors import LemmaViolation
@@ -65,6 +66,44 @@ def test_kernel_checks_each_transposition(monkeypatch, u, w, witness):
     perm = {0: 0, 1: 1, 2: 2, u: w, w: u}
     monkeypatch.setattr(rc, "kernel_subgroup", lambda X: [perm])
     assert witnesses(vf.suite_kernel([("p", X)])) == [witness]
+
+
+def replace(**fields):
+    """A corruption of a construction's result: its fields, recomputed."""
+    return lambda out: dataclasses.replace(
+        out, **{k: f(out) for k, f in fields.items()})
+
+
+@pytest.mark.parametrize("corrupt, witness", [
+    (replace(phi=lambda d: {**d.phi, 0: 2, 2: 0}),
+     "phi breaks contact adjacency on (0, 4)"),
+    (replace(partition=lambda d: {**d.partition, 0: "A+"}),
+     "contact edge between halves: 0 (A+), 2 (A-)"),
+    (replace(reflection=lambda d: (("c", 1),)),
+     "reflection moves transverse hyperplane 0"),
+    (replace(broken_edge=lambda d: None),
+     "rho(phi) preserves the square at '1'; no witness found"),
+], ids=["contact", "halves", "transverse", "square"])
+def test_davis_checks_the_reflection(monkeypatch, corrupt, witness):
+    # on the P4 ball, phi moves the A+ hyperplane 5 and fixes the rest
+    real = rg.davis_phi
+    monkeypatch.setattr(rg, "davis_phi", lambda *a: corrupt(real(*a)))
+    P4 = rg.builtin_defining_graph("P4")
+    assert witnesses(vf.suite_davis(P4, 4, "a", "b")) == [witness]
+
+
+@pytest.mark.parametrize("corrupt, witness", [
+    (replace(perm=lambda t: {**t.perm, "1": "c", "c": "1"}),
+     "inverting c moves carrier vertex 1 to c"),
+    (replace(perm=lambda t: {**t.perm, "c": "d"}),
+     "not a bijection of the vertex set"),
+], ids=["carrier", "bijection"])
+def test_twist_checks_the_automorphism(monkeypatch, corrupt, witness):
+    # "1" is on the carrier of the a-hyperplane at the identity, "c" is not
+    real = rg.halfspace_twist
+    monkeypatch.setattr(rg, "halfspace_twist", lambda *a: corrupt(real(*a)))
+    C5 = rg.builtin_defining_graph("C5")
+    assert witnesses(vf.suite_twist(C5, 2, "a", "c")) == [witness]
 
 
 def test_core_does_not_check(monkeypatch):
