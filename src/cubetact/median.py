@@ -121,7 +121,9 @@ class CubeComplex:
         in increasing index order.  Built once from the adjacency sets, in
         sum-of-squared-degrees work.  Raises NotMedian at the first third
         common neighbour (a K_{2,3}; see validate_complex), so every value
-        has one or two entries.
+        has one or two entries.  The witness is the three neighbours, with
+        the vertices adjacent to all three as medians, read off the
+        adjacency sets.
         """
         if self._pairs is None:
             table = {}
@@ -130,7 +132,9 @@ class CubeComplex:
                     common = table.setdefault(pair, [])
                     common.append(c)
                     if len(common) == 3:
-                        raise _not_median(self, *common)
+                        V = self.vertices
+                        medians = set.intersection(*(self.adj[V[t]] for t in common))
+                        raise NotMedian([V[t] for t in common], medians)
             self._pairs = table
         return self._pairs
 
@@ -271,14 +275,13 @@ def _adjacency_matrix(X):
     return A
 
 
-def _not_median(X, i, j, k):
-    """NotMedian for a triple of vertex indices of X, naming all its medians:
-    the vertices on geodesics between each pair of i, j, k.  Reads only the
-    three BFS rows of i, j and k, so it serves before X._dist is set."""
-    A = _adjacency_matrix(X)
-    di, dj, dk = (_distances(A, t) for t in (i, j, k))
+def _not_median(X, triple, rows):
+    """NotMedian for a triple (i, j, k) of vertex indices of X, naming all
+    its medians: the vertices on geodesics between each pair.  rows are the
+    BFS distance rows of i, j and k."""
+    (i, j, k), (di, dj, dk) = triple, rows
     on = (di + dj == di[j]) & (dj + dk == dj[k]) & (di + dk == di[k])
-    return NotMedian([X.vertices[t] for t in (i, j, k)],
+    return NotMedian([X.vertices[t] for t in triple],
                      [X.vertices[m] for m in np.flatnonzero(on).tolist()])
 
 
@@ -356,7 +359,10 @@ def validate_complex(vertices, edges, cap=None) -> CubeComplex:
       (1) an edge ij inside one BFS layer from vertex 0: a median of
           (0, i, j) is i or j, and neither lies between 0 and the other;
       (2) three common neighbours c1, c2, c3 of a pair a, b: they are
-          pairwise at distance 2 through a, so a and b are both medians;
+          pairwise at distance 2 through a, so their medians are their
+          common neighbours, a and b among them (a median lies in each
+          I(ci, cj), which is ci, cj and their common neighbours, and is
+          no ci, as d(cj, ci) + d(ci, ck) = 4);
       (3) u, v, w breaking the quadrangle condition: a median lies in
           I(v, w), which is v, w and their common neighbours; v is not in
           I(u, w), as d(u, w) = k, nor w in I(u, v), and a common neighbour
@@ -375,12 +381,12 @@ def validate_complex(vertices, edges, cap=None) -> CubeComplex:
     if (d0 < 0).any():
         raise NotConnected("graph is not connected")
     for i, j in np.argwhere(np.triu(A) & (d0[:, None] == d0))[:1].tolist():
-        raise _not_median(X, 0, i, j)
+        raise _not_median(X, (0, i, j), (d0, _distances(A, i), _distances(A, j)))
     X.pair_table  # raises at a K_{2,3}
     X._dist = _all_distances(A)
     bad = _quadrangle_failure(X)
     if bad:
-        raise _not_median(X, *bad)
+        raise _not_median(X, bad, X._dist[list(bad)])
     return X
 
 
@@ -609,6 +615,12 @@ def _true_columns(M):
     return [cols[i:j] for i, j in zip([0] + ends, ends)]
 
 
+def _bit_columns(B):
+    """The columns of the bool matrix B, whose rows come in whole words of
+    64, as rows of uint64 words: row t of B at bit t in np.packbits order."""
+    return np.packbits(np.ascontiguousarray(B.T), axis=1).view(np.uint64)
+
+
 def _reserve(nbytes, what):
     """Raise SizeLimitExceeded, before allocating, if nbytes is over _ALLOC_LIMIT."""
     if nbytes > _ALLOC_LIMIT:
@@ -670,16 +682,30 @@ def helly_check(X: CubeComplex, family=None):
 
     Any four pairwise-intersecting sets of the family must share a vertex.
     A violating quadruple splits into two pairs whose intersections are
-    disjoint, so it is enough to compare all pairs of pairwise intersections.
-    The p intersecting pairs i < j are compared in row blocks of about
-    _CELLS cells, the rows a0 <= a < a1 with the pairs b >= a0 only, so
-    besides the p x n intersection rows one block is held at a time.
-    Returns the sorted quadruples (i, j, k, l) of family indices, as ints,
-    i < j < k < l.
+    disjoint, so it is enough to compare the p intersecting pairs i < j of
+    sets: pairs a = (I_a, J_a) and b are bad when R_a = M_{I_a} & M_{J_a}
+    and R_b share no vertex, the four cross pairs of sets intersect and the
+    four indices are distinct.
 
-    Raises SizeLimitExceeded before the intersection rows are built: when
-    the p x p comparison exceeds _ALLOC_LIMIT cells, or the rows and one
-    block exceed _ALLOC_LIMIT bytes.
+    The comparison runs on bits: pair b is bit b of a row of W = ceil(p /
+    64) uint64 words, and the bits from p on are zero.  Q[v] has bit a when
+    vertex v lies in R_a, and PM[x] has bit b when set x meets both sets of
+    pair b and is neither of them.  For a pair a,
+      - covered_a, the OR of Q[v] over v in R_a, has bit b exactly when
+        some v lies in R_a and in R_b, and
+      - PM[I_a] & PM[J_a] has bit b exactly when I_a and J_a each meet
+        I_b and J_b and neither is I_b or J_b: the four cross pairs
+        intersect, and the indices are distinct as I_a < J_a, I_b < J_b,
+    so the bits of PM[I_a] & PM[J_a] & ~covered_a are the pairs bad with a.
+    Pairs a0 <= a < a1 go in one block, whose gathered words Q[v] (one
+    np.bitwise_or.reduceat over the vertices of R) take about _CELLS bytes.
+    A block reads the words from a0 // 64 on only, since (b, a) repeats
+    (a, b), and unpacks only its rows with a set bit.  Returns the sorted
+    quadruples (i, j, k, l) of family indices, as ints, i < j < k < l.
+
+    Raises SizeLimitExceeded before R is built: when the p x p comparison
+    exceeds _ALLOC_LIMIT cells, or the arrays exceed _ALLOC_LIMIT bytes,
+    the quadruples found aside.
     """
     n = len(X.vertices)
     if family is None:
@@ -691,28 +717,39 @@ def helly_check(X: CubeComplex, family=None):
     Mf = M.astype(np.float32)
     P = Mf @ Mf.T > 0  # pairwise intersection
     I, J = np.nonzero(np.triu(P, k=1))  # the intersecting pairs i < j
-    p = len(I)
+    p, m, W = len(I), len(M), -(-len(I) // 64)
     if p * p > _ALLOC_LIMIT:
         raise SizeLimitExceeded(
             f"the Helly check of {p} pairs compares {p * p} cells, "
             f"over the limit of {_ALLOC_LIMIT}"
         )
-    # float32 R, the rows of P at I and J, and about 16 bytes per block cell
-    _reserve(p * (4 * n + 2 * len(M)) + 16 * min(p * p, max(_CELLS, p)),
+    # M, its float32 copy and P; R and PM as bool rows, each with a copy and
+    # its packed words; I, J and the row starts; one block with its temporaries
+    _reserve(5 * m * (n + m) + 144 * W * (n + m) + 64 * p + 16 * max(_CELLS, 8 * W * n),
              f"the Helly check of {p} pairs")
-    R = (M[I] & M[J]).astype(np.float32)
-    PI, PJ = P[I], P[J]
+    R = np.zeros((64 * W, n), dtype=bool)  # rows p and on stay empty
+    R[:p] = M[I]
+    R[:p] &= M[J]
+    PM = np.zeros((64 * W, m), dtype=bool)  # PM.T, before packing
+    PM[:p] = P[I]
+    PM[:p] &= P[J]
+    PM[np.arange(p), I] = PM[np.arange(p), J] = False
+    Q, PM = _bit_columns(R), _bit_columns(PM)
+    starts = np.concatenate(([0], np.cumsum(R[:p].sum(axis=1))))  # R's nonzeros before row a
     found, a0 = set(), 0
-    while a0 < p:  # no mask for b <= a: G[a, a] > 0, and (b, a) repeats (a, b)
-        a1 = min(p, a0 + max(1, _CELLS // (p - a0)))
-        Ia, Ja, Ib, Jb = I[a0:a1, None], J[a0:a1, None], I[a0:], J[a0:]
-        PIa, PJa = PI[a0:a1], PJ[a0:a1]
-        bad = R[a0:a1] @ R[a0:].T == 0
-        bad &= PIa[:, Ib] & PIa[:, Jb] & PJa[:, Ib] & PJa[:, Jb]
-        bad &= (Ia != Ib) & (Ia != Jb) & (Ja != Ib) & (Ja != Jb)
-        a, b = np.nonzero(bad)
-        quads = np.sort([I[a0 + a], J[a0 + a], I[a0 + b], J[a0 + b]], axis=0)
-        found.update(map(tuple, quads.T.tolist()))
+    while a0 < p:
+        w0, s0 = a0 // 64, starts[a0]
+        a1 = int(np.searchsorted(starts, s0 + _CELLS // (8 * (W - w0)), "right")) - 1
+        a1 = max(a0 + 1, a1)
+        v = np.nonzero(R[a0:a1])[1]
+        covered = np.bitwise_or.reduceat(Q[v, w0:], starts[a0:a1] - s0, axis=0)
+        bad = PM[I[a0:a1], w0:] & PM[J[a0:a1], w0:] & ~covered
+        rows = np.flatnonzero(bad.any(axis=1))
+        if len(rows):
+            a, t = np.nonzero(np.unpackbits(bad[rows].view(np.uint8), axis=1))
+            a, b = a0 + rows[a], 64 * w0 + t
+            quads = np.sort([I[a], J[a], I[b], J[b]], axis=0)
+            found.update(map(tuple, quads.T.tolist()))
         a0 = a1
     return sorted(found)
 

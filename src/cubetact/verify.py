@@ -183,6 +183,29 @@ def interior_roundtrip(ball, margin=2):
     return violations
 
 
+def _star_containments(gamma):
+    """The pairs (a, b) of distinct generators with St a <= St b."""
+    return [(a, b) for a in gamma.vertices for b in gamma.vertices
+            if a != b and gamma.st(a) <= gamma.st(b)]
+
+
+def _roundtrip(ball, margin):
+    """interior_roundtrip, skipped on a coxeter ball whose defining graph
+    is a cone or has a != b with St a <= St b.  The statement needs that
+    hypothesis: on such graphs the davis suite builds a contact automorphism
+    that breaks a square, so the contact graph cannot name every edge (on
+    P4 the reconstruction misses (1, a) and (1, d)).  Among the coxeter
+    balls of the 52 graphs with 1-5 vertices, interior_roundtrip fails on
+    exactly these (tests/test_verify.py)."""
+    if ball.kind == _rg.COXETER:
+        if ball.gamma.is_cone():
+            return {"skipped": "coxeter ball over a cone"}
+        pairs = _star_containments(ball.gamma)
+        if pairs:
+            return {"skipped": f"coxeter ball with St a <= St b for (a, b) in {pairs}"}
+    return interior_roundtrip(ball, margin)
+
+
 def _kernel(X):
     """Each kernel generator is a contact automorphism of order two fixing
     every maximal clique setwise."""
@@ -307,8 +330,9 @@ _TABLE = {
         "W_v ^ W_w contained in W_v ^ W_x", _criterion),
     "roundtrip": (
         "the contact graph determines the interior 1-skeleton through "
-        "maximal cliques, and rho inverts iota on interior vertices",
-        interior_roundtrip),
+        "maximal cliques, and rho inverts iota on interior vertices; for a "
+        "coxeter ball, when the defining graph is no cone and has no "
+        "St a <= St b with a != b", _roundtrip),
     "kernel": (
         "transpositions within I0 classes generate contact automorphisms "
         "of order two fixing every maximal clique", _kernel),
@@ -386,12 +410,7 @@ def suite_kernel(instances):
 
 def suite_davis(gamma, radius, a=None, b=None):
     if a is None or b is None:
-        pairs = [
-            (x, y)
-            for x in gamma.vertices
-            for y in gamma.vertices
-            if x != y and gamma.st(x) <= gamma.st(y)
-        ]
+        pairs = _star_containments(gamma)
         if not pairs:
             return _run("davis", [], violations=[
                 {"witness": "no star containment in the defining graph"}])

@@ -1,10 +1,16 @@
 """End-to-end runs of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from cubetact import cli
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -165,3 +171,14 @@ def test_verify_group_suite_keeps_its_anchor(capsys, suite, runs):
         codes.append(code)
     assert codes == [0, 1, 1]
     assert anchors == {cli._verify._TABLE[suite][0]}
+
+
+def test_python_m_cubetact_runs_the_cli():
+    """python -m cubetact works from a checkout, with PYTHONPATH=src."""
+    done = subprocess.run(
+        [sys.executable, "-m", "cubetact", "verify", "--builtin", "EDGE", "--suite", "helly"],
+        cwd=ROOT, env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["pass"] is True

@@ -326,7 +326,8 @@ def test_large_allocations_are_estimated_first(monkeypatch, family, what):
 
 def test_c5_artin_3_convexity_runs_and_helly_is_refused_up_front(x_c5_r3):
     """Local convexity holds no n^3 tensor (748 MB here); the Helly check
-    refuses the 309,280 pairs before it builds their 657 MB of rows."""
+    refuses the 309,280 pairs by their p x p comparison, before it builds
+    any row (their bool intersection rows alone take 164 MB)."""
     X = x_c5_r3.complex
     assert md.convexity_check(X) == []
     tracemalloc.start()
@@ -337,6 +338,51 @@ def test_c5_artin_3_convexity_runs_and_helly_is_refused_up_front(x_c5_r3):
     finally:
         tracemalloc.stop()
     assert peak < 50 * 2 ** 20
+
+
+@pytest.mark.parametrize("cells", [md._CELLS, 1 << 14])
+@pytest.mark.parametrize("fixture", ["y_p4_r4", "x_c5_r2"])
+def test_helly_estimate_bounds_the_traced_peak(monkeypatch, request, fixture, cells):
+    """What helly_check reserves bounds what it holds at once: 5,451 and
+    9,425 pairs, no quadruple found.  With small blocks the block's share
+    of the estimate no longer covers for the other arrays."""
+    monkeypatch.setattr(md, "_CELLS", cells)
+    X = request.getfixturevalue(fixture).complex
+    X.sides  # the hyperplanes are built outside the trace
+    asked, reserve = [], md._reserve
+    monkeypatch.setattr(md, "_reserve", lambda nbytes, what: (
+        asked.append(nbytes), reserve(nbytes, what)))
+    tracemalloc.start()
+    try:
+        assert md.helly_check(X) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(asked) == 1 and peak <= asked[0]
+
+
+def test_validation_witnesses_build_no_second_adjacency_matrix(monkeypatch):
+    """K_{2,3} and K_{3,3} are refused at the pair table, C5 on the BFS
+    layers and C6 by the quadrangle condition; each witness reads the
+    adjacency sets, validate_complex's matrix or the distances."""
+    calls, build = [], md._adjacency_matrix
+    monkeypatch.setattr(md, "_adjacency_matrix", lambda X: (calls.append(X), build(X))[1])
+    K23 = [(u, v) for u in ("u1", "u2") for v in ("v1", "v2", "v3")]
+    K33 = [(a, b) for a in ("a1", "a2", "a3") for b in ("b1", "b2", "b3")]
+    for vertices, edges, message in [
+        (["u1", "u2", "v1", "v2", "v3"], K23,
+         "triple ('v1', 'v2', 'v3') has 2 medians: ['u1', 'u2']"),
+        (["a1", "a2", "a3", "b1", "b2", "b3"], K33,
+         "triple ('a1', 'a2', 'a3') has 3 medians: ['b1', 'b2', 'b3']"),
+        (list("abcde"), list(zip("abcde", "bcdea")),
+         "triple ('a', 'c', 'd') has 0 medians: []"),
+        (list("abcdef"), list(zip("abcdef", "bcdefa")),
+         "triple ('d', 'b', 'f') has 0 medians: []"),
+    ]:
+        calls.clear()
+        with pytest.raises(NotMedian) as exc:
+            md.validate_complex(vertices, edges)
+        assert str(exc.value) == message and len(calls) <= 1
 
 
 def test_all_pairs_distances_keep_no_level():

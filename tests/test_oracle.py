@@ -863,10 +863,11 @@ def test_local_convexity_against_the_tensor():
     assert 1000 < sum(outcomes) < 4000
 
 
-@pytest.mark.parametrize("cells", [1, md._CELLS])
+@pytest.mark.parametrize("cells", [1, 64, md._CELLS])
 def test_blocked_helly_against_the_gram_matrix(monkeypatch, cells):
     """1,500 random families on random complexes and balls, blocks of one
-    row and of the default size: the same quadruples as the Gram check."""
+    row, of a few rows that end inside a word, and of the default size:
+    the same quadruples as the Gram check."""
     monkeypatch.setattr(md, "_CELLS", cells)
     rng = random.Random(11)
     grounds = [md.random_median_complex(rng.randint(2, 6), rng.randint(2, 7), s)
@@ -883,6 +884,26 @@ def test_blocked_helly_against_the_gram_matrix(monkeypatch, cells):
         assert got == reference_helly(X, sets), (t, sets)
         violated += bool(got)
     assert 300 < violated < 1200
+
+
+@pytest.mark.parametrize("cells", [1, 64, md._CELLS])
+def test_planted_helly_violations_across_words(monkeypatch, cells):
+    """Two copies of each of four pairwise-meeting 3-sets of the square with
+    no common vertex, among twelve copies of the whole square: 20 sets,
+    all 190 pairs intersecting, in three words of 64.  The 16 violating
+    quadruples split into pairs of pairs that lie in different words."""
+    monkeypatch.setattr(md, "_CELLS", cells)
+    X = md.builtin_complex("SQUARE")
+    planted = [{"00", "01", "11"}, {"01", "11", "10"}, {"11", "10", "00"}, {"10", "00", "01"}]
+    family = [set(X.vertices)] * 20
+    for t, s in enumerate(planted):
+        family[3 * t] = family[3 * t + 10] = s
+    found = md.helly_check(X, family)
+    assert found == reference_helly(X, family) and len(found) == 16
+    pair = {ij: a for a, ij in enumerate(combinations(range(20), 2))}
+    words = {(pair[i, j] // 64, pair[k, l] // 64) for i, j, k, l in found}
+    assert {0, 1, 2} <= {w for ab in words for w in ab}
+    assert any(a != b for a, b in words)
 
 
 @st.composite

@@ -129,3 +129,31 @@ def test_runner_labels_instances_and_converts_lemma_violations(monkeypatch):
     assert entry["anchor"] == "the anchor" and entry["instancesChecked"] == 2
     assert set(entry) == {"lemmaId", "anchor", "instancesChecked",
                           "violations", "seconds"}
+
+
+def test_roundtrip_hypothesis_is_exact_on_small_graphs():
+    """On the coxeter ball (radius 3, margin 2) of each of the 52 graphs
+    with 1-5 vertices, interior_roundtrip finds a violation exactly when
+    the suite skips the ball: the graph is a cone or has St a <= St b."""
+    nx = pytest.importorskip("networkx")
+    skipped = 0
+    for G in nx.graph_atlas_g()[1:53]:
+        names = "abcde"[:G.number_of_nodes()]
+        gamma = rg.DefiningGraph(names, [(names[u], names[v]) for u, v in G.edges])
+        ball = rg.build_ball(gamma, rg.COXETER, 3)
+        skip = vf._roundtrip(ball, 2)
+        violations = vf.interior_roundtrip(ball, 2)
+        assert bool(violations) == isinstance(skip, dict), sorted(G.edges)
+        skipped += isinstance(skip, dict)
+    assert skipped == 44
+
+
+@pytest.mark.parametrize("graph, reason", [
+    ("P4", "coxeter ball with St a <= St b for (a, b) in [('a', 'b'), ('d', 'c')]"),
+    ("SINGLE", "coxeter ball over a cone"),
+], ids=["P4", "SINGLE"])
+def test_roundtrip_skips_outside_its_hypothesis(graph, reason):
+    ball = rg.build_ball(rg.builtin_defining_graph(graph), rg.COXETER, 3)
+    entry = vf.suite_roundtrip([(graph, ball)])
+    assert entry["skipped"] == reason and entry["violations"] == []
+    assert "St a <= St b" in entry["anchor"]
