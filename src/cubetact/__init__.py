@@ -36,6 +36,7 @@ from .median import (
     complex_from_json,
     complex_to_dot,
     complex_to_json,
+    extremality,
     hyperplane_complex,
     hyperplane_report,
     hyperplanes_at,

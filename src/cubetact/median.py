@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import random
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -186,6 +187,12 @@ class CubeComplex:
         """K: (H, n) bool, K[h, i] iff vertices[i] lies in the carrier of h."""
         self._theta()
         return self._carriers
+
+    @property
+    def ids_at(self):
+        """W: W[i] is the frozenset of ids of the hyperplanes at vertices[i]."""
+        self._theta()
+        return self._ids_at
 
     def hyperplane(self, hid) -> Hyperplane:
         hs = self.hyperplanes
@@ -756,9 +763,7 @@ def helly_check(X: CubeComplex, family=None):
 
 def hyperplanes_at(X: CubeComplex, v):
     """The set W_v of ids of hyperplanes whose carrier contains v: column v of K."""
-    X.check_vertex(v)
-    X._theta()
-    return set(X._ids_at[X.index[v]])
+    return set(X.ids_at[X.check_vertex(v)])
 
 
 def separating(X: CubeComplex, A, B):
@@ -814,10 +819,23 @@ def is_cone(nodes, adjacency):
     return (True, apex[0]) if apex else (False, None)
 
 
+def extremality(X: CubeComplex):
+    """Whether the link of each vertex v is a cone with an apex: its nodes
+    are the edges at v (one per hyperplane at v) and its edges the squares
+    at v, at most one per pair (no K_{2,3}), so an edge is an apex iff it
+    lies in deg(v) - 1 squares at v.  Degree 1 qualifies, degree 0 does not.
+    """
+    count = Counter()
+    for a, b, c, d in X.squares:
+        count.update(((a, b), (a, d), (b, a), (b, c), (c, b), (c, d), (d, a), (d, c)))
+    return {v: any(count[v, w] == len(X.adj[v]) - 1 for w in X.adj[v])
+            for v in X.vertices}
+
+
 def is_extremal(X: CubeComplex, v):
     """Whether the link of v is a cone with an apex (so not the empty link)."""
-    lk = link_graph(X, v)
-    return is_cone(lk.nodes, lk.adjacency)[1] is not None
+    X.check_vertex(v)
+    return extremality(X)[v]
 
 
 def dual_edge_id(e):

@@ -4,6 +4,7 @@ automorphisms of the complex and automorphisms of its contact graph.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -15,7 +16,7 @@ from .errors import (
     NotAnAutomorphism,
     UnknownClique,
 )
-from .median import CubeComplex, hyperplanes_at, is_extremal
+from .median import CubeComplex, extremality
 
 DEFAULT_CLIQUE_CAP = 100_000
 
@@ -73,6 +74,7 @@ class CliqueAtlas:
     cliques: tuple  # maximal cliques of the contact graph, canonical order
     vertex_of: dict  # clique -> vertex id, only where uniquely attained
     clique_of: dict  # vertex id -> frozenset W_v
+    attained_by: dict  # frozenset W -> the vertex ids v with W_v = W
     extremal: dict  # vertex id -> bool
 
 
@@ -86,7 +88,7 @@ def clique_atlas(X: CubeComplex, F: ContactFamily = None, cap=DEFAULT_CLIQUE_CAP
     if F is None:
         F = build_contact_family(X)
     cliques = tuple(maximal_cliques(F.contact, cap=cap))
-    clique_of = {v: frozenset(hyperplanes_at(X, v)) for v in X.vertices}
+    clique_of = dict(zip(X.vertices, X.ids_at))
     attained_by = {}
     for v, s in clique_of.items():
         attained_by.setdefault(s, []).append(v)
@@ -95,8 +97,20 @@ def clique_atlas(X: CubeComplex, F: ContactFamily = None, cap=DEFAULT_CLIQUE_CAP
         for cl in cliques
         if len(attained_by.get(frozenset(cl), ())) == 1
     }
-    extremal = {v: is_extremal(X, v) for v in X.vertices}
-    return CliqueAtlas(cliques, vertex_of, clique_of, extremal)
+    return CliqueAtlas(cliques, vertex_of, clique_of, attained_by, extremality(X))
+
+
+def _joined(sets, i):
+    """The j != i such that no k outside {i, j} has S_i ∩ S_j ⊆ S_k, in order.
+
+    S_i ∩ S_j ⊆ S_k iff the cut S_i ∩ S_j lies in the cut S_i ∩ S_k, so j
+    qualifies iff its cut occurs once among the cuts of the k != i and lies
+    in no strictly larger one.  Symmetric: j qualifies for i iff i for j.
+    """
+    cuts = {k: sets[i] & s for k, s in enumerate(sets) if k != i}
+    count = Counter(cuts.values())
+    top = {c for c, t in count.items() if t == 1 and not any(c < d for d in count)}
+    return [j for j, c in cuts.items() if c in top]
 
 
 def adjacency_criterion(X: CubeComplex, v, w):
@@ -105,48 +119,26 @@ def adjacency_criterion(X: CubeComplex, v, w):
     Matches actual adjacency when hyperplanes of X have no extremal vertices;
     the direction non-adjacent => False holds unconditionally.
     """
-    X.check_vertex(v)
-    X.check_vertex(w)
+    i, j = X.check_vertex(v), X.check_vertex(w)
     if v == w:
         raise ValueError("criterion needs two distinct vertices")
-    wv = hyperplanes_at(X, v)
-    ww = hyperplanes_at(X, w)
-    inter = wv & ww
-    for x in X.vertices:
-        if x in (v, w):
-            continue
-        if inter <= (wv & hyperplanes_at(X, x)):
-            return False
-    return True
+    return j in _joined(X.ids_at, i)
 
 
 def reconstruct(contact_adjacency, cap=DEFAULT_CLIQUE_CAP):
     """Candidate 1-skeleton from a contact graph alone.
 
     Vertices are maximal cliques; cliques C1, C2 are joined unless some third
-    maximal clique C3 satisfies C1 ∩ C2 ⊆ C1 ∩ C3.  Sound only under the
-    no-extremal-vertices hypotheses; always emitted, so callers can compare on
-    interior regions or document failures.
+    maximal clique C3 satisfies C1 ∩ C2 ⊆ C1 ∩ C3 (see _joined).  Sound only
+    under the no-extremal-vertices hypotheses; always emitted, so callers can
+    compare on interior regions or document failures.
     """
     cliques = maximal_cliques(contact_adjacency, cap=cap)
     sets = [frozenset(cl) for cl in cliques]
-    edges = set()
-    for i, j in combinations(range(len(cliques)), 2):
-        inter = sets[i] & sets[j]
-        blocked = any(
-            k not in (i, j) and inter <= (sets[i] & sets[k])
-            for k in range(len(cliques))
-        )
-        if not blocked:
-            edges.add(frozenset((cliques[i], cliques[j])))
-    return {
-        "vertices": cliques,
-        "edges": edges,
-        "adjacency": {
-            cl: {next(iter(e - {cl})) for e in edges if cl in e}
-            for cl in cliques
-        },
-    }
+    adjacency = {cl: {cliques[j] for j in _joined(sets, i)}
+                 for i, cl in enumerate(cliques)}
+    edges = {frozenset((cl, other)) for cl, nb in adjacency.items() for other in nb}
+    return {"vertices": cliques, "edges": edges, "adjacency": adjacency}
 
 
 def induce_iota(X: CubeComplex, g):
@@ -197,10 +189,6 @@ def induce_rho(X: CubeComplex, phi, atlas: CliqueAtlas = None):
     """
     if atlas is None:
         atlas = clique_atlas(X)
-    attained = {}
-    for v, s in atlas.clique_of.items():
-        attained.setdefault(s, []).append(v)
-
     mapping, issues = {}, {}
     for v in X.vertices:
         s = atlas.clique_of[v]
@@ -208,10 +196,10 @@ def induce_rho(X: CubeComplex, phi, atlas: CliqueAtlas = None):
             issues[v] = "unknown"
             continue
         image = frozenset(phi[h] for h in s)
-        hits = attained.get(image, [])
+        hits = atlas.attained_by.get(image, [])
         if not hits:
             issues[v] = "unknown"
-        elif len(hits) > 1 or len(attained[s]) > 1:
+        elif len(hits) > 1 or len(atlas.attained_by[s]) > 1:
             issues[v] = "ambiguous"
         else:
             mapping[v] = hits[0]

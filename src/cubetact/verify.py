@@ -81,10 +81,10 @@ def _cliques(X):
 
 
 def _cone_links(X):
-    clique_of = {v: frozenset(_median.hyperplanes_at(X, v)) for v in X.vertices}
-    for v in X.vertices:
-        contained = any(clique_of[v] <= clique_of[w] for w in X.vertices if w != v)
-        if contained != _median.is_extremal(X, v):
+    W, extremal = X.ids_at, _median.extremality(X)
+    for i, v in enumerate(X.vertices):
+        contained = any(W[i] <= W[k] for k in range(len(W)) if k != i)
+        if contained != extremal[v]:
             yield {"vertex": str(v)}
 
 
@@ -120,9 +120,11 @@ def _iw(X):
 
 
 def _criterion(X):
-    for v, w in combinations(X.vertices, 2):
-        if w not in X.adj[v] and _rec.adjacency_criterion(X, v, w):
-            yield {"pair": [str(v), str(w)]}
+    V = X.vertices
+    for i, v in enumerate(V):
+        for j in _rec._joined(X.ids_at, i):
+            if j > i and V[j] not in X.adj[v]:
+                yield {"pair": [str(v), str(V[j])]}
 
 
 def interior_roundtrip(ball, margin=2):

@@ -44,6 +44,16 @@ a geodesic from u to v, 5 n^3 bytes), read through one np.ix_ slice per set,
 and the unblocked Gram Helly check, which holds about 10 bytes per pair of
 intersecting pairs.  Local convexity (descent and the pair table) and the
 row-blocked Helly check must give the same answers and the same lists.
+
+Blocking and extremality: the references are the original reconstruct,
+which tests every clique pair against every third clique, the original
+adjacency criterion, which tests one vertex pair against every third
+vertex, and extremality as is_cone of the link graph of each vertex.  The
+row kernel rc._joined (read by reconstruct, adjacency_criterion and the
+criterion suite) and md.extremality (a count over the squares) must give
+the same edges, pairs and flags on the builtins, random complexes, balls
+and corpus documents, and _joined must match its literal definition on
+random small set families.
 """
 
 import json
@@ -54,13 +64,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubetact import contact as ct
 from cubetact import median as md
 from cubetact import ragroups as rg
 from cubetact import reconstruction as rc
+from cubetact import verify as vf
 from cubetact.errors import NotConnected, NotMedian, SizeLimitExceeded
 
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
@@ -921,3 +932,109 @@ def test_local_convexity_property(graph_and_subset):
     the interval tensor on every vertex subset drawn."""
     X, S = graph_and_subset
     assert md.is_convex_set(X, S) == reference_is_convex(X, S, interval_tensor(X))
+
+
+def reference_reconstruct(contact):
+    """Every pair of maximal cliques against every third maximal clique."""
+    cliques = rc.maximal_cliques(contact)
+    sets = [frozenset(cl) for cl in cliques]
+    edges = set()
+    for i, j in combinations(range(len(cliques)), 2):
+        inter = sets[i] & sets[j]
+        blocked = any(
+            k not in (i, j) and inter <= (sets[i] & sets[k])
+            for k in range(len(cliques))
+        )
+        if not blocked:
+            edges.add(frozenset((cliques[i], cliques[j])))
+    return {
+        "vertices": cliques,
+        "edges": edges,
+        "adjacency": {
+            cl: {next(iter(e - {cl})) for e in edges if cl in e}
+            for cl in cliques
+        },
+    }
+
+
+def reference_criterion(X, v, w):
+    """No third vertex x has W_v ∩ W_w contained in W_v ∩ W_x."""
+    wv, ww = md.hyperplanes_at(X, v), md.hyperplanes_at(X, w)
+    inter = wv & ww
+    return not any(inter <= (wv & md.hyperplanes_at(X, x))
+                   for x in X.vertices if x not in (v, w))
+
+
+def reference_extremal(X, v):
+    lk = md.link_graph(X, v)
+    return md.is_cone(lk.nodes, lk.adjacency)[1] is not None
+
+
+def check_blocking_and_extremality(X):
+    contact = ct.build_contact_family(X).contact
+    assert rc.reconstruct(contact) == reference_reconstruct(contact)
+    V = X.vertices
+    pairs = [(v, w) for v, w in combinations(V, 2) if reference_criterion(X, v, w)]
+    rows = [(v, V[j]) for i, v in enumerate(V)
+            for j in rc._joined(X.ids_at, i) if j > i]
+    assert rows == pairs
+    assert [tuple(p["pair"]) for p in vf._criterion(X)] == [
+        (str(v), str(w)) for v, w in pairs if w not in X.adj[v]]
+    assert [w for w in V[1:] if rc.adjacency_criterion(X, V[0], w)] == [
+        w for v, w in pairs if v == V[0]]
+    assert md.extremality(X) == {v: reference_extremal(X, v) for v in V}
+    assert md.is_extremal(X, V[-1]) == reference_extremal(X, V[-1])
+
+
+@pytest.mark.parametrize("name", md.BUILTIN_COMPLEXES)
+def test_blocking_and_extremality_builtins(name):
+    check_blocking_and_extremality(md.builtin_complex(name))
+
+
+@pytest.mark.parametrize("shape, seeds", [
+    ((6, 5), range(1, 201)), ((8, 10), range(1, 40))], ids=["6-5", "8-10"])
+def test_blocking_and_extremality_random(shape, seeds):
+    for seed in seeds:
+        check_blocking_and_extremality(md.random_median_complex(*shape, seed))
+
+
+@pytest.mark.parametrize("kind, radius", [
+    (rg.COXETER, 3), (rg.COXETER, 4), (rg.ARTIN, 2)])
+@pytest.mark.parametrize("name", ["C5", "P4", "STAR_EQ5", "EDGE2", "SINGLE"])
+def test_blocking_and_extremality_balls(name, kind, radius):
+    ball = rg.build_ball(rg.builtin_defining_graph(name), kind, radius)
+    check_blocking_and_extremality(ball.complex)
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.json")), ids=lambda p: p.stem)
+def test_blocking_and_extremality_corpus(path):
+    check_blocking_and_extremality(md.complex_from_json(json.loads(path.read_text())))
+
+
+def test_blocking_and_extremality_small_coxeter_balls():
+    """The coxeter balls of radius 3 of the 52 graphs with 1-5 vertices."""
+    nx = pytest.importorskip("networkx")
+    for G in nx.graph_atlas_g()[1:53]:
+        names = "abcde"[:G.number_of_nodes()]
+        gamma = rg.DefiningGraph(names, [(names[u], names[v]) for u, v in G.edges])
+        check_blocking_and_extremality(rg.build_ball(gamma, rg.COXETER, 3).complex)
+
+
+def literal_joined(sets, i):
+    return [j for j in range(len(sets)) if j != i and not any(
+        sets[i] & sets[j] <= sets[k] for k in range(len(sets)) if k not in (i, j))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.frozensets(st.integers(0, 4), max_size=4), min_size=1, max_size=7))
+@example([frozenset()])
+@example([frozenset(), frozenset()])
+@example([frozenset({1}), frozenset()])
+@example([frozenset({1}), frozenset({1}), frozenset({1, 2})])
+@example([frozenset({1, 2}), frozenset(), frozenset({1, 2}), frozenset({3})])
+def test_joined_is_its_definition(sets):
+    """Small families, with repeated and empty sets and one or two members,
+    checked in every row; the rows are symmetric."""
+    rows = [rc._joined(sets, i) for i in range(len(sets))]
+    assert rows == [literal_joined(sets, i) for i in range(len(sets))]
+    assert all(i in rows[j] for i, row in enumerate(rows) for j in row)

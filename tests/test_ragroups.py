@@ -397,6 +397,32 @@ def test_extension_graph_c5(x_c5_r3):
 
 
 @pytest.mark.parametrize("ball", ["x_c5_r3", "x_f2_r3", "z2_r3"])
+def test_extension_graph_comparison_against_networkx(ball, request):
+    """comparison["isomorphic"] is networkx's is_isomorphic of the truncated
+    extension graph and the interior reduced crossing graph.  On F2 the
+    comparison is skipped (equal links), and the graphs are not isomorphic."""
+    nx = pytest.importorskip("networkx")
+    ball = request.getfixturevalue(ball)
+    out = rg.extension_graph_ball(ball.gamma, 3, ball=ball)
+    interior = ball.interior_hyperplanes(out["margin"])
+    cores = {cls: cls & interior for cls in out["vertices"]}
+    extension = nx.Graph()
+    extension.add_nodes_from(core for core in cores.values() if core)
+    extension.add_edges_from(tuple(cores[cls] for cls in e) for e in out["edges"])
+    classes, crossing = rg.interior_reduced_classes(ball, out["margin"])
+    reduced = nx.Graph()
+    reduced.add_nodes_from(classes)
+    reduced.add_edges_from(
+        (a, b) for a, b in combinations(classes, 2)
+        if all(u in crossing[w] for u in a for w in b))
+    isomorphic = nx.is_isomorphic(extension, reduced)
+    if "skipped" in out["comparison"]:
+        assert ball.gamma.lk("x") == ball.gamma.lk("y") and not isomorphic
+    else:
+        assert out["comparison"]["isomorphic"] == isomorphic
+
+
+@pytest.mark.parametrize("ball", ["x_c5_r3", "x_f2_r3", "z2_r3"])
 def test_segment_classes_are_disjoint_and_labelled(ball, request):
     """The merge keeps classes disjoint and each class carries its label."""
     ball = request.getfixturevalue(ball)

@@ -2,15 +2,21 @@
 the n^3 median scan, one caller of the majority round, the kernel only
 where medians may be missing, a local median certificate with one
 quadrangle check, one all-sources BFS, no interval tensor, no theorem
-check inside the computing core, and no unused import."""
+check inside the computing core, no unused import, one blocking kernel
+and one extremality count, and every function the benchmark tracer pins by
+name still public."""
 
 import ast
 import dataclasses
+import importlib
+import inspect
+import json
 from pathlib import Path
 
 import pytest
 
 import cubetact
+from cubetact import cli
 from cubetact import contact as ct
 from cubetact import median as md
 from cubetact import verify
@@ -192,3 +198,89 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(imported - used)
     assert not unused, f"{path.name} imports unused names {unused}"
+
+
+def test_one_blocking_kernel():
+    """The blocking predicate of the reconstruction and the adjacency
+    criterion is one row kernel, read by its three callers."""
+    assert users("_joined") == {
+        ("reconstruction.py", "reconstruct"),
+        ("reconstruction.py", "adjacency_criterion"),
+        ("verify.py", "_criterion"),
+    }
+
+
+def median_users(name):
+    """(file, top-level definition) pairs of src/ that call median's `name`:
+    by its bare name, or as an attribute of the median module."""
+    found = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                bare = isinstance(node, ast.Name) and node.id == name
+                attr = (isinstance(node, ast.Attribute) and node.attr == name
+                        and ast.unparse(node.value) in ("_median", "median"))
+                if bare or attr:
+                    found.add((path.name, getattr(top, "name", "<module>")))
+    return found
+
+
+def test_extremality_builds_no_link_graph():
+    """Extremality is one count over the squares.  The link graph is built
+    only by check_ball_links, which no package code calls; is_cone and
+    is_extremal stay public for callers outside the package."""
+    assert median_users("link_graph") == {("ragroups.py", "check_ball_links")}
+    assert users("check_ball_links") == set()
+    assert median_users("is_cone") == set()
+    assert median_users("is_extremal") == set()
+    assert median_users("extremality") == {
+        ("median.py", "is_extremal"), ("reconstruction.py", "clique_atlas"),
+        ("verify.py", "_cone_links")}
+
+
+def test_analyze_and_verify_reach_no_link_graph(monkeypatch, tmp_path, capsys):
+    """analyze, and the verify suites that read extremality, run with the
+    link-graph functions patched to raise."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a link graph was built")
+
+    for name in ("link_graph", "is_cone", "is_extremal"):
+        monkeypatch.setattr(md, name, unreachable)
+    doc = tmp_path / "tripod.json"
+    doc.write_text(json.dumps(md.complex_to_json(md.builtin_complex("TRIPOD"))))
+    assert cli.main(["analyze", "--in", str(doc), "--dot"]) == 0
+    assert cli.main(["verify", "--builtin", "DOMINO", "--builtin", "TRIPOD",
+                     "--graph", "C5", "--suite", "cliques", "--suite", "cone-links",
+                     "--suite", "criterion", "--suite", "roundtrip"]) == 0
+    capsys.readouterr()
+
+
+def tracer_pins():
+    """The names perfbench/tracer.py wraps by name: HOT and the hook keys."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    pins = set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Assign)
+                and ast.unparse(node.targets[0]) in ("HOT", "hooks")):
+            continue
+        value = node.value
+        if isinstance(value, ast.Call):  # HOT = frozenset({...})
+            value = value.args[0]
+        keys = value.keys if isinstance(value, ast.Dict) else value.elts
+        pins |= {ast.literal_eval(k) for k in keys}
+    return sorted(pins)
+
+
+def test_tracer_pins_public_functions():
+    """A traced benchmark run stops when a pinned name is gone, so each is
+    a public function of its cubetact module."""
+    pins = tracer_pins()
+    assert "median.link_graph" in pins and "median.validate_complex" in pins
+    for pin in pins:
+        module, _, func = pin.partition(".")
+        mod = importlib.import_module(f"cubetact.{module}")
+        fn = getattr(mod, func, None)
+        assert inspect.isfunction(fn) and not func.startswith("_"), pin
+        assert fn.__module__ == mod.__name__, pin

@@ -51,10 +51,30 @@ def test_cliques_checks_every_maximal_clique_is_a_vertex_set(monkeypatch):
 
 
 def test_cliques_checks_extremal_vertices(monkeypatch):
-    real = rc.is_extremal
-    monkeypatch.setattr(rc, "is_extremal", lambda X, v: not real(X, v))
+    real = rc.extremality
+    monkeypatch.setattr(rc, "extremality",
+                        lambda X: {v: not e for v, e in real(X).items()})
     (w,) = witnesses(vf.suite_cliques([("sq", md.builtin_complex("SQUARE"))]))
     assert w == "vertex 00: maximal-and-unique=False but extremal=False"
+
+
+def test_cone_links_checks_extremality(monkeypatch):
+    # PATH3 is the path 0 - 1 - 2 - 3; its inner vertex 1 is not extremal
+    real = md.extremality
+    monkeypatch.setattr(md, "extremality",
+                        lambda X: {**real(X), "1": not real(X)["1"]})
+    entry = vf.suite_cone_links([("p", md.builtin_complex("PATH3"))])
+    assert entry["violations"] == [{"instance": "p", "vertex": "1"}]
+
+
+def test_criterion_checks_each_row(monkeypatch):
+    # row 0 of PATH3 joins vertex 1 only; flipped, it joins the non-neighbours
+    real = rc._joined
+    monkeypatch.setattr(rc, "_joined", lambda sets, i: real(sets, i) if i else [
+        j for j in range(1, len(sets)) if j not in real(sets, 0)])
+    entry = vf.suite_criterion([("p", md.builtin_complex("PATH3"))])
+    assert entry["violations"] == [
+        {"instance": "p", "pair": ["0", "2"]}, {"instance": "p", "pair": ["0", "3"]}]
 
 
 @pytest.mark.parametrize("u, w, witness", [
