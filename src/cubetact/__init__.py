@@ -54,7 +54,6 @@ from .contact import (
     REDUCED_MODES,
     all_interaction_sets,
     build_contact_family,
-    check_crossing_automorphism,
     family_to_json,
     graph_to_dot,
     interaction,
@@ -63,7 +62,6 @@ from .contact import (
 )
 from .reconstruction import (
     CliqueAtlas,
-    GraphAutomorphism,
     adjacency_criterion,
     clique_atlas,
     induce_iota,
@@ -85,11 +83,9 @@ from .ragroups import (
     ball_to_json,
     build_ball,
     builtin_defining_graph,
-    check_ball_links,
     davis_phi,
     extension_graph_ball,
     graph_from_json,
-    graph_star_analysis,
     graph_to_json,
     halfspace_twist,
     normal_form,

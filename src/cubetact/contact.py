@@ -166,19 +166,15 @@ def all_interaction_sets(X: CubeComplex):
     return {h.id: interaction_sets(X, h.id) for h in X.hyperplanes}
 
 
-def check_crossing_automorphism(F: ContactFamily, phi):
-    from .reconstruction import verify_automorphism
-
-    verify_automorphism(F.crossing, phi)
-
-
 def pushforward_reduced(F: ContactFamily, phi):
     """Map an automorphism of the crossing graph down to the reduced graph.
 
     Well-defined because crossing automorphisms preserve the equal-neighborhood
     relation; class sizes must be permuted consistently.
     """
-    check_crossing_automorphism(F, phi)
+    from .reconstruction import verify_automorphism
+
+    verify_automorphism(F.crossing, phi)
     induced = {}
     for cid, cls in enumerate(F.classes):
         images = {F.class_of[phi[h]] for h in cls}

@@ -130,7 +130,6 @@ def graph_to_json(gamma: DefiningGraph) -> dict:
 # defining graph's vertex order.
 
 def _push(gamma, kind, sylls, g, e):
-    gamma.check_generator(g)
     if kind == COXETER:
         e = e % 2
     if e == 0:
@@ -175,26 +174,19 @@ def normal_form(gamma: DefiningGraph, kind, word):
     """
     if kind not in (ARTIN, COXETER):
         raise ValueError(f"kind must be {ARTIN!r} or {COXETER!r}")
-    sylls = []
-    for g, e in word:
-        if kind == COXETER and e % 2 == 0:
-            continue
-        step = 1 if e > 0 else -1
-        if kind == COXETER:
-            _push(gamma, kind, sylls, g, 1)
-        else:
-            for _ in range(abs(e)):
-                _push(gamma, kind, sylls, g, step)
-    return _canonicalize(gamma, sylls)
+    return nf_mult(gamma, kind, (), word)
 
 
 def nf_mult(gamma, kind, w1, w2):
+    """Normal form of w1 times w2, for a normal form w1 and any word w2."""
     sylls = list(w1)
     for g, e in w2:
-        step = 1 if e > 0 else -1
-        reps = 1 if kind == COXETER else abs(e)
-        for _ in range(reps):
-            _push(gamma, kind, sylls, g, 1 if kind == COXETER else step)
+        gamma.check_generator(g)
+        if kind == COXETER:
+            _push(gamma, kind, sylls, g, e)
+        else:
+            for _ in range(abs(e)):
+                _push(gamma, kind, sylls, g, 1 if e > 0 else -1)
     return _canonicalize(gamma, sylls)
 
 
@@ -439,62 +431,6 @@ def build_ball(gamma: DefiningGraph, kind, radius, cap=None) -> Ball:
         vid: radius - word_length(kind, w) for vid, w in vid_words.items()
     }
     return Ball(gamma, kind, radius, X, vid_words, edges, labels, depth)
-
-
-def expected_link(gamma: DefiningGraph, kind):
-    """The link every deep ball vertex must have: nodes are labelled edge
-    germs, joined when the labels commute (never a germ with its opposite).
-    """
-    if kind == COXETER:
-        nodes = {(g, 1) for g in gamma.vertices}
-    else:
-        nodes = {(g, s) for g in gamma.vertices for s in (1, -1)}
-    adjacency = {
-        frozenset((a, b))
-        for a, b in combinations(sorted(nodes), 2)
-        if a[0] != b[0] and gamma.commute(a[0], b[0])
-    }
-    return nodes, adjacency
-
-
-def check_ball_links(ball: Ball, margin=2):
-    """Deep vertices must realize the expected link over the defining graph.
-
-    Squares witnessing transversality need two extra letters, hence margin 2.
-    """
-    exp_nodes, exp_adj = expected_link(ball.gamma, ball.kind)
-    X = ball.complex
-    for v in sorted(ball.interior_vertices(margin)):
-        lk = _median.link_graph(X, v)
-        germ = {}
-        for h in lk.nodes:
-            hp = X.hyperplane(h)
-            (e,) = [e for e in hp.dual_edges if v in e]
-            (nbr,) = e - {v}
-            g = ball.edge_label[e]
-            if ball.kind == COXETER:
-                germ[h] = (g, 1)
-            else:
-                diff = nf_mult(
-                    ball.gamma, ball.kind,
-                    nf_inverse(ball.kind, ball.words[v]), ball.words[nbr],
-                )
-                if len(diff) != 1 or diff[0][0] != g:
-                    raise LemmaViolation(
-                        f"edge {v}-{nbr} labelled {g} joins words differing "
-                        f"by {format_word(diff)}"
-                    )
-                germ[h] = (g, 1 if diff[0][1] > 0 else -1)
-        if set(germ.values()) != exp_nodes:
-            raise LemmaViolation(
-                f"vertex {v}: germs {sorted(germ.values())} != expected"
-            )
-        got_adj = {
-            frozenset((germ[a], germ[b])) for e in lk.adjacency
-            for a, b in [tuple(e)]
-        }
-        if got_adj != exp_adj:
-            raise LemmaViolation(f"vertex {v}: link adjacency mismatch")
 
 
 def ball_to_json(ball: Ball) -> dict:
@@ -975,29 +911,3 @@ def syllable_shuffle(ball: Ball, sigma, apex=None) -> dict:
 
     moved = sorted(v for v, i in perm.items() if i != v)
     return {"apex": apex, "perm": perm, "moved": moved, "sigma": table}
-
-def graph_star_analysis(gamma: DefiningGraph) -> dict:
-    verts = gamma.vertices
-    containments = []
-    equal_stars = []
-    equal_links = []
-    for a in verts:
-        for b in verts:
-            if a == b:
-                continue
-            if gamma.st(a) <= gamma.st(b):
-                containments.append((a, b))
-    for a, b in combinations(verts, 2):
-        if gamma.st(a) == gamma.st(b):
-            equal_stars.append((a, b))
-        if gamma.lk(a) == gamma.lk(b):
-            equal_links.append((a, b))
-    clique, rest = gamma.join_decomposition()
-    return {
-        "star_containments": containments,
-        "equal_stars": equal_stars,
-        "equal_links": equal_links,
-        "join_clique": list(clique),
-        "join_rest": list(rest),
-        "is_cone": gamma.is_cone(),
-    }

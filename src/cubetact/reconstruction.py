@@ -21,21 +21,6 @@ from .median import CubeComplex, extremality
 DEFAULT_CLIQUE_CAP = 100_000
 
 
-@dataclass(frozen=True)
-class GraphAutomorphism:
-    """A vertex permutation certified against a graph's adjacency."""
-
-    permutation: dict
-
-    @classmethod
-    def certified(cls, adjacency, permutation):
-        verify_automorphism(adjacency, permutation)
-        return cls(dict(permutation))
-
-    def __call__(self, v):
-        return self.permutation[v]
-
-
 def verify_automorphism(adjacency, permutation):
     verts = set(adjacency)
     if set(permutation) != verts or set(permutation.values()) != verts:
@@ -117,7 +102,10 @@ def adjacency_criterion(X: CubeComplex, v, w):
     """True iff no third vertex x has W_v ∩ W_w contained in W_v ∩ W_x.
 
     Matches actual adjacency when hyperplanes of X have no extremal vertices;
-    the direction non-adjacent => False holds unconditionally.
+    the direction non-adjacent => False holds unconditionally.  Each call
+    builds a whole _joined row, the cuts of v with all n vertices; a caller
+    that needs all pairs reads the rows of _joined instead, as the
+    criterion suite of verify.py does.
     """
     i, j = X.check_vertex(v), X.check_vertex(w)
     if v == w:
@@ -148,7 +136,7 @@ def induce_iota(X: CubeComplex, g):
     defined on every hyperplane with at least one dual edge fully inside the
     domain, and consistency over all such edges is enforced.
     """
-    g = g.permutation if isinstance(g, GraphAutomorphism) else dict(g)
+    g = dict(g)
     for u in g:
         X.check_vertex(u)
         X.check_vertex(g[u])

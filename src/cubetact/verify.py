@@ -355,23 +355,29 @@ def _run(suite, instances, *args, violations=()):
     """The report entry of one suite's check over (name, instance) pairs.
 
     Violations get their instance's name, unless it is None (the group
-    suites, which check one generator pair or graph).  args follow the
-    instance in each call; violations are found before any instance.
+    suites, which check one generator pair or graph).  With several
+    instances, each skipped reason is prefixed by its instance's name and
+    the reasons are joined.  args follow the instance in each call;
+    violations are found before any instance.
     """
     anchor, check = _TABLE[suite]
     t0 = time.perf_counter()
-    violations, extra = list(violations), {}
+    violations, extra, skipped = list(violations), {}, []
     for name, instance in instances:
         label = {} if name is None else {"instance": name}
         try:
             found = check(instance, *args)
             if isinstance(found, dict):
+                if len(instances) > 1 and "skipped" in found:
+                    skipped.append(f"{name}: {found.pop('skipped')}")
                 extra.update(found)
                 continue
             for v in found:
                 violations.append({**label, **v})
         except LemmaViolation as ex:
             violations.append({**label, "witness": str(ex)})
+    if skipped:
+        extra["skipped"] = "; ".join(skipped)
     return {
         "lemmaId": suite,
         "anchor": anchor,

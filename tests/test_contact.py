@@ -6,6 +6,7 @@ import pytest
 
 from cubetact import contact as ct
 from cubetact import median as md
+from cubetact import reconstruction as rc
 from cubetact import verify as vf
 from cubetact.errors import NotAnAutomorphism
 
@@ -124,11 +125,11 @@ def test_crossing_automorphism_checks():
     F = ct.build_contact_family(X)
     ids = sorted(F.contact)
     ok = {h: h for h in ids}
-    ct.check_crossing_automorphism(F, ok)
+    rc.verify_automorphism(F.crossing, ok)
     rotate = dict(zip(ids, ids[1:] + ids[:1]))
-    ct.check_crossing_automorphism(F, rotate)  # K3 is symmetric
+    rc.verify_automorphism(F.crossing, rotate)  # K3 is symmetric
     with pytest.raises(NotAnAutomorphism):
-        ct.check_crossing_automorphism(F, {h: ids[0] for h in ids})
+        rc.verify_automorphism(F.crossing, {h: ids[0] for h in ids})
 
 
 def test_pushforward_reduced():

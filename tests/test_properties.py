@@ -54,6 +54,23 @@ def test_inverse_cancels_artin(w):
     assert rg.nf_mult(P4, rg.ARTIN, nf, inv) == ()
 
 
+def raw_words(gamma, max_len=5):
+    """Words with any exponent in -3..3, zero and even ones included."""
+    syllable = st.tuples(st.sampled_from(gamma.vertices), st.integers(-3, 3))
+    return st.lists(syllable, max_size=max_len)
+
+
+@given(st.sampled_from(rg.BUILTIN_GRAPHS), st.sampled_from([rg.COXETER, rg.ARTIN]),
+       st.data())
+def test_nf_mult_extends_normal_form(name, kind, data):
+    """Multiplying a normal form by a raw word gives the normal form of the
+    concatenated word."""
+    gamma = rg.builtin_defining_graph(name)
+    w1, w2 = data.draw(raw_words(gamma)), data.draw(raw_words(gamma))
+    product = rg.nf_mult(gamma, kind, rg.normal_form(gamma, kind, w1), w2)
+    assert product == rg.normal_form(gamma, kind, w1 + w2)
+
+
 @given(words(P4, rg.ARTIN, 4), words(P4, rg.ARTIN, 4), words(P4, rg.ARTIN, 4))
 def test_multiplication_associative(w1, w2, w3):
     a = rg.normal_form(P4, rg.ARTIN, w1)

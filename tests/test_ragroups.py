@@ -8,6 +8,7 @@ import pytest
 
 from cubetact import median as md
 from cubetact import ragroups as rg
+from cubetact import verify as vf
 from cubetact.errors import (
     BallTooSmall,
     GeneratorsAdjacent,
@@ -43,6 +44,16 @@ def test_normal_form_kind_validation():
         rg.normal_form(f2, "bogus", [])
     with pytest.raises(UnknownGenerator):
         rg.normal_form(f2, rg.ARTIN, [("z", 1)])
+
+
+def test_unknown_generator_raises_whatever_its_exponent():
+    """A syllable that reduces away is still checked: an even coxeter or a
+    zero artin exponent of an unknown generator raises."""
+    p4 = rg.builtin_defining_graph("P4")
+    with pytest.raises(UnknownGenerator):
+        rg.normal_form(p4, rg.COXETER, [("zz", 2)])
+    with pytest.raises(UnknownGenerator):
+        rg.normal_form(p4, rg.ARTIN, [("zz", 0)])
 
 
 def test_reserved_identity_name():
@@ -221,18 +232,71 @@ def test_hyperplane_labels(z2_r3):
         assert z2_r3.labels[h.id] == g
 
 
+def expected_link(gamma, kind):
+    """The link every deep ball vertex must have: nodes are labelled edge
+    germs, joined when the labels commute (never a germ with its opposite).
+    """
+    if kind == rg.COXETER:
+        nodes = {(g, 1) for g in gamma.vertices}
+    else:
+        nodes = {(g, s) for g in gamma.vertices for s in (1, -1)}
+    adjacency = {
+        frozenset((a, b))
+        for a, b in combinations(sorted(nodes), 2)
+        if a[0] != b[0] and gamma.commute(a[0], b[0])
+    }
+    return nodes, adjacency
+
+
+def check_ball_links(ball, margin=2):
+    """Deep vertices must realize the expected link over the defining graph.
+
+    Squares witnessing transversality need two extra letters, hence margin 2.
+    """
+    exp_nodes, exp_adj = expected_link(ball.gamma, ball.kind)
+    X = ball.complex
+    for v in sorted(ball.interior_vertices(margin)):
+        lk = md.link_graph(X, v)
+        germ = {}
+        for h in lk.nodes:
+            hp = X.hyperplane(h)
+            (e,) = [e for e in hp.dual_edges if v in e]
+            (nbr,) = e - {v}
+            g = ball.edge_label[e]
+            if ball.kind == rg.COXETER:
+                germ[h] = (g, 1)
+            else:
+                diff = rg.nf_mult(
+                    ball.gamma, ball.kind,
+                    rg.nf_inverse(ball.kind, ball.words[v]), ball.words[nbr],
+                )
+                assert len(diff) == 1 and diff[0][0] == g, (
+                    f"edge {v}-{nbr} labelled {g} joins words differing "
+                    f"by {rg.format_word(diff)}"
+                )
+                germ[h] = (g, 1 if diff[0][1] > 0 else -1)
+        assert set(germ.values()) == exp_nodes, (
+            f"vertex {v}: germs {sorted(germ.values())} != expected"
+        )
+        got_adj = {
+            frozenset((germ[a], germ[b])) for e in lk.adjacency
+            for a, b in [tuple(e)]
+        }
+        assert got_adj == exp_adj, f"vertex {v}: link adjacency mismatch"
+
+
 def test_expected_link_counts():
     c5 = rg.builtin_defining_graph("C5")
-    nodes, adj = rg.expected_link(c5, rg.COXETER)
+    nodes, adj = expected_link(c5, rg.COXETER)
     assert len(nodes) == 5 and len(adj) == 5
     e2 = rg.builtin_defining_graph("EDGE2")
-    nodes, adj = rg.expected_link(e2, rg.ARTIN)
+    nodes, adj = expected_link(e2, rg.ARTIN)
     assert len(nodes) == 4 and len(adj) == 4  # x-germs joined to y-germs
 
 
 def test_check_ball_links(y_c5_r3, z2_r3):
-    rg.check_ball_links(y_c5_r3)
-    rg.check_ball_links(z2_r3)
+    check_ball_links(y_c5_r3)
+    check_ball_links(z2_r3)
 
 
 def test_ball_to_json(z2_r3):
@@ -245,30 +309,42 @@ def test_ball_to_json(z2_r3):
 # ---------------------------------------------------------------------------
 # Star analysis and interaction sets
 
+def star_facts(name):
+    """Star containments, equal stars and equal links of a builtin graph,
+    from verify._star_containments and DefiningGraph.lk."""
+    gamma = rg.builtin_defining_graph(name)
+    contained = vf._star_containments(gamma)
+    equal_stars = [(a, b) for a, b in contained
+                   if gamma.order[a] < gamma.order[b] and (b, a) in contained]
+    equal_links = [(a, b) for a, b in combinations(gamma.vertices, 2)
+                   if gamma.lk(a) == gamma.lk(b)]
+    return gamma, contained, equal_stars, equal_links
+
+
 def test_graph_star_analysis_p4():
-    report = rg.graph_star_analysis(rg.builtin_defining_graph("P4"))
-    assert ("a", "b") in report["star_containments"]
-    assert ("d", "c") in report["star_containments"]
-    assert report["equal_stars"] == []
-    assert not report["is_cone"]
+    gamma, contained, equal_stars, _ = star_facts("P4")
+    assert ("a", "b") in contained
+    assert ("d", "c") in contained
+    assert equal_stars == []
+    assert not gamma.is_cone()
 
 
 def test_graph_star_analysis_c5():
-    report = rg.graph_star_analysis(rg.builtin_defining_graph("C5"))
-    assert report["star_containments"] == []
-    assert report["equal_stars"] == []
-    assert report["equal_links"] == []
+    _, contained, equal_stars, equal_links = star_facts("C5")
+    assert contained == []
+    assert equal_stars == []
+    assert equal_links == []
 
 
 def test_graph_star_analysis_star_eq5():
-    report = rg.graph_star_analysis(rg.builtin_defining_graph("STAR_EQ5"))
-    assert ("a", "b") in report["equal_stars"]
+    _, _, equal_stars, _ = star_facts("STAR_EQ5")
+    assert ("a", "b") in equal_stars
 
 
 def test_graph_star_analysis_cone():
-    report = rg.graph_star_analysis(rg.builtin_defining_graph("EDGE2"))
-    assert report["is_cone"]
-    assert report["join_rest"] == []
+    gamma, _, _, _ = star_facts("EDGE2")
+    assert gamma.is_cone()
+    assert gamma.join_decomposition()[1] == ()
 
 
 def test_star_inclusion_c5(y_c5_r3):

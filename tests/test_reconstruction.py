@@ -117,7 +117,8 @@ def test_reconstruct_domino_failure_shape():
 def test_iota_total_q3():
     X = md.builtin_complex("Q3")
     flip = {v: v[0] + v[1] + ("1" if v[2] == "0" else "0") for v in X.vertices}
-    phi = rc.induce_iota(X, rc.GraphAutomorphism.certified(X.adj, flip))
+    rc.verify_automorphism(X.adj, flip)
+    phi = rc.induce_iota(X, flip)
     # flipping the last coordinate fixes every hyperplane
     assert phi == {h.id: h.id for h in X.hyperplanes}
 

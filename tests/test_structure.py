@@ -1,16 +1,19 @@
 """Source-level guarantees: no bare asserts, one suite table, no caller of
 the n^3 median scan, one caller of the majority round, the kernel only
 where medians may be missing, a local median certificate with one
-quadrangle check, one all-sources BFS, no interval tensor, no theorem
-check inside the computing core, no unused import, one blocking kernel
-and one extremality count, and every function the benchmark tracer pins by
-name still public."""
+quadrangle check, one all-sources BFS, no interval tensor, no unused
+import, one blocking kernel and one extremality count, and every function
+the benchmark tracer pins by name still public.  Two scans cover the whole
+package: every `raise LemmaViolation` outside verify.py is one of the
+listed guards of a construction, and every public function that no package
+code calls is listed with its reason."""
 
 import ast
 import dataclasses
 import importlib
 import inspect
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -136,12 +139,40 @@ def test_no_interval_tensor_is_left():
         assert "_interval_tensor" not in text and "_itensor" not in text, path.name
 
 
-# the guards without which a construction's object is not defined, each
-# matched by a phrase of its text
+# (file, top-level definition) -> its guards: the raises of LemmaViolation
+# without which the object being built is not defined
 GUARDS = {
-    "halfspace_twist": ("changes the length",),
-    "davis_phi": ("straddles", "ill-defined"),
+    ("median.py", "certified_complex"): 1,  # the edges are the Hamming-1 pairs
+    ("ragroups.py", "median_closure"): 1,  # the named median has the majority walls
+    ("ragroups.py", "build_ball"): 2,  # one label per edge and per hyperplane
+    ("ragroups.py", "halfspace_twist"): 1,  # inverting y keeps the length
+    ("ragroups.py", "davis_phi"): 2,  # no straddling carrier, one reflection image
 }
+
+
+def lemma_raises():
+    """(file, top-level definition) -> number of `raise LemmaViolation` in
+    it, over every module of src/ but verify.py."""
+    found = Counter()
+    for path in SOURCES:
+        if path.name == "verify.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Raise):
+                    continue
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if "LemmaViolation" in (getattr(exc, "id", None), getattr(exc, "attr", None)):
+                    found[path.name, getattr(top, "name", "<module>")] += 1
+    return dict(found)
+
+
+def test_core_raises_lemma_violation_only_at_its_guards():
+    """Theorem checks live in the verify suites and the tests, not on the
+    computing path: outside verify.py, LemmaViolation is raised only by the
+    guards of a construction."""
+    assert lemma_raises() == GUARDS
 
 
 @pytest.mark.parametrize("module, func", [
@@ -155,18 +186,9 @@ GUARDS = {
     ("ragroups", "davis_phi"),
 ])
 def test_core_functions_only_compute(module, func):
-    """Theorem checks live in the verify suites, not on the computing path;
-    a construction raises LemmaViolation only at its guards."""
-    guards = GUARDS.get(func, ())
-    path = Path(cubetact.__file__).parent / f"{module}.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == func]
-    raised = [
-        node.lineno for node in ast.walk(fn)
-        if isinstance(node, ast.Raise) and "LemmaViolation" in ast.unparse(node)
-        and not any(g in ast.unparse(node) for g in guards)
-    ]
-    assert not raised, f"{module}.{func} raises LemmaViolation at lines {raised}"
+    """The same scan, read for the computing core function by function."""
+    key = (f"{module}.py", func)
+    assert lemma_raises().get(key, 0) == GUARDS.get(key, 0)
 
 
 def test_constructions_do_not_certify_themselves():
@@ -227,10 +249,10 @@ def median_users(name):
 
 
 def test_extremality_builds_no_link_graph():
-    """Extremality is one count over the squares.  The link graph is built
-    only by check_ball_links, which no package code calls; is_cone and
-    is_extremal stay public for callers outside the package."""
-    assert median_users("link_graph") == {("ragroups.py", "check_ball_links")}
+    """Extremality is one count over the squares.  No package code builds a
+    link graph; link_graph, is_cone and is_extremal stay public for callers
+    outside the package."""
+    assert median_users("link_graph") == set()
     assert users("check_ball_links") == set()
     assert median_users("is_cone") == set()
     assert median_users("is_extremal") == set()
@@ -284,3 +306,73 @@ def test_tracer_pins_public_functions():
         fn = getattr(mod, func, None)
         assert inspect.isfunction(fn) and not func.startswith("_"), pin
         assert fn.__module__ == mod.__name__, pin
+
+
+def uncalled_public_functions():
+    """(module, name) of the public module-level functions of src/ that no
+    other definition of the package names: by its bare name in its own
+    module or in one that imports it, or as an attribute of its module."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in SOURCES if path.name != "__init__.py"}
+    public = {(m, top.name) for m, tree in trees.items() for top in tree.body
+              if isinstance(top, ast.FunctionDef) and not top.name.startswith("_")}
+    called = set()
+    for m, tree in trees.items():
+        module_of, source_of = {}, {}  # local name -> module, -> (module, name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    if node.module is None:
+                        module_of[local] = alias.name
+                    else:
+                        source_of[local] = (node.module, alias.name)
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    target = source_of.get(node.id, (m, node.id))
+                elif (isinstance(node, ast.Attribute)
+                      and getattr(node.value, "id", None) in module_of):
+                    target = (module_of[node.value.id], node.attr)
+                else:
+                    continue
+                if target != (m, getattr(top, "name", None)):
+                    called.add(target)
+    return public - called
+
+
+TRACER_PIN = "pinned by name in perfbench/tracer.py"
+SUITE = "a verify suite, dispatched by name by verify.run_suites"
+UNCALLED = {
+    ("contact", "interaction"): TRACER_PIN,
+    ("median", "is_cone"): TRACER_PIN,
+    ("median", "is_convex_set"): TRACER_PIN,
+    ("median", "is_extremal"): TRACER_PIN,
+    ("median", "link_graph"): TRACER_PIN,
+    ("median", "separating"): TRACER_PIN,
+    ("ragroups", "definitional_I"): TRACER_PIN,
+    ("ragroups", "parse_word"): TRACER_PIN,
+    ("ragroups", "syllable_distance"): TRACER_PIN,
+    ("reconstruction", "adjacency_criterion"): TRACER_PIN,
+    ("reconstruction", "rho_vertex"): TRACER_PIN,
+    ("median", "median_triple_defects"):
+        "the tracer counts its spans, and tests/test_oracle.py's n^3 reference",
+    ("ragroups", "star_inclusion_I_check"): "the README example",
+    ("ragroups", "syllable_shuffle"): "acceptance criterion 10",
+    ("median", "hyperplane_complex"): "a kept construction: a hyperplane's cube complex",
+    ("contact", "pushforward_reduced"):
+        "a kept construction: a crossing automorphism on the reduced graph",
+    **{("verify", "suite_" + name.replace("-", "_")): SUITE for name in verify.SUITES},
+}
+
+
+def test_every_uncalled_public_function_has_a_reason():
+    """A public function no package code calls is dead unless it is listed
+    here with its reason; each tracer pin is in the tracer's list."""
+    assert uncalled_public_functions() == set(UNCALLED)
+    pins = set(tracer_pins())
+    for (module, func), reason in UNCALLED.items():
+        assert reason != TRACER_PIN or f"{module}.{func}" in pins, (module, func)
+    root = Path(__file__).resolve().parent.parent
+    assert "median.median_triple_defects" in (root / "perfbench" / "tracer.py").read_text()
+    assert "star_inclusion_I_check" in (root / "README.md").read_text()

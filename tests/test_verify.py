@@ -177,3 +177,15 @@ def test_roundtrip_skips_outside_its_hypothesis(graph, reason):
     entry = vf.suite_roundtrip([(graph, ball)])
     assert entry["skipped"] == reason and entry["violations"] == []
     assert "St a <= St b" in entry["anchor"]
+
+
+@pytest.mark.parametrize("order", [("P4", "C5"), ("C5", "P4")], ids=["P4-C5", "C5-P4"])
+def test_several_balls_name_each_skipped_reason(order, y_c5_r3):
+    """With several balls, the entry names the ball its skipped reason is
+    from, in either order; C5 is checked and adds no reason."""
+    balls = {"P4": rg.build_ball(rg.builtin_defining_graph("P4"), rg.COXETER, 3),
+             "C5": y_c5_r3}
+    entry = vf.suite_roundtrip([(name, balls[name]) for name in order])
+    assert entry["skipped"] == (
+        "P4: coxeter ball with St a <= St b for (a, b) in [('a', 'b'), ('d', 'c')]")
+    assert entry["violations"] == [] and entry["instancesChecked"] == 2
