@@ -28,9 +28,7 @@ from .errors import (
 )
 
 DEFAULT_VERTEX_CAP = 4096
-_PAIRS = 1024  # the majority kernel works in blocks of _PAIRS pairs by _KS rows
-_KS = 16
-_CELLS = 1 << 18  # cells per block: quadrangle, descent, convexity, Helly checks, BFS
+_CELLS = 1 << 18  # cells per block: quadrangle, convexity, Helly checks, BFS
 _ALLOC_LIMIT = 1 << 30  # bytes: a larger single allocation raises SizeLimitExceeded
 
 
@@ -355,10 +353,10 @@ def validate_complex(vertices, edges, cap=None) -> CubeComplex:
 
     Checks the three in that order: (1) on the BFS layers from vertex 0,
     which also show that the graph is connected; (2) while building
-    X.pair_table; (3) on its pairs (_quadrangle_failure), against the
-    all-pairs distances of the bit-parallel BFS _all_distances, which
-    become X._dist.  The all-pairs distances come last because their level
-    step reads every edge once per level and source block: a bipartite
+    X.pair_table; (3) on its pairs (the first of _quadrangle_failures),
+    against the all-pairs distances of the bit-parallel BFS _all_distances,
+    which become X._dist.  The all-pairs distances come last because their
+    level step reads every edge once per level and source block: a bipartite
     graph without K_{2,3} has O(n^{3/2}) edges (Kovari-Sos-Turan), so dense
     non-median input is refused by (1) or (2) before it gets there.
     Raises NotConnected, or NotMedian with a triple that has 0 or at least
@@ -391,20 +389,21 @@ def validate_complex(vertices, edges, cap=None) -> CubeComplex:
         raise _not_median(X, (0, i, j), (d0, _distances(A, i), _distances(A, j)))
     X.pair_table  # raises at a K_{2,3}
     X._dist = _all_distances(A)
-    bad = _quadrangle_failure(X)
+    bad = next(_quadrangle_failures(X), None)
     if bad:
         raise _not_median(X, bad, X._dist[list(bad)])
     return X
 
 
-def _quadrangle_failure(X: CubeComplex):
-    """The first index triple (u, v, w) of X breaking the quadrangle
-    condition, or None.
+def _quadrangle_failures(X: CubeComplex):
+    """Yield the index triples (u, v, w) of X breaking the quadrangle
+    condition: for each pair (v, w) of X.pair_table that breaks it, in
+    table order, the first u.
 
-    (v, w) is a pair of X.pair_table with d(u, v) = d(u, w) and every common
-    neighbour farther from u (in a bipartite graph they are at d(u, v) + 1,
-    none at d(u, v) - 1).  Pairs are checked against the distance rows in
-    blocks of about _CELLS cells.
+    (v, w) breaks it for u when d(u, v) = d(u, w) and every common neighbour
+    is farther from u (in a bipartite graph they are at d(u, v) + 1, none at
+    d(u, v) - 1).  Pairs are checked against the distance rows in blocks of
+    about _CELLS cells.
     """
     dist, (vw, common) = X._dist, _pair_arrays(X)
     step = max(1, _CELLS // len(dist))
@@ -412,9 +411,9 @@ def _quadrangle_failure(X: CubeComplex):
         dv, dw = dist[vw[p0:p0 + step, 0]], dist[vw[p0:p0 + step, 1]]
         c = common[p0:p0 + step]
         bad = (dv == dw) & (dist[c[:, 0]] > dv) & (dist[c[:, 1]] > dv)
-        for p, u in np.argwhere(bad)[:1].tolist():
-            return (u, *vw[p0 + p].tolist())
-    return None
+        first = bad.argmax(axis=1).tolist()
+        for p in np.flatnonzero(bad.any(axis=1)).tolist():
+            yield (first[p], *vw[p0 + p].tolist())
 
 
 def hamming_distances(rows):
@@ -425,109 +424,52 @@ def hamming_distances(rows):
     return D
 
 
-def majority_closed_locally(D):
-    """Whether a local test certifies distinct 0/1 rows with Hamming
-    distances D as closed under bitwise majority; sound, not complete.
+def _repair_quadrangles(rows, cap):
+    """Close distinct packed 0/1 rows (as np.packbits gives) under bitwise
+    majority by repairing quadrangles; the result is the closure when its
+    Hamming-1 graph G is connected, which certified_complex checks.
 
-    Let G join the rows at distance 1.  The rows are majority-closed if
-      (a) descent: for all rows u != v, some neighbour w of v in G has
-          D[u, w] = D[u, v] - 1, and
-      (b) G satisfies the quadrangle condition (see validate_complex).
-    Proof: by (a) and induction on D[u, v], G has a path from u to v of
-    length D[u, v], and none is shorter, as an edge changes the distance to
-    u by one; so G is connected with metric D.  G is bipartite (an edge
-    changes the parity of a row's weight), and two rows at distance 2 have
-    at most two common neighbours, the rows between them in the cube: no
-    K_{2,3}.  With (b), G is median (validate_complex).  The median m of
-    rows a, b, c lies on geodesics of G between each pair, which are cube
-    geodesics as G has metric D, so m agrees with two of a, b, c wherever
-    they agree: m = maj(a, b, c) is a row.  A closed set can fail (a):
-    {010, 001, 101} is closed, but 010 has no neighbour.  (a) checks every
-    u != v, equal rows included, in blocks of about _CELLS (u, directed
-    edge) cells, in the reduceat style of _nonconvex.
+    Each round adds maj(u, v, w) for every failure (u, v, w) of the
+    quadrangle condition in G with the Hamming metric D
+    (_quadrangle_failures).  As d(u, v) = d(u, w), u agrees with v in one of
+    the two coordinates where v and w differ and with w in the other, so
+    maj(u, v, w) is the common neighbour of v and w in the cube nearer to u:
+    a new row, adjacent to two rows, and the same for every u failing with
+    v, w.  So a round adds a row and keeps connected rows connected.
+
+    Lemma: if G is connected without a failure, each v != u has a neighbour
+    nearer to u.  Along a shortest path v = x_0, ..., x_L = u of G, d(u, .)
+    moves by one a step.  If it rises at x_1, then at its first local
+    maximum x_i the quadrangle condition for x_i-1, x_i+1 gives a common
+    neighbour y two steps nearer to u; swapping y in for x_i keeps a
+    shortest path and lowers the sum of the distances, so the swaps end
+    with a fall at x_1.  By induction G has metric D, so G is median
+    (validate_complex: it is bipartite, and rows at distance 2 share at
+    most the two rows between them), and the median of rows a, b, c, on
+    cube geodesics between each pair, is maj(a, b, c).  So the rows are
+    closed, and as every added row is a majority, they are the closure.
+    The lemma needs G connected: {110, 101, 011} has no edge, hence no
+    failure, and misses 111.
+
+    Returns (closed, D, witnesses): closed starts with rows, D is its
+    hamming_distances, and its row len(rows) + t is the majority of rows
+    witnesses[t] = (u, v, w).  Raises SizeLimitExceeded past cap rows.
     """
-    n = len(D)
-    x, y = np.nonzero(D == 1)  # directed edges x -> y, sorted by x
-    starts = np.flatnonzero(np.diff(x, prepend=-1))  # each vertex's first edge
-    if len(starts) < n:  # a vertex without a neighbour
-        return n < 2
-    step = max(1, _CELLS // len(x))
-    for u0 in range(0, n, step):
-        Du = D[u0:u0 + step]
-        down = np.logical_or.reduceat(Du[:, y] < Du[:, x], starts, axis=1)
-        down[np.arange(len(Du)), np.arange(u0, u0 + len(Du))] = True  # v = u
-        if not down.all():
-            return False
-    G = CubeComplex(range(n), zip(x[x < y].tolist(), y[x < y].tolist()), D)
-    return _quadrangle_failure(G) is None
-
-
-def _majority_round(rows, lo, rng):
-    """One round of majority_closure on distinct packed 0/1 rows.
-
-    Checks each triple i < j < k with k >= lo, in blocks of _PAIRS pairs
-    (i, j) by _KS rows k, on the rows as whole uint64 words.  A majority is
-    looked up by a 64-bit key and compared with the row found, so membership
-    is exact.  The key multiplies the row's 32-bit chunks by multipliers drawn
-    from rng until the keys are distinct on the rows; two rows then share a
-    key with probability at most 2**-33 per draw.  Yields
-    (row bytes, (i, j, k)) for each majority that is not a row, once per
-    block, in the order found.
-    """
-    n, width = len(rows), max(8, -(-rows.shape[1] // 8) * 8)  # bytes in whole words
-    R = np.zeros((n, width), dtype=np.uint8)
-    R[:, :rows.shape[1]] = rows
-    R, whole = R.view(np.uint64), np.dtype((np.void, width))  # a row as one item
+    witnesses = []
     while True:
-        mult = np.array([rng.getrandbits(64) for _ in range(width // 4)], np.uint64)
-        keys = R.view(np.uint32) @ mult  # wraps modulo 2**64
-        order = np.argsort(keys)
-        keys = keys[order]
-        if not (np.diff(keys) == 0).any():
-            break
-        if len(np.unique(R.view(whole))) < n:  # else two rows share a key: draw again
-            raise ValueError("majority_closure needs distinct rows")
-    starts = np.arange(n + 1) * np.arange(-1, n) // 2  # first pair (., j)
-    for p0 in range(0, int(starts[n - 1]), _PAIRS):
-        P = np.arange(p0, min(p0 + _PAIRS, int(starts[n - 1])))
-        J = np.searchsorted(starts, P, side="right") - 1
-        I = P - starts[J]
-        both, either = R[I] & R[J], R[I] | R[J]
-        for k0 in range(max(lo, int(J[0]) + 1), n, _KS):
-            K = np.arange(k0, min(k0 + _KS, n))
-            m = both | (R[K][:, None] & either)  # (k, pair, word)
-            found = R[order[np.searchsorted(keys, m.view(np.uint32) @ mult) % n]]
-            missing = np.logical_or.reduce(  # word by word: faster than any(axis=-1)
-                [found[..., w] != m[..., w] for w in range(width // 8)])
-            kk, pp = np.nonzero(missing & (J < K[:, None]))
-            _, first = np.unique(m[kk, pp].view(whole), return_index=True)
-            for t in np.sort(first).tolist():
-                yield (m[kk[t], pp[t]].view(np.uint8)[:rows.shape[1]].tobytes(),
-                       (int(I[pp[t]]), int(J[pp[t]]), int(K[kk[t]])))
-
-
-def majority_closure(rows, cap):
-    """Close distinct packed 0/1 rows (as np.packbits gives) under bitwise majority.
-
-    Each round (_majority_round) takes the k added in the round before, every
-    k at first.  Returns (closed, witnesses): closed starts with rows, and its
-    row len(rows) + t is the majority of rows witnesses[t] = (i, j, k).
-    Raises SizeLimitExceeded past cap rows.
-    """
-    witnesses, lo, rng = [], 0, random.Random(0)
-    while lo < len(rows):
-        n = len(rows)
-        if n > cap:
-            raise SizeLimitExceeded(f"majority closure exceeds {cap} vertices")
+        D = hamming_distances(rows)
+        G = CubeComplex(range(len(rows)), np.argwhere(np.triu(D == 1)).tolist(), D)
         new = {}  # row bytes -> witness
-        for row, triple in _majority_round(rows, lo, rng):
-            new.setdefault(row, triple)
-            if n + len(new) > cap:
-                raise SizeLimitExceeded(f"majority closure exceeds {cap} vertices")
+        for u, v, w in _quadrangle_failures(G):
+            maj = (rows[u] & rows[v]) | (rows[w] & (rows[u] | rows[v]))
+            new.setdefault(maj.tobytes(), (u, v, w))
+        if not new:
+            return rows, D, witnesses
+        if len(rows) + len(new) > cap:
+            raise SizeLimitExceeded(f"majority closure exceeds {cap} vertices")
         added = np.frombuffer(b"".join(new), np.uint8).reshape(len(new), rows.shape[1])
-        rows, lo = np.vstack([rows, added]), n
+        rows = np.vstack([rows, added])
         witnesses += new.values()
-    return rows, witnesses
 
 
 def certified_complex(vertices, edges, dist) -> CubeComplex:
@@ -544,6 +486,9 @@ def certified_complex(vertices, edges, dist) -> CubeComplex:
     d(u, v), and none is shorter.  So maj(a, b, c) lies on geodesics between
     each pair of a, b, c, and any vertex that does agrees with it in every
     coordinate: medians exist and are unique.
+
+    The rows come closed from random_median_complex's projections, or from
+    build_ball's _repair_quadrangles if connected, as checked here.
     """
     X = CubeComplex(vertices, edges, dist)
     ones = {
@@ -860,12 +805,35 @@ def hyperplane_complex(X: CubeComplex, hid) -> CubeComplex:
     return validate_complex(sorted(dual_edge_id(e) for e in h.dual_edges), edges)
 
 
+def _projection_closure(codes, dim):
+    """The majority closure of distinct dim-bit codes: the sorted codes x
+    with (x_i, x_j) in {(s_i, s_j) : s in codes} for all i, j (Baker and
+    Pixley 1975; the bijunctive relations of Schaefer 1978).
+
+    Proof.  A binary Boolean relation is majority-closed (the majority of
+    three pairs agrees in each coordinate with two of them, and two such
+    twos share a pair), so the closure C keeps the codes' projections.  If
+    x has them, x agrees with a point of C on any k coordinates, by
+    induction: for k >= 3 and three of them, i1, i2, i3, the majority of
+    points of C agreeing with x on all k but i1, i2, i3 in turn agrees with
+    x on all k.  All 2^dim codes are tested, in (2^dim, dim, dim) cells.
+    """
+    cube = np.arange(2 ** dim)[:, None] >> np.arange(dim)[::-1] & 1  # [x, i]: x_i, top first
+    pairs = 2 * cube[:, :, None] + cube[:, None, :]  # [x, i, j]: (x_i, x_j) as 0..3
+    I, J = np.indices((dim, dim))
+    seen = np.zeros((4, dim, dim), dtype=bool)
+    seen[pairs[codes], I, J] = True
+    return np.flatnonzero(seen[pairs, I, J].all(axis=(1, 2)))
+
+
 def random_median_complex(ambient_dim, seed_count, rng_seed, cap=None) -> CubeComplex:
     """Majority closure of random 0/1-vectors inside the hypercube.
 
-    A closed set can still be disconnected (two antipodal seeds, say): then
-    the closest pair between the first two components, in string order, is
-    bridged by a bit-flip path and closed again.  Deterministic per rng_seed.
+    The codes close in one step (_projection_closure; the bound of 12 also
+    bounds its 2^ambient_dim table).  A closed set can still be disconnected
+    (two antipodal seeds, say): then the closest pair between the first two
+    components, in string order, is bridged by a bit-flip path and closed
+    again.  Deterministic per rng_seed.
     """
     if not 1 <= ambient_dim <= 12:
         raise ValueError(f"ambient_dim must be in 1..12, got {ambient_dim}")
@@ -881,9 +849,9 @@ def random_median_complex(ambient_dim, seed_count, rng_seed, cap=None) -> CubeCo
     weights = 1 << np.arange(ambient_dim)[::-1]  # codes sort like the strings
     codes = np.unique([int("".join(map(str, p)), 2) for p in points])
     while True:
-        rows = np.packbits((codes[:, None] & weights) > 0, axis=1)
-        rows = majority_closure(rows, cap)[0]
-        codes = np.unique(np.unpackbits(rows, axis=1, count=ambient_dim) @ weights)
+        codes = _projection_closure(codes, ambient_dim)
+        if len(codes) > cap:
+            raise SizeLimitExceeded(f"majority closure exceeds {cap} vertices")
         D = np.bitwise_count(codes[:, None] ^ codes).astype(np.int32)
         c0 = _distances(D == 1, 0) >= 0
         if c0.all():

@@ -172,13 +172,13 @@ def normal_form(gamma: DefiningGraph, kind, word):
 
     Two words represent the same group element iff their normal forms agree.
     """
-    if kind not in (ARTIN, COXETER):
-        raise ValueError(f"kind must be {ARTIN!r} or {COXETER!r}")
     return nf_mult(gamma, kind, (), word)
 
 
 def nf_mult(gamma, kind, w1, w2):
     """Normal form of w1 times w2, for a normal form w1 and any word w2."""
+    if kind not in (ARTIN, COXETER):
+        raise ValueError(f"kind must be {ARTIN!r} or {COXETER!r}")
     sylls = list(w1)
     for g, e in w2:
         gamma.check_generator(g)
@@ -282,12 +282,10 @@ def median_closure(gamma, kind, elements, cap):
     Word-metric balls need not be median-closed (commuting clusters push
     medians past the radius).  An element's row marks the walls separating
     it from 1, so ambient distance is Hamming distance and the median is
-    majority.  median.majority_closed_locally certifies rows that miss no
-    majority; only when it fails does median.majority_closure close the
-    rows, and ambient_median names each new row from its witness triple.
-    Elements that form a connected subgraph, as a ball does, fail the test
-    only when a majority is missing.  Returns (elements, D): the closure in
-    (length, format) order and its ambient distance matrix.
+    majority.  median._repair_quadrangles closes the rows, connected in a
+    ball, and ambient_median names each new row from its witness triple.
+    Returns (elements, D): the closure in (length, format) order and its
+    ambient distance matrix.
     """
     def shortlex(w):
         return word_length(kind, w), format_word(w)
@@ -299,20 +297,16 @@ def median_closure(gamma, kind, elements, cap):
     rows = np.zeros((len(elems), len(column)), dtype=bool)
     for i, cols in enumerate(walls):
         rows[i, cols] = True
-    rows = np.packbits(rows, axis=1)
-    D = _median.hamming_distances(rows)
-    if not _median.majority_closed_locally(D):
-        rows, witnesses = _median.majority_closure(rows, cap)
-        for row, triple in zip(rows[len(elems):], witnesses):
-            m = ambient_median(gamma, kind, *(elems[i] for i in triple))
-            cols = sorted(column.get(k, -1) for k in _walls(gamma, m))
-            if cols != np.flatnonzero(np.unpackbits(row, count=len(column))).tolist():
-                raise LemmaViolation(
-                    f"median {format_word(m)} of {[format_word(elems[i]) for i in triple]} "
-                    f"does not have the majority of their walls"
-                )
-            elems.append(m)
-        D = _median.hamming_distances(rows)
+    rows, D, witnesses = _median._repair_quadrangles(np.packbits(rows, axis=1), cap)
+    for row, triple in zip(rows[len(elems):], witnesses):
+        m = ambient_median(gamma, kind, *(elems[i] for i in triple))
+        cols = sorted(column.get(k, -1) for k in _walls(gamma, m))
+        if cols != np.flatnonzero(np.unpackbits(row, count=len(column))).tolist():
+            raise LemmaViolation(
+                f"median {format_word(m)} of {[format_word(elems[i]) for i in triple]} "
+                f"does not have the majority of their walls"
+            )
+        elems.append(m)
     order = sorted(range(len(elems)), key=lambda i: shortlex(elems[i]))
     return [elems[i] for i in order], D[np.ix_(order, order)]
 
@@ -370,13 +364,10 @@ def _letters(gamma, kind):
 def build_ball(gamma: DefiningGraph, kind, radius, cap=None) -> Ball:
     """BFS over normal forms up to the given word length, median-closed.
 
-    median_closure adds the missing medians, with the majority kernel only
-    when the local test finds one missing.  The complex is certified by
+    median_closure adds the missing medians.  The complex is certified by
     median.certified_complex; hyperplane labels are checked to be
     well-defined.
     """
-    if kind not in (ARTIN, COXETER):
-        raise ValueError(f"kind must be {ARTIN!r} or {COXETER!r}")
     if radius < 1:
         raise ValueError("radius must be >= 1")
     if cap is None:

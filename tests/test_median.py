@@ -211,6 +211,8 @@ def test_random_median_complex_bad_args():
         md.random_median_complex(0, 5, 1)
     with pytest.raises(ValueError):
         md.random_median_complex(6, 0, 1)
+    with pytest.raises(ValueError, match="1..12"):  # also bounds the 2^dim closure table
+        md.random_median_complex(13, 5, 1)
 
 
 def packed(*strings):
@@ -234,29 +236,9 @@ def test_certified_complex_needs_connected_rows():
         md.certified_complex(["00", "11"], [], md.hamming_distances(packed("00", "11")))
 
 
-def test_majority_closure_cap():
-    rows = packed("110", "101", "011")  # their majority 111 is new
-    closed, witnesses = md.majority_closure(rows, 4)
-    assert closed.tolist() == packed("110", "101", "011", "111").tolist()
-    assert witnesses == [(0, 1, 2)]
-    with pytest.raises(SizeLimitExceeded):
-        md.majority_closure(rows, 3)
-    with pytest.raises(SizeLimitExceeded):
+def test_random_median_complex_cap():
+    with pytest.raises(SizeLimitExceeded, match="majority closure exceeds 3"):
         md.random_median_complex(6, 5, 1, cap=3)
-    with pytest.raises(ValueError, match="distinct"):
-        md.majority_closure(packed("110", "101", "110"), 4)
-
-
-def test_majority_keys_separate_rows_differing_in_top_bits():
-    """Columns 56 and 120 are the top bits of the two 64-bit words (packbits
-    order, little-endian).  A key that multiplies whole words by odd
-    multipliers gives rows differing only there equal keys on every draw."""
-    bits = np.zeros((3, 128), dtype=bool)
-    bits[1, [56, 120]] = True
-    bits[2, 0] = True  # the majority of the three rows is row 0
-    rows = np.packbits(bits, axis=1)
-    closed, witnesses = md.majority_closure(rows, 3)
-    assert closed.tolist() == rows.tolist() and witnesses == []
 
 
 def test_json_roundtrip():

@@ -11,8 +11,15 @@ on the builtins, random complexes and the session balls.
 Instances: the references are the tuple-majority random generator and the
 ball closure that rebuilds the word-metric distance matrix with nf_mult and
 adds the ambient median of every defect triple of the n^3 median scan.  The
-wall-row majority kernel and the certified constructor must give the same
-complexes.
+projection closure of the generator, the quadrangle repair of the balls and
+the certified constructor must give the same complexes.
+
+Closures: the reference is the wall-row majority kernel (majority_closure,
+below), which closes packed 0/1 rows round by round over every triple.  The
+projection closure (md._projection_closure) must give its closure on every
+row set; the quadrangle repair (md._repair_quadrangles) must give it on
+every row set whose Hamming-1 graph is connected, and {110, 101, 011}, with
+no edge, shows that it needs that.
 
 Squares and links: the reference squares come from a triple loop over each
 vertex and two of its neighbours, and the reference link of v from the
@@ -21,13 +28,11 @@ order, and the same links.
 
 Certificate: the references are the n^3 median scan, md.median_triple_defects,
 and the earlier certificate: the Djokovic-Winkler sides embed the graph
-isometrically in a cube and one majority round adds no row.  validate_complex
-(bipartite layers, then the pair table's K_{2,3} and quadrangle checks) must
-accept exactly the connected graphs that they accept, and name a triple whose
-median count, found by brute force, is not one.  The local closure test of
-0/1 rows (md.majority_closed_locally) must never pass a set that the majority
-kernel grows, and must pass every closed set whose Hamming-1 graph is
-connected.
+isometrically in a cube and one round of the majority kernel adds no row.
+validate_complex (bipartite layers, then the pair table's K_{2,3} and
+quadrangle checks) must accept exactly the connected graphs that they
+accept, and name a triple whose median count, found by brute force, is not
+one.
 
 Distances: the reference is a Python BFS from each source.  The bit-parallel
 all-sources BFS (md._all_distances) must give the same matrix, in one source
@@ -460,7 +465,7 @@ def test_majority_kernel_against_tuple_closure(seed):
     new row the majority of earlier rows, its witnesses."""
     rng = np.random.default_rng(seed)
     bits = np.unique(rng.integers(0, 2, (4, 70)).astype(bool), axis=0)
-    closed, witnesses = md.majority_closure(np.packbits(bits, axis=1), md.vertex_cap())
+    closed, witnesses = majority_closure(np.packbits(bits, axis=1), md.vertex_cap())
     got = np.unpackbits(closed, axis=1, count=70).astype(bool)
     assert np.array_equal(got[:len(bits)], bits)
     for t, (i, j, k) in enumerate(witnesses):
@@ -567,7 +572,7 @@ def reference_accepts(vertices, edges):
     rows = np.packbits(np.array(sorted(sides), dtype=bool).reshape(-1, len(D)).T, axis=1)
     if not np.array_equal(md.hamming_distances(rows), D):
         return False
-    return next(md._majority_round(rows, 0, random.Random(0)), None) is None
+    return next(_majority_round(rows, 0, random.Random(0)), None) is None
 
 
 def test_validate_complex_against_the_majority_round():
@@ -675,6 +680,150 @@ def test_all_distances_against_bfs(monkeypatch, cells):
         assert np.array_equal(D, bfs_distances(vertices, edges)), vertices[:3]
 
 
+_PAIRS = 1024  # the majority kernel works in blocks of _PAIRS pairs by _KS rows
+_KS = 16
+
+
+def _majority_round(rows, lo, rng):
+    """One round of majority_closure on distinct packed 0/1 rows.
+
+    Checks each triple i < j < k with k >= lo, in blocks of _PAIRS pairs
+    (i, j) by _KS rows k, on the rows as whole uint64 words.  A majority is
+    looked up by a 64-bit key and compared with the row found, so membership
+    is exact.  The key multiplies the row's 32-bit chunks by multipliers drawn
+    from rng until the keys are distinct on the rows; two rows then share a
+    key with probability at most 2**-33 per draw.  Yields
+    (row bytes, (i, j, k)) for each majority that is not a row, once per
+    block, in the order found.
+    """
+    n, width = len(rows), max(8, -(-rows.shape[1] // 8) * 8)  # bytes in whole words
+    R = np.zeros((n, width), dtype=np.uint8)
+    R[:, :rows.shape[1]] = rows
+    R, whole = R.view(np.uint64), np.dtype((np.void, width))  # a row as one item
+    while True:
+        mult = np.array([rng.getrandbits(64) for _ in range(width // 4)], np.uint64)
+        keys = R.view(np.uint32) @ mult  # wraps modulo 2**64
+        order = np.argsort(keys)
+        keys = keys[order]
+        if not (np.diff(keys) == 0).any():
+            break
+        if len(np.unique(R.view(whole))) < n:  # else two rows share a key: draw again
+            raise ValueError("majority_closure needs distinct rows")
+    starts = np.arange(n + 1) * np.arange(-1, n) // 2  # first pair (., j)
+    for p0 in range(0, int(starts[n - 1]), _PAIRS):
+        P = np.arange(p0, min(p0 + _PAIRS, int(starts[n - 1])))
+        J = np.searchsorted(starts, P, side="right") - 1
+        I = P - starts[J]
+        both, either = R[I] & R[J], R[I] | R[J]
+        for k0 in range(max(lo, int(J[0]) + 1), n, _KS):
+            K = np.arange(k0, min(k0 + _KS, n))
+            m = both | (R[K][:, None] & either)  # (k, pair, word)
+            found = R[order[np.searchsorted(keys, m.view(np.uint32) @ mult) % n]]
+            missing = np.logical_or.reduce(  # word by word: faster than any(axis=-1)
+                [found[..., w] != m[..., w] for w in range(width // 8)])
+            kk, pp = np.nonzero(missing & (J < K[:, None]))
+            _, first = np.unique(m[kk, pp].view(whole), return_index=True)
+            for t in np.sort(first).tolist():
+                yield (m[kk[t], pp[t]].view(np.uint8)[:rows.shape[1]].tobytes(),
+                       (int(I[pp[t]]), int(J[pp[t]]), int(K[kk[t]])))
+
+
+def majority_closure(rows, cap):
+    """Close distinct packed 0/1 rows (as np.packbits gives) under bitwise majority.
+
+    Each round (_majority_round) takes the k added in the round before, every
+    k at first.  Returns (closed, witnesses): closed starts with rows, and its
+    row len(rows) + t is the majority of rows witnesses[t] = (i, j, k).
+    Raises SizeLimitExceeded past cap rows.
+    """
+    witnesses, lo, rng = [], 0, random.Random(0)
+    while lo < len(rows):
+        n = len(rows)
+        if n > cap:
+            raise SizeLimitExceeded(f"majority closure exceeds {cap} vertices")
+        new = {}  # row bytes -> witness
+        for row, triple in _majority_round(rows, lo, rng):
+            new.setdefault(row, triple)
+            if n + len(new) > cap:
+                raise SizeLimitExceeded(f"majority closure exceeds {cap} vertices")
+        added = np.frombuffer(b"".join(new), np.uint8).reshape(len(new), rows.shape[1])
+        rows, lo = np.vstack([rows, added]), n
+        witnesses += new.values()
+    return rows, witnesses
+
+
+def packed(*strings):
+    return np.packbits(np.array([[c == "1" for c in s] for s in strings]), axis=1)
+
+
+def test_majority_closure_cap():
+    rows = packed("110", "101", "011")  # their majority 111 is new
+    closed, witnesses = majority_closure(rows, 4)
+    assert closed.tolist() == packed("110", "101", "011", "111").tolist()
+    assert witnesses == [(0, 1, 2)]
+    with pytest.raises(SizeLimitExceeded):
+        majority_closure(rows, 3)
+    with pytest.raises(ValueError, match="distinct"):
+        majority_closure(packed("110", "101", "110"), 4)
+
+
+def test_majority_keys_separate_rows_differing_in_top_bits():
+    """Columns 56 and 120 are the top bits of the two 64-bit words (packbits
+    order, little-endian).  A key that multiplies whole words by odd
+    multipliers gives rows differing only there equal keys on every draw."""
+    bits = np.zeros((3, 128), dtype=bool)
+    bits[1, [56, 120]] = True
+    bits[2, 0] = True  # the majority of the three rows is row 0
+    rows = np.packbits(bits, axis=1)
+    closed, witnesses = majority_closure(rows, 3)
+    assert closed.tolist() == rows.tolist() and witnesses == []
+
+
+def connected_rows(rows):
+    """Whether the Hamming-1 graph of the packed rows is connected."""
+    A = md.hamming_distances(rows) == 1
+    seen = np.arange(len(A)) == 0
+    while (grown := seen | A[seen].any(axis=0)).sum() > seen.sum():
+        seen = grown
+    return bool(seen.all())
+
+
+def kernel_closed(rows):
+    """Whether the kernel adds no row: capped at len(rows), it raises at its
+    first new row."""
+    try:
+        majority_closure(rows, len(rows))
+    except SizeLimitExceeded:
+        return False
+    return True
+
+
+def check_repair(bits):
+    """md._repair_quadrangles against the kernel.  Each added row is the
+    majority of its witnesses, so the rows returned lie in the kernel's
+    closure; they are that closure when they are connected (always so on
+    connected input): the kernel adds nothing to them, or they are the
+    whole cube, where the kernel is slow.  Rows left disconnected are
+    refused by certified_complex.  Returns (connected, closed) for the
+    input rows."""
+    rows = np.packbits(bits, axis=1)
+    repaired, D, witnesses = md._repair_quadrangles(rows, 2 ** bits.shape[1])
+    assert np.array_equal(repaired[:len(rows)], rows)
+    for t, (u, v, w) in enumerate(witnesses):
+        assert max(u, v, w) < len(rows) + t
+        maj = (repaired[u] & repaired[v]) | (repaired[w] & (repaired[u] | repaired[v]))
+        assert np.array_equal(repaired[len(rows) + t], maj)
+    assert np.array_equal(D, md.hamming_distances(repaired))
+    connected = connected_rows(rows)
+    if connected_rows(repaired):
+        assert len(repaired) == 2 ** bits.shape[1] or kernel_closed(repaired), bits.astype(int)
+    else:
+        assert not connected
+        with pytest.raises(NotConnected):
+            md.certified_complex(range(len(repaired)), np.argwhere(np.triu(D == 1)).tolist(), D)
+    return connected, kernel_closed(rows)
+
+
 def random_row_sets(count, seed):
     """Distinct 0/1 row sets of 2-8 columns and at most 40 rows, in turn:
     random subsets of the cube, sets grown one Hamming neighbour at a time
@@ -693,7 +842,7 @@ def random_row_sets(count, seed):
         else:
             cols = min(cols, 5)
             seeds = np.unique(rng.integers(0, 2, (int(rng.integers(1, 5)), cols)), axis=0)
-            bits = np.unpackbits(md.majority_closure(np.packbits(seeds, axis=1), 32)[0],
+            bits = np.unpackbits(majority_closure(np.packbits(seeds, axis=1), 32)[0],
                                  axis=1, count=cols)
             codes = set((bits @ (1 << np.arange(cols))).tolist())
             for _ in range(int(rng.integers(0, 3))):
@@ -703,32 +852,52 @@ def random_row_sets(count, seed):
         yield (codes[:, None] >> np.arange(cols) & 1).astype(bool)
 
 
-def check_local_closure(bits):
-    """md.majority_closed_locally against the kernel: it never passes a set
-    the kernel grows, and on a connected Hamming-1 graph it passes exactly
-    the closed sets.  Returns (connected, closed)."""
-    rows = np.packbits(bits, axis=1)
-    D = md.hamming_distances(rows)
-    passed = md.majority_closed_locally(D)
-    try:  # capped at len(rows), the kernel raises at its first new row
-        md.majority_closure(rows, len(rows))
-        closed = True
-    except SizeLimitExceeded:
-        closed = False
-    edges = np.argwhere(np.triu(D == 1)).tolist()
-    connected = (bfs_distances(list(range(len(rows))), edges) >= 0).all()
-    assert closed or not passed, bits.astype(int)
-    if connected:
-        assert passed == closed, bits.astype(int)
-    return bool(connected), closed
-
-
 def test_local_closure_against_the_kernel():
-    """Each (connected, closed) outcome occurs more than 50 times, closed
-    disconnected sets, which the test may reject, included."""
-    outcomes = [check_local_closure(bits) for bits in random_row_sets(1500, seed=6)]
+    """The quadrangle repair on 1,500 row sets; each (connected, closed)
+    outcome occurs more than 50 times, closed disconnected sets included."""
+    outcomes = [check_repair(bits) for bits in random_row_sets(1500, seed=6)]
     assert all(outcomes.count(kind) > 50
                for kind in [(True, True), (True, False), (False, True), (False, False)])
+
+
+def test_repair_needs_connected_rows():
+    """{110, 101, 011} has no Hamming-1 edge, so no quadrangle fails and the
+    repair adds nothing, though their majority 111 is missing;
+    certified_complex refuses the rows as not connected."""
+    rows = packed("110", "101", "011")
+    repaired, D, witnesses = md._repair_quadrangles(rows, 8)
+    assert repaired.tolist() == rows.tolist() and witnesses == []
+    assert len(majority_closure(rows, 8)[0]) == 4
+    with pytest.raises(NotConnected):
+        md.certified_complex(["110", "101", "011"], [], D)
+
+
+@st.composite
+def row_sets(draw):
+    """Distinct 0/1 rows of 1-8 columns, at most 20 of them."""
+    cols = draw(st.integers(1, 8))
+    codes = draw(st.lists(st.integers(0, 2 ** cols - 1), min_size=1, max_size=20, unique=True))
+    return (np.array(codes)[:, None] >> np.arange(cols) & 1).astype(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_sets())
+def test_projection_closure_is_the_kernel_closure(bits):
+    """The codes whose pairwise projections are those of the rows are the
+    kernel's closure, on any rows, connected or not."""
+    cols = bits.shape[1]
+    weights = 1 << np.arange(cols)[::-1]  # column 0 is the top bit
+    closure = majority_closure(np.packbits(bits, axis=1), 2 ** cols)[0]
+    expected = np.sort(np.unpackbits(closure, axis=1, count=cols) @ weights)
+    np.testing.assert_array_equal(md._projection_closure(bits @ weights, cols), expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_sets())
+def test_local_closure_test_is_sound_and_complete_on_connected_rows(bits):
+    """The repair stops, with no quadrangle failure left, at the kernel's
+    closure whenever its rows are connected (see check_repair)."""
+    check_repair(bits)
 
 
 def interval_tensor(X):

@@ -1,5 +1,5 @@
-"""Property-based invariants for normal forms, random instances, the
-local majority-closure test and the reduced (twin) classes."""
+"""Property-based invariants for normal forms, random instances and the
+reduced (twin) classes; the closures' properties are in test_oracle.py."""
 
 from itertools import combinations
 
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from cubetact import contact as ct
 from cubetact import median as md
 from cubetact import ragroups as rg
-from cubetact.errors import NotConnected, SizeLimitExceeded
 
 C5 = rg.builtin_defining_graph("C5")
 P4 = rg.builtin_defining_graph("P4")
@@ -124,33 +123,6 @@ def test_random_instance_medians_unique(seed):
             and X.d(a, v) + X.d(v, c) == X.d(a, c)
         )
         assert count == 1
-
-
-@st.composite
-def row_sets(draw):
-    """Distinct 0/1 rows of 2-6 columns, at most 20 of them."""
-    cols = draw(st.integers(2, 6))
-    codes = draw(st.lists(st.integers(0, 2 ** cols - 1), min_size=1, max_size=20, unique=True))
-    return (np.array(codes)[:, None] >> np.arange(cols) & 1).astype(bool)
-
-
-@settings(max_examples=200, deadline=None)
-@given(row_sets())
-def test_local_closure_test_is_sound_and_complete_on_connected_rows(bits):
-    """majority_closed_locally passes no set that the kernel grows, and every
-    closed set whose Hamming-1 graph is connected."""
-    rows = np.packbits(bits, axis=1)
-    D = md.hamming_distances(rows)
-    try:  # capped at len(rows), the kernel raises at its first new row
-        md.majority_closure(rows, len(rows))
-        closed = True
-    except SizeLimitExceeded:
-        closed = False
-    if md.majority_closed_locally(D):
-        assert closed
-    elif closed:
-        with pytest.raises(NotConnected):
-            md.certified_complex(range(len(rows)), np.argwhere(np.triu(D == 1)).tolist(), D)
 
 
 @st.composite

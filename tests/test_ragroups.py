@@ -46,6 +46,20 @@ def test_normal_form_kind_validation():
         rg.normal_form(f2, rg.ARTIN, [("z", 1)])
 
 
+@pytest.mark.parametrize("kind", ["bogus", "Coxeter"])
+def test_products_and_medians_check_the_kind(kind):
+    """nf_mult refuses a kind that is neither artin nor coxeter, with
+    normal_form's text, and ambient_median and build_ball, which multiply,
+    inherit it."""
+    p4 = rg.builtin_defining_graph("P4")
+    with pytest.raises(ValueError, match="kind must be"):
+        rg.nf_mult(p4, kind, (), (("a", 1),))
+    with pytest.raises(ValueError, match="kind must be"):
+        rg.ambient_median(p4, kind, (), (("a", 1),), (("b", 1),))
+    with pytest.raises(ValueError, match="kind must be"):
+        rg.build_ball(p4, kind, 2)
+
+
 def test_unknown_generator_raises_whatever_its_exponent():
     """A syllable that reduces away is still checked: an even coxeter or a
     zero artin exponent of an unknown generator raises."""
@@ -201,22 +215,38 @@ def test_ball_closure_checks_named_medians(monkeypatch):
         patch.setattr(rg, "ambient_median", lambda gamma, kind, x, y, z: x)
         with pytest.raises(LemmaViolation, match="majority of their walls"):
             rg.build_ball(st5, rg.COXETER, 2)
-    monkeypatch.setattr(md, "majority_closure", _no_kernel)
-    with pytest.raises(RuntimeError, match="kernel ran"):  # 2 medians are missing
-        rg.build_ball(st5, rg.COXETER, 2)
 
 
-def _no_kernel(rows, cap):
-    raise RuntimeError("the majority kernel ran")
+def repair_scans(monkeypatch, name, kind, radius):
+    """The ball, and the number of quadrangle failures found by each scan of
+    its closure: one scan per repair round and a last one that finds none."""
+    scans, scan = [], md._quadrangle_failures
+
+    def counted(G):
+        found = list(scan(G))
+        scans.append(len(found))
+        return iter(found)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(md, "_quadrangle_failures", counted)
+        ball = rg.build_ball(rg.builtin_defining_graph(name), kind, radius)
+    return ball.complex, scans
 
 
-def test_ball_closure_skips_the_kernel_on_closed_balls(monkeypatch):
-    """Balls that miss no median are certified by the local test alone."""
-    monkeypatch.setattr(md, "majority_closure", _no_kernel)
-    X = rg.build_ball(rg.builtin_defining_graph("P4"), rg.COXETER, 4).complex
-    assert len(X) == 68
-    X = rg.build_ball(rg.builtin_defining_graph("C5"), rg.ARTIN, 3).complex
-    assert (len(X), len(X.edges), len(X.hyperplanes)) == (531, 710, 350)
+@pytest.mark.parametrize("kind, radius", [(rg.COXETER, 2), (rg.COXETER, 4), (rg.ARTIN, 3)])
+def test_star_eq5_balls_need_one_repair_round(monkeypatch, kind, radius):
+    """The first round adds the majority of every failure; the second scan
+    finds none."""
+    _, scans = repair_scans(monkeypatch, "STAR_EQ5", kind, radius)
+    assert len(scans) == 2 and scans[0] > 0 and scans[1] == 0
+
+
+def test_closed_balls_need_no_repair_round(monkeypatch):
+    """Balls that miss no median pass the first scan."""
+    X, scans = repair_scans(monkeypatch, "P4", rg.COXETER, 4)
+    assert scans == [0] and len(X) == 68
+    X, scans = repair_scans(monkeypatch, "C5", rg.ARTIN, 3)
+    assert scans == [0] and (len(X), len(X.edges), len(X.hyperplanes)) == (531, 710, 350)
 
 
 def test_ball_of_the_trivial_group():

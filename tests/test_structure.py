@@ -1,9 +1,9 @@
 """Source-level guarantees: no bare asserts, one suite table, no caller of
-the n^3 median scan, one caller of the majority round, the kernel only
-where medians may be missing, a local median certificate with one
-quadrangle check, one all-sources BFS, no interval tensor, no unused
-import, one blocking kernel and one extremality count, and every function
-the benchmark tracer pins by name still public.  Two scans cover the whole
+the n^3 median scan, no majority kernel, one closure per instance source,
+a local median certificate with one quadrangle check, read also by the
+ball closure, one all-sources BFS, no interval tensor, no unused import,
+one blocking kernel and one extremality count, and every function the
+benchmark tracer pins by name still public.  Two scans cover the whole
 package: every `raise LemmaViolation` outside verify.py is one of the
 listed guards of a construction, and every public function that no package
 code calls is listed with its reason."""
@@ -13,6 +13,7 @@ import dataclasses
 import importlib
 import inspect
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -47,8 +48,9 @@ def test_run_suites_dispatches_every_suite_by_name(monkeypatch):
 
 def test_no_source_module_calls_the_triple_scan():
     """Every complex is certified by the local certificate of validate_complex
-    or by the majority kernel.  The n^3 median scan stays defined in median.py, where the benchmark's traced
-    run measures it, only as the reference of tests/test_oracle.py."""
+    or by certified_complex on closed rows.  The n^3 median scan stays
+    defined in median.py, where the benchmark's traced run measures it,
+    only as the reference of tests/test_oracle.py."""
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         uses = [
@@ -72,29 +74,32 @@ def users(name):
     return found
 
 
-def test_majority_round_is_called_only_by_majority_closure():
-    """The random generator and the ball closure share one kernel; outside
-    input is certified without it."""
-    assert users("_majority_round") == {("median.py", "majority_closure")}
+def test_no_majority_kernel_is_left():
+    """The rows of both instance sources are closed without the n^3 majority
+    kernel, which is the reference of tests/test_oracle.py only."""
+    gone = ("_majority_round", "majority_closure", "majority_closed_locally", "_PAIRS", "_KS")
+    for path in SOURCES:
+        text = path.read_text(encoding="utf-8")
+        assert not [name for name in gone if re.search(rf"\b{name}\b", text)], path.name
 
 
 def test_majority_closure_runs_only_where_medians_may_be_missing():
-    """Random points are closed by the kernel; a ball reaches it only through
-    median_closure, after its local test fails."""
-    assert users("majority_closure") == {
-        ("median.py", "random_median_complex"), ("ragroups.py", "median_closure")}
-    assert users("majority_closed_locally") == {("ragroups.py", "median_closure")}
+    """Random codes are closed by their pairwise projections; a ball's rows
+    are closed by quadrangle repair, which only median_closure runs."""
+    assert users("_projection_closure") == {("median.py", "random_median_complex")}
+    assert users("_repair_quadrangles") == {("ragroups.py", "median_closure")}
 
 
 def test_one_quadrangle_check():
     """A quadrangle check reads the common neighbours of the distance-2 pairs.
     They are read only by the squares and links, the convexity check and
-    _quadrangle_failure, which validate_complex and the ball test share;
+    the generator _quadrangle_failures, read in turn only by validate_complex
+    (its first item) and the ball closure (each round's repairs);
     validate_complex builds the table first, for its K_{2,3} check."""
-    assert users("_quadrangle_failure") == {
-        ("median.py", "validate_complex"), ("median.py", "majority_closed_locally")}
+    assert users("_quadrangle_failures") == {
+        ("median.py", "validate_complex"), ("median.py", "_repair_quadrangles")}
     assert users("_pair_arrays") == {
-        ("median.py", "_nonconvex"), ("median.py", "_quadrangle_failure")}
+        ("median.py", "_nonconvex"), ("median.py", "_quadrangle_failures")}
     assert users("pair_table") == {
         ("median.py", "CubeComplex"), ("median.py", "_pair_arrays"),
         ("median.py", "link_graph"), ("median.py", "validate_complex")}
@@ -107,14 +112,16 @@ def test_only_validate_complex_computes_all_pairs_distances():
 
 
 def test_validate_complex_reaches_neither_the_kernel_nor_the_classes(monkeypatch):
-    """validate_complex certifies by the pair table alone: the majority
-    round and the Djokovic-Winkler classes are never computed on its path."""
-    X = md.random_median_complex(5, 6, 3)  # built with the kernel, before the patch
+    """validate_complex certifies by the pair table alone: neither closure
+    kernel (the projections, the quadrangle repair) nor the Djokovic-Winkler
+    classes are computed on its path."""
+    X = md.random_median_complex(5, 6, 3)  # built before the patch
 
     def unreachable(*args, **kwargs):
         raise AssertionError("validate_complex reached a forbidden function")
 
-    monkeypatch.setattr(md, "_majority_round", unreachable)
+    monkeypatch.setattr(md, "_projection_closure", unreachable)
+    monkeypatch.setattr(md, "_repair_quadrangles", unreachable)
     monkeypatch.setattr(md, "compute_hyperplanes", unreachable)
     for name in md.BUILTIN_COMPLEXES:
         md.builtin_complex(name)
