@@ -175,10 +175,14 @@ def normal_form(gamma: DefiningGraph, kind, word):
     return nf_mult(gamma, kind, (), word)
 
 
-def nf_mult(gamma, kind, w1, w2):
-    """Normal form of w1 times w2, for a normal form w1 and any word w2."""
+def _check_kind(kind):
     if kind not in (ARTIN, COXETER):
         raise ValueError(f"kind must be {ARTIN!r} or {COXETER!r}")
+
+
+def nf_mult(gamma, kind, w1, w2):
+    """Normal form of w1 times w2, for a normal form w1 and any word w2."""
+    _check_kind(kind)
     sylls = list(w1)
     for g, e in w2:
         gamma.check_generator(g)
@@ -191,12 +195,14 @@ def nf_mult(gamma, kind, w1, w2):
 
 
 def nf_inverse(kind, w):
+    _check_kind(kind)
     if kind == COXETER:
         return tuple(reversed(w))
     return tuple((g, -e) for g, e in reversed(w))
 
 
 def word_length(kind, w):
+    _check_kind(kind)
     if kind == COXETER:
         return len(w)
     return sum(abs(e) for _, e in w)
@@ -227,6 +233,7 @@ def parse_word(text):
 
 def initial_letters(gamma, kind, w):
     """Letters that can start some word representing w."""
+    _check_kind(kind)
     out = set()
     for i, (g, e) in enumerate(w):
         if all(h != g and gamma.commute(h, g) for h, _ in w[:i]):
@@ -483,37 +490,53 @@ def star_inclusion_I_check(ball: Ball, margin=2) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Syllable metric
+# Runs of same-label edges: the syllable metric and the extension graph
+#
+# The g-labelled edges of a ball are the pairs {v, v.g}, so at most two
+# meet at v (to v.g and v.g^-1, consecutive on the line v<g>; one in a
+# coxeter ball, where g^2 = 1).  A component of them is a run of ball
+# vertices along one coset line: what a walk from v by powers of g reaches
+# before it first leaves the ball.
 
-def _syllable_adjacency(ball: Ball):
-    cache = getattr(ball, "_syllable_adj", None)
-    if cache is not None:
-        return cache
+def _components(pairs):
+    """Classes, as lists, of the equivalence relation that the pairs
+    generate on the elements they name; a pair (a, a) names a alone."""
+    parent = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    classes = {}
+    for x in parent:
+        classes.setdefault(find(x), []).append(x)
+    return list(classes.values())
+
+
+def _syllable_graph(ball: Ball):
+    """Vertex id -> its syllable neighbours: the other vertices of the
+    runs through it."""
     adj = {v: set() for v in ball.words}
-    letters = _letters(ball.gamma, ball.kind)
-    for v, w in ball.words.items():
-        for g, e in letters:
-            cur = w
-            while True:
-                cur = nf_mult(ball.gamma, ball.kind, cur, ((g, e),))
-                vid = format_word(cur)
-                if vid not in ball.words:
-                    break
-                if vid != v:
-                    adj[v].add(vid)
-                    adj[vid].add(v)
-                if ball.kind == COXETER:
-                    break
-    object.__setattr__(ball, "_syllable_adj", adj)
+    for run in _components(((u, g), (w, g)) for (u, w), g in ball.edge_label.items()):
+        run = {v for v, _ in run}
+        for v in run:
+            adj[v] |= run - {v}
     return adj
 
 
 def syllable_distance(ball: Ball, x, y) -> int:
     """BFS distance in the syllable graph on ball vertices.
 
-    Vertices are adjacent when they differ by a power of a single generator.
-    This is an upper bound for the true syllable metric: a shorter path
-    through vertices outside the ball cannot be seen here.
+    Vertices are adjacent when they differ by a power of a single generator
+    g and lie on one g-run inside the ball: every vertex between them on
+    their coset line is a ball vertex too.  This is an upper bound for the
+    true syllable metric: a shorter path through vertices outside the ball
+    cannot be seen here.
     """
     x = x if isinstance(x, str) else format_word(x)
     y = y if isinstance(y, str) else format_word(y)
@@ -523,7 +546,7 @@ def syllable_distance(ball: Ball, x, y) -> int:
         raise UnknownVertex(y)
     if x == y:
         return 0
-    adj = _syllable_adjacency(ball)
+    adj = _syllable_graph(ball)
     dist = {x: 0}
     queue = deque([x])
     while queue:
@@ -537,81 +560,42 @@ def syllable_distance(ball: Ball, x, y) -> int:
     raise UnknownVertex(f"{y} unreachable in the syllable graph")
 
 
-# ---------------------------------------------------------------------------
-# Extension graph
-
 def _segment_classes(ball: Ball):
-    """Parallelism classes of standard segments in the ball.
+    """Parallelism classes of standard segments in an artin ball.
 
     A standard segment is a maximal single-label geodesic piece of a coset
-    g<x> inside the ball.  Two segments sharing a hyperplane are parallel
-    (the dual edges of a hyperplane all bound parallel copies of the same
-    coset line), so classes are formed by merging overlapping crossed sets.
-    Returns a list of (label, frozenset of hyperplane ids).
+    g<x> inside the ball, that is, a run.  Two segments sharing a
+    hyperplane are parallel (the dual edges of a hyperplane all bound
+    parallel copies of the same coset line), so a class is a component of
+    the hyperplanes under "dual to the two g-edges at one vertex", which
+    chains the hyperplanes of each run.  Returns a sorted list of (label,
+    frozenset of hyperplane ids).
 
-    No hyperplane lies in two classes.  Within one label, each crossed set
-    absorbs every class it meets, and the classes it misses are disjoint
-    from those it absorbs, so the classes stay pairwise disjoint.  Across
-    labels, a g segment crosses only g-labelled edges, and build_ball has
-    refused a hyperplane whose dual edges carry two labels, so every
-    hyperplane of a g class is labelled g.
+    The classes partition the hyperplanes, and every hyperplane of a class
+    is labelled g: a pair joins two g-edges, and build_ball has refused a
+    hyperplane whose dual edges carry two labels.
     """
     X = ball.complex
-    crossed_sets = {}
-    for v, w in ball.words.items():
-        for g in ball.gamma.vertices:
-            # walk to the segment's end in one direction, then sweep back
-            cur = w
-            step = ((g, 1),)
-            back = ((g, -1),) if ball.kind == ARTIN else step
-            while True:
-                nxt = nf_mult(ball.gamma, ball.kind, cur, step)
-                if format_word(nxt) not in ball.words or nxt == w:
-                    break
-                cur = nxt
-            crossed = set()
-            vid = format_word(cur)
-            while True:
-                nxt = nf_mult(ball.gamma, ball.kind, cur, back)
-                nid = format_word(nxt)
-                if nid not in ball.words or nid == vid:
-                    break
-                crossed.add(X.hyperplane_of_edge(vid, nid).id)
-                cur, vid = nxt, nid
-            if crossed:
-                crossed_sets.setdefault(g, []).append(crossed)
-
-    classes = []
-    for g in ball.gamma.vertices:
-        pool = crossed_sets.get(g, [])
-        merged = []
-        for s in pool:
-            keep = []
-            acc = set(s)
-            for m in merged:
-                if m & acc:
-                    acc |= m
-                else:
-                    keep.append(m)
-            keep.append(acc)
-            merged = keep
-        classes.extend((g, frozenset(m)) for m in merged)
-    return sorted(classes, key=lambda it: (it[0], sorted(it[1])))
+    at = {}  # (vertex, label) -> hyperplanes of the edges with that label
+    for edge, g in ball.edge_label.items():
+        h = X.hyperplane_of_edge(*edge).id
+        for v in edge:
+            at.setdefault((v, g), []).append(h)
+    classes = _components((hs[0], hs[-1]) for hs in at.values())
+    return sorted(((ball.labels[c[0]], frozenset(c)) for c in classes),
+                  key=lambda it: (it[0], sorted(it[1])))
 
 
-def interior_reduced_classes(ball: Ball, margin=2, F=None):
+def interior_reduced_classes(ball: Ball, margin=2):
     """Reduced crossing classes computed on interior hyperplanes only.
 
     Neighborhoods are taken inside the interior crossing graph, excluding the
     compared pair, mirroring the self-exclusive reduction.
     """
-    if F is None:
-        F = _contact.build_contact_family(ball.complex)
     interior = sorted(ball.interior_hyperplanes(margin))
-    crossing = {h: F.crossing[h] & set(interior) for h in interior}
-    T = _contact._relation(F.complex).transverse[np.ix_(interior, interior)]
-    classes = _contact._reduced_classes(T, "self-exclusive", interior)
-    return [frozenset(cls) for cls in classes], crossing
+    T = _contact._relation(ball.complex).transverse[np.ix_(interior, interior)]
+    return [frozenset(cls)
+            for cls in _contact._reduced_classes(T, "self-exclusive", interior)]
 
 
 def extension_graph_ball(gamma: DefiningGraph, radius, margin=None, ball=None) -> dict:
@@ -623,9 +607,16 @@ def extension_graph_ball(gamma: DefiningGraph, radius, margin=None, ball=None) -
     interior hyperplane of the other inside the ball.  The comparison
     restricts both sides to interior hyperplanes and is skipped when two
     defining-graph vertices share a link (the lemma's precondition).
+
+    Both graphs join two interior classes by that one predicate on the
+    transverse relation, so when the interior cores of the segment classes
+    are the reduced classes, the edges agree too: the graphs are isomorphic
+    (by the identity on classes) exactly when the partitions are equal.
     """
     if ball is None:
         ball = build_ball(gamma, ARTIN, radius)
+    if ball.kind != ARTIN:
+        raise ValueError("the extension graph lives on artin balls")
     if margin is None:
         margin = max(0, min(2, ball.radius - 1))
     equal_links = [
@@ -633,18 +624,17 @@ def extension_graph_ball(gamma: DefiningGraph, radius, margin=None, ball=None) -
         for a, b in combinations(gamma.vertices, 2)
         if gamma.lk(a) == gamma.lk(b)
     ]
-    F = _contact.build_contact_family(ball.complex)
+    T = _contact._relation(ball.complex).transverse
     interior = ball.interior_hyperplanes(margin)
     classes_seg = _segment_classes(ball)
     verts = [cls for _, cls in classes_seg]
     labels = {cls: g for g, cls in classes_seg}
-    cores = {cls: cls & interior for cls in verts}
-    edges = set()
-    for c1, c2 in combinations(verts, 2):
-        if not cores[c1] or not cores[c2]:
-            continue
-        if all(u in F.crossing[w] for u in cores[c1] for w in cores[c2]):
-            edges.add(frozenset((c1, c2)))
+    cores = {cls: sorted(cls & interior) for cls in verts}
+    edges = {
+        frozenset((c1, c2))
+        for c1, c2 in combinations([cls for cls in verts if cores[cls]], 2)
+        if T[np.ix_(cores[c1], cores[c2])].all()
+    }
 
     out = {
         "margin": margin,
@@ -659,29 +649,13 @@ def extension_graph_ball(gamma: DefiningGraph, radius, margin=None, ball=None) -
         }
         return out
 
-    reduced_classes, crossing = interior_reduced_classes(ball, margin, F)
-    reduced_edges = {
-        frozenset((c1, c2))
-        for c1, c2 in combinations(reduced_classes, 2)
-        if all(u in crossing[w] for u in c1 for w in c2)
-    }
-    interior_verts = sorted(
-        (sorted(cores[cls]) for cls in verts if cores[cls])
-    )
-    interior_edges = {
-        frozenset((frozenset(cores[a]), frozenset(cores[b])))
-        for e in edges
-        for a, b in [tuple(e)]
-    }
+    reduced_classes = interior_reduced_classes(ball, margin)
+    same = sorted(filter(None, cores.values())) == sorted(map(sorted, reduced_classes))
     out["comparison"] = {
         "classes": reduced_classes,
-        "reduced_edges": reduced_edges,
-        "same_partition": interior_verts == sorted(map(sorted, reduced_classes)),
-        "same_edges": set(reduced_edges) == interior_edges,
+        "same_partition": same,
+        "isomorphic": same,
     }
-    out["comparison"]["isomorphic"] = (
-        out["comparison"]["same_partition"] and out["comparison"]["same_edges"]
-    )
     return out
 
 
@@ -869,10 +843,11 @@ def syllable_shuffle(ball: Ball, sigma, apex=None) -> dict:
 
     When the defining graph is a cone with apex z, the group splits as a
     direct product with the z-axis; any permutation of the axis induces a
-    syllable-metric isometry.  Returns the partial vertex map (defined where
-    the image stays in the ball) plus certification data: the map preserves
-    ball syllable distances on pairs of interior vertices and fixes every
-    truncated extension-graph vertex.
+    syllable-metric isometry.  Returns the apex, the partial vertex map perm
+    (defined where the image stays in the ball), the moved vertices and
+    sigma as a table on -R..R, with no certificate: the tests check that
+    perm is injective and keeps the ball syllable distance of the pairs
+    they try, while the word distance changes.
     """
     if ball.kind != ARTIN:
         raise ValueError("the shuffle lives on artin balls")

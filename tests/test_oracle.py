@@ -59,6 +59,20 @@ criterion suite) and md.extremality (a count over the squares) must give
 the same edges, pairs and flags on the builtins, random complexes, balls
 and corpus documents, and _joined must match its literal definition on
 random small set families.
+
+Runs: the references are the normal-form walks that multiplied by one
+letter with nf_mult until the product left the ball.  Segment classes came
+from walking each vertex's segment and merging overlapping crossed sets,
+syllable neighbours from walking by each letter.  The union-find over the
+ball's edge labels (rg._segment_classes, rg._syllable_graph) must give the
+same classes, in the same order, and the same syllable graph, on the artin
+and coxeter balls of the builtin graphs at radius 1-3 and of the 52 graphs
+with 1-5 vertices at radius 2 (segments on artin balls only).  There the
+extension graph's edges must be the class edges over the contact family's
+crossing sets, and "isomorphic" must be "same_partition" and the equality
+of the class edges and the reduced edges, so the comparison's proof holds
+on each ball.  syllable_distance must give the BFS distance of the walked
+graph on every vertex pair of three artin balls.
 """
 
 import json
@@ -1207,3 +1221,145 @@ def test_joined_is_its_definition(sets):
     rows = [rc._joined(sets, i) for i in range(len(sets))]
     assert rows == [literal_joined(sets, i) for i in range(len(sets))]
     assert all(i in rows[j] for i, row in enumerate(rows) for j in row)
+
+
+def reference_segment_classes(ball):
+    """The normal-form walk: from each vertex, walk by g to the end of its
+    segment, sweep back collecting the crossed hyperplanes, then merge the
+    crossed sets of one label that overlap."""
+    X = ball.complex
+    crossed_sets = {}
+    for v, w in ball.words.items():
+        for g in ball.gamma.vertices:
+            # walk to the segment's end in one direction, then sweep back
+            cur = w
+            step = ((g, 1),)
+            back = ((g, -1),) if ball.kind == rg.ARTIN else step
+            while True:
+                nxt = rg.nf_mult(ball.gamma, ball.kind, cur, step)
+                if rg.format_word(nxt) not in ball.words or nxt == w:
+                    break
+                cur = nxt
+            crossed = set()
+            vid = rg.format_word(cur)
+            while True:
+                nxt = rg.nf_mult(ball.gamma, ball.kind, cur, back)
+                nid = rg.format_word(nxt)
+                if nid not in ball.words or nid == vid:
+                    break
+                crossed.add(X.hyperplane_of_edge(vid, nid).id)
+                cur, vid = nxt, nid
+            if crossed:
+                crossed_sets.setdefault(g, []).append(crossed)
+
+    classes = []
+    for g in ball.gamma.vertices:
+        pool = crossed_sets.get(g, [])
+        merged = []
+        for s in pool:
+            keep = []
+            acc = set(s)
+            for m in merged:
+                if m & acc:
+                    acc |= m
+                else:
+                    keep.append(m)
+            keep.append(acc)
+            merged = keep
+        classes.extend((g, frozenset(m)) for m in merged)
+    return sorted(classes, key=lambda it: (it[0], sorted(it[1])))
+
+
+def reference_syllable_adjacency(ball):
+    """The normal-form walk: from each vertex, multiply by one letter until
+    the product leaves the ball (one step in a coxeter ball)."""
+    adj = {v: set() for v in ball.words}
+    letters = rg._letters(ball.gamma, ball.kind)
+    for v, w in ball.words.items():
+        for g, e in letters:
+            cur = w
+            while True:
+                cur = rg.nf_mult(ball.gamma, ball.kind, cur, ((g, e),))
+                vid = rg.format_word(cur)
+                if vid not in ball.words:
+                    break
+                if vid != v:
+                    adj[v].add(vid)
+                    adj[vid].add(v)
+                if ball.kind == rg.COXETER:
+                    break
+    return adj
+
+
+def reference_extension_edges(ball, out):
+    """The class edges over the contact family's crossing sets, and the
+    comparison's own reduced edges and their equality with the class edges
+    on interior cores."""
+    F = ct.build_contact_family(ball.complex)
+    interior = ball.interior_hyperplanes(out["margin"])
+    cores = {cls: cls & interior for cls in out["vertices"]}
+    edges = {
+        frozenset((c1, c2)) for c1, c2 in combinations(out["vertices"], 2)
+        if cores[c1] and cores[c2]
+        and all(u in F.crossing[w] for u in cores[c1] for w in cores[c2])
+    }
+    same_edges = None
+    if out["comparison"] and "classes" in out["comparison"]:
+        classes = out["comparison"]["classes"]
+        crossing = {h: F.crossing[h] & interior for h in interior}
+        reduced_edges = {
+            frozenset((c1, c2)) for c1, c2 in combinations(classes, 2)
+            if all(u in crossing[w] for u in c1 for w in c2)
+        }
+        same_edges = reduced_edges == {
+            frozenset(frozenset(cores[c]) for c in e) for e in edges}
+    return edges, same_edges
+
+
+def check_runs(ball):
+    assert rg._syllable_graph(ball) == reference_syllable_adjacency(ball)
+    if ball.kind != rg.ARTIN:
+        return
+    assert rg._segment_classes(ball) == reference_segment_classes(ball)
+    out = rg.extension_graph_ball(ball.gamma, ball.radius, ball=ball)
+    edges, same_edges = reference_extension_edges(ball, out)
+    assert out["edges"] == edges
+    if same_edges is not None:
+        cmp_ = out["comparison"]
+        assert cmp_["isomorphic"] == (cmp_["same_partition"] and same_edges)
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3])
+@pytest.mark.parametrize("kind", [rg.ARTIN, rg.COXETER])
+@pytest.mark.parametrize("name", rg.BUILTIN_GRAPHS)
+def test_runs_against_the_walks(name, kind, radius):
+    check_runs(rg.build_ball(rg.builtin_defining_graph(name), kind, radius))
+
+
+def test_runs_against_the_walks_small_graphs():
+    """The artin and coxeter balls of radius 2 of the 52 graphs with 1-5
+    vertices."""
+    nx = pytest.importorskip("networkx")
+    for G in nx.graph_atlas_g()[1:53]:
+        names = "abcde"[:G.number_of_nodes()]
+        gamma = rg.DefiningGraph(names, [(names[u], names[v]) for u, v in G.edges])
+        for kind in (rg.ARTIN, rg.COXETER):
+            check_runs(rg.build_ball(gamma, kind, 2))
+
+
+@pytest.mark.parametrize("fixture", ["z2_r3", "x_f2_r3", "x_c5_r2"])
+def test_syllable_distance_against_the_walk(fixture, request):
+    """Every pair of vertices, against a BFS of the walk's adjacency."""
+    ball = request.getfixturevalue(fixture)
+    adj = reference_syllable_adjacency(ball)
+    vertices = sorted(ball.words)
+    for i, x in enumerate(vertices):
+        dist = {x: 0}
+        queue = deque([x])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u] - dist.keys():
+                dist[w] = dist[u] + 1
+                queue.append(w)
+        for y in vertices[i:]:
+            assert rg.syllable_distance(ball, x, y) == dist[y], (x, y)

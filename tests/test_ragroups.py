@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from cubetact import contact as ct
 from cubetact import median as md
 from cubetact import ragroups as rg
 from cubetact import verify as vf
@@ -48,12 +49,19 @@ def test_normal_form_kind_validation():
 
 @pytest.mark.parametrize("kind", ["bogus", "Coxeter"])
 def test_products_and_medians_check_the_kind(kind):
-    """nf_mult refuses a kind that is neither artin nor coxeter, with
-    normal_form's text, and ambient_median and build_ball, which multiply,
-    inherit it."""
+    """nf_mult, nf_inverse, word_length and initial_letters refuse a kind
+    that is neither artin nor coxeter, with normal_form's text, through one
+    shared check; ambient_median and build_ball, which multiply, inherit
+    it."""
     p4 = rg.builtin_defining_graph("P4")
     with pytest.raises(ValueError, match="kind must be"):
         rg.nf_mult(p4, kind, (), (("a", 1),))
+    with pytest.raises(ValueError, match="kind must be"):
+        rg.nf_inverse(kind, (("a", 1),))
+    with pytest.raises(ValueError, match="kind must be"):
+        rg.word_length(kind, (("a", 2),))
+    with pytest.raises(ValueError, match="kind must be"):
+        rg.initial_letters(p4, kind, (("a", 1),))
     with pytest.raises(ValueError, match="kind must be"):
         rg.ambient_median(p4, kind, (), (("a", 1),), (("b", 1),))
     with pytest.raises(ValueError, match="kind must be"):
@@ -515,12 +523,13 @@ def test_extension_graph_comparison_against_networkx(ball, request):
     extension = nx.Graph()
     extension.add_nodes_from(core for core in cores.values() if core)
     extension.add_edges_from(tuple(cores[cls] for cls in e) for e in out["edges"])
-    classes, crossing = rg.interior_reduced_classes(ball, out["margin"])
+    classes = rg.interior_reduced_classes(ball, out["margin"])
+    T = ct._relation(ball.complex).transverse
     reduced = nx.Graph()
     reduced.add_nodes_from(classes)
     reduced.add_edges_from(
         (a, b) for a, b in combinations(classes, 2)
-        if all(u in crossing[w] for u in a for w in b))
+        if all(T[u, w] for u in a for w in b))
     isomorphic = nx.is_isomorphic(extension, reduced)
     if "skipped" in out["comparison"]:
         assert ball.gamma.lk("x") == ball.gamma.lk("y") and not isomorphic
@@ -536,6 +545,15 @@ def test_segment_classes_are_disjoint_and_labelled(ball, request):
     members = [h for _, cls in classes for h in cls]
     assert len(members) == len(set(members))
     assert all(ball.labels[h] == g for g, cls in classes for h in cls)
+
+
+def test_extension_graph_refuses_coxeter_balls():
+    """Standard segments are runs along the lines g<x> of an artin group; a
+    coxeter ball is refused as halfspace_twist refuses it."""
+    c5 = rg.builtin_defining_graph("C5")
+    ball = rg.build_ball(c5, rg.COXETER, 2)
+    with pytest.raises(ValueError, match="the extension graph lives on artin balls"):
+        rg.extension_graph_ball(c5, 2, ball=ball)
 
 
 def test_extension_graph_f2(x_f2_r3):

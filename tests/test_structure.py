@@ -2,8 +2,10 @@
 the n^3 median scan, no majority kernel, one closure per instance source,
 a local median certificate with one quadrangle check, read also by the
 ball closure, one all-sources BFS, no interval tensor, no unused import,
-one blocking kernel and one extremality count, and every function the
-benchmark tracer pins by name still public.  Two scans cover the whole
+one blocking kernel and one extremality count, one union-find and no
+normal-form walk for the runs of a ball's edge labels, no attribute set on
+a frozen object, and every function the benchmark tracer pins by name
+still public.  Two scans cover the whole
 package: every `raise LemmaViolation` outside verify.py is one of the
 listed guards of a construction, and every public function that no package
 code calls is listed with its reason."""
@@ -237,6 +239,36 @@ def test_one_blocking_kernel():
         ("reconstruction.py", "adjacency_criterion"),
         ("verify.py", "_criterion"),
     }
+
+
+def test_no_attribute_set_on_frozen_objects():
+    """No frozen dataclass, a Ball above all, carries a hidden cache."""
+    for path in SOURCES:
+        assert "object.__setattr__" not in path.read_text(encoding="utf-8"), path.name
+
+
+def test_runs_take_no_normal_form_walk():
+    """Segment classes, the syllable graph and the extension graph read the
+    ball's edge labels; none of them multiplies normal forms."""
+    runs = {"_segment_classes", "_syllable_graph", "syllable_distance",
+            "extension_graph_ball", "interior_reduced_classes"}
+    assert not {("ragroups.py", f) for f in runs} & users("nf_mult")
+
+
+def test_one_union_find():
+    """One union-find helper, read by the segment classes and the syllable
+    graph; no other definition keeps a parent map or a find."""
+    assert users("_components") == {
+        ("ragroups.py", "_segment_classes"), ("ragroups.py", "_syllable_graph")}
+    finders = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                named = getattr(node, "id", None) or getattr(node, "name", None) or ""
+                if re.fullmatch(r"_?(parent|find|union)", named):
+                    finders.add((path.name, getattr(top, "name", "<module>")))
+    assert finders == {("ragroups.py", "_components")}
 
 
 def median_users(name):
