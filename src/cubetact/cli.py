@@ -8,6 +8,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import INFINITY as _INF
+from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 
 from . import contact as _contact
 from . import median as _median
@@ -22,7 +25,7 @@ EXIT_INVALID = 2
 
 
 def _emit(doc, out):
-    text = json.dumps(doc, indent=2, sort_keys=True, default=_jsonable) + "\n"
+    text = _encode(doc) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -30,12 +33,73 @@ def _emit(doc, out):
         sys.stdout.write(text)
 
 
-def _jsonable(obj):
+def _encode(obj, pad="\n"):
+    """obj as json.dumps(obj, indent=2, sort_keys=True) writes it, with sets
+    and frozensets as lists sorted by str.
+
+    The standard library falls back to its pure-Python encoder whenever an
+    indent is set; this one builds each container as one join of its items
+    and reads the leaves with the C string escape.  pad is the newline and
+    indent before the container's closing bracket.  Keys are sorted as they
+    are, then written as json writes them, so keys that do not compare raise
+    TypeError as json.dumps does.  No cycle check: a document that holds
+    itself raises RecursionError.
+    """
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        return "{" + inner + ("," + inner).join([
+            _key(key) + ": " + _encode(value, inner)
+            for key, value in sorted(obj.items(), key=itemgetter(0))
+        ]) + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        kinds = set(map(type, obj))
+        if kinds == {str}:
+            items = map(_quote, obj)
+        elif kinds == {int}:
+            items = map(int.__repr__, obj)
+        else:
+            items = [_encode(item, inner) for item in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float(obj)
     if isinstance(obj, (set, frozenset)):
-        return sorted(obj, key=str)
-    if isinstance(obj, tuple):
-        return list(obj)
+        return _encode(sorted(obj, key=str), pad)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _float(x):
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key(key):
+    if isinstance(key, str):
+        return _quote(key)
+    if isinstance(key, (int, float)) or key is None:
+        return _quote(_encode(key))
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+    )
 
 
 def _load_graph(source):

@@ -561,9 +561,12 @@ def compute_hyperplanes(X: CubeComplex):
     return tuple(hyperplanes)
 
 
-def _true_columns(M):
-    """The column indices of the True entries of each row of M, as lists."""
-    cols, ends = M.nonzero()[1].tolist(), np.cumsum(M.sum(axis=1)).tolist()
+def _true_columns(M, labels=None):
+    """The column indices of the True entries of each row of M, as lists; or
+    their labels, read from the 1-d array labels at those indices."""
+    cols = M.nonzero()[1]
+    cols = (cols if labels is None else labels[cols]).tolist()
+    ends = np.cumsum(M.sum(axis=1)).tolist()
     return [cols[i:j] for i, j in zip([0] + ends, ends)]
 
 
@@ -916,18 +919,26 @@ def complex_from_json(doc) -> CubeComplex:
 
 
 def hyperplane_report(X: CubeComplex) -> list:
-    out = []
-    for h in X.hyperplanes:
-        out.append(
-            {
-                "id": h.id,
-                "edges": sorted(sorted(map(str, e)) for e in h.dual_edges),
-                "sideA": sorted(map(str, h.side_a)),
-                "sideB": sorted(map(str, h.side_b)),
-                "carrier": sorted(map(str, h.carrier)),
-            }
-        )
-    return out
+    """Each hyperplane's id, dual edges, sides and carrier, as sorted str lists.
+
+    The vertex names are sorted once and the side and carrier matrices read
+    in that column order, so only the dual edges are sorted per hyperplane.
+    """
+    names = [str(v) for v in X.vertices]
+    order = sorted(range(len(names)), key=names.__getitem__)
+    named = np.array([names[i] for i in order], dtype=object)
+    A, K = X.sides[:, order], X.carriers[:, order]
+    rows = zip(X.hyperplanes, *(_true_columns(M, named) for M in (A, ~A, K)))
+    return [
+        {
+            "id": h.id,
+            "edges": sorted(sorted(map(str, e)) for e in h.dual_edges),
+            "sideA": side_a,
+            "sideB": side_b,
+            "carrier": carrier,
+        }
+        for h, side_a, side_b, carrier in rows
+    ]
 
 
 def complex_to_dot(X: CubeComplex) -> str:

@@ -73,6 +73,15 @@ crossing sets, and "isomorphic" must be "same_partition" and the equality
 of the class edges and the reduced edges, so the comparison's proof holds
 on each ball.  syllable_distance must give the BFS distance of the walked
 graph on every vertex pair of three artin balls.
+
+Output: the reference is the CLI's original encoding, json.dumps with
+indent=2, sort_keys=True and a fallback that writes sets as lists sorted
+by str, and the original hyperplane report, which sorted each side and
+carrier by str.  cli._encode must give the same text, or raise TypeError
+where json.dumps does, on nested values of every kind; what cli.main writes
+must be the reference encoding of its document for generate, analyze and
+verify; hyperplane_report must give the same report on the builtins, random
+complexes, a ball and a complex with int vertices.
 """
 
 import json
@@ -86,6 +95,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cubetact import cli
 from cubetact import contact as ct
 from cubetact import median as md
 from cubetact import ragroups as rg
@@ -1363,3 +1373,155 @@ def test_syllable_distance_against_the_walk(fixture, request):
                 queue.append(w)
         for y in vertices[i:]:
             assert rg.syllable_distance(ball, x, y) == dist[y], (x, y)
+
+
+def reference_jsonable(obj):
+    """The fallback the CLI passed to json.dumps, verbatim.  Its tuple
+    branch is never reached: json writes tuples as lists itself."""
+    if isinstance(obj, (set, frozenset)):
+        return sorted(obj, key=str)
+    if isinstance(obj, tuple):
+        return list(obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def reference_dumps(obj, default=reference_jsonable):
+    """The CLI's original encoding: the standard library's indented encoder."""
+    return json.dumps(obj, indent=2, sort_keys=True, default=default)
+
+
+def same_encoding(obj):
+    """cli._encode(obj) is the oracle's text, or both raise TypeError."""
+    seen = []
+
+    def default(o):
+        seen.append(type(o))
+        return reference_jsonable(o)
+
+    try:
+        expected = reference_dumps(obj, default)
+    except TypeError:
+        with pytest.raises(TypeError):
+            cli._encode(obj)
+        return
+    assert cli._encode(obj) == expected
+    assert tuple not in seen
+
+
+NAMED_CHARACTERS = '"\\/\x00\x08\t\n\x1f\x7f\x80\xe9\u2028\uffff\U0001f600'
+json_strings = st.text(st.one_of(st.sampled_from(NAMED_CHARACTERS), st.characters()),
+                       max_size=6)
+json_ints = st.one_of(st.integers(-3, 3), st.integers(), st.sampled_from([-(2 ** 70), 2 ** 64]))
+json_floats = st.one_of(
+    st.floats(), st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e16]))
+json_leaves = st.one_of(json_strings, json_ints, json_floats, st.booleans(), st.none())
+KEY_STRATEGIES = [  # one key type, or numbers, sort; mixed keys mostly do not
+    json_strings,
+    st.one_of(json_ints, st.booleans()),
+    st.one_of(json_ints, json_floats, st.booleans()),
+    st.none(),
+    st.one_of(json_strings, json_ints, json_floats, st.booleans(), st.none()),
+]
+
+
+def json_containers(children):
+    return st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.lists(json_strings, min_size=1, max_size=5),
+        st.lists(st.integers(), min_size=1, max_size=5),
+        st.sets(st.one_of(json_strings, st.integers(-20, 20)), max_size=5),
+        st.frozensets(st.one_of(json_strings, st.integers(-20, 20)), max_size=5),
+        st.sampled_from(KEY_STRATEGIES).flatmap(
+            lambda keys: st.dictionaries(keys, children, max_size=4)),
+    )
+
+
+json_values = st.recursive(json_leaves, json_containers, max_leaves=30)
+
+
+@settings(max_examples=500, deadline=None)
+@given(json_values)
+@example({"a": [], "b": {}, "c": [[], [{}]], "d": ()})
+@example({1: "x", "1": "y"})
+@example({None: 0, True: 1})
+@example([True, False, 1, 0, None, 1.0, -0.0, 1e16, float("nan"), float("-inf")])
+@example({"s": {"10", 2, "2", 10, "b", "A"}, "f": frozenset({3, "3x", "-1"})})
+@example({0.5: 1, 2: 2, True: 3, float("inf"): 4, -0.0: 5})
+@example(["\"\\\x00\x1f\x7f\xe9\U0001f600"])
+def test_encoder_against_json_dumps(value):
+    """cli._encode against the indented json.dumps of the original CLI, on
+    nested values of every kind the encoder distinguishes."""
+    same_encoding(value)
+
+
+def test_encoder_refuses_what_json_dumps_refuses():
+    for value in ([object()], {"a": {1j}}, {(1, 2): 0}, {1: 0, "1": 0}, {None: 0, 0: 0}):
+        same_encoding(value)
+    with pytest.raises(TypeError, match="cannot serialize complex"):
+        cli._encode([1j])
+    with pytest.raises(TypeError, match="keys must be str, int, float, bool or None, not tuple"):
+        cli._encode({(1, 2): 0})
+
+
+CLI_RUNS = [
+    *(["generate", "--builtin", name] for name in md.BUILTIN_COMPLEXES + rg.BUILTIN_GRAPHS),
+    ["generate", "--random", "6", "5", "42"],
+    ["generate", "--ball", "C5", "artin", "2"],
+    ["analyze", "--in", "{random}"],
+    ["analyze", "--in", "{random}", "--dot"],
+    ["analyze", "--in", "{ball}"],
+    ["analyze", "--in", "{ball}", "--dot"],
+    ["verify", "--builtin", "SQUARE", "--graph", "P4"],
+]
+
+
+@pytest.mark.parametrize("argv", CLI_RUNS, ids=" ".join)
+def test_cli_writes_the_oracle_encoding(argv, x_c5_r2, tmp_path, monkeypatch, capsys):
+    """What cli.main writes is the original encoding of the same document,
+    plus a newline."""
+    sources = {
+        "random": md.complex_to_json(md.random_median_complex(6, 5, 42)),
+        "ball": md.complex_to_json(x_c5_r2.complex),
+    }
+    for name, doc in sources.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    argv = [a.format(**{n: tmp_path / f"{n}.json" for n in sources}) for a in argv]
+    docs = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda doc, out: (docs.append(doc), emit(doc, out)))
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == reference_dumps(docs[0]) + "\n"
+
+
+def reference_hyperplane_report(X):
+    """The original report: each side and carrier sorted by str on its own."""
+    out = []
+    for h in X.hyperplanes:
+        out.append(
+            {
+                "id": h.id,
+                "edges": sorted(sorted(map(str, e)) for e in h.dual_edges),
+                "sideA": sorted(map(str, h.side_a)),
+                "sideB": sorted(map(str, h.side_b)),
+                "carrier": sorted(map(str, h.carrier)),
+            }
+        )
+    return out
+
+
+def int_grid():
+    """The 3 x 4 grid on the ints 0..11, where str order ("10" < "2") is not
+    int order."""
+    edges = [(v, v + 1) for v in range(12) if v % 4 != 3] + [(v, v + 4) for v in range(8)]
+    return md.validate_complex(list(range(12)), edges)
+
+
+def test_hyperplane_report_against_the_oracle(x_c5_r2):
+    complexes = [md.builtin_complex(name) for name in md.BUILTIN_COMPLEXES]
+    complexes += [md.random_median_complex(6, 5, seed) for seed in range(1, 51)]
+    complexes += [x_c5_r2.complex, int_grid()]
+    for X in complexes:
+        assert md.hyperplane_report(X) == reference_hyperplane_report(X)
+    report = md.hyperplane_report(int_grid())
+    assert any(h["sideA"] != sorted(h["sideA"], key=int) for h in report)

@@ -4,9 +4,9 @@ a local median certificate with one quadrangle check, read also by the
 ball closure, one all-sources BFS, no interval tensor, no unused import,
 one blocking kernel and one extremality count, one union-find and no
 normal-form walk for the runs of a ball's edge labels, no attribute set on
-a frozen object, and every function the benchmark tracer pins by name
-still public.  Two scans cover the whole
-package: every `raise LemmaViolation` outside verify.py is one of the
+a frozen object, no indented json encoding outside the tests, and every
+function the benchmark tracer pins by name still public.  Two scans cover
+the whole package: every `raise LemmaViolation` outside verify.py is one of the
 listed guards of a construction, and every public function that no package
 code calls is listed with its reason."""
 
@@ -269,6 +269,19 @@ def test_one_union_find():
                 if re.fullmatch(r"_?(parent|find|union)", named):
                     finders.add((path.name, getattr(top, "name", "<module>")))
     assert finders == {("ragroups.py", "_components")}
+
+
+def test_no_indented_json_dumps_in_source():
+    """The CLI writes its indented layout with cli._encode alone; the
+    standard library's indented encoder is its oracle in the tests."""
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        calls = [
+            node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and ast.unparse(node.func).split(".")[-1] in ("dump", "dumps", "JSONEncoder")
+            and any(k.arg == "indent" for k in node.keywords)
+        ]
+        assert not calls, f"{path.name} encodes indented json at lines {calls}"
 
 
 def median_users(name):
