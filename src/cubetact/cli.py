@@ -140,7 +140,7 @@ def cmd_analyze(args):
     F = _contact.build_contact_family(X, mode=args.reduced_mode)
     atlas = _rec.clique_atlas(X, F)
     isets = _contact.all_interaction_sets(X)
-    rec = _rec.reconstruct(F.contact)
+    rec = _rec.reconstruct(atlas.cliques)
     out = {
         "complex": _median.complex_to_json(X),
         "dimension": X.dimension,
@@ -195,17 +195,23 @@ def _verify_instances(args):
 
 
 def cmd_verify(args):
+    """Run the named suites, or all of them.  The group suites need --graph:
+    named without it they make the run invalid; left to the default, each
+    is reported skipped."""
     suites = args.suite or list(_verify.SUITES)
     gamma = _load_graph(args.graph) if args.graph else None
+    if gamma is None and args.suite and _verify.GROUP_SUITES & set(suites):
+        raise CubetactError("--graph is required for the selected suites")
     instances = _verify_instances(args)
+    if gamma is None and not args.suite and not instances:
+        raise CubetactError(
+            "nothing to verify: give --builtin, --in, --random-count or --graph"
+        )
     balls = []
     if gamma is not None and any(s == "roundtrip" for s in suites):
         balls.append(
             (args.graph, _rg.build_ball(gamma, args.kind, args.radius or 3))
         )
-    needs_gamma = {"davis", "twist", "extension-graph", "roundtrip"}
-    if needs_gamma & set(suites) and gamma is None:
-        raise CubetactError("--graph is required for the selected suites")
     report = {
         "suites": _verify.run_suites(
             suites,

@@ -65,7 +65,7 @@ def _relation(X: CubeComplex) -> _Relation:
 
 def interaction(X: CubeComplex, u, w):
     """Classify a hyperplane pair: equal, transverse, contact_osculating, separated."""
-    u, w = X.hyperplane(u).id, X.hyperplane(w).id
+    u, w = X.check_hyperplane(u), X.check_hyperplane(w)
     if u == w:
         return "equal"
     rel = _relation(X)
@@ -155,7 +155,7 @@ def interaction_sets(X: CubeComplex, w) -> InteractionSets:
     u equals w, or u is transverse to w and to every other hyperplane
     transverse to w.
     """
-    w = X.hyperplane(w).id
+    w = X.check_hyperplane(w)
     I = _relation(X).I
     return InteractionSets(
         w, frozenset(_ids(I[:, w])), frozenset(_ids(I[:, w] & I[w]))
@@ -163,7 +163,7 @@ def interaction_sets(X: CubeComplex, w) -> InteractionSets:
 
 
 def all_interaction_sets(X: CubeComplex):
-    return {h.id: interaction_sets(X, h.id) for h in X.hyperplanes}
+    return {w: interaction_sets(X, w) for w in range(len(X.sides))}
 
 
 def pushforward_reduced(F: ContactFamily, phi):

@@ -92,12 +92,16 @@ class CubeComplex:
         self.edges = frozenset(edge_set)
         self._dist = dist  # numpy (n, n) int matrix, indexed like self.vertices
         self._squares = None if squares is None else tuple(squares)
-        # hyperplane data, filled together by compute_hyperplanes
-        self._hyperplanes = None
+        # hyperplane matrices and edge labels, filled together by
+        # compute_hyperplanes; the records and the edge map are built from
+        # them on first access
         self._sides = None
         self._carriers = None
-        self._edge_to_h = None
         self._ids_at = None
+        self._edge_list = None
+        self._edge_label = None
+        self._hyperplanes = None
+        self._edge_to_h = None
         self._relation = None  # contact.py's hyperplane-pair relation
         self._dimension = None
         self._pairs = None  # the distance-2 pair table
@@ -166,12 +170,15 @@ class CubeComplex:
         return int(self._dist[self.check_vertex(u), self.check_vertex(v)])
 
     def _theta(self):
-        if self._hyperplanes is None:
-            self._hyperplanes = compute_hyperplanes(self)
+        if self._sides is None:
+            compute_hyperplanes(self)
 
     @property
     def hyperplanes(self):
-        self._theta()
+        """The Hyperplane records in id order, built on first access from the
+        edge labels and the side matrix (see _records)."""
+        if self._hyperplanes is None:
+            self._hyperplanes = _records(self)
         return self._hyperplanes
 
     @property
@@ -192,14 +199,30 @@ class CubeComplex:
         self._theta()
         return self._ids_at
 
-    def hyperplane(self, hid) -> Hyperplane:
-        hs = self.hyperplanes
-        if not isinstance(hid, int) or not 0 <= hid < len(hs):
+    @property
+    def edge_labels(self):
+        """(edges, label): the edges as (u, v) tuples with u < v, in sorted
+        order, and the int array label, label[e] the id of the hyperplane
+        dual to edges[e]."""
+        self._theta()
+        return self._edge_list, self._edge_label
+
+    def check_hyperplane(self, hid):
+        """hid as an int; raises UnknownHyperplane unless hid is an int or a
+        numpy integer, not a bool, in range(H)."""
+        if (isinstance(hid, bool) or not isinstance(hid, (int, np.integer))
+                or not 0 <= hid < len(self.sides)):
             raise UnknownHyperplane(hid)
-        return hs[hid]
+        return int(hid)
+
+    def hyperplane(self, hid) -> Hyperplane:
+        return self.hyperplanes[self.check_hyperplane(hid)]
 
     def hyperplane_of_edge(self, u, v):
-        self._theta()
+        if self._edge_to_h is None:
+            edges, label = self.edge_labels
+            hs = self.hyperplanes
+            self._edge_to_h = {frozenset(e): hs[h] for e, h in zip(edges, label.tolist())}
         e = frozenset((u, v))
         if e not in self._edge_to_h:
             raise UnknownHyperplane((u, v))
@@ -508,9 +531,10 @@ def compute_hyperplanes(X: CubeComplex):
     The side of edge uv is W_uv = {w : d(w, u) < d(w, v)}; edges lie in one
     class when their sides agree up to complement.  Ids follow the classes'
     smallest sorted edges, and side_a is the side whose first vertex in
-    X.vertices order has the smaller str.  Also fills X's side and carrier
-    matrices (see CubeComplex.sides and .carriers), its edge map and its
-    per-vertex id sets.
+    X.vertices order has the smaller str.  Fills X's side and carrier
+    matrices (see CubeComplex.sides and .carriers), its per-vertex id sets
+    and its edge labels, and returns the side matrix, one row per
+    hyperplane; the Hyperplane records are built from these on demand.
 
     X must be median, as validate_complex and certified_complex make sure.
     Classes are found one at a time: the smallest edge uv in no class yet
@@ -523,16 +547,14 @@ def compute_hyperplanes(X: CubeComplex):
     eu = np.array([X.index[u] for u, _ in edges], dtype=np.intp)
     ev = np.array([X.index[v] for _, v in edges], dtype=np.intp)
     label = np.full(len(edges), -1, dtype=np.intp)
-    rows, classes = [], []  # each class's side (holding vertex 0) and edges
+    rows = []  # each class's side, the one holding vertex 0
     for e in range(len(edges)):
         if label[e] >= 0:
             continue
         W = D[eu[e]] < D[ev[e]]
         row = W == W[0]
-        members = (row[eu] != row[ev]).nonzero()[0]
-        label[members] = len(rows)
+        label[row[eu] != row[ev]] = len(rows)
         rows.append(row)
-        classes.append(members)
     H, A = len(rows), np.array(rows, dtype=bool).reshape(-1, n)
     # swap to the other side where its first vertex has the smaller str
     first_off = np.argmin(A, axis=1).tolist()
@@ -541,23 +563,36 @@ def compute_hyperplanes(X: CubeComplex):
     K = np.zeros((H, n), dtype=bool)
     K[label, eu] = True
     K[label, ev] = True
+    X._sides, X._carriers = A, K
+    X._edge_list, X._edge_label = edges, label
+    X._ids_at = tuple(map(frozenset, _true_columns(K.T)))
+    return A
 
+
+def _dual_edges(X: CubeComplex):
+    """The edges dual to each hyperplane, in id order: lists of the (u, v)
+    tuples of X.edge_labels, in their order (one stable argsort of the
+    labels)."""
+    edges, label = X.edge_labels
+    order = np.argsort(label, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(label, minlength=len(X.sides))).tolist()
+    return [[edges[e] for e in order[i:j]] for i, j in zip([0] + ends, ends)]
+
+
+def _records(X: CubeComplex):
+    """The Hyperplane of each id, from its dual edges and its row of sides."""
+    A, V = X.sides, X.vertices
     hyperplanes = []
-    sides_a, sides_b = _true_columns(A), _true_columns(~A)
-    for h, (es, side_a, side_b) in enumerate(zip(classes, sides_a, sides_b)):
-        dual = frozenset(frozenset(edges[e]) for e in es.tolist())
+    rows = zip(_dual_edges(X), _true_columns(A), _true_columns(~A))
+    for h, (es, side_a, side_b) in enumerate(rows):
+        dual = frozenset(map(frozenset, es))
         hyperplanes.append(Hyperplane(
             h,
             dual,
-            frozenset(X.vertices[i] for i in side_a),
-            frozenset(X.vertices[i] for i in side_b),
+            frozenset(V[i] for i in side_a),
+            frozenset(V[i] for i in side_b),
             frozenset(v for e in dual for v in e),
         ))
-    X._sides, X._carriers = A, K
-    X._edge_to_h = {
-        frozenset(edges[e]): hyperplanes[h] for e, h in enumerate(label.tolist())
-    }
-    X._ids_at = tuple(map(frozenset, _true_columns(K.T)))
     return tuple(hyperplanes)
 
 
@@ -922,22 +957,23 @@ def hyperplane_report(X: CubeComplex) -> list:
     """Each hyperplane's id, dual edges, sides and carrier, as sorted str lists.
 
     The vertex names are sorted once and the side and carrier matrices read
-    in that column order, so only the dual edges are sorted per hyperplane.
+    in that column order, so only the dual edges, grouped by their labels,
+    are sorted per hyperplane.
     """
     names = [str(v) for v in X.vertices]
     order = sorted(range(len(names)), key=names.__getitem__)
     named = np.array([names[i] for i in order], dtype=object)
     A, K = X.sides[:, order], X.carriers[:, order]
-    rows = zip(X.hyperplanes, *(_true_columns(M, named) for M in (A, ~A, K)))
+    rows = zip(_dual_edges(X), *(_true_columns(M, named) for M in (A, ~A, K)))
     return [
         {
-            "id": h.id,
-            "edges": sorted(sorted(map(str, e)) for e in h.dual_edges),
+            "id": h,
+            "edges": sorted(sorted(map(str, e)) for e in dual),
             "sideA": side_a,
             "sideB": side_b,
             "carrier": carrier,
         }
-        for h, side_a, side_b, carrier in rows
+        for h, (dual, side_a, side_b, carrier) in enumerate(rows)
     ]
 
 
@@ -945,9 +981,8 @@ def complex_to_dot(X: CubeComplex) -> str:
     lines = ["graph skeleton {"]
     for v in X.vertices:
         lines.append(f'  "{v}";')
-    for e in sorted(X.edges, key=lambda e: tuple(sorted(e))):
-        u, v = sorted(e)
-        hid = X.hyperplane_of_edge(u, v).id
+    edges, label = X.edge_labels
+    for (u, v), hid in zip(edges, label.tolist()):
         lines.append(f'  "{u}" -- "{v}" [label="{hid}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

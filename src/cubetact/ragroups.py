@@ -352,14 +352,10 @@ class Ball:
 
     def interior_hyperplanes(self, margin):
         """Hyperplanes with a dual edge whose endpoints both sit at depth >= margin."""
-        out = set()
-        for h in self.complex.hyperplanes:
-            for e in h.dual_edges:
-                u, v = tuple(e)
-                if self.depth[u] >= margin and self.depth[v] >= margin:
-                    out.add(h.id)
-                    break
-        return out
+        edges, label = self.complex.edge_labels
+        depth = self.depth
+        return {h for (u, v), h in zip(edges, label.tolist())
+                if depth[u] >= margin and depth[v] >= margin}
 
 
 def _letters(gamma, kind):
@@ -417,13 +413,13 @@ def build_ball(gamma: DefiningGraph, kind, radius, cap=None) -> Ball:
     X = _median.certified_complex(list(vid_words), edges, ambient_dist)
 
     labels = {}
-    for h in X.hyperplanes:
-        labs = {edges[e] for e in h.dual_edges}
+    for h, dual in enumerate(_median._dual_edges(X)):
+        labs = {edges[frozenset(e)] for e in dual}
         if len(labs) != 1:
             raise LemmaViolation(
-                f"hyperplane {h.id} carries labels {sorted(labs)}"
+                f"hyperplane {h} carries labels {sorted(labs)}"
             )
-        labels[h.id] = labs.pop()
+        labels[h] = labs.pop()
 
     depth = {
         vid: radius - word_length(kind, w) for vid, w in vid_words.items()
@@ -461,31 +457,29 @@ def star_inclusion_I_check(ball: Ball, margin=2) -> dict:
     X = ball.complex
     interior = ball.interior_hyperplanes(margin)
     report = {"margin": margin, "hyperplanes": {}, "mismatches": []}
-    meets = _contact._relation(X).contact | np.eye(len(X.hyperplanes), dtype=bool)
-    for h in X.hyperplanes:
-        if h.id not in interior:
-            continue
-        sets = _contact.interaction_sets(X, h.id)
+    meets = _contact._relation(X).contact | np.eye(len(X.sides), dtype=bool)
+    for w in sorted(interior):
+        sets = _contact.interaction_sets(X, w)
         I, I0 = set(sets.I), set(sets.I0)
-        st_w = ball.gamma.st(ball.labels[h.id])
+        st_w = ball.gamma.st(ball.labels[w])
         formula_I = {
             u
-            for u in np.flatnonzero(meets[h.id]).tolist()
+            for u in np.flatnonzero(meets[w]).tolist()
             if st_w <= ball.gamma.st(ball.labels[u])
         }
         formula_I0 = {
             u for u in formula_I if st_w == ball.gamma.st(ball.labels[u])
         }
         entry = {
-            "label": ball.labels[h.id],
+            "label": ball.labels[w],
             "I": sorted(I),
             "I0": sorted(I0),
             "formula_I": sorted(formula_I),
             "formula_I0": sorted(formula_I0),
         }
-        report["hyperplanes"][h.id] = entry
+        report["hyperplanes"][w] = entry
         if I != formula_I or I0 != formula_I0:
-            report["mismatches"].append(h.id)
+            report["mismatches"].append(w)
     return report
 
 

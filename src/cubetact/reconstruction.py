@@ -113,15 +113,17 @@ def adjacency_criterion(X: CubeComplex, v, w):
     return j in _joined(X.ids_at, i)
 
 
-def reconstruct(contact_adjacency, cap=DEFAULT_CLIQUE_CAP):
-    """Candidate 1-skeleton from a contact graph alone.
+def reconstruct(cliques):
+    """Candidate 1-skeleton from a contact graph alone, given as its maximal
+    cliques in canonical order (maximal_cliques(contact), or a clique
+    atlas's cliques).
 
     Vertices are maximal cliques; cliques C1, C2 are joined unless some third
     maximal clique C3 satisfies C1 ∩ C2 ⊆ C1 ∩ C3 (see _joined).  Sound only
     under the no-extremal-vertices hypotheses; always emitted, so callers can
     compare on interior regions or document failures.
     """
-    cliques = maximal_cliques(contact_adjacency, cap=cap)
+    cliques = list(cliques)
     sets = [frozenset(cl) for cl in cliques]
     adjacency = {cl: {cliques[j] for j in _joined(sets, i)}
                  for i, cl in enumerate(cliques)}
@@ -213,7 +215,7 @@ def kernel_subgroup(X: CubeComplex):
     generators = []
     for cls in classes:
         for u, w in combinations(cls, 2):
-            perm = {h.id: h.id for h in X.hyperplanes}
+            perm = {h: h for h in range(len(X.sides))}
             perm[u], perm[w] = w, u
             generators.append(perm)
     return generators

@@ -43,9 +43,11 @@ def _cliques(X):
     rel = _contact._relation(X)
     H = len(rel.contact)
     shares_square = np.zeros((H, H), dtype=bool)
-    for a, b, c, d in X.squares:
-        h1 = X.hyperplane_of_edge(a, b).id
-        h2 = X.hyperplane_of_edge(b, c).id
+    if X.squares:
+        # the hyperplane of edge uv is the one row of sides parting u and v
+        S = X.sides.T[[[X.index[v] for v in sq[:3]] for sq in X.squares]]
+        h1 = np.argmax(S[:, 0] != S[:, 1], axis=1)
+        h2 = np.argmax(S[:, 1] != S[:, 2], axis=1)
         shares_square[h1, h2] = shares_square[h2, h1] = True
     for u, w in np.argwhere(rel.transverse != shares_square)[:1].tolist():
         raise LemmaViolation(
@@ -138,7 +140,7 @@ def interior_roundtrip(ball, margin=2):
     violations = []
     F = _contact.build_contact_family(X)
     atlas = _rec.clique_atlas(X, F)
-    rec = _rec.reconstruct(F.contact)
+    rec = _rec.reconstruct(atlas.cliques)
     interior = ball.interior_vertices(margin)
 
     clique_to_vertex = {}
@@ -349,6 +351,7 @@ _TABLE = {
         _extension_graph),
 }
 SUITES = tuple(_TABLE)
+GROUP_SUITES = frozenset({"roundtrip", "davis", "twist", "extension-graph"})  # need a graph
 
 
 def _run(suite, instances, *args, violations=()):
@@ -386,6 +389,11 @@ def _run(suite, instances, *args, violations=()):
         "seconds": round(time.perf_counter() - t0, 3),
         **extra,
     }
+
+
+def skipped_entry(suite, reason):
+    """The report entry of a suite that was not run, with the reason."""
+    return {**_run(suite, []), "skipped": reason}
 
 
 def suite_helly(instances):
@@ -445,7 +453,9 @@ def suite_extension_graph(gamma, radius):
 
 
 def run_suites(names, instances=None, balls=None, gamma=None, radius=None):
-    """Dispatch suites by name; returns the list of report entries."""
+    """Dispatch suites by name; returns the list of report entries.  Without
+    gamma, each group suite is reported skipped (its balls are built from
+    the graph)."""
     args = {
         "roundtrip": (balls or [],),
         "davis": (gamma, radius or 4),
@@ -456,6 +466,9 @@ def run_suites(names, instances=None, balls=None, gamma=None, radius=None):
     for name in names:
         if name not in _TABLE:
             raise ValueError(f"unknown suite {name!r}")
+        if gamma is None and name in GROUP_SUITES:
+            report.append(skipped_entry(name, "needs --graph"))
+            continue
         # looked up when called, so wrappers set on the module apply
         suite = globals()["suite_" + name.replace("-", "_")]
         report.append(suite(*args.get(name, (instances or [],))))

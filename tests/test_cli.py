@@ -150,6 +150,29 @@ def test_verify_needs_graph(capsys):
     assert code == 2 and "--graph" in err
 
 
+def test_verify_default_suites_skip_the_group_suites_without_graph(capsys):
+    """With no --suite and no --graph, the instance suites run and each
+    group suite is reported skipped, in the order of the suite table."""
+    code, out, err = run(capsys, "verify", "--builtin", "SQUARE")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["pass"] is True
+    assert [e["lemmaId"] for e in doc["suites"]] == list(cli._verify.SUITES)
+    for entry in doc["suites"]:
+        assert entry["violations"] == []
+        if entry["lemmaId"] in cli._verify.GROUP_SUITES:
+            assert entry["skipped"] == "needs --graph"
+            assert entry["instancesChecked"] == 0
+        else:
+            assert "skipped" not in entry and entry["instancesChecked"] == 1
+
+
+def test_bare_verify_has_nothing_to_verify(capsys):
+    """No suite, no graph and no instance source: refused, not a vacuous pass."""
+    code, out, err = run(capsys, "verify")
+    assert code == 2 and out == "" and "nothing to verify" in err
+
+
 def test_unknown_suite_rejected(capsys):
     with pytest.raises(SystemExit):
         cli.main(["verify", "--suite", "bogus"])

@@ -14,6 +14,7 @@ from cubetact.errors import (
     NotConnected,
     NotMedian,
     SizeLimitExceeded,
+    UnknownHyperplane,
     UnknownVertex,
 )
 
@@ -115,6 +116,31 @@ def test_domino_hyperplanes():
     # one long horizontal hyperplane, two vertical ones
     assert sizes == [2, 2, 3]
     assert X.dimension == 2
+
+
+def test_hyperplane_ids_are_ints_or_numpy_integers_not_bools():
+    """check_hyperplane takes an int or a numpy integer in range(H) as its
+    int, and refuses a bool, which is an int in Python."""
+    from cubetact import contact as ct
+
+    X = md.builtin_complex("SQUARE")
+    for bad in (True, False, np.bool_(True), -1, 2, 1.0, "0", None):
+        with pytest.raises(UnknownHyperplane):
+            X.check_hyperplane(bad)
+        with pytest.raises(UnknownHyperplane):
+            X.hyperplane(bad)
+        with pytest.raises(UnknownHyperplane):
+            ct.interaction(X, bad, 0)
+        with pytest.raises(UnknownHyperplane):
+            ct.interaction_sets(X, bad)
+    with pytest.raises(UnknownHyperplane):
+        ct.interaction(X, False, True)
+    for hid in (np.int64(1), np.int32(1), np.uint8(1), np.intp(1)):
+        assert X.check_hyperplane(hid) == 1 and type(X.check_hyperplane(hid)) is int
+        assert X.hyperplane(hid) is X.hyperplane(1)
+        assert ct.interaction(X, hid, 0) == "transverse"
+        assert ct.interaction_sets(X, hid) == ct.interaction_sets(X, 1)
+        assert type(ct.interaction_sets(X, hid).base) is int
 
 
 def test_sides_partition():

@@ -8,6 +8,13 @@ intersects the W_v over w's carrier, and the dimension is the largest clique
 of a link graph.  The fast path must agree with it, in both reduced modes,
 on the builtins, random complexes and the session balls.
 
+Hyperplane records: the reference is the original compute_hyperplanes,
+which built every Hyperplane record and the edge map with the matrices
+(eager_hyperplanes).  The records that CubeComplex.hyperplanes builds on
+demand from the edge labels must be the same, with the same ids, dual
+edges, sides, carriers, edge map and per-vertex id sets, on the builtins,
+200 random complexes and three balls.
+
 Instances: the references are the tuple-majority random generator and the
 ball closure that rebuilds the word-metric distance matrix with nf_mult and
 adds the ambient median of every defect triple of the n^3 median scan.  The
@@ -315,6 +322,86 @@ def test_oracle_random():
 )
 def test_oracle_balls(fixture, request):
     check_against_oracle(request.getfixturevalue(fixture).complex)
+
+
+def eager_hyperplanes(X):
+    """The original compute_hyperplanes, which built the records with the
+    matrices: (records, edge map, ids_at, sides, carriers), X unchanged."""
+    n, D = len(X.vertices), X._dist
+    edges = sorted(tuple(sorted(e)) for e in X.edges)
+    eu = np.array([X.index[u] for u, _ in edges], dtype=np.intp)
+    ev = np.array([X.index[v] for _, v in edges], dtype=np.intp)
+    label = np.full(len(edges), -1, dtype=np.intp)
+    rows, classes = [], []  # each class's side (holding vertex 0) and edges
+    for e in range(len(edges)):
+        if label[e] >= 0:
+            continue
+        W = D[eu[e]] < D[ev[e]]
+        row = W == W[0]
+        members = (row[eu] != row[ev]).nonzero()[0]
+        label[members] = len(rows)
+        rows.append(row)
+        classes.append(members)
+    H, A = len(rows), np.array(rows, dtype=bool).reshape(-1, n)
+    # swap to the other side where its first vertex has the smaller str
+    first_off = np.argmin(A, axis=1).tolist()
+    flip = [str(X.vertices[i]) < str(X.vertices[0]) for i in first_off]
+    A ^= np.array(flip, dtype=bool).reshape(H, 1)
+    K = np.zeros((H, n), dtype=bool)
+    K[label, eu] = True
+    K[label, ev] = True
+
+    hyperplanes = []
+    sides_a, sides_b = md._true_columns(A), md._true_columns(~A)
+    for h, (es, side_a, side_b) in enumerate(zip(classes, sides_a, sides_b)):
+        dual = frozenset(frozenset(edges[e]) for e in es.tolist())
+        hyperplanes.append(md.Hyperplane(
+            h,
+            dual,
+            frozenset(X.vertices[i] for i in side_a),
+            frozenset(X.vertices[i] for i in side_b),
+            frozenset(v for e in dual for v in e),
+        ))
+    edge_to_h = {
+        frozenset(edges[e]): hyperplanes[h] for e, h in enumerate(label.tolist())
+    }
+    ids_at = tuple(map(frozenset, md._true_columns(K.T)))
+    return tuple(hyperplanes), edge_to_h, ids_at, A, K
+
+
+def check_records_against_eager(X):
+    """On a fresh copy of X: the matrices first, with no record built; then
+    the on-demand records and edge map against eager_hyperplanes."""
+    hyps, edge_to_h, ids_at, A, K = eager_hyperplanes(X)
+    X = md.CubeComplex(X.vertices, X.edges, X._dist, X.squares)
+    assert np.array_equal(X.sides, A) and np.array_equal(X.carriers, K)
+    assert X.ids_at == ids_at
+    assert X._hyperplanes is None and X._edge_to_h is None
+    assert X.hyperplanes == hyps
+    assert [h.id for h in X.hyperplanes] == list(range(len(A)))
+    for h, row_a, row_k in zip(X.hyperplanes, A, K):
+        assert h.side_a == {v for v, a in zip(X.vertices, row_a) if a}
+        assert h.side_b == frozenset(X.vertices) - h.side_a
+        assert h.carrier == {v for v, k in zip(X.vertices, row_k) if k}
+    for e in X.edges:
+        u, v = tuple(e)
+        assert X.hyperplane_of_edge(u, v) == X.hyperplane_of_edge(v, u) == edge_to_h[e]
+    assert len(edge_to_h) == len(X.edges)
+
+
+@pytest.mark.parametrize("name", md.BUILTIN_COMPLEXES)
+def test_records_builtins(name):
+    check_records_against_eager(md.builtin_complex(name))
+
+
+def test_records_random():
+    for seed in range(200):
+        check_records_against_eager(md.random_median_complex(6, 5, seed))
+
+
+@pytest.mark.parametrize("fixture", ["x_c5_r2", "y_p4_r4", "y_st5_r4"])
+def test_records_balls(fixture, request):
+    check_records_against_eager(request.getfixturevalue(fixture).complex)
 
 
 def test_maximal_cliques_against_networkx(request):
@@ -1165,7 +1252,7 @@ def reference_extremal(X, v):
 
 def check_blocking_and_extremality(X):
     contact = ct.build_contact_family(X).contact
-    assert rc.reconstruct(contact) == reference_reconstruct(contact)
+    assert rc.reconstruct(rc.maximal_cliques(contact)) == reference_reconstruct(contact)
     V = X.vertices
     pairs = [(v, w) for v, w in combinations(V, 2) if reference_criterion(X, v, w)]
     rows = [(v, V[j]) for i, v in enumerate(V)

@@ -99,7 +99,7 @@ def test_reconstruct_collapses_tripod():
     # failure on complexes with extremal vertices
     X = md.builtin_complex("TRIPOD")
     F = ct.build_contact_family(X)
-    rec = rc.reconstruct(F.contact)
+    rec = rc.reconstruct(rc.maximal_cliques(F.contact))
     assert len(rec["vertices"]) == 1
     assert rec["edges"] == set()
 
@@ -109,7 +109,7 @@ def test_reconstruct_domino_failure_shape():
     # six vertices to one, since every vertex of the domino is extremal
     X = md.builtin_complex("DOMINO")
     F = ct.build_contact_family(X)
-    rec = rc.reconstruct(F.contact)
+    rec = rc.reconstruct(rc.maximal_cliques(F.contact))
     assert len(rec["vertices"]) == 1 != len(X.vertices)
     assert all(rc.clique_atlas(X).extremal[v] for v in X.vertices)
 

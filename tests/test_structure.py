@@ -4,7 +4,8 @@ a local median certificate with one quadrangle check, read also by the
 ball closure, one all-sources BFS, no interval tensor, no unused import,
 one blocking kernel and one extremality count, one union-find and no
 normal-form walk for the runs of a ball's edge labels, no attribute set on
-a frozen object, no indented json encoding outside the tests, and every
+a frozen object, no indented json encoding outside the tests, no
+Hyperplane record built by the instance suites or analyze, and every
 function the benchmark tracer pins by name still public.  Two scans cover
 the whole package: every `raise LemmaViolation` outside verify.py is one of the
 listed guards of a construction, and every public function that no package
@@ -25,10 +26,12 @@ import cubetact
 from cubetact import cli
 from cubetact import contact as ct
 from cubetact import median as md
+from cubetact import ragroups as rg
 from cubetact import verify
 from cubetact.errors import NotMedian
 
 SOURCES = sorted(Path(cubetact.__file__).parent.glob("*.py"))
+CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -43,7 +46,14 @@ def test_run_suites_dispatches_every_suite_by_name(monkeypatch):
     for name in verify.SUITES:
         func = "suite_" + name.replace("-", "_")
         monkeypatch.setattr(verify, func, lambda *a, _n=name, **k: _n)
-    assert verify.run_suites(verify.SUITES) == list(verify.SUITES)
+    assert verify.run_suites(verify.SUITES, gamma="G") == list(verify.SUITES)
+    # without a graph the group suites are not dispatched but reported skipped
+    report = verify.run_suites(verify.SUITES)
+    for name, entry in zip(verify.SUITES, report):
+        if name in verify.GROUP_SUITES:
+            assert entry["lemmaId"] == name and entry["skipped"] == "needs --graph"
+        else:
+            assert entry == name
     with pytest.raises(ValueError):
         verify.run_suites(["bogus"])
 
@@ -328,6 +338,43 @@ def test_analyze_and_verify_reach_no_link_graph(monkeypatch, tmp_path, capsys):
                      "--graph", "C5", "--suite", "cliques", "--suite", "cone-links",
                      "--suite", "criterion", "--suite", "roundtrip"]) == 0
     capsys.readouterr()
+
+
+INSTANCE_SUITES = ("helly", "cliques", "cone-links", "iw", "criterion", "kernel")
+
+
+def test_instance_suites_and_analyze_build_no_hyperplane_record(monkeypatch, tmp_path,
+                                                                capsys):
+    """The Hyperplane records and the edge map are built on demand only:
+    the instance suites and analyze (with and without --dot) read the side
+    and carrier matrices and the edge labels, so the records of their fresh
+    complexes are never built."""
+    assert set(INSTANCE_SUITES) == set(verify.SUITES) - verify.GROUP_SUITES
+    fresh = [md.builtin_complex(name) for name in md.BUILTIN_COMPLEXES]
+    fresh += [md.random_median_complex(6, 5, seed) for seed in range(1, 6)]
+    for X in fresh:
+        report = verify.run_suites(INSTANCE_SUITES, instances=[("X", X)])
+        assert all(not e["violations"] for e in report)
+    for name in ("C5", "P4"):
+        ball = rg.build_ball(rg.builtin_defining_graph(name), rg.COXETER, 3)
+        verify.run_suites(INSTANCE_SUITES, instances=[(name, ball.complex)])
+        fresh.append(ball.complex)
+
+    analyzed, real = [], md.complex_from_json
+
+    def complex_from_json(doc):
+        analyzed.append(real(doc))
+        return analyzed[-1]
+
+    monkeypatch.setattr(md, "complex_from_json", complex_from_json)
+    for path in sorted(CORPUS.glob("*.json"))[:3]:
+        for extra in ([], ["--dot"]):
+            assert cli.main(["analyze", "--in", str(path), *extra]) == 0
+    capsys.readouterr()
+    assert len(analyzed) == 6
+    for X in fresh + analyzed:
+        assert X._sides is not None
+        assert X._hyperplanes is None and X._edge_to_h is None
 
 
 def tracer_pins():
