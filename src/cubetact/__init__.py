@@ -30,7 +30,6 @@ from .errors import (
 from .median import (
     BUILTIN_COMPLEXES,
     CubeComplex,
-    Hyperplane,
     LinkGraph,
     builtin_complex,
     complex_from_json,

@@ -38,27 +38,6 @@ def vertex_cap() -> int:
 
 
 @dataclass(frozen=True)
-class Hyperplane:
-    """A Djokovic-Winkler edge class, with its two sides and its carrier."""
-
-    id: int
-    dual_edges: frozenset  # frozensets {u, v}
-    side_a: frozenset
-    side_b: frozenset
-    carrier: frozenset  # endpoints of the dual edges
-
-    def side_of(self, v):
-        if v in self.side_a:
-            return self.side_a
-        if v in self.side_b:
-            return self.side_b
-        raise UnknownVertex(v)
-
-    def other_side(self, v):
-        return self.side_b if v in self.side_a else self.side_a
-
-
-@dataclass(frozen=True)
 class LinkGraph:
     """Hyperplanes adjacent to a vertex, joined when they span a square there."""
 
@@ -93,15 +72,12 @@ class CubeComplex:
         self._dist = dist  # numpy (n, n) int matrix, indexed like self.vertices
         self._squares = None if squares is None else tuple(squares)
         # hyperplane matrices and edge labels, filled together by
-        # compute_hyperplanes; the records and the edge map are built from
-        # them on first access
+        # compute_hyperplanes; ids_at is read off the carriers on first access
         self._sides = None
         self._carriers = None
         self._ids_at = None
         self._edge_list = None
         self._edge_label = None
-        self._hyperplanes = None
-        self._edge_to_h = None
         self._relation = None  # contact.py's hyperplane-pair relation
         self._dimension = None
         self._pairs = None  # the distance-2 pair table
@@ -174,14 +150,6 @@ class CubeComplex:
             compute_hyperplanes(self)
 
     @property
-    def hyperplanes(self):
-        """The Hyperplane records in id order, built on first access from the
-        edge labels and the side matrix (see _records)."""
-        if self._hyperplanes is None:
-            self._hyperplanes = _records(self)
-        return self._hyperplanes
-
-    @property
     def sides(self):
         """A: (H, n) bool, A[h, i] iff vertices[i] lies in side_a of h."""
         self._theta()
@@ -195,8 +163,10 @@ class CubeComplex:
 
     @property
     def ids_at(self):
-        """W: W[i] is the frozenset of ids of the hyperplanes at vertices[i]."""
-        self._theta()
+        """W: W[i] is the frozenset of ids of the hyperplanes at vertices[i],
+        read off the columns of the carriers on first access."""
+        if self._ids_at is None:
+            self._ids_at = tuple(map(frozenset, _true_columns(self.carriers.T)))
         return self._ids_at
 
     @property
@@ -215,18 +185,14 @@ class CubeComplex:
             raise UnknownHyperplane(hid)
         return int(hid)
 
-    def hyperplane(self, hid) -> Hyperplane:
-        return self.hyperplanes[self.check_hyperplane(hid)]
-
     def hyperplane_of_edge(self, u, v):
-        if self._edge_to_h is None:
-            edges, label = self.edge_labels
-            hs = self.hyperplanes
-            self._edge_to_h = {frozenset(e): hs[h] for e, h in zip(edges, label.tolist())}
-        e = frozenset((u, v))
-        if e not in self._edge_to_h:
+        """The id of the hyperplane dual to the edge uv, as an int: the one
+        row of sides parting u and v.  Raises UnknownHyperplane unless uv is
+        an edge."""
+        if frozenset((u, v)) not in self.edges:
             raise UnknownHyperplane((u, v))
-        return self._edge_to_h[e]
+        A = self.sides
+        return int(np.argmax(A[:, self.index[u]] != A[:, self.index[v]]))
 
     @property
     def dimension(self):
@@ -532,9 +498,8 @@ def compute_hyperplanes(X: CubeComplex):
     class when their sides agree up to complement.  Ids follow the classes'
     smallest sorted edges, and side_a is the side whose first vertex in
     X.vertices order has the smaller str.  Fills X's side and carrier
-    matrices (see CubeComplex.sides and .carriers), its per-vertex id sets
-    and its edge labels, and returns the side matrix, one row per
-    hyperplane; the Hyperplane records are built from these on demand.
+    matrices (see CubeComplex.sides and .carriers) and its edge labels, and
+    returns the side matrix, one row per hyperplane.
 
     X must be median, as validate_complex and certified_complex make sure.
     Classes are found one at a time: the smallest edge uv in no class yet
@@ -565,7 +530,6 @@ def compute_hyperplanes(X: CubeComplex):
     K[label, ev] = True
     X._sides, X._carriers = A, K
     X._edge_list, X._edge_label = edges, label
-    X._ids_at = tuple(map(frozenset, _true_columns(K.T)))
     return A
 
 
@@ -577,23 +541,6 @@ def _dual_edges(X: CubeComplex):
     order = np.argsort(label, kind="stable").tolist()
     ends = np.cumsum(np.bincount(label, minlength=len(X.sides))).tolist()
     return [[edges[e] for e in order[i:j]] for i, j in zip([0] + ends, ends)]
-
-
-def _records(X: CubeComplex):
-    """The Hyperplane of each id, from its dual edges and its row of sides."""
-    A, V = X.sides, X.vertices
-    hyperplanes = []
-    rows = zip(_dual_edges(X), _true_columns(A), _true_columns(~A))
-    for h, (es, side_a, side_b) in enumerate(rows):
-        dual = frozenset(map(frozenset, es))
-        hyperplanes.append(Hyperplane(
-            h,
-            dual,
-            frozenset(V[i] for i in side_a),
-            frozenset(V[i] for i in side_b),
-            frozenset(v for e in dual for v in e),
-        ))
-    return tuple(hyperplanes)
 
 
 def _true_columns(M, labels=None):
@@ -750,15 +697,12 @@ def hyperplanes_at(X: CubeComplex, v):
 
 
 def separating(X: CubeComplex, A, B):
-    """Hyperplanes with A entirely on one side and B entirely on the other."""
-    A, B = set(A), set(B)
-    for v in A | B:
-        X.check_vertex(v)
-    out = set()
-    for h in X.hyperplanes:
-        if (A <= h.side_a and B <= h.side_b) or (A <= h.side_b and B <= h.side_a):
-            out.add(h.id)
-    return out
+    """Hyperplanes with A entirely on one side and B entirely on the other:
+    the rows of sides true on all of A's columns and none of B's, or the
+    reverse."""
+    a, b = (X.sides[:, [X.check_vertex(v) for v in set(S)]] for S in (A, B))
+    apart = (a.all(axis=1) & ~b.any(axis=1)) | (~a.any(axis=1) & b.all(axis=1))
+    return set(np.flatnonzero(apart).tolist())
 
 
 def link_graph(X: CubeComplex, v) -> LinkGraph:
@@ -770,7 +714,7 @@ def link_graph(X: CubeComplex, v) -> LinkGraph:
     nodes = hyperplanes_at(X, v)
     table, V = X.pair_table, X.vertices
     adjacency = frozenset(
-        frozenset((X.hyperplane_of_edge(v, V[b]).id, X.hyperplane_of_edge(v, V[d]).id))
+        frozenset((X.hyperplane_of_edge(v, V[b]), X.hyperplane_of_edge(v, V[d])))
         for b, d in combinations(sorted(X.index[w] for w in X.adj[v]), 2)
         if len(table[b, d]) == 2
     )
@@ -833,14 +777,14 @@ def hyperplane_complex(X: CubeComplex, hid) -> CubeComplex:
     Vertices are the dual edges; two are joined when they lie in a common
     square of X.
     """
-    h = X.hyperplane(hid)
+    dual = set(map(frozenset, _dual_edges(X)[X.check_hyperplane(hid)]))
     edges = {
         (dual_edge_id(e1), dual_edge_id(e2))
         for a, b, c, d in X.squares
         for e1, e2 in (((a, b), (c, d)), ((b, c), (d, a)))
-        if {frozenset(e1), frozenset(e2)} <= h.dual_edges
+        if {frozenset(e1), frozenset(e2)} <= dual
     }
-    return validate_complex(sorted(dual_edge_id(e) for e in h.dual_edges), edges)
+    return validate_complex(sorted(dual_edge_id(e) for e in dual), edges)
 
 
 def _projection_closure(codes, dim):
@@ -945,12 +889,35 @@ def complex_to_json(X: CubeComplex) -> dict:
     }
 
 
+def _document_lists(doc):
+    """The vertices and edges of a JSON document, which must be an object
+    holding both as lists (else ValueError)."""
+    if isinstance(doc, dict) and all(isinstance(doc.get(k), list) for k in ("vertices", "edges")):
+        return doc["vertices"], doc["edges"]
+    raise ValueError("the document must be an object with 'vertices' and 'edges' lists")
+
+
+def _name_kind(v):
+    """str or float for a vertex name that is a string or a number, else None;
+    a bool is no name, since True == 1 would merge two vertices."""
+    if isinstance(v, str):
+        return str
+    return float if isinstance(v, (int, float)) and not isinstance(v, bool) else None
+
+
 def complex_from_json(doc) -> CubeComplex:
-    for e in doc["edges"]:
-        if not (isinstance(e, list) and len(e) == 2
-                and all(isinstance(v, (str, int, float)) for v in e)):
+    """The complex of a document {"vertices": [...], "edges": [[u, v], ...]}.
+
+    Raises ValueError unless the vertex names are all strings or all
+    numbers, which sort, and each edge is a list of two such names."""
+    vertices, edges = _document_lists(doc)
+    kinds = set(map(_name_kind, vertices))
+    if None in kinds or len(kinds) > 1:
+        raise ValueError("the vertex names must be all strings or all numbers")
+    for e in edges:
+        if not (isinstance(e, list) and len(e) == 2 and all(map(_name_kind, e))):
             raise ValueError(f"edge {e!r} is not a list of two vertex names")
-    return validate_complex(doc["vertices"], doc["edges"])
+    return validate_complex(vertices, edges)
 
 
 def hyperplane_report(X: CubeComplex) -> list:

@@ -110,7 +110,8 @@ BUILTIN_GRAPHS = ("P4", "C5", "STAR_EQ5", "F2", "EDGE2", "SINGLE")
 
 
 def graph_from_json(doc) -> DefiningGraph:
-    return DefiningGraph(doc["vertices"], [tuple(e) for e in doc["edges"]])
+    vertices, edges = _median._document_lists(doc)
+    return DefiningGraph(vertices, [tuple(e) for e in edges])
 
 
 def graph_to_json(gamma: DefiningGraph) -> dict:
@@ -569,10 +570,10 @@ def _segment_classes(ball: Ball):
     is labelled g: a pair joins two g-edges, and build_ball has refused a
     hyperplane whose dual edges carry two labels.
     """
-    X = ball.complex
     at = {}  # (vertex, label) -> hyperplanes of the edges with that label
-    for edge, g in ball.edge_label.items():
-        h = X.hyperplane_of_edge(*edge).id
+    edges, label = ball.complex.edge_labels
+    for edge, h in zip(edges, label.tolist()):
+        g = ball.edge_label[frozenset(edge)]
         for v in edge:
             at.setdefault((v, g), []).append(h)
     classes = _components((hs[0], hs[-1]) for hs in at.values())
@@ -693,11 +694,11 @@ def halfspace_twist(ball: Ball, x, y, side="A") -> HalfspaceTwist:
 
     X = ball.complex
     h = X.hyperplane_of_edge("1", x)
-    halfspace = h.side_a if side == "A" else h.side_b
+    halfspace = X.sides[h] == (side == "A")
 
     perm = {}
     for v, w in ball.words.items():
-        if v in halfspace:
+        if halfspace[X.index[v]]:
             image = _invert_generator(ball.gamma, w, y)
             if word_length(ARTIN, image) != word_length(ARTIN, w):
                 raise LemmaViolation(
@@ -709,7 +710,7 @@ def halfspace_twist(ball: Ball, x, y, side="A") -> HalfspaceTwist:
     moved = tuple(sorted(v for v in perm if perm[v] != v))
     if not moved:
         raise BallTooSmall("twist collapsed to the identity on this ball")
-    return HalfspaceTwist(perm, h.id, side, moved)
+    return HalfspaceTwist(perm, h, side, moved)
 
 
 @dataclass(frozen=True)
@@ -759,28 +760,26 @@ def davis_phi(ball: Ball, a, b, base="1", margin=2) -> DavisPhi:
     ha = X.hyperplane_of_edge(base, va)
     hb = X.hyperplane_of_edge(base, vb)
     interior = ball.interior_hyperplanes(margin)
-    if ha.id not in interior:
-        raise NotInterior(f"a-hyperplane {ha.id} not interior at margin {margin}")
-    if hb.id not in interior:
-        raise NotInterior(f"b-hyperplane {hb.id} not interior at margin {margin}")
+    if ha not in interior:
+        raise NotInterior(f"a-hyperplane {ha} not interior at margin {margin}")
+    if hb not in interior:
+        raise NotInterior(f"b-hyperplane {hb} not interior at margin {margin}")
 
-    a_plus = ha.side_of(va)  # the side the reflection acts on
-    a_minus = ha.other_side(va)
-    rel = _contact._relation(X)
+    # the side of ha holding va, which the reflection acts on
+    a_plus = X.sides[ha] == X.sides[ha, X.index[va]]
+    K, transverse = X.carriers, _contact._relation(X).transverse
     partition = {}
-    for h in X.hyperplanes:
-        if h.id not in interior:
-            continue
-        if h.id == ha.id or rel.transverse[ha.id, h.id]:
-            partition[h.id] = "T"
-        elif h.carrier <= a_plus:
-            partition[h.id] = "A+"
-        elif h.carrier <= a_minus:
-            partition[h.id] = "A-"
+    for h in sorted(interior):
+        if h == ha or transverse[ha, h]:
+            partition[h] = "T"
+        elif not (K[h] & ~a_plus).any():
+            partition[h] = "A+"
+        elif not (K[h] & a_plus).any():
+            partition[h] = "A-"
         else:
             raise LemmaViolation(
-                f"carrier of hyperplane {h.id} straddles non-transverse "
-                f"hyperplane {ha.id}"
+                f"carrier of hyperplane {h} straddles non-transverse "
+                f"hyperplane {ha}"
             )
 
     reflection = nf_mult(
@@ -791,18 +790,16 @@ def davis_phi(ball: Ball, a, b, base="1", margin=2) -> DavisPhi:
         img = nf_mult(gamma, kind, reflection, ball.words[vid])
         return vertex(img)
 
-    phi = {}
+    phi, dual = {}, _median._dual_edges(X)
     for hid, part in partition.items():
         if part != "A+":
             phi[hid] = hid
             continue
-        h = X.hyperplane(hid)
         images = set()
-        for e in h.dual_edges:
-            u, v = tuple(e)
+        for u, v in dual[hid]:
             iu, iv = reflect_vertex(u), reflect_vertex(v)
             if iu is not None and iv is not None:
-                images.add(X.hyperplane_of_edge(iu, iv).id)
+                images.add(X.hyperplane_of_edge(iu, iv))
         if len(images) != 1:
             raise LemmaViolation(
                 f"reflection image of hyperplane {hid} ill-defined: {images}"
@@ -811,7 +808,7 @@ def davis_phi(ball: Ball, a, b, base="1", margin=2) -> DavisPhi:
 
     rho_map = {}
     for vid in ball.words:
-        if vid in a_minus:
+        if not a_plus[X.index[vid]]:
             rho_map[vid] = vid
         else:
             img = reflect_vertex(vid)
@@ -828,7 +825,7 @@ def davis_phi(ball: Ball, a, b, base="1", margin=2) -> DavisPhi:
                 broken = (u, v)
                 break
     return DavisPhi(
-        phi, partition, reflection, rho_map, square, broken, ha.id, hb.id
+        phi, partition, reflection, rho_map, square, broken, ha, hb
     )
 
 

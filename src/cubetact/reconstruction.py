@@ -142,26 +142,20 @@ def induce_iota(X: CubeComplex, g):
     for u in g:
         X.check_vertex(u)
         X.check_vertex(g[u])
-    # adjacency must be preserved wherever both endpoints are in the domain
-    for e in X.edges:
-        u, v = tuple(e)
-        if u in g and v in g:
+    images = {}  # hyperplane id -> ids of the images of its edges in the domain
+    edges, label = X.edge_labels
+    for (u, v), h in zip(edges, label.tolist()):
+        if u in g and v in g:  # adjacency must be preserved there
             if frozenset((g[u], g[v])) not in X.edges:
-                raise NotAnAutomorphism(f"edge {sorted(e)} maps to a non-edge")
-
+                raise NotAnAutomorphism(f"edge {[u, v]} maps to a non-edge")
+            images.setdefault(h, set()).add(X.hyperplane_of_edge(g[u], g[v]))
     phi = {}
-    for h in X.hyperplanes:
-        images = set()
-        for e in h.dual_edges:
-            u, v = tuple(e)
-            if u in g and v in g:
-                images.add(X.hyperplane_of_edge(g[u], g[v]).id)
-        if len(images) > 1:
+    for h in sorted(images):
+        if len(images[h]) > 1:
             raise HyperplaneNotPreserved(
-                f"hyperplane {h.id} maps to several hyperplanes {sorted(images)}"
+                f"hyperplane {h} maps to several hyperplanes {sorted(images[h])}"
             )
-        if images:
-            phi[h.id] = images.pop()
+        phi[h] = images[h].pop()
 
     if len(g) == len(X.vertices):  # total map: must induce a contact automorphism
         F = build_contact_family(X)

@@ -240,7 +240,7 @@ def _davis(pair, gamma, radius):
     except CubetactError as ex:
         raise LemmaViolation(str(ex)) from ex
     X = ball.complex
-    C = _contact._relation(X).contact
+    C, dual = _contact._relation(X).contact, _median._dual_edges(X)
 
     def reflect(vid):
         return _rg.format_word(
@@ -249,10 +249,10 @@ def _davis(pair, gamma, radius):
     for hid, part in d.partition.items():
         if part != "T":
             continue
-        for e in X.hyperplane(hid).dual_edges:
+        for e in dual[hid]:
             iu, iv = (reflect(v) for v in e)
             if iu in ball.words and iv in ball.words:
-                if X.hyperplane_of_edge(iu, iv).id != hid:
+                if X.hyperplane_of_edge(iu, iv) != hid:
                     raise LemmaViolation(
                         f"reflection moves transverse hyperplane {hid}")
                 break
@@ -287,13 +287,15 @@ def _twist(pair, gamma, radius):
         tw = _rg.halfspace_twist(ball, *pair)
     except CubetactError as ex:
         raise LemmaViolation(str(ex)) from ex
-    for v in sorted(ball.complex.hyperplane(tw.hyperplane).carrier):
+    X = ball.complex
+    carrier = np.flatnonzero(X.carriers[tw.hyperplane]).tolist()
+    for v in sorted(X.vertices[i] for i in carrier):
         image = tw.perm.get(v)
         if image != v:
             raise LemmaViolation(
                 f"inverting {pair[1]} moves carrier vertex {v} to {image}")
     try:
-        _rec.verify_automorphism(ball.complex.adj, tw.perm)
+        _rec.verify_automorphism(X.adj, tw.perm)
     except NotAnAutomorphism as ex:
         raise LemmaViolation(str(ex)) from ex
     return {"witness": {"hyperplane": tw.hyperplane, "moved": len(tw.moved)}}

@@ -183,7 +183,7 @@ def _conjugates_fix_all_pairs(ball, tw, margin=2):
     moving F into the region the twist fixes pointwise; the conjugate
     g^-1 psi g then fixes F. Returns (pairs, successes).
     """
-    X = ball.complex
+    dual = md._dual_edges(ball.complex)
     fixed = {v for v in tw.perm if tw.perm[v] == v}
     interior = sorted(ball.interior_hyperplanes(margin))
     words = sorted(
@@ -197,8 +197,7 @@ def _conjugates_fix_all_pairs(ball, tw, margin=2):
             if all(
                 any(
                     ip in fixed and iq in fixed
-                    for e in X.hyperplane(u).dual_edges
-                    for p, q in [tuple(e)]
+                    for p, q in dual[u]
                     for ip in [rg.format_word(
                         rg.nf_mult(ball.gamma, ball.kind, gw, ball.words[p])
                     )]
@@ -224,7 +223,8 @@ def test_criterion_9_halfspace_twist(x_f2_r3, x_c5_r3, criterion_report):
     ):
         tw = rg.halfspace_twist(ball, x, y)
         rc.verify_automorphism(ball.complex.adj, tw.perm)
-        carrier = ball.complex.hyperplane(tw.hyperplane).carrier
+        X = ball.complex
+        carrier = [v for v, k in zip(X.vertices, X.carriers[tw.hyperplane]) if k]
         ok = ok and bool(tw.moved)
         ok = ok and all(tw.perm[v] == v for v in carrier)
         pairs, successes = _conjugates_fix_all_pairs(ball, tw)

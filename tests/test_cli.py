@@ -102,12 +102,38 @@ def test_verify_cone_links_single_vertex(tmp_path, capsys):
     (["a", "b", "c"], "not a list of two vertex names"),
     ("ab", "not a list of two vertex names"),
     ([["a"], "b"], "not a list of two vertex names"),
+    ([True, "b"], "not a list of two vertex names"),
 ])
 def test_analyze_rejects_malformed_edge(tmp_path, capsys, edge, message):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"vertices": ["a", "b", "c"], "edges": [edge]}))
     code, out, err = run(capsys, "analyze", "--in", str(bad))
     assert code == 2 and out == "" and message in err
+
+
+MIXED = "vertex names must be all strings or all numbers"
+NOT_LISTS = "an object with 'vertices' and 'edges' lists"
+
+
+@pytest.mark.parametrize("argv, doc, message", [
+    (["analyze", "--in"], {"vertices": [1, "a"], "edges": [[1, "a"]]}, MIXED),
+    (["verify", "--in"], {"vertices": [1, "a"], "edges": [[1, "a"]]}, MIXED),
+    (["analyze", "--in"], {"vertices": [[1], "a"], "edges": []}, MIXED),
+    (["analyze", "--in"], {"vertices": [True, 2], "edges": [[True, 2]]}, MIXED),
+    (["analyze", "--in"], [1, 2], NOT_LISTS),
+    (["analyze", "--in"], {"vertices": "ab", "edges": []}, NOT_LISTS),
+    (["analyze", "--in"], {"vertices": ["a", "b"]}, NOT_LISTS),
+    (["generate", "--ball"], [1, 2], NOT_LISTS),
+    (["generate", "--ball"], {"vertices": "ab", "edges": []}, NOT_LISTS),
+])
+def test_malformed_documents_exit_2(tmp_path, capsys, argv, doc, message):
+    """A document that is not an object with vertex and edge lists, or whose
+    vertex names are not all strings or all numbers, is invalid input."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    extra = ["coxeter", "2"] if argv[0] == "generate" else []
+    code, out, err = run(capsys, *argv, str(bad), *extra)
+    assert code == 2 and out == "" and err.startswith("error:") and message in err
 
 
 def test_analyze_missing_file(capsys):

@@ -11,20 +11,16 @@ from cubetact import verify as vf
 from cubetact.errors import NotAnAutomorphism
 
 
-def hyperplane_by_edge(X, u, v):
-    return X.hyperplane_of_edge(u, v).id
-
-
 def test_square_transverse():
     X = md.builtin_complex("SQUARE")
-    h1, h2 = (h.id for h in X.hyperplanes)
+    h1, h2 = range(len(X.sides))
     assert ct.interaction(X, h1, h2) == "transverse"
     assert ct.interaction(X, h1, h1) == "equal"
 
 
 def test_tripod_osculating_triangle():
     X = md.builtin_complex("TRIPOD")
-    ids = [h.id for h in X.hyperplanes]
+    ids = list(range(len(X.sides)))
     assert len(ids) == 3
     for u, w in combinations(ids, 2):
         assert ct.interaction(X, u, w) == "contact_osculating"
@@ -35,18 +31,18 @@ def test_tripod_osculating_triangle():
 
 def test_path3_separated():
     X = md.builtin_complex("PATH3")
-    h0 = hyperplane_by_edge(X, "0", "1")
-    h2 = hyperplane_by_edge(X, "2", "3")
+    h0 = X.hyperplane_of_edge("0", "1")
+    h2 = X.hyperplane_of_edge("2", "3")
     assert ct.interaction(X, h0, h2) == "separated"
-    h1 = hyperplane_by_edge(X, "1", "2")
+    h1 = X.hyperplane_of_edge("1", "2")
     assert ct.interaction(X, h0, h1) == "contact_osculating"
 
 
 def test_domino_graphs():
     X = md.builtin_complex("DOMINO")
     F = ct.build_contact_family(X)
-    long = next(h.id for h in X.hyperplanes if len(X.hyperplane(h.id).dual_edges) == 3)
-    v1, v2 = sorted(h.id for h in X.hyperplanes if h.id != long)
+    long = X.hyperplane_of_edge("00", "01")  # dual to the three y-edges
+    v1, v2 = sorted(set(range(len(X.sides))) - {long})
     # contact graph is a triangle
     assert F.contact[long] == {v1, v2}
     assert F.contact[v1] == {long, v2}
@@ -91,23 +87,23 @@ def test_interaction_sets_square():
 
 def test_interaction_sets_tripod():
     X = md.builtin_complex("TRIPOD")
-    for h in X.hyperplanes:
-        s = ct.interaction_sets(X, h.id)
-        assert s.I == frozenset({h.id})
-        assert s.I0 == frozenset({h.id})
+    for h in range(len(X.sides)):
+        s = ct.interaction_sets(X, h)
+        assert s.I == frozenset({h})
+        assert s.I0 == frozenset({h})
 
 
 def test_interaction_sets_domino():
     X = md.builtin_complex("DOMINO")
-    long = next(h.id for h in X.hyperplanes if len(X.hyperplane(h.id).dual_edges) == 3)
-    for h in X.hyperplanes:
-        s = ct.interaction_sets(X, h.id)
-        if h.id == long:
+    long = X.hyperplane_of_edge("00", "01")  # dual to the three y-edges
+    for h in range(len(X.sides)):
+        s = ct.interaction_sets(X, h)
+        if h == long:
             assert s.I == frozenset({long})
         else:
             # each vertical sees the long hyperplane in its I
-            assert s.I == frozenset({h.id, long})
-        assert s.I0 == frozenset({h.id})
+            assert s.I == frozenset({h, long})
+        assert s.I0 == frozenset({h})
 
 
 def test_interaction_sets_random():
@@ -136,7 +132,7 @@ def test_pushforward_reduced():
     X = md.builtin_complex("DOMINO")
     F = ct.build_contact_family(X)
     ids = sorted(F.contact)
-    long = next(h.id for h in X.hyperplanes if len(X.hyperplane(h.id).dual_edges) == 3)
+    long = X.hyperplane_of_edge("00", "01")  # dual to the three y-edges
     v1, v2 = sorted(h for h in ids if h != long)
     swap = {long: long, v1: v2, v2: v1}
     induced = ct.pushforward_reduced(F, swap)

@@ -103,16 +103,16 @@ def test_median_matches_oracle():
 def test_q3_hyperplanes():
     X = md.builtin_complex("Q3")
     # one hyperplane per coordinate, four dual edges each
-    assert len(X.hyperplanes) == 3
-    assert all(len(h.dual_edges) == 4 for h in X.hyperplanes)
-    assert all(len(h.side_a) == 4 and len(h.side_b) == 4 for h in X.hyperplanes)
+    assert len(X.sides) == 3
+    assert [len(es) for es in md._dual_edges(X)] == [4, 4, 4]
+    assert X.sides.sum(axis=1).tolist() == [4, 4, 4]
     assert X.dimension == 3
 
 
 def test_domino_hyperplanes():
     X = md.builtin_complex("DOMINO")
-    assert len(X.hyperplanes) == 3
-    sizes = sorted(len(h.dual_edges) for h in X.hyperplanes)
+    assert len(X.sides) == 3
+    sizes = sorted(len(es) for es in md._dual_edges(X))
     # one long horizontal hyperplane, two vertical ones
     assert sizes == [2, 2, 3]
     assert X.dimension == 2
@@ -120,7 +120,8 @@ def test_domino_hyperplanes():
 
 def test_hyperplane_ids_are_ints_or_numpy_integers_not_bools():
     """check_hyperplane takes an int or a numpy integer in range(H) as its
-    int, and refuses a bool, which is an int in Python."""
+    int, and refuses a bool, which is an int in Python; so do the functions
+    that take an id."""
     from cubetact import contact as ct
 
     X = md.builtin_complex("SQUARE")
@@ -128,7 +129,7 @@ def test_hyperplane_ids_are_ints_or_numpy_integers_not_bools():
         with pytest.raises(UnknownHyperplane):
             X.check_hyperplane(bad)
         with pytest.raises(UnknownHyperplane):
-            X.hyperplane(bad)
+            md.hyperplane_complex(X, bad)
         with pytest.raises(UnknownHyperplane):
             ct.interaction(X, bad, 0)
         with pytest.raises(UnknownHyperplane):
@@ -137,7 +138,7 @@ def test_hyperplane_ids_are_ints_or_numpy_integers_not_bools():
         ct.interaction(X, False, True)
     for hid in (np.int64(1), np.int32(1), np.uint8(1), np.intp(1)):
         assert X.check_hyperplane(hid) == 1 and type(X.check_hyperplane(hid)) is int
-        assert X.hyperplane(hid) is X.hyperplane(1)
+        assert md.hyperplane_complex(X, hid).edges == md.hyperplane_complex(X, 1).edges
         assert ct.interaction(X, hid, 0) == "transverse"
         assert ct.interaction_sets(X, hid) == ct.interaction_sets(X, 1)
         assert type(ct.interaction_sets(X, hid).base) is int
@@ -146,12 +147,19 @@ def test_hyperplane_ids_are_ints_or_numpy_integers_not_bools():
 def test_sides_partition():
     for name in md.BUILTIN_COMPLEXES:
         X = md.builtin_complex(name)
-        for h in X.hyperplanes:
-            assert h.side_a | h.side_b == set(X.vertices)
-            assert not (h.side_a & h.side_b)
-            for e in h.dual_edges:
-                u, v = tuple(e)
-                assert (u in h.side_a) != (v in h.side_a)
+        A = X.sides
+        assert A.any(axis=1).all() and (~A).any(axis=1).all()
+        for h, dual in enumerate(md._dual_edges(X)):
+            for u, v in dual:
+                assert A[h, X.index[u]] != A[h, X.index[v]]
+
+
+def test_hyperplane_of_edge_refuses_non_edges():
+    X = md.builtin_complex("SQUARE")
+    assert X.hyperplane_of_edge("00", "01") == X.hyperplane_of_edge("11", "10") == 0
+    for u, v in (("00", "11"), ("00", "00"), ("00", "zz")):
+        with pytest.raises(UnknownHyperplane):
+            X.hyperplane_of_edge(u, v)
 
 
 def test_separating():
@@ -188,11 +196,10 @@ def test_is_cone_convention():
 
 def test_hyperplane_complex():
     X = md.builtin_complex("DOMINO")
-    long = next(h for h in X.hyperplanes if len(h.dual_edges) == 3)
-    H = md.hyperplane_complex(X, long.id)
+    sizes = [len(es) for es in md._dual_edges(X)]
+    H = md.hyperplane_complex(X, sizes.index(3))
     assert len(H) == 3 and len(H.edges) == 2  # a path of three midcubes
-    short = next(h for h in X.hyperplanes if len(h.dual_edges) == 2)
-    H2 = md.hyperplane_complex(X, short.id)
+    H2 = md.hyperplane_complex(X, sizes.index(2))
     assert len(H2) == 2 and len(H2.edges) == 1
 
 

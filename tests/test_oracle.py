@@ -8,12 +8,15 @@ intersects the W_v over w's carrier, and the dimension is the largest clique
 of a link graph.  The fast path must agree with it, in both reduced modes,
 on the builtins, random complexes and the session balls.
 
-Hyperplane records: the reference is the original compute_hyperplanes,
-which built every Hyperplane record and the edge map with the matrices
-(eager_hyperplanes).  The records that CubeComplex.hyperplanes builds on
-demand from the edge labels must be the same, with the same ids, dual
-edges, sides, carriers, edge map and per-vertex id sets, on the builtins,
-200 random complexes and three balls.
+Hyperplane rows: the reference is the original compute_hyperplanes, which
+built a record per hyperplane (dual edges, sides and carrier as frozensets)
+and an edge map with the matrices (eager_hyperplanes, with a record type of
+its own).  The rows of sides and carriers, md._dual_edges, hyperplane_of_edge
+on every edge in both orientations and ids_at, built on first access, must
+agree with it on the builtins, 200 random complexes and three balls.  The
+frozenset separating (A inside one side of a record, B inside the other)
+is the reference of the row version on seeded random vertex sets, the
+empty set among them.
 
 Instances: the references are the tuple-majority random generator and the
 ball closure that rebuilds the word-metric distance matrix with nf_mult and
@@ -93,7 +96,7 @@ complexes, a ball and a complex with int vertices.
 
 import json
 import random
-from collections import deque
+from collections import deque, namedtuple
 from itertools import combinations
 from pathlib import Path
 
@@ -264,11 +267,21 @@ def reference_link_graph(X, v):
     for sq in reference_squares(X):
         if v in sq:
             i = sq.index(v)
-            h1 = X.hyperplane_of_edge(v, sq[i - 1]).id
-            h2 = X.hyperplane_of_edge(v, sq[(i + 1) % 4]).id
+            h1 = X.hyperplane_of_edge(v, sq[i - 1])
+            h2 = X.hyperplane_of_edge(v, sq[(i + 1) % 4])
             if h1 != h2:
                 adjacency.add(frozenset((h1, h2)))
     return md.LinkGraph(v, frozenset(md.hyperplanes_at(X, v)), frozenset(adjacency))
+
+
+def hyperplane_sets(X):
+    """(dual_edges, side_a, side_b, carrier) per hyperplane, in id order, read
+    off md._dual_edges and X's rows of sides and carriers."""
+    def named(row):
+        return frozenset(v for v, t in zip(X.vertices, row) if t)
+
+    return [(frozenset(map(frozenset, dual)), named(a), named(~a), named(k))
+            for dual, a, k in zip(md._dual_edges(X), X.sides, X.carriers)]
 
 
 def check_against_oracle(X):
@@ -276,9 +289,7 @@ def check_against_oracle(X):
     for v in X.vertices:
         assert md.link_graph(X, v) == reference_link_graph(X, v)
     hyps = reference_hyperplanes(X)
-    got = [(h.dual_edges, h.side_a, h.side_b, h.carrier) for h in X.hyperplanes]
-    assert got == hyps
-    assert [h.id for h in X.hyperplanes] == list(range(len(hyps)))
+    assert hyperplane_sets(X) == hyps
     for v in X.vertices:
         assert md.hyperplanes_at(X, v) == {
             h for h, (_, _, _, k) in enumerate(hyps) if v in k
@@ -324,6 +335,9 @@ def test_oracle_balls(fixture, request):
     check_against_oracle(request.getfixturevalue(fixture).complex)
 
 
+Record = namedtuple("Record", "id dual_edges side_a side_b carrier")
+
+
 def eager_hyperplanes(X):
     """The original compute_hyperplanes, which built the records with the
     matrices: (records, edge map, ids_at, sides, carriers), X unchanged."""
@@ -355,7 +369,7 @@ def eager_hyperplanes(X):
     sides_a, sides_b = md._true_columns(A), md._true_columns(~A)
     for h, (es, side_a, side_b) in enumerate(zip(classes, sides_a, sides_b)):
         dual = frozenset(frozenset(edges[e]) for e in es.tolist())
-        hyperplanes.append(md.Hyperplane(
+        hyperplanes.append(Record(
             h,
             dual,
             frozenset(X.vertices[i] for i in side_a),
@@ -370,23 +384,22 @@ def eager_hyperplanes(X):
 
 
 def check_records_against_eager(X):
-    """On a fresh copy of X: the matrices first, with no record built; then
-    the on-demand records and edge map against eager_hyperplanes."""
+    """On a fresh copy of X: the rows of sides and carriers, the dual edges,
+    the id of every edge and, built on first access, ids_at against
+    eager_hyperplanes."""
     hyps, edge_to_h, ids_at, A, K = eager_hyperplanes(X)
     X = md.CubeComplex(X.vertices, X.edges, X._dist, X.squares)
     assert np.array_equal(X.sides, A) and np.array_equal(X.carriers, K)
-    assert X.ids_at == ids_at
-    assert X._hyperplanes is None and X._edge_to_h is None
-    assert X.hyperplanes == hyps
-    assert [h.id for h in X.hyperplanes] == list(range(len(A)))
-    for h, row_a, row_k in zip(X.hyperplanes, A, K):
-        assert h.side_a == {v for v, a in zip(X.vertices, row_a) if a}
-        assert h.side_b == frozenset(X.vertices) - h.side_a
-        assert h.carrier == {v for v, k in zip(X.vertices, row_k) if k}
-    for e in X.edges:
-        u, v = tuple(e)
-        assert X.hyperplane_of_edge(u, v) == X.hyperplane_of_edge(v, u) == edge_to_h[e]
+    dual = md._dual_edges(X)
+    assert [frozenset(map(frozenset, es)) for es in dual] == [h.dual_edges for h in hyps]
+    assert all(es == sorted(es) and all(u < v for u, v in es) for es in dual)
     assert len(edge_to_h) == len(X.edges)
+    for e, h in edge_to_h.items():
+        u, v = tuple(e)
+        assert X.hyperplane_of_edge(u, v) == X.hyperplane_of_edge(v, u) == h.id
+        assert type(X.hyperplane_of_edge(u, v)) is int
+    assert X._ids_at is None
+    assert X.ids_at == ids_at
 
 
 @pytest.mark.parametrize("name", md.BUILTIN_COMPLEXES)
@@ -402,6 +415,32 @@ def test_records_random():
 @pytest.mark.parametrize("fixture", ["x_c5_r2", "y_p4_r4", "y_st5_r4"])
 def test_records_balls(fixture, request):
     check_records_against_eager(request.getfixturevalue(fixture).complex)
+
+
+def reference_separating(hyps, A, B):
+    """The original separating: the ids of the records with A inside one
+    side and B inside the other."""
+    return {h.id for h in hyps
+            if (A <= h.side_a and B <= h.side_b) or (A <= h.side_b and B <= h.side_a)}
+
+
+def test_separating_against_the_records():
+    """separating's rows against the records, on vertex sets of up to three
+    vertices, the empty set included, of the builtins and random complexes."""
+    rng = random.Random(3)
+    grounds = [md.builtin_complex(name) for name in md.BUILTIN_COMPLEXES]
+    grounds += [md.random_median_complex(6, 5, seed) for seed in range(30)]
+    found = []
+    for X in grounds:
+        hyps = eager_hyperplanes(X)[0]
+        for _ in range(40):
+            A, B = (set(rng.sample(X.vertices, rng.randint(0, min(3, len(X)))))
+                    for _ in "AB")
+            got = md.separating(X, A, B)
+            assert got == reference_separating(hyps, A, B), (A, B)
+            found.append(len(got))
+        assert md.separating(X, set(), set()) == set(range(len(hyps)))
+    assert found.count(0) > 100 and sum(n > 1 for n in found) > 100
 
 
 def test_maximal_cliques_against_networkx(request):
@@ -1029,9 +1068,9 @@ def reference_is_convex(X, vertices, T):
 def reference_convexity_check(X):
     T = interval_tensor(X)
     return [
-        {"hyperplane": h.id, "set": name}
-        for h in X.hyperplanes
-        for name, s in (("sideA", h.side_a), ("sideB", h.side_b), ("carrier", h.carrier))
+        {"hyperplane": h, "set": name}
+        for h, (_, side_a, side_b, carrier) in enumerate(hyperplane_sets(X))
+        for name, s in (("sideA", side_a), ("sideB", side_b), ("carrier", carrier))
         if not reference_is_convex(X, s, T)
     ]
 
@@ -1059,7 +1098,8 @@ def reference_helly(X, family=None):
 
 
 def family_sets(X):
-    return [s for h in X.hyperplanes for s in (h.side_a, h.side_b, h.carrier)]
+    return [s for _, side_a, side_b, carrier in hyperplane_sets(X)
+            for s in (side_a, side_b, carrier)]
 
 
 def check_convexity_and_helly(X, helly_sets=None):
@@ -1118,20 +1158,15 @@ def random_subsets(X, count, rng):
 
 def replace_hyperplane_sets(X, rng):
     """Give each hyperplane of X random vertex sets, kept or drawn afresh:
-    side_a, its complement side_b and the carrier, in the objects and the
-    matrices alike, so that convexity_check has violations to list."""
-    V, hyps = X.vertices, []
-    for h in X.hyperplanes:
-        side_a, carrier = h.side_a, h.carrier
+    its row of sides (side_a, with side_b its complement) and its row of
+    carriers, so that convexity_check has violations to list."""
+    A, K = X.sides.copy(), X.carriers.copy()
+    for h in range(len(A)):
         if rng.random() < 0.3:
-            side_a = frozenset(v for v in V if rng.random() < 0.5)
+            A[h] = [rng.random() < 0.5 for _ in X.vertices]
         if rng.random() < 0.3:
-            carrier = frozenset(v for v in V if rng.random() < 0.5)
-        hyps.append(md.Hyperplane(h.id, h.dual_edges, side_a,
-                                  frozenset(V) - side_a, carrier))
-    X._hyperplanes = tuple(hyps)
-    X._sides = np.array([[v in h.side_a for v in V] for h in hyps], dtype=bool)
-    X._carriers = np.array([[v in h.carrier for v in V] for h in hyps], dtype=bool)
+            K[h] = [rng.random() < 0.5 for _ in X.vertices]
+    X._sides, X._carriers = A, K
 
 
 def test_local_convexity_against_the_tensor():
@@ -1168,8 +1203,8 @@ def test_blocked_helly_against_the_gram_matrix(monkeypatch, cells):
     for t in range(1500):
         X = grounds[t % len(grounds)]
         sets = list(random_subsets(X, rng.randint(2, 12), rng))
-        if X.hyperplanes and t % 3:  # mix in halfspaces and carriers
-            sets += rng.sample(family_sets(X), min(4, 3 * len(X.hyperplanes)))
+        if len(X.sides) and t % 3:  # mix in halfspaces and carriers
+            sets += rng.sample(family_sets(X), min(4, 3 * len(X.sides)))
         rng.shuffle(sets)
         got = md.helly_check(X, sets)
         assert got == reference_helly(X, sets), (t, sets)
@@ -1344,7 +1379,7 @@ def reference_segment_classes(ball):
                 nid = rg.format_word(nxt)
                 if nid not in ball.words or nid == vid:
                     break
-                crossed.add(X.hyperplane_of_edge(vid, nid).id)
+                crossed.add(X.hyperplane_of_edge(vid, nid))
                 cur, vid = nxt, nid
             if crossed:
                 crossed_sets.setdefault(g, []).append(crossed)
@@ -1584,7 +1619,7 @@ def test_cli_writes_the_oracle_encoding(argv, x_c5_r2, tmp_path, monkeypatch, ca
 def reference_hyperplane_report(X):
     """The original report: each side and carrier sorted by str on its own."""
     out = []
-    for h in X.hyperplanes:
+    for h in eager_hyperplanes(X)[0]:
         out.append(
             {
                 "id": h.id,

@@ -102,9 +102,9 @@ def test_random_instances_are_median_and_convex(dim, seeds, seed):
     # construction already validates; the hyperplane structure must be sound
     assert md.convexity_check(X) == []
     assert md.helly_check(X) == []
-    for h in X.hyperplanes:
-        assert md.is_convex_set(X, h.side_a)
-        assert md.is_convex_set(X, h.side_b)
+    for row in X.sides:
+        assert md.is_convex_set(X, [v for v, a in zip(X.vertices, row) if a])
+        assert md.is_convex_set(X, [v for v, a in zip(X.vertices, row) if not a])
 
 
 @settings(max_examples=25, deadline=None)

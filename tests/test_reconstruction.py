@@ -120,7 +120,7 @@ def test_iota_total_q3():
     rc.verify_automorphism(X.adj, flip)
     phi = rc.induce_iota(X, flip)
     # flipping the last coordinate fixes every hyperplane
-    assert phi == {h.id: h.id for h in X.hyperplanes}
+    assert phi == {h: h for h in range(len(X.sides))}
 
     rotate = {v: v[2] + v[0] + v[1] for v in X.vertices}
     phi = rc.induce_iota(X, rotate)
@@ -167,7 +167,7 @@ def test_rho_roundtrip_q3():
 def test_rho_on_interior(y_c5_r3):
     X = y_c5_r3.complex
     atlas = rc.clique_atlas(X)
-    phi = {h.id: h.id for h in X.hyperplanes}
+    phi = {h: h for h in range(len(X.sides))}
     mapping, issues = rc.induce_rho(X, phi, atlas)
     interior = y_c5_r3.interior_vertices(2)
     for v in interior:

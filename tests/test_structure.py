@@ -5,11 +5,11 @@ ball closure, one all-sources BFS, no interval tensor, no unused import,
 one blocking kernel and one extremality count, one union-find and no
 normal-form walk for the runs of a ball's edge labels, no attribute set on
 a frozen object, no indented json encoding outside the tests, no
-Hyperplane record built by the instance suites or analyze, and every
-function the benchmark tracer pins by name still public.  Two scans cover
-the whole package: every `raise LemmaViolation` outside verify.py is one of the
-listed guards of a construction, and every public function that no package
-code calls is listed with its reason."""
+hyperplane record, record cache or edge map beside the side and carrier
+matrices, and every function the benchmark tracer pins by name still
+public.  Two scans cover the whole package: every `raise LemmaViolation`
+outside verify.py is one of the listed guards of a construction, and every
+public function that no package code calls is listed with its reason."""
 
 import ast
 import dataclasses
@@ -93,6 +93,18 @@ def test_no_majority_kernel_is_left():
     for path in SOURCES:
         text = path.read_text(encoding="utf-8")
         assert not [name for name in gone if re.search(rf"\b{name}\b", text)], path.name
+
+
+def test_no_hyperplane_record_is_left():
+    """A hyperplane is an int id with a row of sides, a row of carriers and
+    its edges in edge_labels; the frozenset records, their cache and the
+    edge map are the reference of tests/test_oracle.py only."""
+    gone = (r"class Hyperplane\b", r"\b_records\b", r"\b_edge_to_h\b",
+            r"\._hyperplanes\b", r"\.hyperplanes\b", r"\.hyperplane\(")
+    for path in SOURCES:
+        text = path.read_text(encoding="utf-8")
+        assert not [p for p in gone if re.search(p, text)], path.name
+    assert not hasattr(cubetact, "Hyperplane") and not hasattr(md, "Hyperplane")
 
 
 def test_majority_closure_runs_only_where_medians_may_be_missing():
@@ -338,43 +350,6 @@ def test_analyze_and_verify_reach_no_link_graph(monkeypatch, tmp_path, capsys):
                      "--graph", "C5", "--suite", "cliques", "--suite", "cone-links",
                      "--suite", "criterion", "--suite", "roundtrip"]) == 0
     capsys.readouterr()
-
-
-INSTANCE_SUITES = ("helly", "cliques", "cone-links", "iw", "criterion", "kernel")
-
-
-def test_instance_suites_and_analyze_build_no_hyperplane_record(monkeypatch, tmp_path,
-                                                                capsys):
-    """The Hyperplane records and the edge map are built on demand only:
-    the instance suites and analyze (with and without --dot) read the side
-    and carrier matrices and the edge labels, so the records of their fresh
-    complexes are never built."""
-    assert set(INSTANCE_SUITES) == set(verify.SUITES) - verify.GROUP_SUITES
-    fresh = [md.builtin_complex(name) for name in md.BUILTIN_COMPLEXES]
-    fresh += [md.random_median_complex(6, 5, seed) for seed in range(1, 6)]
-    for X in fresh:
-        report = verify.run_suites(INSTANCE_SUITES, instances=[("X", X)])
-        assert all(not e["violations"] for e in report)
-    for name in ("C5", "P4"):
-        ball = rg.build_ball(rg.builtin_defining_graph(name), rg.COXETER, 3)
-        verify.run_suites(INSTANCE_SUITES, instances=[(name, ball.complex)])
-        fresh.append(ball.complex)
-
-    analyzed, real = [], md.complex_from_json
-
-    def complex_from_json(doc):
-        analyzed.append(real(doc))
-        return analyzed[-1]
-
-    monkeypatch.setattr(md, "complex_from_json", complex_from_json)
-    for path in sorted(CORPUS.glob("*.json"))[:3]:
-        for extra in ([], ["--dot"]):
-            assert cli.main(["analyze", "--in", str(path), *extra]) == 0
-    capsys.readouterr()
-    assert len(analyzed) == 6
-    for X in fresh + analyzed:
-        assert X._sides is not None
-        assert X._hyperplanes is None and X._edge_to_h is None
 
 
 def tracer_pins():
