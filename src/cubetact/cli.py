@@ -208,10 +208,9 @@ def cmd_verify(args):
             "nothing to verify: give --builtin, --in, --random-count or --graph"
         )
     balls = []
-    if gamma is not None and any(s == "roundtrip" for s in suites):
-        balls.append(
-            (args.graph, _rg.build_ball(gamma, args.kind, args.radius or 3))
-        )
+    if gamma is not None and "roundtrip" in suites:
+        radius = 3 if args.radius is None else args.radius
+        balls.append((args.graph, _rg.build_ball(gamma, args.kind, radius)))
     report = {
         "suites": _verify.run_suites(
             suites,

@@ -93,28 +93,14 @@ class CubeComplex:
 
     @property
     def pair_table(self):
-        """The distance-2 pair table: (i, j) -> common neighbours of i and j.
+        """The distance-2 pair table (vw, common): two (p, 2) index arrays.
 
-        Keys are the index pairs i < j with a common neighbour (in a
-        bipartite graph, the pairs at distance 2), values those neighbours
-        in increasing index order.  Built once from the adjacency sets, in
-        sum-of-squared-degrees work.  Raises NotMedian at the first third
-        common neighbour (a K_{2,3}; see validate_complex), so every value
-        has one or two entries.  The witness is the three neighbours, with
-        the vertices adjacent to all three as medians, read off the
-        adjacency sets.
-        """
+        Row r of vw is a pair v < w with a common neighbour, row r of common
+        its first and last common neighbour (equal if it has one), in the
+        order of the pairs' first 2-paths.  Built once by _pair_table, from
+        validate_complex's adjacency matrix or from _dist == 1."""
         if self._pairs is None:
-            table = {}
-            for c, v in enumerate(self.vertices):
-                for pair in combinations(sorted(self.index[w] for w in self.adj[v]), 2):
-                    common = table.setdefault(pair, [])
-                    common.append(c)
-                    if len(common) == 3:
-                        V = self.vertices
-                        medians = set.intersection(*(self.adj[V[t]] for t in common))
-                        raise NotMedian([V[t] for t in common], medians)
-            self._pairs = table
+            self._pairs = _pair_table(self, self._dist == 1)
         return self._pairs
 
     @property
@@ -127,13 +113,10 @@ class CubeComplex:
         bipartite, so no square has a chord.
         """
         if self._squares is None:
-            V, found = self.vertices, []
-            for (i, j), common in self.pair_table.items():
-                if len(common) == 2 and common[0] < i:
-                    a, c = common
-                    b, d = sorted((V[i], V[j]))
-                    found.append((V[a], b, V[c], d))
-            self._squares = tuple(sorted(found))
+            V, (vw, common) = self.vertices, self.pair_table
+            at = (common[:, 0] != common[:, 1]) & (common[:, 0] < vw[:, 0])
+            self._squares = tuple(sorted((V[a], min(V[i], V[j]), V[c], max(V[i], V[j]))
+                                         for a, c, i, j in np.hstack((common, vw))[at].tolist()))
         return self._squares
 
     def check_vertex(self, v):
@@ -279,13 +262,36 @@ def _not_median(X, triple, rows):
                      [X.vertices[m] for m in np.flatnonzero(on).tolist()])
 
 
-def _pair_arrays(X):
-    """The pairs (v, w) of X.pair_table, and their first and last common
-    neighbours (equal for a pair with one), as two (p, 2) index arrays."""
-    table = X.pair_table
-    vw = np.array(list(table), dtype=np.intp).reshape(-1, 2)
-    common = np.array([(c[0], c[-1]) for c in table.values()], dtype=np.intp).reshape(-1, 2)
-    return vw, common
+def _pair_table(X, A):
+    """X.pair_table, from X's (n, n) bool adjacency matrix A.
+
+    Each sorted arc c -> v of A is repeated once per later neighbour w of
+    c, listing the 2-paths v - c - w (v < w) by c, v, w.  A stable argsort
+    of the key v n + w groups them by pair, centres increasing; the pairs
+    then follow their first 2-paths.  A third centre is a K_{2,3} (see
+    validate_complex): NotMedian names the first three centres of the pair
+    whose third 2-path comes first, with the vertices adjacent to all three
+    as medians."""
+    (x, y), n, V = np.nonzero(A), len(A), X.vertices
+    later = np.searchsorted(x, x, "right") - np.arange(len(x)) - 1
+    P = int(later.sum())  # the sum of C(deg c, 2)
+    # 8-byte words: 3 a 2-path (arc, key, order); 11 a pair, at most one a 2-path
+    # (4 returned, 3 index arrays, 4 temporaries); 8 an arc (x, y, later, temporaries)
+    _reserve(8 * (14 * P + 8 * len(x)), f"the pair table of {P} 2-paths")
+    arc = np.repeat(np.arange(len(x)), later)  # the arc c -> v of each 2-path
+    key = y[arc] * n  # plus w, whose arc follows c -> v by the 2-path's rank
+    key += y[np.arange(1, P + 1) + np.repeat(np.arange(len(x)) + later - np.cumsum(later), later)]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    third = np.flatnonzero(key[2:] == key[:-2]) + 2  # each pair's 2-paths from its third on
+    for t in third[np.argsort(order[third])][:1].tolist():
+        triple = x[arc[order[t - 2:t + 1]]]
+        raise NotMedian([V[i] for i in triple.tolist()],
+                        [V[i] for i in np.flatnonzero(A[triple].all(axis=0)).tolist()])
+    # each pair's first 2-path (none if P = 0), then P
+    cut = np.flatnonzero(np.concatenate(([P > 0], key[1:] != key[:-1], [True])))
+    span = np.array((cut[:-1], cut[1:] - 1)).T[np.argsort(order[cut[:-1]])]
+    return key[span[:, 0], None] // [n, 1] % n, x[arc[order[span]]]  # v, w = divmod(key, n)
 
 
 def median_triple_defects(dist, first_only=True):
@@ -376,7 +382,7 @@ def validate_complex(vertices, edges, cap=None) -> CubeComplex:
         raise NotConnected("graph is not connected")
     for i, j in np.argwhere(np.triu(A) & (d0[:, None] == d0))[:1].tolist():
         raise _not_median(X, (0, i, j), (d0, _distances(A, i), _distances(A, j)))
-    X.pair_table  # raises at a K_{2,3}
+    X._pairs = _pair_table(X, A)  # raises at a K_{2,3}
     X._dist = _all_distances(A)
     bad = next(_quadrangle_failures(X), None)
     if bad:
@@ -394,7 +400,7 @@ def _quadrangle_failures(X: CubeComplex):
     d(u, v) - 1).  Pairs are checked against the distance rows in blocks of
     about _CELLS cells.
     """
-    dist, (vw, common) = X._dist, _pair_arrays(X)
+    dist, (vw, common) = X._dist, X.pair_table
     step = max(1, _CELLS // len(dist))
     for p0 in range(0, len(vw), step):  # rows: pairs vw; columns: vertices u
         dv, dw = dist[vw[p0:p0 + step, 0]], dist[vw[p0:p0 + step, 1]]
@@ -584,7 +590,7 @@ def _nonconvex(X: CubeComplex, M):
     descent on the edges and the pairs of X.pair_table.  Rows are checked
     in blocks of about _CELLS (row, edge or pair) cells.
     """
-    D, (vw, common) = X._dist, _pair_arrays(X)
+    D, (vw, common) = X._dist, X.pair_table
     x, y = np.nonzero(D == 1)  # directed edges x -> y, sorted by x
     starts = np.flatnonzero(np.diff(x, prepend=-1))  # each vertex's first edge
     bad = np.zeros(len(M), dtype=bool)
@@ -708,16 +714,14 @@ def separating(X: CubeComplex, A, B):
 def link_graph(X: CubeComplex, v) -> LinkGraph:
     """Hyperplanes at v, joined when their edges at v span a square.
 
-    Two neighbours of v span a square there when their entry in
-    X.pair_table holds a second common neighbour.
+    Two neighbours of v span a square there when they are a pair of
+    X.pair_table with v and a second common neighbour.
     """
     nodes = hyperplanes_at(X, v)
-    table, V = X.pair_table, X.vertices
-    adjacency = frozenset(
-        frozenset((X.hyperplane_of_edge(v, V[b]), X.hyperplane_of_edge(v, V[d])))
-        for b, d in combinations(sorted(X.index[w] for w in X.adj[v]), 2)
-        if len(table[b, d]) == 2
-    )
+    V, (vw, common) = X.vertices, X.pair_table
+    at = (common[:, 0] != common[:, 1]) & (common == X.index[v]).any(axis=1)
+    adjacency = frozenset(frozenset((X.hyperplane_of_edge(v, V[b]), X.hyperplane_of_edge(v, V[d])))
+                          for b, d in vw[at].tolist())
     return LinkGraph(v, frozenset(nodes), adjacency)
 
 

@@ -36,9 +36,12 @@ class DefiningGraph:
     """A finite simple graph whose vertices are group generators."""
 
     def __init__(self, vertices, edges):
+        vertices = tuple(vertices)
+        for g in vertices:  # format_word and parse_word read "1", "." and "^"
+            if not isinstance(g, str) or g in ("", "1") or "." in g or "^" in g:
+                raise ValueError(f"generator name {g!r} is not a non-empty string "
+                                 'other than "1" and without "." or "^"')
         self.vertices = tuple(dict.fromkeys(vertices))
-        if "1" in self.vertices:
-            raise ValueError('generator name "1" is reserved for the identity')
         self.order = {g: i for i, g in enumerate(self.vertices)}
         self.adj = {g: set() for g in self.vertices}
         for e in edges:

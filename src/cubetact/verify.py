@@ -460,9 +460,9 @@ def run_suites(names, instances=None, balls=None, gamma=None, radius=None):
     the graph)."""
     args = {
         "roundtrip": (balls or [],),
-        "davis": (gamma, radius or 4),
-        "twist": (gamma, radius or 3),
-        "extension-graph": (gamma, radius or 3),
+        "davis": (gamma, 4 if radius is None else radius),
+        "twist": (gamma, 3 if radius is None else radius),
+        "extension-graph": (gamma, 3 if radius is None else radius),
     }
     report = []
     for name in names:

@@ -113,6 +113,7 @@ def test_analyze_rejects_malformed_edge(tmp_path, capsys, edge, message):
 
 MIXED = "vertex names must be all strings or all numbers"
 NOT_LISTS = "an object with 'vertices' and 'edges' lists"
+GENERATOR = "is not a non-empty string"
 
 
 @pytest.mark.parametrize("argv, doc, message", [
@@ -125,10 +126,17 @@ NOT_LISTS = "an object with 'vertices' and 'edges' lists"
     (["analyze", "--in"], {"vertices": ["a", "b"]}, NOT_LISTS),
     (["generate", "--ball"], [1, 2], NOT_LISTS),
     (["generate", "--ball"], {"vertices": "ab", "edges": []}, NOT_LISTS),
+    (["generate", "--ball"], {"vertices": [1, 2], "edges": [[1, 2]]}, GENERATOR),
+    (["generate", "--ball"], {"vertices": [True, "a"], "edges": []}, GENERATOR),
+    (["generate", "--ball"], {"vertices": ["a", "b", "a.b"], "edges": []}, GENERATOR),
+    (["generate", "--ball"], {"vertices": [""], "edges": []}, GENERATOR),
+    (["verify", "--suite", "davis", "--graph"], {"vertices": [["a"]], "edges": []}, GENERATOR),
 ])
 def test_malformed_documents_exit_2(tmp_path, capsys, argv, doc, message):
     """A document that is not an object with vertex and edge lists, or whose
-    vertex names are not all strings or all numbers, is invalid input."""
+    vertex names are not all strings or all numbers, or a defining graph
+    whose generator names are not non-empty strings without "." or "^", is
+    invalid input."""
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     extra = ["coxeter", "2"] if argv[0] == "generate" else []
@@ -197,6 +205,15 @@ def test_bare_verify_has_nothing_to_verify(capsys):
     """No suite, no graph and no instance source: refused, not a vacuous pass."""
     code, out, err = run(capsys, "verify")
     assert code == 2 and out == "" and "nothing to verify" in err
+
+
+@pytest.mark.parametrize("suite", ["davis", "twist", "roundtrip"])
+@pytest.mark.parametrize("radius", ["0", "-1"])
+def test_verify_radius_below_one_is_invalid(capsys, suite, radius):
+    """--radius 0 is refused like --radius -1, not read as the default."""
+    code, out, err = run(capsys, "verify", "--graph", "P4", "--radius", radius,
+                         "--suite", suite)
+    assert code == 2 and out == "" and "radius must be >= 1" in err
 
 
 def test_unknown_suite_rejected(capsys):

@@ -36,6 +36,14 @@ vertex and two of its neighbours, and the reference link of v from the
 squares through v.  The pair table must give the same squares, in the same
 order, and the same links.
 
+Pair table: the reference is the dict that the table used to be, built
+by a loop over each vertex and the pairs of its neighbours.  md._pair_table
+must give its keys, in its order, and the first and last entry of each
+value, or raise NotMedian with the same message, on the distance inputs,
+balls and random graphs below, and on connected bipartite graphs (grids
+with chords, stars, K_{2,3}-rich graphs) in any vertex order.  Its size
+estimate must refuse it before it allocates, and bound its traced peak.
+
 Certificate: the references are the n^3 median scan, md.median_triple_defects,
 and the earlier certificate: the Djokovic-Winkler sides embed the graph
 isometrically in a cube and one round of the majority kernel adds no row.
@@ -96,6 +104,7 @@ complexes, a ball and a complex with int vertices.
 
 import json
 import random
+import tracemalloc
 from collections import deque, namedtuple
 from itertools import combinations
 from pathlib import Path
@@ -828,6 +837,153 @@ def test_all_distances_against_bfs(monkeypatch, cells):
     for vertices, edges in distance_inputs():
         D = md._all_distances(adjacency_matrix(vertices, edges))
         assert np.array_equal(D, bfs_distances(vertices, edges)), vertices[:3]
+
+
+def reference_pair_table(X):
+    """The dict pair table, (v, w) -> the common neighbours of v < w in
+    increasing order, built by a loop over each vertex c and the pairs of
+    its neighbours from the adjacency sets; raises NotMedian at the first
+    third common neighbour, with the vertices adjacent to all three as
+    medians.  Returned as md._pair_table's arrays: the keys in insertion
+    order, and the first and last entry of each value."""
+    table = {}
+    for c, v in enumerate(X.vertices):
+        for pair in combinations(sorted(X.index[w] for w in X.adj[v]), 2):
+            common = table.setdefault(pair, [])
+            common.append(c)
+            if len(common) == 3:
+                V = X.vertices
+                medians = set.intersection(*(X.adj[V[t]] for t in common))
+                raise NotMedian([V[t] for t in common], medians)
+    vw = np.array(list(table), dtype=np.intp).reshape(-1, 2)
+    common = np.array([(c[0], c[-1]) for c in table.values()], dtype=np.intp).reshape(-1, 2)
+    return vw, common
+
+
+def check_pair_table(vertices, edges):
+    """md._pair_table against the dict: the same arrays, or NotMedian with
+    the same message.  Returns that message, or None."""
+    X = md.CubeComplex(vertices, edges, None)
+    A = adjacency_matrix(vertices, edges)
+    try:
+        want = reference_pair_table(X)
+    except NotMedian as ex:
+        with pytest.raises(NotMedian) as got:
+            md._pair_table(X, A)
+        assert str(got.value) == str(ex), (vertices, edges)
+        return str(ex)
+    vw, common = md._pair_table(X, A)
+    assert vw.dtype == common.dtype == np.intp
+    assert np.array_equal(vw, want[0]) and np.array_equal(common, want[1]), (vertices, edges)
+    return None
+
+
+def test_pair_table_against_the_dict(y_p4_r4, x_c5_r2):
+    """The distance inputs, two balls and random graphs, median or not:
+    both kinds of outcome occur."""
+    graphs = list(distance_inputs()) + list(random_graphs(600, seed=6))
+    graphs += [(list(b.complex.vertices), list(map(tuple, b.complex.edges)))
+               for b in (y_p4_r4, x_c5_r2)]
+    outcomes = [check_pair_table(*graph) for graph in graphs]
+    assert outcomes.count(None) > 600 and len(set(outcomes)) > 50
+
+
+@st.composite
+def bipartite_graphs(draw):
+    """Connected bipartite graphs, their vertices in a drawn order: a grid
+    of at most 4 x 4 with up to four chords between its colour classes, a
+    star K_{1,k} with up to three more vertices each joined to some leaves,
+    or a random bipartite graph on a spanning path, which often holds a
+    K_{2,3}."""
+    shape = draw(st.sampled_from(["grid", "star", "random"]))
+    if shape == "grid":
+        w, h = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        points = [f"g{x}{y}" for x in range(w) for y in range(h)]
+        pairs = [(p, q) for p, q in combinations(points, 2)
+                 if sum(map(int, p[1:] + q[1:])) % 2]
+        edges = {(p, q) for p, q in pairs
+                 if abs(int(p[1]) - int(q[1])) + abs(int(p[2]) - int(q[2])) == 1}
+        if pairs:
+            edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=4)))
+    elif shape == "star":
+        leaves = [f"l{i}" for i in range(draw(st.integers(1, 10)))]
+        points, edges = ["c", *leaves], {("c", leaf) for leaf in leaves}
+        for j in range(draw(st.integers(0, 3))):
+            points.append(f"x{j}")
+            joined = draw(st.lists(st.sampled_from(leaves), min_size=1, unique=True))
+            edges |= {(f"x{j}", leaf) for leaf in joined}
+    else:
+        a, b = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        left, right = [f"a{i}" for i in range(a)], [f"b{j}" for j in range(b)]
+        points = left + right
+        edges = {(left[i], right[min(i, b - 1)]) for i in range(a)}  # the path
+        edges |= {(left[min(j + 1, a - 1)], right[j]) for j in range(b)}  # a0 b0 a1 b1 ...
+        pairs = [(u, v) for u in left for v in right]
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=10)))
+    return draw(st.permutations(points)), sorted(edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bipartite_graphs())
+def test_pair_table_property(graph):
+    """Same arrays as the dict, or the same NotMedian message."""
+    check_pair_table(*graph)
+
+
+def test_the_first_completed_k23_is_the_witness():
+    """(r0, r1) is the first pair of the table, at c0, and has the smaller
+    key, but gets its third centre only at c5; (r2, r3) is completed at c4,
+    so its first three centres are the witness."""
+    vertices = ["c0", "c1", "c2", "c3", "c4", "c5", "r0", "r1", "r2", "r3"]
+    edges = [(c, r) for c in ("c0", "c1", "c5") for r in ("r0", "r1")]
+    edges += [(c, r) for c in ("c2", "c3", "c4") for r in ("r2", "r3")] + [("c5", "r2")]
+    message = "triple ('c2', 'c3', 'c4') has 2 medians: ['r2', 'r3']"
+    assert check_pair_table(vertices, edges) == message
+    with pytest.raises(NotMedian) as exc:
+        md.validate_complex(vertices, edges)
+    assert str(exc.value) == message
+
+
+def test_pair_table_is_refused_before_it_is_built(monkeypatch):
+    """Q3 has 24 arcs and 24 2-paths, and its table reserves 8 (14 * 24 +
+    8 * 24) = 4,224 bytes: under a lower limit it is refused before any
+    array of 2-paths exists, in validate_complex too; at that limit it is
+    built."""
+    X = md.builtin_complex("Q3")
+    A = X._dist == 1
+    monkeypatch.setattr(md, "_ALLOC_LIMIT", 4223)
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "repeat", lambda *args: pytest.fail("a 2-path array was built"))
+        with pytest.raises(SizeLimitExceeded, match=r"^the pair table of 24 2-paths needs about 4224 "):
+            md._pair_table(X, A)
+    with pytest.raises(SizeLimitExceeded, match=r"^the pair table of 24 2-paths "):
+        md.validate_complex(X.vertices, X.edges)
+    monkeypatch.setattr(md, "_ALLOC_LIMIT", 4224)
+    assert len(md.validate_complex(X.vertices, X.edges).squares) == 6
+
+
+@pytest.mark.parametrize("shape", ["star", "ball"])
+def test_pair_table_estimate_bounds_the_traced_peak(monkeypatch, y_p4_r4, shape):
+    """What the build reserves bounds what it holds at once: on K_{1,300}
+    (44,850 2-paths, each its own pair, so the returned arrays are largest)
+    and on P4/coxeter/4."""
+    if shape == "star":
+        V = ["c"] + [f"l{i:03}" for i in range(300)]
+        X = md.CubeComplex(V, [("c", leaf) for leaf in V[1:]], None)
+    else:
+        X = y_p4_r4.complex
+    A = adjacency_matrix(list(X.vertices), [tuple(e) for e in X.edges])
+    asked, reserve = [], md._reserve
+    monkeypatch.setattr(md, "_reserve", lambda nbytes, what: (
+        asked.append(nbytes), reserve(nbytes, what)))
+    tracemalloc.start()
+    try:
+        vw, _ = md._pair_table(X, A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(asked) == 1 and peak <= asked[0]
+    assert shape == "ball" or len(vw) == 300 * 299 // 2
 
 
 _PAIRS = 1024  # the majority kernel works in blocks of _PAIRS pairs by _KS rows

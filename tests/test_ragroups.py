@@ -83,6 +83,22 @@ def test_reserved_identity_name():
         rg.DefiningGraph(["1", "a"], [])
 
 
+@pytest.mark.parametrize("names", [[""], ["a", "b", "a.b"], ["a^2"], [1, 2], [True], [None]])
+def test_generator_names_are_checked(names):
+    """A generator name is a non-empty string without "." or "^", the
+    characters of format_word and parse_word: "a.b" would be both the word
+    a.b and a generator, and the empty name an empty word."""
+    with pytest.raises(ValueError, match="^generator name "):
+        rg.DefiningGraph(names, [])
+
+
+def test_a_dotted_generator_cannot_reach_the_ball():
+    """The ball's vertex ids are formatted words, so a generator "a.b" met
+    the word a.b at one id (an IndexError in build_ball before the check)."""
+    with pytest.raises(ValueError, match="^generator name 'a.b' "):
+        rg.build_ball(rg.DefiningGraph(["a", "b", "a.b"], []), rg.COXETER, 2)
+
+
 def test_format_parse_roundtrip():
     words = [(), (("a", 1),), (("a", 1), ("b", -2)), (("x", 3),)]
     for w in words:

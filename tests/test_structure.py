@@ -1,7 +1,8 @@
 """Source-level guarantees: no bare asserts, one suite table, no caller of
 the n^3 median scan, no majority kernel, one closure per instance source,
 a local median certificate with one quadrangle check, read also by the
-ball closure, one all-sources BFS, no interval tensor, no unused import,
+ball closure, one distance-2 pair table as index arrays and no dict, one
+all-sources BFS, no interval tensor, no unused import,
 one blocking kernel and one extremality count, one union-find and no
 normal-form walk for the runs of a ball's edge labels, no attribute set on
 a frozen object, no indented json encoding outside the tests, no
@@ -20,6 +21,7 @@ import re
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cubetact
@@ -116,17 +118,38 @@ def test_majority_closure_runs_only_where_medians_may_be_missing():
 
 def test_one_quadrangle_check():
     """A quadrangle check reads the common neighbours of the distance-2 pairs.
-    They are read only by the squares and links, the convexity check and
-    the generator _quadrangle_failures, read in turn only by validate_complex
-    (its first item) and the ball closure (each round's repairs);
-    validate_complex builds the table first, for its K_{2,3} check."""
+    Their arrays are read only by the squares and links, the convexity
+    check and the generator _quadrangle_failures, read in turn only by
+    validate_complex (its first item) and the ball closure (each round's
+    repairs).  _pair_table builds them: from validate_complex's adjacency
+    matrix first, for its K_{2,3} check, or on first access."""
     assert users("_quadrangle_failures") == {
         ("median.py", "validate_complex"), ("median.py", "_repair_quadrangles")}
-    assert users("_pair_arrays") == {
-        ("median.py", "_nonconvex"), ("median.py", "_quadrangle_failures")}
     assert users("pair_table") == {
-        ("median.py", "CubeComplex"), ("median.py", "_pair_arrays"),
-        ("median.py", "link_graph"), ("median.py", "validate_complex")}
+        ("median.py", "CubeComplex"), ("median.py", "link_graph"),
+        ("median.py", "_nonconvex"), ("median.py", "_quadrangle_failures")}
+    assert users("_pair_table") == {
+        ("median.py", "CubeComplex"), ("median.py", "validate_complex")}
+
+
+def test_no_dict_pair_table_is_left():
+    """The distance-2 pair table is one pair of index arrays: median.py
+    builds no dict of lists (the common neighbours of each pair), and no
+    module copies one into arrays by _pair_arrays; the dict builder is the
+    reference of tests/test_oracle.py."""
+    path = Path(md.__file__)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lists = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "setdefault"
+        and len(node.args) == 2 and isinstance(node.args[1], ast.List)
+    ]
+    assert not lists, f"median.py builds a dict of lists at lines {lists}"
+    for path in SOURCES:
+        assert not re.search(r"\b_pair_arrays\b", path.read_text(encoding="utf-8")), path.name
+    for X in (md.builtin_complex("Q3"), md.random_median_complex(5, 6, 3)):
+        vw, common = X.pair_table
+        assert vw.shape == common.shape == (len(vw), 2) and vw.dtype == common.dtype == np.intp
 
 
 def test_only_validate_complex_computes_all_pairs_distances():
