@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 import random
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -755,12 +754,22 @@ def extremality(X: CubeComplex):
     are the edges at v (one per hyperplane at v) and its edges the squares
     at v, at most one per pair (no K_{2,3}), so an edge is an apex iff it
     lies in deg(v) - 1 squares at v.  Degree 1 qualifies, degree 0 does not.
+
+    A row of X.pair_table with two distinct common neighbours c0, c1 of its
+    pair v, w is the square v c0 w c1, and puts it on the arcs c -> v and
+    c -> w for c = c0, c1; its other pair c0, c1 puts it on the other four,
+    so the squares at each arc are counted by one bincount over the arcs'
+    sorted keys.
     """
-    count = Counter()
-    for a, b, c, d in X.squares:
-        count.update(((a, b), (a, d), (b, a), (b, c), (c, b), (c, d), (d, a), (d, c)))
-    return {v: any(count[v, w] == len(X.adj[v]) - 1 for w in X.adj[v])
-            for v in X.vertices}
+    n, (vw, common) = len(X.vertices), X.pair_table
+    tail, head = np.nonzero(X._dist == 1)  # the arcs, sorted by tail n + head
+    sq = common[:, 0] != common[:, 1]
+    keys = common[sq][:, [0, 0, 1, 1]] * n + vw[sq][:, [0, 1, 0, 1]]
+    count = np.bincount(np.searchsorted(tail * n + head, keys.ravel()), minlength=len(tail))
+    apex = count == np.bincount(tail, minlength=n)[tail] - 1
+    extremal = np.zeros(n, dtype=bool)
+    extremal[tail[apex]] = True
+    return dict(zip(X.vertices, extremal.tolist()))
 
 
 def is_extremal(X: CubeComplex, v):

@@ -4,9 +4,10 @@ automorphisms of the complex and automorphisms of its contact graph.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+
+import numpy as np
 
 from .contact import ContactFamily, all_interaction_sets, build_contact_family
 from .errors import (
@@ -30,27 +31,56 @@ def verify_automorphism(adjacency, permutation):
             raise NotAnAutomorphism(f"adjacency broken at {u}")
 
 
+def _bits(x):
+    """The positions of the set bits of the int x, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
 def maximal_cliques(adjacency, cap=DEFAULT_CLIQUE_CAP):
     """All inclusion-maximal cliques, canonically sorted.
 
-    Bron-Kerbosch with pivoting; isolated vertices yield singleton cliques.
+    Bron-Kerbosch with Tomita pivoting (Tomita, Tanaka and Takahashi, The
+    worst-case time complexity for generating all maximal cliques, TCS 363,
+    2006) on int bitsets: the k-th of the sorted nodes is bit k, and nb[k]
+    holds the bits of its neighbours.  A state (clique, candidates P,
+    excluded X) branches on the bits of P & ~nb[u], lowest first, where the
+    pivot u of P | X has the most neighbours in P; each branch moves its
+    node from P to X for the branches after it.  A branch left with no
+    candidates is a maximal clique if it has no excluded node either, and
+    is dropped otherwise; the other branches wait on an explicit stack, so
+    a large clique costs no recursion.  A clique's bits, lowest first, give
+    its sorted tuple; isolated vertices yield singleton cliques.
     """
+    nodes = sorted(adjacency)
+    bit = {v: 1 << k for k, v in enumerate(nodes)}
+    nb = []
+    for v in nodes:
+        bits = 0
+        for w in adjacency[v]:
+            bits |= bit[w]
+        nb.append(bits & ~bit[v])  # a self-loop would branch on v forever
     out = []
-
-    def expand(clique, cands, excluded):
-        if not cands and not excluded:
-            out.append(tuple(sorted(clique)))
+    stack = [(0, (1 << len(nodes)) - 1, 0)]
+    while stack:
+        clique, cands, excluded = stack.pop()
+        if not cands:  # only maximal cliques are pushed without candidates
+            out.append(tuple(nodes[k] for k in _bits(clique)))
             if len(out) > cap:
                 raise CliqueLimitExceeded(f"more than {cap} maximal cliques")
-            return
-        pivot = max(cands | excluded, key=lambda v: len(adjacency[v] & cands))
-        for v in sorted(cands - adjacency[pivot]):
-            expand(clique | {v}, cands & adjacency[v], excluded & adjacency[v])
-            cands = cands - {v}
-            excluded = excluded | {v}
-
-    adjacency = {v: set(nb) for v, nb in adjacency.items()}
-    expand(set(), set(adjacency), set())
+            continue
+        most = -1
+        for k in _bits(cands | excluded):
+            count = (cands & nb[k]).bit_count()
+            if count > most:
+                pivot, most = k, count
+        for k in _bits(cands & ~nb[pivot]):
+            if cands & nb[k] or not excluded & nb[k]:
+                stack.append((clique | 1 << k, cands & nb[k], excluded & nb[k]))
+            cands ^= 1 << k
+            excluded |= 1 << k
     return sorted(out)
 
 
@@ -85,32 +115,54 @@ def clique_atlas(X: CubeComplex, F: ContactFamily = None, cap=DEFAULT_CLIQUE_CAP
     return CliqueAtlas(cliques, vertex_of, clique_of, attained_by, extremality(X))
 
 
-def _joined(sets, i):
+def _members(sets):
+    """members[h]: the bitset of the indices k with h in sets[k]."""
+    members = {}
+    for k, s in enumerate(sets):
+        for h in s:
+            members[h] = members.get(h, 0) | 1 << k
+    return members
+
+
+def _joined(sets, i, members=None):
     """The j != i such that no k outside {i, j} has S_i ∩ S_j ⊆ S_k, in order.
 
-    S_i ∩ S_j ⊆ S_k iff the cut S_i ∩ S_j lies in the cut S_i ∩ S_k, so j
-    qualifies iff its cut occurs once among the cuts of the k != i and lies
-    in no strictly larger one.  Symmetric: j qualifies for i iff i for j.
+    members is _members(sets), or at least its entries for the h in S_i;
+    a caller that reads many rows builds it once.  meet[j] is the AND of
+    members[h] over the h in S_i that S_j contains, that is over S_i ∩ S_j,
+    so it is the set of k with S_i ∩ S_j ⊆ S_k, and it holds i and j.  So
+    j qualifies iff meet[j] is exactly the bits i and j, which is the
+    definition.  A j with no meet has an empty cut, which lies in any third
+    set: with three or more sets it never qualifies, and with at most two
+    every other set qualifies.  Symmetric: j qualifies for i iff i for j.
     """
-    cuts = {k: sets[i] & s for k, s in enumerate(sets) if k != i}
-    count = Counter(cuts.values())
-    top = {c for c, t in count.items() if t == 1 and not any(c < d for d in count)}
-    return [j for j, c in cuts.items() if c in top]
+    if len(sets) <= 2:
+        return [j for j in range(len(sets)) if j != i]
+    if members is None:
+        members = _members(sets)
+    meet = {}
+    for h in sets[i]:
+        row = members[h]
+        for j in _bits(row):
+            meet[j] = meet.get(j, row) & row
+    return [j for j in sorted(meet) if j != i and meet[j] == 1 << i | 1 << j]
 
 
 def adjacency_criterion(X: CubeComplex, v, w):
     """True iff no third vertex x has W_v ∩ W_w contained in W_v ∩ W_x.
 
     Matches actual adjacency when hyperplanes of X have no extremal vertices;
-    the direction non-adjacent => False holds unconditionally.  Each call
-    builds a whole _joined row, the cuts of v with all n vertices; a caller
-    that needs all pairs reads the rows of _joined instead, as the
-    criterion suite of verify.py does.
+    the direction non-adjacent => False holds unconditionally.  One _joined
+    row, with the members of the h at v read off the carrier rows, which
+    are those members' bitsets.
     """
     i, j = X.check_vertex(v), X.check_vertex(w)
     if v == w:
         raise ValueError("criterion needs two distinct vertices")
-    return j in _joined(X.ids_at, i)
+    at = sorted(X.ids_at[i])
+    bits = np.packbits(X.carriers[at], axis=1, bitorder="little")
+    members = {h: int.from_bytes(row.tobytes(), "little") for h, row in zip(at, bits)}
+    return j in _joined(X.ids_at, i, members)
 
 
 def reconstruct(cliques):
@@ -124,8 +176,8 @@ def reconstruct(cliques):
     compare on interior regions or document failures.
     """
     cliques = list(cliques)
-    sets = [frozenset(cl) for cl in cliques]
-    adjacency = {cl: {cliques[j] for j in _joined(sets, i)}
+    members = _members(cliques)
+    adjacency = {cl: {cliques[j] for j in _joined(cliques, i, members)}
                  for i, cl in enumerate(cliques)}
     edges = {frozenset((cl, other)) for cl, nb in adjacency.items() for other in nb}
     return {"vertices": cliques, "edges": edges, "adjacency": adjacency}

@@ -122,9 +122,9 @@ def _iw(X):
 
 
 def _criterion(X):
-    V = X.vertices
+    V, members = X.vertices, _rec._members(X.ids_at)
     for i, v in enumerate(V):
-        for j in _rec._joined(X.ids_at, i):
+        for j in _rec._joined(X.ids_at, i, members):
             if j > i and V[j] not in X.adj[v]:
                 yield {"pair": [str(v), str(V[j])]}
 

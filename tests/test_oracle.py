@@ -56,11 +56,14 @@ Distances: the reference is a Python BFS from each source.  The bit-parallel
 all-sources BFS (md._all_distances) must give the same matrix, in one source
 block or several, and an accepted graph must carry it as X._dist.
 
-Cliques: the reference is networkx's find_cliques, where networkx is
-installed (it is no runtime dependency).  maximal_cliques must give the same
-cliques, isolated vertices as singletons, on the contact and crossing graphs
-of the builtins, random complexes and the session balls, and on seeded
-random graphs.
+Cliques: the references are networkx's find_cliques, where networkx is
+installed (it is no runtime dependency), and the original recursive
+Bron-Kerbosch on Python sets.  The bitset enumeration maximal_cliques must
+give the same cliques, isolated vertices as singletons: as networkx on the
+contact and crossing graphs of the builtins, random complexes and the
+session balls and on seeded random graphs, and as the set enumeration on
+random graphs with at most 14 vertices, the empty, edgeless and complete
+ones included.
 
 Convexity and Helly: the references are the interval tensor T[u, v, w] (w on
 a geodesic from u to v, 5 n^3 bytes), read through one np.ix_ slice per set,
@@ -73,7 +76,7 @@ which tests every clique pair against every third clique, the original
 adjacency criterion, which tests one vertex pair against every third
 vertex, and extremality as is_cone of the link graph of each vertex.  The
 row kernel rc._joined (read by reconstruct, adjacency_criterion and the
-criterion suite) and md.extremality (a count over the squares) must give
+criterion suite) and md.extremality (a count over the pair table) must give
 the same edges, pairs and flags on the builtins, random complexes, balls
 and corpus documents, and _joined must match its literal definition on
 random small set families.
@@ -480,6 +483,57 @@ def test_maximal_cliques_against_networkx(request):
                 adjacency[u].add(w)
                 adjacency[w].add(u)
         check(adjacency)
+
+
+def reference_maximal_cliques(adjacency):
+    """The original enumeration: recursive Bron-Kerbosch on Python sets, the
+    pivot being the vertex of P | X with the most neighbours in P."""
+    out = []
+
+    def expand(clique, cands, excluded):
+        if not cands and not excluded:
+            out.append(tuple(sorted(clique)))
+            return
+        pivot = max(cands | excluded, key=lambda v: len(adjacency[v] & cands))
+        for v in sorted(cands - adjacency[pivot]):
+            expand(clique | {v}, cands & adjacency[v], excluded & adjacency[v])
+            cands = cands - {v}
+            excluded = excluded | {v}
+
+    adjacency = {v: set(nb) for v, nb in adjacency.items()}
+    expand(set(), set(adjacency), set())
+    return sorted(out)
+
+
+def graph_on(labels, pairs):
+    """The adjacency dict of sets of the graph on labels with edges pairs."""
+    adjacency = {v: set() for v in labels}
+    for u, w in pairs:
+        adjacency[u].add(w)
+        adjacency[w].add(u)
+    return adjacency
+
+
+@st.composite
+def labelled_graphs(draw):
+    """Graphs on 0-14 distinct int labels, drawn in no particular order."""
+    labels = draw(st.lists(st.integers(-50, 50), max_size=14, unique=True))
+    pairs = list(combinations(labels, 2))
+    bits = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return graph_on(labels, [e for e, bit in zip(pairs, bits) if bit])
+
+
+@settings(max_examples=300, deadline=None)
+@given(labelled_graphs())
+@example(graph_on([], []))
+@example(graph_on(range(14), []))
+@example(graph_on(range(14), combinations(range(14), 2)))
+@example(graph_on([3, -1, 7], [(3, 7)]))
+def test_bitset_cliques_are_the_set_enumeration(adjacency):
+    """The bitset enumeration gives the set enumeration's cliques, in the
+    same canonical order, on the empty, edgeless and complete graphs and
+    on random graphs with at most 14 vertices."""
+    assert rc.maximal_cliques(adjacency) == reference_maximal_cliques(adjacency)
 
 
 def reference_random_median_complex(ambient_dim, seed_count, rng_seed):

@@ -56,6 +56,15 @@ def test_clique_cap():
         rc.maximal_cliques(adjacency, cap=1000)
 
 
+def test_complete_graph_is_one_clique():
+    """The contact graph of a star K_{1,k} is complete.  Its one clique has
+    k vertices, and the enumeration keeps its states on a stack, so no
+    recursion limit bounds k."""
+    n = 1100
+    adjacency = {v: set(range(n)) - {v} for v in range(n)}
+    assert rc.maximal_cliques(adjacency) == [tuple(range(n))]
+
+
 def test_verify_automorphism():
     adjacency = {"a": {"b"}, "b": {"a", "c"}, "c": {"b"}}
     rc.verify_automorphism(adjacency, {"a": "c", "b": "b", "c": "a"})

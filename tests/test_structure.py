@@ -118,15 +118,15 @@ def test_majority_closure_runs_only_where_medians_may_be_missing():
 
 def test_one_quadrangle_check():
     """A quadrangle check reads the common neighbours of the distance-2 pairs.
-    Their arrays are read only by the squares and links, the convexity
-    check and the generator _quadrangle_failures, read in turn only by
+    Their arrays are read only by the squares, links and extremality, the
+    convexity check and the generator _quadrangle_failures, read in turn only by
     validate_complex (its first item) and the ball closure (each round's
     repairs).  _pair_table builds them: from validate_complex's adjacency
     matrix first, for its K_{2,3} check, or on first access."""
     assert users("_quadrangle_failures") == {
         ("median.py", "validate_complex"), ("median.py", "_repair_quadrangles")}
     assert users("pair_table") == {
-        ("median.py", "CubeComplex"), ("median.py", "link_graph"),
+        ("median.py", "CubeComplex"), ("median.py", "link_graph"), ("median.py", "extremality"),
         ("median.py", "_nonconvex"), ("median.py", "_quadrangle_failures")}
     assert users("_pair_table") == {
         ("median.py", "CubeComplex"), ("median.py", "validate_complex")}
@@ -346,7 +346,7 @@ def median_users(name):
 
 
 def test_extremality_builds_no_link_graph():
-    """Extremality is one count over the squares.  No package code builds a
+    """Extremality is one count over the pair table.  No package code builds a
     link graph; link_graph, is_cone and is_extremal stay public for callers
     outside the package."""
     assert median_users("link_graph") == set()

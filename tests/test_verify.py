@@ -70,8 +70,8 @@ def test_cone_links_checks_extremality(monkeypatch):
 def test_criterion_checks_each_row(monkeypatch):
     # row 0 of PATH3 joins vertex 1 only; flipped, it joins the non-neighbours
     real = rc._joined
-    monkeypatch.setattr(rc, "_joined", lambda sets, i: real(sets, i) if i else [
-        j for j in range(1, len(sets)) if j not in real(sets, 0)])
+    monkeypatch.setattr(rc, "_joined", lambda sets, i, members: real(sets, i, members) if i
+                        else [j for j in range(1, len(sets)) if j not in real(sets, 0, members)])
     entry = vf.suite_criterion([("p", md.builtin_complex("PATH3"))])
     assert entry["violations"] == [
         {"instance": "p", "pair": ["0", "2"]}, {"instance": "p", "pair": ["0", "3"]}]
