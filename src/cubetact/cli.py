@@ -1,6 +1,7 @@
 """Command-line surface: generate instances, analyze complexes, run suites.
 
-Exit codes: 0 success, 1 verification found violations, 2 invalid input.
+Exit codes: 0 success, 1 verification found violations, 2 invalid input
+or a verify run that refused an instance over a size or clique limit.
 """
 
 from __future__ import annotations
@@ -197,7 +198,8 @@ def _verify_instances(args):
 def cmd_verify(args):
     """Run the named suites, or all of them.  The group suites need --graph:
     named without it they make the run invalid; left to the default, each
-    is reported skipped."""
+    is reported skipped.  A run with a refused instance writes its report,
+    which does not pass, and exits 2."""
     suites = args.suite or list(_verify.SUITES)
     gamma = _load_graph(args.graph) if args.graph else None
     if gamma is None and args.suite and _verify.GROUP_SUITES & set(suites):
@@ -221,8 +223,11 @@ def cmd_verify(args):
         ),
     }
     violations = sum(len(e["violations"]) for e in report["suites"])
-    report["pass"] = violations == 0
+    refused = any("refused" in e for e in report["suites"])
+    report["pass"] = violations == 0 and not refused
     _emit(report, args.out)
+    if refused:
+        return EXIT_INVALID
     return EXIT_OK if violations == 0 else EXIT_VIOLATION
 
 

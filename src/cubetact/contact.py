@@ -21,18 +21,10 @@ def _ids(row):
     return set(np.flatnonzero(row).tolist())
 
 
-def _adjacency(M):
-    """Row index -> set of the column indices marked in a boolean matrix."""
-    out = {h: set() for h in range(len(M))}
-    iu, iw = np.nonzero(M)
-    for u, w in zip(iu.tolist(), iw.tolist()):
-        out[u].add(w)
-    return out
-
-
 @dataclass(frozen=True)
 class _Relation:
-    """Every hyperplane-pair relation of a complex, as (H, H) matrices."""
+    """Every hyperplane-pair relation of a complex, as read-only (H, H)
+    matrices: they are cached on the complex and shared by every reader."""
 
     transverse: np.ndarray  # bool: all four quadrants of the sides are non-empty
     contact: np.ndarray  # bool: carriers meet (u != w)
@@ -58,9 +50,16 @@ def _relation(X: CubeComplex) -> _Relation:
                  n - na[:, None] - na[None, :] + AA)
     transverse = np.logical_and.reduce([q > 0 for q in quadrants])
     X._relation = _Relation(
-        transverse, (G > 0) & ~np.eye(H, dtype=bool), G == nk[None, :]
+        *_frozen(transverse, (G > 0) & ~np.eye(H, dtype=bool), G == nk[None, :])
     )
     return X._relation
+
+
+def _frozen(*arrays):
+    """The arrays, made read-only."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def interaction(X: CubeComplex, u, w):
@@ -76,14 +75,15 @@ def interaction(X: CubeComplex, u, w):
 
 @dataclass(frozen=True)
 class ContactFamily:
-    """The three hyperplane graphs plus the quotient onto reduced classes."""
+    """The three hyperplane graphs, as read-only bool adjacency matrices,
+    plus the quotient onto reduced classes."""
 
     complex: CubeComplex
-    contact: dict  # hid -> set of hids
-    crossing: dict  # hid -> set of hids, subgraph of contact
+    contact: np.ndarray  # (H, H): carriers meet, u != w
+    crossing: np.ndarray  # (H, H): transverse, a subgraph of contact
     classes: tuple  # tuple of sorted hid tuples
-    class_of: dict  # hid -> class index
-    reduced: dict  # class index -> set of class indices
+    class_of: np.ndarray  # (H,) intp: class_of[h] is the index of h's class
+    reduced: np.ndarray  # (C, C): classes joined by a transverse pair
     mode: str
 
 
@@ -125,7 +125,6 @@ def build_contact_family(X: CubeComplex, mode="self-exclusive") -> ContactFamily
         raise ValueError(f"mode must be one of {REDUCED_MODES}")
     rel = _relation(X)
     T = rel.transverse
-    contact, crossing = _adjacency(rel.contact), _adjacency(T)
     classes = tuple(_reduced_classes(T, mode, range(len(T))))
     class_of = {h: i for i, cls in enumerate(classes) for h in cls}
     label = np.array([class_of[h] for h in range(len(T))], dtype=np.intp)
@@ -136,8 +135,7 @@ def build_contact_family(X: CubeComplex, mode="self-exclusive") -> ContactFamily
     iu, iw = np.nonzero(T)
     linked[label[iu], label[iw]] = True
     linked &= ~np.eye(len(classes), dtype=bool)
-    reduced = _adjacency(linked)
-    return ContactFamily(X, contact, crossing, classes, class_of, reduced, mode)
+    return ContactFamily(X, rel.contact, T, classes, *_frozen(label, linked), mode)
 
 
 @dataclass(frozen=True)
@@ -175,9 +173,9 @@ def pushforward_reduced(F: ContactFamily, phi):
     from .reconstruction import verify_automorphism
 
     verify_automorphism(F.crossing, phi)
-    induced = {}
+    class_of, induced = F.class_of.tolist(), {}
     for cid, cls in enumerate(F.classes):
-        images = {F.class_of[phi[h]] for h in cls}
+        images = {class_of[phi[h]] for h in cls}
         if len(images) != 1:
             raise NotAnAutomorphism(
                 f"class {cls} is scattered across classes {sorted(images)}"
@@ -196,34 +194,31 @@ def pushforward_reduced(F: ContactFamily, phi):
 # ---------------------------------------------------------------------------
 # Serialization
 
-def _graph_json(adjacency):
-    return {
-        "vertices": sorted(adjacency),
-        "edges": sorted(
-            sorted((u, w)) for u in adjacency for w in adjacency[u] if u < w
-        ),
-    }
+def _edges(M):
+    """The pairs [u, w], u < w, marked in a bool adjacency matrix, as int
+    lists in sorted order (np.argwhere reads row by row)."""
+    return np.argwhere(np.triu(M, 1)).tolist()
 
 
 def family_to_json(F: ContactFamily) -> dict:
+    graphs = {
+        name: {"vertices": list(range(len(M))), "edges": _edges(M)}
+        for name, M in (("contact", F.contact), ("crossing", F.crossing))
+    }
     return {
         "mode": F.mode,
-        "contact": _graph_json(F.contact),
-        "crossing": _graph_json(F.crossing),
+        **graphs,
         "reduced": {
             "classes": [list(cls) for cls in F.classes],
-            "edges": _graph_json(F.reduced)["edges"],
+            "edges": _edges(F.reduced),
         },
     }
 
 
-def graph_to_dot(adjacency, name="graph"):
+def graph_to_dot(M, name="graph"):
+    """The graph of the bool adjacency matrix M in DOT, vertices 0..len(M)-1."""
     lines = [f"graph {name} {{"]
-    for v in sorted(adjacency):
-        lines.append(f'  "{v}";')
-    for u in sorted(adjacency):
-        for w in sorted(adjacency[u]):
-            if u < w:
-                lines.append(f'  "{u}" -- "{w}";')
+    lines += [f'  "{v}";' for v in range(len(M))]
+    lines += [f'  "{u}" -- "{w}";' for u, w in _edges(M)]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -184,10 +184,10 @@ class CubeComplex:
         the largest such family at one vertex.
         """
         if self._dimension is None:
-            from .contact import _adjacency, _relation
+            from .contact import _relation
             from .reconstruction import maximal_cliques
 
-            crossing = _adjacency(_relation(self).transverse)
+            crossing = _relation(self).transverse
             self._dimension = max(map(len, maximal_cliques(crossing)), default=0)
         return self._dimension
 

@@ -22,13 +22,16 @@ from .median import CubeComplex, extremality
 DEFAULT_CLIQUE_CAP = 100_000
 
 
-def verify_automorphism(adjacency, permutation):
-    verts = set(adjacency)
+def verify_automorphism(M, permutation):
+    """Raise NotAnAutomorphism unless the dict permutation is a bijection of
+    range(len(M)) that preserves the bool adjacency matrix M; the witness
+    is the first vertex u with M[u, w] != M[p(u), p(w)] for some w."""
+    verts = set(range(len(M)))
     if set(permutation) != verts or set(permutation.values()) != verts:
         raise NotAnAutomorphism("not a bijection of the vertex set")
-    for u in verts:
-        if {permutation[w] for w in adjacency[u]} != adjacency[permutation[u]]:
-            raise NotAnAutomorphism(f"adjacency broken at {u}")
+    p = [permutation[u] for u in range(len(M))]
+    for u in np.flatnonzero((M[np.ix_(p, p)] != M).any(axis=1))[:1].tolist():
+        raise NotAnAutomorphism(f"adjacency broken at {u}")
 
 
 def _bits(x):
@@ -39,13 +42,14 @@ def _bits(x):
         x ^= low
 
 
-def maximal_cliques(adjacency, cap=DEFAULT_CLIQUE_CAP):
-    """All inclusion-maximal cliques, canonically sorted.
+def maximal_cliques(M, cap=DEFAULT_CLIQUE_CAP):
+    """All inclusion-maximal cliques of the graph of the bool adjacency
+    matrix M, as sorted tuples of row indices, canonically sorted.
 
     Bron-Kerbosch with Tomita pivoting (Tomita, Tanaka and Takahashi, The
     worst-case time complexity for generating all maximal cliques, TCS 363,
-    2006) on int bitsets: the k-th of the sorted nodes is bit k, and nb[k]
-    holds the bits of its neighbours.  A state (clique, candidates P,
+    2006) on int bitsets: vertex k is bit k, and nb[k] holds the bits of its
+    neighbours, row k of M without the diagonal.  A state (clique, candidates P,
     excluded X) branches on the bits of P & ~nb[u], lowest first, where the
     pivot u of P | X has the most neighbours in P; each branch moves its
     node from P to X for the branches after it.  A branch left with no
@@ -54,20 +58,15 @@ def maximal_cliques(adjacency, cap=DEFAULT_CLIQUE_CAP):
     a large clique costs no recursion.  A clique's bits, lowest first, give
     its sorted tuple; isolated vertices yield singleton cliques.
     """
-    nodes = sorted(adjacency)
-    bit = {v: 1 << k for k, v in enumerate(nodes)}
-    nb = []
-    for v in nodes:
-        bits = 0
-        for w in adjacency[v]:
-            bits |= bit[w]
-        nb.append(bits & ~bit[v])  # a self-loop would branch on v forever
+    rows = np.packbits(M, axis=1, bitorder="little")
+    # without the diagonal: a self-loop would branch on its vertex forever
+    nb = [int.from_bytes(row.tobytes(), "little") & ~(1 << k) for k, row in enumerate(rows)]
     out = []
-    stack = [(0, (1 << len(nodes)) - 1, 0)]
+    stack = [(0, (1 << len(M)) - 1, 0)]
     while stack:
         clique, cands, excluded = stack.pop()
         if not cands:  # only maximal cliques are pushed without candidates
-            out.append(tuple(nodes[k] for k in _bits(clique)))
+            out.append(tuple(_bits(clique)))
             if len(out) > cap:
                 raise CliqueLimitExceeded(f"more than {cap} maximal cliques")
             continue

@@ -23,7 +23,13 @@ from . import contact as _contact
 from . import median as _median
 from . import ragroups as _rg
 from . import reconstruction as _rec
-from .errors import CubetactError, LemmaViolation, NotAnAutomorphism
+from .errors import (
+    CliqueLimitExceeded,
+    CubetactError,
+    LemmaViolation,
+    NotAnAutomorphism,
+    SizeLimitExceeded,
+)
 
 
 def _helly(X):
@@ -294,8 +300,10 @@ def _twist(pair, gamma, radius):
         if image != v:
             raise LemmaViolation(
                 f"inverting {pair[1]} moves carrier vertex {v} to {image}")
+    index = X.index  # an image outside the ball is no bijection
+    perm = {index.get(v, -1): index.get(w, -1) for v, w in tw.perm.items()}
     try:
-        _rec.verify_automorphism(X.adj, tw.perm)
+        _rec.verify_automorphism(_median._adjacency_matrix(X), perm)
     except NotAnAutomorphism as ex:
         raise LemmaViolation(str(ex)) from ex
     return {"witness": {"hyperplane": tw.hyperplane, "moved": len(tw.moved)}}
@@ -362,12 +370,14 @@ def _run(suite, instances, *args, violations=()):
     Violations get their instance's name, unless it is None (the group
     suites, which check one generator pair or graph).  With several
     instances, each skipped reason is prefixed by its instance's name and
-    the reasons are joined.  args follow the instance in each call;
+    the reasons are joined.  An instance over a size or clique limit is
+    listed under "refused" with the limit's message, and the other
+    instances still run.  args follow the instance in each call;
     violations are found before any instance.
     """
     anchor, check = _TABLE[suite]
     t0 = time.perf_counter()
-    violations, extra, skipped = list(violations), {}, []
+    violations, extra, skipped, refused = list(violations), {}, [], []
     for name, instance in instances:
         label = {} if name is None else {"instance": name}
         try:
@@ -381,8 +391,12 @@ def _run(suite, instances, *args, violations=()):
                 violations.append({**label, **v})
         except LemmaViolation as ex:
             violations.append({**label, "witness": str(ex)})
+        except (SizeLimitExceeded, CliqueLimitExceeded) as ex:
+            refused.append({**label, "reason": str(ex)})
     if skipped:
         extra["skipped"] = "; ".join(skipped)
+    if refused:
+        extra["refused"] = refused
     return {
         "lemmaId": suite,
         "anchor": anchor,

@@ -1,8 +1,28 @@
-"""Shared fixtures; the expensive balls are built once per session."""
+"""Shared fixtures; the expensive balls are built once per session.  Also
+the two graph converters the tests share: the library's graphs are bool
+adjacency matrices, and the references read dicts of sets."""
 
+import numpy as np
 import pytest
 
 from cubetact import ragroups as rg
+
+
+def adjacency_of(M):
+    """The dict of sets of a bool adjacency matrix: row index -> the set of
+    the column indices marked in the row."""
+    return {u: set(np.flatnonzero(row).tolist()) for u, row in enumerate(M)}
+
+
+def matrix_of(adjacency):
+    """(nodes, M) for a dict-of-sets graph: its sorted nodes, and its bool
+    adjacency matrix with nodes[k] at row and column k."""
+    nodes = sorted(adjacency)
+    index = {v: k for k, v in enumerate(nodes)}
+    M = np.zeros((len(nodes),) * 2, dtype=bool)
+    for v, nb in adjacency.items():
+        M[index[v], [index[w] for w in nb]] = True
+    return nodes, M
 
 _criterion_lines = []
 

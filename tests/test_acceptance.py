@@ -222,8 +222,9 @@ def test_criterion_9_halfspace_twist(x_f2_r3, x_c5_r3, criterion_report):
         ("C5", x_c5_r3, "a", "c"),
     ):
         tw = rg.halfspace_twist(ball, x, y)
-        rc.verify_automorphism(ball.complex.adj, tw.perm)
         X = ball.complex
+        rc.verify_automorphism(md._adjacency_matrix(X),
+                               {X.index[v]: X.index[w] for v, w in tw.perm.items()})
         carrier = [v for v, k in zip(X.vertices, X.carriers[tw.hyperplane]) if k]
         ok = ok and bool(tw.moved)
         ok = ok and all(tw.perm[v] == v for v in carrier)

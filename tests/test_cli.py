@@ -179,6 +179,22 @@ def test_verify_ball_suites(tmp_path, capsys):
     assert doc["pass"] is True
 
 
+def test_verify_reports_a_refused_suite_and_exits_2(tmp_path, capsys, monkeypatch):
+    """The Helly check of SQUARE is refused under a 1 MiB limit; the report
+    is written and does not pass, and the other suite still runs."""
+    monkeypatch.setattr(cli._median, "_ALLOC_LIMIT", 1 << 20)
+    dst = tmp_path / "verify.json"
+    code, out, err = run(capsys, "verify", "--builtin", "SQUARE", "--suite", "helly",
+                         "--suite", "cone-links", "--out", str(dst))
+    assert code == 2 and out == err == ""
+    doc = json.loads(dst.read_text())
+    assert doc["pass"] is False
+    helly, cone_links = doc["suites"]
+    assert [r["instance"] for r in helly["refused"]] == ["SQUARE"]
+    assert helly["violations"] == [] and "refused" not in cone_links
+    assert cone_links["instancesChecked"] == 1 and cone_links["violations"] == []
+
+
 def test_verify_needs_graph(capsys):
     code, _, err = run(capsys, "verify", "--suite", "davis")
     assert code == 2 and "--graph" in err

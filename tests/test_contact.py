@@ -3,6 +3,7 @@
 from itertools import combinations
 
 import pytest
+from conftest import adjacency_of
 
 from cubetact import contact as ct
 from cubetact import median as md
@@ -25,8 +26,9 @@ def test_tripod_osculating_triangle():
     for u, w in combinations(ids, 2):
         assert ct.interaction(X, u, w) == "contact_osculating"
     F = ct.build_contact_family(X)
-    assert all(len(F.contact[h]) == 2 for h in ids)  # contact triangle
-    assert all(not F.crossing[h] for h in ids)  # no squares anywhere
+    contact, crossing = adjacency_of(F.contact), adjacency_of(F.crossing)
+    assert all(len(contact[h]) == 2 for h in ids)  # contact triangle
+    assert all(not crossing[h] for h in ids)  # no squares anywhere
 
 
 def test_path3_separated():
@@ -43,13 +45,14 @@ def test_domino_graphs():
     F = ct.build_contact_family(X)
     long = X.hyperplane_of_edge("00", "01")  # dual to the three y-edges
     v1, v2 = sorted(set(range(len(X.sides))) - {long})
+    contact, crossing = adjacency_of(F.contact), adjacency_of(F.crossing)
     # contact graph is a triangle
-    assert F.contact[long] == {v1, v2}
-    assert F.contact[v1] == {long, v2}
+    assert contact[long] == {v1, v2}
+    assert contact[v1] == {long, v2}
     # crossing graph is the path v1 - long - v2
-    assert F.crossing[long] == {v1, v2}
-    assert F.crossing[v1] == {long}
-    assert F.crossing[v2] == {long}
+    assert crossing[long] == {v1, v2}
+    assert crossing[v1] == {long}
+    assert crossing[v2] == {long}
     # verticals osculate, they do not cross
     assert ct.interaction(X, v1, v2) == "contact_osculating"
 
@@ -119,7 +122,7 @@ def test_interaction_sets_random():
 def test_crossing_automorphism_checks():
     X = md.builtin_complex("Q3")
     F = ct.build_contact_family(X)
-    ids = sorted(F.contact)
+    ids = sorted(adjacency_of(F.contact))
     ok = {h: h for h in ids}
     rc.verify_automorphism(F.crossing, ok)
     rotate = dict(zip(ids, ids[1:] + ids[:1]))
@@ -131,7 +134,7 @@ def test_crossing_automorphism_checks():
 def test_pushforward_reduced():
     X = md.builtin_complex("DOMINO")
     F = ct.build_contact_family(X)
-    ids = sorted(F.contact)
+    ids = sorted(adjacency_of(F.contact))
     long = X.hyperplane_of_edge("00", "01")  # dual to the three y-edges
     v1, v2 = sorted(h for h in ids if h != long)
     swap = {long: long, v1: v2, v2: v1}
@@ -157,6 +160,21 @@ def test_graph_to_dot():
     F = ct.build_contact_family(X)
     dot = ct.graph_to_dot(F.contact, "contact")
     assert "graph contact {" in dot and "--" in dot
+
+
+def test_shared_graphs_are_read_only():
+    """The contact and crossing matrices are the relation cached on the
+    complex, so a write into them, or into the other shared arrays, raises
+    instead of corrupting every later result on the complex."""
+    X = md.builtin_complex("DOMINO")
+    F = ct.build_contact_family(X)
+    rel = ct._relation(X)
+    assert F.contact is rel.contact and F.crossing is rel.transverse
+    for M in (rel.contact, rel.transverse, rel.I, F.reduced):
+        with pytest.raises(ValueError):
+            M[0, 1] = True
+    with pytest.raises(ValueError):
+        F.class_of[0] = 1
 
 
 def test_missing_square_is_a_lemma_violation():

@@ -103,6 +103,12 @@ where json.dumps does, on nested values of every kind; what cli.main writes
 must be the reference encoding of its document for generate, analyze and
 verify; hyperplane_report must give the same report on the builtins, random
 complexes, a ball and a complex with int vertices.
+
+Graphs: the references are the original writers of the contact family's
+graphs, which read dicts of sets.  family_to_json and graph_to_dot read the
+bool matrices, and must give the same bytes on random symmetric matrices
+with at most 12 vertices, the empty and complete graphs among them, and on
+the families of the oracle instances above.
 """
 
 import json
@@ -114,6 +120,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import adjacency_of, matrix_of
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -312,11 +319,12 @@ def check_against_oracle(X):
             hyps, mode
         )
         F = ct.build_contact_family(X, mode=mode)
-        assert F.contact == contact
-        assert F.crossing == crossing
+        assert adjacency_of(F.contact) == contact
+        assert adjacency_of(F.crossing) == crossing
         assert F.classes == classes
-        assert F.class_of == class_of
-        assert F.reduced == reduced
+        assert dict(enumerate(F.class_of.tolist())) == class_of
+        assert adjacency_of(F.reduced) == reduced
+        assert cli._encode(ct.family_to_json(F)) == cli._encode(reference_family_json(F))
     for (u, w), kind in labels.items():
         assert ct.interaction(X, u, w) == kind
         assert ct.interaction(X, w, u) == kind
@@ -463,7 +471,7 @@ def test_maximal_cliques_against_networkx(request):
         G.add_nodes_from(adjacency)
         G.add_edges_from((u, w) for u in adjacency for w in adjacency[u])
         expected = sorted(tuple(sorted(cl)) for cl in nx.find_cliques(G))
-        assert rc.maximal_cliques(adjacency) == expected
+        assert named_cliques(adjacency) == expected
 
     complexes = [md.builtin_complex(name) for name in md.BUILTIN_COMPLEXES]
     complexes += [md.random_median_complex(6, 5, seed) for seed in range(1, 51)]
@@ -471,8 +479,8 @@ def test_maximal_cliques_against_networkx(request):
         "y_c5_r3", "y_p4_r4", "y_st5_r3", "y_st5_r4", "x_c5_r2", "x_f2_r3", "z2_r3")]
     for X in complexes:
         F = ct.build_contact_family(X)
-        check(F.contact)
-        check(F.crossing)
+        check(adjacency_of(F.contact))
+        check(adjacency_of(F.crossing))
 
     rng = random.Random(0)
     for _ in range(300):
@@ -483,6 +491,13 @@ def test_maximal_cliques_against_networkx(request):
                 adjacency[u].add(w)
                 adjacency[w].add(u)
         check(adjacency)
+
+
+def named_cliques(adjacency):
+    """maximal_cliques of a dict-of-sets graph, each clique as its nodes:
+    the nodes are sorted, so the order of the cliques is kept."""
+    nodes, M = matrix_of(adjacency)
+    return [tuple(nodes[k] for k in cl) for cl in rc.maximal_cliques(M)]
 
 
 def reference_maximal_cliques(adjacency):
@@ -533,7 +548,7 @@ def test_bitset_cliques_are_the_set_enumeration(adjacency):
     """The bitset enumeration gives the set enumeration's cliques, in the
     same canonical order, on the empty, edgeless and complete graphs and
     on random graphs with at most 14 vertices."""
-    assert rc.maximal_cliques(adjacency) == reference_maximal_cliques(adjacency)
+    assert named_cliques(adjacency) == reference_maximal_cliques(adjacency)
 
 
 def reference_random_median_complex(ambient_dim, seed_count, rng_seed):
@@ -1637,18 +1652,18 @@ def reference_extension_edges(ball, out):
     """The class edges over the contact family's crossing sets, and the
     comparison's own reduced edges and their equality with the class edges
     on interior cores."""
-    F = ct.build_contact_family(ball.complex)
+    crossing = adjacency_of(ct.build_contact_family(ball.complex).crossing)
     interior = ball.interior_hyperplanes(out["margin"])
     cores = {cls: cls & interior for cls in out["vertices"]}
     edges = {
         frozenset((c1, c2)) for c1, c2 in combinations(out["vertices"], 2)
         if cores[c1] and cores[c2]
-        and all(u in F.crossing[w] for u in cores[c1] for w in cores[c2])
+        and all(u in crossing[w] for u in cores[c1] for w in cores[c2])
     }
     same_edges = None
     if out["comparison"] and "classes" in out["comparison"]:
         classes = out["comparison"]["classes"]
-        crossing = {h: F.crossing[h] & interior for h in interior}
+        crossing = {h: crossing[h] & interior for h in interior}
         reduced_edges = {
             frozenset((c1, c2)) for c1, c2 in combinations(classes, 2)
             if all(u in crossing[w] for u in c1 for w in c2)
@@ -1840,6 +1855,74 @@ def reference_hyperplane_report(X):
             }
         )
     return out
+
+
+def reference_graph_json(adjacency):
+    """The original graph encoding, from a dict of sets: sorted vertices and
+    sorted edges [u, w], u < w."""
+    return {
+        "vertices": sorted(adjacency),
+        "edges": sorted(
+            sorted((u, w)) for u in adjacency for w in adjacency[u] if u < w
+        ),
+    }
+
+
+def reference_family_json(F):
+    """The original family_to_json, on the dicts of sets of F's graphs."""
+    return {
+        "mode": F.mode,
+        "contact": reference_graph_json(adjacency_of(F.contact)),
+        "crossing": reference_graph_json(adjacency_of(F.crossing)),
+        "reduced": {
+            "classes": [list(cls) for cls in F.classes],
+            "edges": reference_graph_json(adjacency_of(F.reduced))["edges"],
+        },
+    }
+
+
+def reference_graph_to_dot(adjacency, name="graph"):
+    """The original graph_to_dot, from a dict of sets."""
+    lines = [f"graph {name} {{"]
+    for v in sorted(adjacency):
+        lines.append(f'  "{v}";')
+    for u in sorted(adjacency):
+        for w in sorted(adjacency[u]):
+            if u < w:
+                lines.append(f'  "{u}" -- "{w}";')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric bool matrices with a false diagonal, on 0-12 vertices."""
+    n = draw(st.integers(0, 12))
+    pairs = list(combinations(range(n), 2))
+    bits = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    M = np.zeros((n, n), dtype=bool)
+    for (u, w), bit in zip(pairs, bits):
+        M[u, w] = M[w, u] = bit
+    return M
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_matrices(), symmetric_matrices(), symmetric_matrices())
+@example(np.zeros((0, 0), dtype=bool), np.zeros((0, 0), dtype=bool),
+         np.zeros((0, 0), dtype=bool))
+@example(np.zeros((12, 12), dtype=bool), np.zeros((12, 12), dtype=bool),
+         np.zeros((1, 1), dtype=bool))
+@example(~np.eye(12, dtype=bool), ~np.eye(12, dtype=bool), ~np.eye(5, dtype=bool))
+def test_graph_writers_against_the_dict_writers(contact, crossing, reduced):
+    """family_to_json's graphs, as cli._encode writes them, and graph_to_dot
+    give the bytes of the dict-of-sets writers, on the empty, edgeless and
+    complete graphs and on random graphs with at most 12 vertices."""
+    classes = tuple((c,) for c in range(len(reduced)))
+    F = ct.ContactFamily(None, contact, crossing, classes,
+                         np.arange(len(reduced)), reduced, "strict")
+    assert cli._encode(ct.family_to_json(F)) == cli._encode(reference_family_json(F))
+    for name, M in (("contact", contact), ("crossing", crossing)):
+        assert ct.graph_to_dot(M, name) == reference_graph_to_dot(adjacency_of(M), name)
 
 
 def int_grid():

@@ -2,7 +2,9 @@
 
 from itertools import chain, combinations
 
+import numpy as np
 import pytest
+from conftest import adjacency_of
 
 from cubetact import contact as ct
 from cubetact import median as md
@@ -36,24 +38,21 @@ def brute_maximal_cliques(adjacency):
 def test_maximal_cliques_oracle_random(seed):
     X = md.random_median_complex(5, 4, seed)
     F = ct.build_contact_family(X)
-    assert rc.maximal_cliques(F.contact) == brute_maximal_cliques(F.contact)
+    assert rc.maximal_cliques(F.contact) == brute_maximal_cliques(adjacency_of(F.contact))
 
 
 def test_maximal_cliques_isolated_vertex():
-    adjacency = {"a": set(), "b": {"c"}, "c": {"b"}}
-    assert rc.maximal_cliques(adjacency) == [("a",), ("b", "c")]
+    # vertex 0 is isolated, 1 and 2 are joined
+    M = np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=bool)
+    assert rc.maximal_cliques(M) == [(0,), (1, 2)]
 
 
 def test_clique_cap():
-    # a big complete multipartite graph has exponentially many cliques
-    n = 14
-    adjacency = {
-        (i, b): {(j, c) for j in range(n) for c in (0, 1) if j != i}
-        for i in range(n)
-        for b in (0, 1)
-    }
+    # a big complete multipartite graph has exponentially many cliques: the
+    # 14 parts are the vertex pairs {2i, 2i + 1}
+    part = np.arange(28) // 2
     with pytest.raises(CliqueLimitExceeded):
-        rc.maximal_cliques(adjacency, cap=1000)
+        rc.maximal_cliques(part[:, None] != part[None, :], cap=1000)
 
 
 def test_complete_graph_is_one_clique():
@@ -61,17 +60,18 @@ def test_complete_graph_is_one_clique():
     k vertices, and the enumeration keeps its states on a stack, so no
     recursion limit bounds k."""
     n = 1100
-    adjacency = {v: set(range(n)) - {v} for v in range(n)}
-    assert rc.maximal_cliques(adjacency) == [tuple(range(n))]
+    assert rc.maximal_cliques(~np.eye(n, dtype=bool)) == [tuple(range(n))]
 
 
 def test_verify_automorphism():
-    adjacency = {"a": {"b"}, "b": {"a", "c"}, "c": {"b"}}
-    rc.verify_automorphism(adjacency, {"a": "c", "b": "b", "c": "a"})
-    with pytest.raises(NotAnAutomorphism):
-        rc.verify_automorphism(adjacency, {"a": "b", "b": "a", "c": "c"})
-    with pytest.raises(NotAnAutomorphism):
-        rc.verify_automorphism(adjacency, {"a": "a", "b": "b"})
+    path = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=bool)  # 0 - 1 - 2
+    rc.verify_automorphism(path, {0: 2, 1: 1, 2: 0})
+    with pytest.raises(NotAnAutomorphism, match="adjacency broken at 0"):
+        rc.verify_automorphism(path, {0: 1, 1: 0, 2: 2})
+    with pytest.raises(NotAnAutomorphism, match="not a bijection"):
+        rc.verify_automorphism(path, {0: 0, 1: 1})
+    with pytest.raises(NotAnAutomorphism, match="not a bijection"):
+        rc.verify_automorphism(path, {0: 0, 1: 1, 2: -1})
 
 
 def test_atlas_builtins():
@@ -126,7 +126,8 @@ def test_reconstruct_domino_failure_shape():
 def test_iota_total_q3():
     X = md.builtin_complex("Q3")
     flip = {v: v[0] + v[1] + ("1" if v[2] == "0" else "0") for v in X.vertices}
-    rc.verify_automorphism(X.adj, flip)
+    rc.verify_automorphism(md._adjacency_matrix(X),
+                           {X.index[v]: X.index[w] for v, w in flip.items()})
     phi = rc.induce_iota(X, flip)
     # flipping the last coordinate fixes every hyperplane
     assert phi == {h: h for h in range(len(X.sides))}

@@ -7,8 +7,9 @@ one blocking kernel and one extremality count, one union-find and no
 normal-form walk for the runs of a ball's edge labels, no attribute set on
 a frozen object, no indented json encoding outside the tests, no
 hyperplane record, record cache or edge map beside the side and carrier
-matrices, and every function the benchmark tracer pins by name still
-public.  Two scans cover the whole package: every `raise LemmaViolation`
+matrices, contact, crossing and reduced graphs held as bool matrices with
+no dict-of-sets copy, and every function the benchmark tracer pins by name
+still public.  Two scans cover the whole package: every `raise LemmaViolation`
 outside verify.py is one of the listed guards of a construction, and every
 public function that no package code calls is listed with its reason."""
 
@@ -107,6 +108,30 @@ def test_no_hyperplane_record_is_left():
         text = path.read_text(encoding="utf-8")
         assert not [p for p in gone if re.search(p, text)], path.name
     assert not hasattr(cubetact, "Hyperplane") and not hasattr(md, "Hyperplane")
+
+
+def test_contact_graphs_are_matrices():
+    """The contact family's graphs are its bool matrices: contact builds no
+    dict of sets from them (_adjacency) and writes no edge list from one
+    (_graph_json), and no package call hands the skeleton's dict X.adj to
+    the automorphism check or the clique search, which read matrices."""
+    assert not hasattr(ct, "_adjacency") and not hasattr(ct, "_graph_json")
+    for name in md.BUILTIN_COMPLEXES:
+        F = ct.build_contact_family(md.builtin_complex(name))
+        for M in (F.contact, F.crossing, F.reduced, F.class_of):
+            assert isinstance(M, np.ndarray), name
+    calls = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if (isinstance(node, ast.Call) and getattr(func, "attr", getattr(func, "id", None))
+                    in ("verify_automorphism", "maximal_cliques")):
+                calls.append(node)
+                args = node.args + [k.value for k in node.keywords]
+                adj = [a for a in args for n in ast.walk(a) if getattr(n, "attr", None) == "adj"]
+                assert not adj, f"{path.name}:{node.lineno} passes X.adj"
+    assert len(calls) >= 6
 
 
 def test_majority_closure_runs_only_where_medians_may_be_missing():

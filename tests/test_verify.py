@@ -5,13 +5,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import adjacency_of
 
 from cubetact import contact as ct
 from cubetact import median as md
 from cubetact import ragroups as rg
 from cubetact import reconstruction as rc
 from cubetact import verify as vf
-from cubetact.errors import LemmaViolation
+from cubetact.errors import CliqueLimitExceeded, LemmaViolation
 
 
 def witnesses(entry):
@@ -117,9 +118,14 @@ def test_davis_checks_the_reflection(monkeypatch, corrupt, witness):
      "inverting c moves carrier vertex 1 to c"),
     (replace(perm=lambda t: {**t.perm, "c": "d"}),
      "not a bijection of the vertex set"),
-], ids=["carrier", "bijection"])
+    (replace(perm=lambda t: {**t.perm, "c": "c^3"}),
+     "not a bijection of the vertex set"),
+    (replace(perm=lambda t: {**t.perm, "c": t.perm["d"], "d": t.perm["c"]}),
+     "adjacency broken at 5"),
+], ids=["carrier", "bijection", "outside", "adjacency"])
 def test_twist_checks_the_automorphism(monkeypatch, corrupt, witness):
-    # "1" is on the carrier of the a-hyperplane at the identity, "c" is not
+    # "1" is on the carrier of the a-hyperplane at the identity, "c" is not;
+    # "c" is vertex 5 of the ball, and "c^3" lies outside it
     real = rg.halfspace_twist
     monkeypatch.setattr(rg, "halfspace_twist", lambda *a: corrupt(real(*a)))
     C5 = rg.builtin_defining_graph("C5")
@@ -130,7 +136,8 @@ def test_core_does_not_check(monkeypatch):
     """A broken square set no longer stops the contact family or the atlas."""
     X = md.builtin_complex("DOMINO")
     broken = md.CubeComplex(X.vertices, X.edges, X._dist, X.squares[1:])
-    assert ct.build_contact_family(broken).contact == ct.build_contact_family(X).contact
+    assert adjacency_of(ct.build_contact_family(broken).contact) == adjacency_of(
+        ct.build_contact_family(X).contact)
     assert rc.clique_atlas(broken).cliques == rc.clique_atlas(X).cliques
 
 
@@ -149,6 +156,38 @@ def test_runner_labels_instances_and_converts_lemma_violations(monkeypatch):
     assert entry["anchor"] == "the anchor" and entry["instancesChecked"] == 2
     assert set(entry) == {"lemmaId", "anchor", "instancesChecked",
                           "violations", "seconds"}
+
+
+def without_seconds(entries):
+    return [{k: v for k, v in e.items() if k != "seconds"} for e in entries]
+
+
+def test_a_refused_instance_is_reported_and_the_run_goes_on(monkeypatch):
+    """An instance over a size limit (here the Helly check's, 1 MiB) or the
+    clique cap is listed under "refused" with the limit's message, beside
+    its suite's violations; the other instances and suites run as before."""
+    X, Y = md.builtin_complex("SQUARE"), md.builtin_complex("PATH3")
+    instances = [("sq", X), ("p", Y)]
+    before = vf.run_suites(vf.SUITES, instances=instances)  # caches the pair tables
+    monkeypatch.setattr(md, "_ALLOC_LIMIT", 1 << 20)
+    real = rc.clique_atlas
+
+    def atlas(Z, F=None):
+        if Z is Y:
+            raise CliqueLimitExceeded("more than 7 maximal cliques")
+        return real(Z, F)
+
+    monkeypatch.setattr(rc, "clique_atlas", atlas)
+    after = vf.run_suites(vf.SUITES, instances=instances)
+    helly, cliques = after[0], after[1]
+    assert [r["instance"] for r in helly["refused"]] == ["sq", "p"]
+    assert helly["refused"][0]["reason"].startswith("the Helly check of ")
+    assert helly["refused"][0]["reason"].endswith(" over the limit of 1048576")
+    assert cliques["refused"] == [{"instance": "p", "reason": "more than 7 maximal cliques"}]
+    assert helly["violations"] == cliques["violations"] == []
+    assert helly["instancesChecked"] == cliques["instancesChecked"] == 2
+    assert without_seconds(after[2:]) == without_seconds(before[2:])
+    assert all("refused" not in e for e in before)
 
 
 def test_roundtrip_hypothesis_is_exact_on_small_graphs():
