@@ -141,7 +141,7 @@ def cmd_analyze(args):
     F = _contact.build_contact_family(X, mode=args.reduced_mode)
     atlas = _rec.clique_atlas(X, F)
     isets = _contact.all_interaction_sets(X)
-    rec = _rec.reconstruct(atlas.cliques)
+    cliques, R = atlas.cliques, _rec.reconstruct(atlas.cliques)
     out = {
         "complex": _median.complex_to_json(X),
         "dimension": X.dimension,
@@ -159,10 +159,8 @@ def cmd_analyze(args):
             for h, s in isets.items()
         },
         "reconstruction": {
-            "vertices": [list(cl) for cl in rec["vertices"]],
-            "edges": sorted(
-                sorted(map(list, e)) for e in rec["edges"]
-            ),
+            "vertices": [list(cl) for cl in cliques],
+            "edges": [[list(cliques[i]), list(cliques[j])] for i, j in _contact._edges(R)],
             "diagnostics": {
                 "extremal_vertices": sorted(
                     str(v) for v in X.vertices if atlas.extremal[v]
@@ -280,7 +278,9 @@ def main(argv=None):
         print(f"error: not a median graph: {ex}", file=sys.stderr)
         return EXIT_INVALID
     except (CubetactError, OSError, ValueError, KeyError, json.JSONDecodeError) as ex:
-        print(f"error: {ex}", file=sys.stderr)
+        # str() of a KeyError is the repr of its key; print its message
+        message = ex.args[0] if isinstance(ex, KeyError) and ex.args else ex
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_INVALID
 
 

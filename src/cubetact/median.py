@@ -51,24 +51,24 @@ class CubeComplex:
     Use :func:`validate_complex` or :func:`certified_complex` to construct one;
     the constructor itself only checks that the edges join two distinct
     known vertices (UnknownVertex, ValueError), not the median property.
+    An edge is stored as the frozenset of the vertices it names ([1.0, 2]
+    as {1, 2}); the skeleton's one graph is the bool matrix X.adjacency.
     """
 
     def __init__(self, vertices, edges, dist, squares=None):
-        self.vertices = tuple(vertices)
-        self.index = {v: i for i, v in enumerate(self.vertices)}
-        self.adj = {v: set() for v in self.vertices}
+        self.vertices = V = tuple(vertices)
+        self.index = index = {v: i for i, v in enumerate(V)}
         edge_set = set()
         for e in edges:  # the one pass over the edges, in input order
             u, v = tuple(e)
-            if u not in self.adj or v not in self.adj:
+            if u not in index or v not in index:
                 raise UnknownVertex(e)
             if u == v:
                 raise ValueError(f"self-loop at {u!r}; the graph must be simple")
-            self.adj[u].add(v)
-            self.adj[v].add(u)
-            edge_set.add(frozenset((u, v)))
+            edge_set.add(frozenset((V[index[u]], V[index[v]])))
         self.edges = frozenset(edge_set)
         self._dist = dist  # numpy (n, n) int matrix, indexed like self.vertices
+        self._adjacency = None
         self._squares = None if squares is None else tuple(squares)
         # hyperplane matrices and edge labels, filled together by
         # compute_hyperplanes; ids_at is read off the carriers on first access
@@ -91,15 +91,32 @@ class CubeComplex:
         )
 
     @property
+    def adjacency(self):
+        """The read-only (n, n) bool adjacency matrix of the skeleton, indexed
+        like X.vertices: _dist == 1 once X has its metric, else (only inside
+        validate_complex, which needs it to find the metric) built from
+        X.edges."""
+        if self._adjacency is None:
+            if self._dist is not None:
+                A = self._dist == 1
+            else:
+                n, ends = len(self.vertices), [self.index[v] for e in self.edges for v in e]
+                A = np.zeros((n, n), dtype=bool)
+                A[ends[::2], ends[1::2]] = A[ends[1::2], ends[::2]] = True
+            A.flags.writeable = False
+            self._adjacency = A
+        return self._adjacency
+
+    @property
     def pair_table(self):
         """The distance-2 pair table (vw, common): two (p, 2) index arrays.
 
         Row r of vw is a pair v < w with a common neighbour, row r of common
         its first and last common neighbour (equal if it has one), in the
         order of the pairs' first 2-paths.  Built once by _pair_table, from
-        validate_complex's adjacency matrix or from _dist == 1."""
+        X.adjacency."""
         if self._pairs is None:
-            self._pairs = _pair_table(self, self._dist == 1)
+            self._pairs = _pair_table(self)
         return self._pairs
 
     @property
@@ -241,16 +258,6 @@ def _all_distances(adjacent):
     return dist
 
 
-def _adjacency_matrix(X):
-    """The (n, n) bool adjacency matrix of X, indexed like X.vertices."""
-    n, index = len(X.vertices), X.index
-    degrees = [len(X.adj[v]) for v in X.vertices]
-    neighbours = (index[w] for v in X.vertices for w in X.adj[v])
-    A = np.zeros((n, n), dtype=bool)
-    A[np.repeat(np.arange(n), degrees), np.fromiter(neighbours, np.intp, sum(degrees))] = True
-    return A
-
-
 def _not_median(X, triple, rows):
     """NotMedian for a triple (i, j, k) of vertex indices of X, naming all
     its medians: the vertices on geodesics between each pair.  rows are the
@@ -261,8 +268,8 @@ def _not_median(X, triple, rows):
                      [X.vertices[m] for m in np.flatnonzero(on).tolist()])
 
 
-def _pair_table(X, A):
-    """X.pair_table, from X's (n, n) bool adjacency matrix A.
+def _pair_table(X):
+    """X.pair_table, from the adjacency matrix A of X.
 
     Each sorted arc c -> v of A is repeated once per later neighbour w of
     c, listing the 2-paths v - c - w (v < w) by c, v, w.  A stable argsort
@@ -271,6 +278,7 @@ def _pair_table(X, A):
     validate_complex): NotMedian names the first three centres of the pair
     whose third 2-path comes first, with the vertices adjacent to all three
     as medians."""
+    A = X.adjacency
     (x, y), n, V = np.nonzero(A), len(A), X.vertices
     later = np.searchsorted(x, x, "right") - np.arange(len(x)) - 1
     P = int(later.sum())  # the sum of C(deg c, 2)
@@ -375,13 +383,13 @@ def validate_complex(vertices, edges, cap=None) -> CubeComplex:
     if len(vertices) > cap:
         raise SizeLimitExceeded(f"{len(vertices)} vertices exceeds cap {cap}")
     X = CubeComplex(vertices, edges, None)  # X._dist is set by step (3)
-    A = _adjacency_matrix(X)
+    A = X.adjacency  # from the edges, as X has no metric yet
     d0 = _distances(A, 0)
     if (d0 < 0).any():
         raise NotConnected("graph is not connected")
     for i, j in np.argwhere(np.triu(A) & (d0[:, None] == d0))[:1].tolist():
         raise _not_median(X, (0, i, j), (d0, _distances(A, i), _distances(A, j)))
-    X._pairs = _pair_table(X, A)  # raises at a K_{2,3}
+    X.pair_table  # raises at a K_{2,3}
     X._dist = _all_distances(A)
     bad = next(_quadrangle_failures(X), None)
     if bad:
@@ -487,11 +495,11 @@ def certified_complex(vertices, edges, dist) -> CubeComplex:
     X = CubeComplex(vertices, edges, dist)
     ones = {
         frozenset((vertices[i], vertices[j]))
-        for i, j in np.argwhere(np.triu(dist == 1)).tolist()
+        for i, j in np.argwhere(np.triu(X.adjacency)).tolist()
     }
     for e in sorted(map(sorted, X.edges ^ ones))[:1]:
         raise LemmaViolation(f"the edges and the Hamming-1 pairs differ at {e}")
-    if (_distances(dist == 1, 0) < 0).any():
+    if (_distances(X.adjacency, 0) < 0).any():
         raise NotConnected("the Hamming-1 graph of the rows is not connected")
     return X
 
@@ -590,7 +598,7 @@ def _nonconvex(X: CubeComplex, M):
     in blocks of about _CELLS (row, edge or pair) cells.
     """
     D, (vw, common) = X._dist, X.pair_table
-    x, y = np.nonzero(D == 1)  # directed edges x -> y, sorted by x
+    x, y = np.nonzero(X.adjacency)  # directed edges x -> y, sorted by x
     starts = np.flatnonzero(np.diff(x, prepend=-1))  # each vertex's first edge
     bad = np.zeros(len(M), dtype=bool)
     step = max(1, _CELLS // max(1, len(x) + len(vw)))
@@ -762,7 +770,7 @@ def extremality(X: CubeComplex):
     sorted keys.
     """
     n, (vw, common) = len(X.vertices), X.pair_table
-    tail, head = np.nonzero(X._dist == 1)  # the arcs, sorted by tail n + head
+    tail, head = np.nonzero(X.adjacency)  # the arcs, sorted by tail n + head
     sq = common[:, 0] != common[:, 1]
     keys = common[sq][:, [0, 0, 1, 1]] * n + vw[sq][:, [0, 1, 0, 1]]
     count = np.bincount(np.searchsorted(tail * n + head, keys.ravel()), minlength=len(tail))

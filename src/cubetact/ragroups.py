@@ -517,14 +517,16 @@ def _components(pairs):
 
 
 def _syllable_graph(ball: Ball):
-    """Vertex id -> its syllable neighbours: the other vertices of the
-    runs through it."""
-    adj = {v: set() for v in ball.words}
+    """The bool adjacency matrix of the syllable graph, indexed like
+    ball.complex.vertices: each vertex is joined to the other vertices of
+    the runs through it."""
+    index = ball.complex.index
+    M = np.zeros((len(index),) * 2, dtype=bool)
     for run in _components(((u, g), (w, g)) for (u, w), g in ball.edge_label.items()):
-        run = {v for v, _ in run}
-        for v in run:
-            adj[v] |= run - {v}
-    return adj
+        k = [index[v] for v, _ in run]
+        M[np.ix_(k, k)] = True
+    np.fill_diagonal(M, False)
+    return M
 
 
 def syllable_distance(ball: Ball, x, y) -> int:
@@ -542,20 +544,11 @@ def syllable_distance(ball: Ball, x, y) -> int:
         raise UnknownVertex(x)
     if y not in ball.words:
         raise UnknownVertex(y)
-    if x == y:
-        return 0
-    adj = _syllable_graph(ball)
-    dist = {x: 0}
-    queue = deque([x])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                if w == y:
-                    return dist[w]
-                queue.append(w)
-    raise UnknownVertex(f"{y} unreachable in the syllable graph")
+    index = ball.complex.index
+    d = int(_median._distances(_syllable_graph(ball), index[x])[index[y]])
+    if d < 0:
+        raise UnknownVertex(f"{y} unreachable in the syllable graph")
+    return d
 
 
 def _segment_classes(ball: Ball):

@@ -51,11 +51,13 @@ def maximal_cliques(M, cap=DEFAULT_CLIQUE_CAP):
     2006) on int bitsets: vertex k is bit k, and nb[k] holds the bits of its
     neighbours, row k of M without the diagonal.  A state (clique, candidates P,
     excluded X) branches on the bits of P & ~nb[u], lowest first, where the
-    pivot u of P | X has the most neighbours in P; each branch moves its
-    node from P to X for the branches after it.  A branch left with no
-    candidates is a maximal clique if it has no excluded node either, and
-    is dropped otherwise; the other branches wait on an explicit stack, so
-    a large clique costs no recursion.  A clique's bits, lowest first, give
+    pivot u of P | X has the most neighbours in P, or is the first with
+    |P| - 1 of them, which leaves at most one branch (any pivot yields
+    every maximal clique once); each branch moves its node from P to X for
+    the branches after it.  A branch left with no candidates is a maximal
+    clique if it has no excluded node either, and is dropped otherwise; the
+    other branches wait on an explicit stack, so a large clique costs no
+    recursion.  A clique's bits, lowest first, give
     its sorted tuple; isolated vertices yield singleton cliques.
     """
     rows = np.packbits(M, axis=1, bitorder="little")
@@ -70,11 +72,13 @@ def maximal_cliques(M, cap=DEFAULT_CLIQUE_CAP):
             if len(out) > cap:
                 raise CliqueLimitExceeded(f"more than {cap} maximal cliques")
             continue
-        most = -1
+        most, enough = -1, cands.bit_count() - 1
         for k in _bits(cands | excluded):
             count = (cands & nb[k]).bit_count()
             if count > most:
                 pivot, most = k, count
+                if most >= enough:  # at most one branch: no pivot does better
+                    break
         for k in _bits(cands & ~nb[pivot]):
             if cands & nb[k] or not excluded & nb[k]:
                 stack.append((clique | 1 << k, cands & nb[k], excluded & nb[k]))
@@ -172,14 +176,16 @@ def reconstruct(cliques):
     Vertices are maximal cliques; cliques C1, C2 are joined unless some third
     maximal clique C3 satisfies C1 ∩ C2 ⊆ C1 ∩ C3 (see _joined).  Sound only
     under the no-extremal-vertices hypotheses; always emitted, so callers can
-    compare on interior regions or document failures.
+    compare on interior regions or document failures.  Returns the read-only
+    (C, C) bool matrix of joined cliques, indexed like the cliques.
     """
     cliques = list(cliques)
     members = _members(cliques)
-    adjacency = {cl: {cliques[j] for j in _joined(cliques, i, members)}
-                 for i, cl in enumerate(cliques)}
-    edges = {frozenset((cl, other)) for cl, nb in adjacency.items() for other in nb}
-    return {"vertices": cliques, "edges": edges, "adjacency": adjacency}
+    R = np.zeros((len(cliques),) * 2, dtype=bool)
+    for i in range(len(cliques)):
+        R[i, _joined(cliques, i, members)] = True
+    R.flags.writeable = False
+    return R
 
 
 def induce_iota(X: CubeComplex, g):

@@ -131,7 +131,7 @@ def _criterion(X):
     V, members = X.vertices, _rec._members(X.ids_at)
     for i, v in enumerate(V):
         for j in _rec._joined(X.ids_at, i, members):
-            if j > i and V[j] not in X.adj[v]:
+            if j > i and not X.adjacency[i, j]:
                 yield {"pair": [str(v), str(V[j])]}
 
 
@@ -142,34 +142,23 @@ def interior_roundtrip(ball, margin=2):
     interior vertices is isomorphic (via hyperplane-set identity) to the
     interior 1-skeleton and left multiplications survive iota then rho.
     """
-    X = ball.complex
-    violations = []
+    X, V = ball.complex, ball.complex.vertices
     F = _contact.build_contact_family(X)
     atlas = _rec.clique_atlas(X, F)
-    rec = _rec.reconstruct(atlas.cliques)
     interior = ball.interior_vertices(margin)
 
-    clique_to_vertex = {}
-    for cl in rec["vertices"]:
-        v = atlas.vertex_of.get(cl)
-        if v is not None and v in interior:
-            clique_to_vertex[cl] = v
-    mapped = set(clique_to_vertex.values())
-    for v in interior:
-        if v not in mapped:
-            violations.append({"missing_interior_vertex": str(v)})
+    # the cliques matched with interior vertices, in canonical order, and
+    # those vertices' indices
+    cs = [k for k, cl in enumerate(atlas.cliques) if atlas.vertex_of.get(cl) in interior]
+    vs = [X.index[atlas.vertex_of[atlas.cliques[k]]] for k in cs]
+    mapped = {V[i] for i in vs}
+    violations = [{"missing_interior_vertex": str(v)} for v in interior if v not in mapped]
 
-    for cl, v in clique_to_vertex.items():
-        for cl2, w in clique_to_vertex.items():
-            if cl >= cl2:
-                continue
-            rec_adj = cl2 in rec["adjacency"][cl]
-            true_adj = w in X.adj[v]
-            if rec_adj != true_adj:
-                violations.append(
-                    {"pair": [str(v), str(w)], "reconstructed": rec_adj,
-                     "actual": true_adj}
-                )
+    rec = _rec.reconstruct(atlas.cliques)[np.ix_(cs, cs)]
+    actual = X.adjacency[np.ix_(vs, vs)]
+    for a, b in np.argwhere(np.triu(rec != actual, 1)).tolist():
+        violations.append({"pair": [str(V[vs[a]]), str(V[vs[b]])],
+                           "reconstructed": bool(rec[a, b]), "actual": bool(actual[a, b])})
 
     # rho(iota(g)) must restrict to g on the interior for left multiplications
     gamma, kind = ball.gamma, ball.kind
@@ -303,7 +292,7 @@ def _twist(pair, gamma, radius):
     index = X.index  # an image outside the ball is no bijection
     perm = {index.get(v, -1): index.get(w, -1) for v, w in tw.perm.items()}
     try:
-        _rec.verify_automorphism(_median._adjacency_matrix(X), perm)
+        _rec.verify_automorphism(X.adjacency, perm)
     except NotAnAutomorphism as ex:
         raise LemmaViolation(str(ex)) from ex
     return {"witness": {"hyperplane": tw.hyperplane, "moved": len(tw.moved)}}

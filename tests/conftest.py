@@ -1,5 +1,5 @@
 """Shared fixtures; the expensive balls are built once per session.  Also
-the two graph converters the tests share: the library's graphs are bool
+the graph converters the tests share: the library's graphs are bool
 adjacency matrices, and the references read dicts of sets."""
 
 import numpy as np
@@ -12,6 +12,14 @@ def adjacency_of(M):
     """The dict of sets of a bool adjacency matrix: row index -> the set of
     the column indices marked in the row."""
     return {u: set(np.flatnonzero(row).tolist()) for u, row in enumerate(M)}
+
+
+def skeleton_of(X, M=None):
+    """The dict of sets of X.adjacency, or of another bool matrix M indexed
+    like X.vertices, by name: vertex -> the set of its neighbours."""
+    V = X.vertices
+    M = X.adjacency if M is None else M
+    return {V[u]: {V[w] for w in nb} for u, nb in adjacency_of(M).items()}
 
 
 def matrix_of(adjacency):

@@ -223,7 +223,7 @@ def test_criterion_9_halfspace_twist(x_f2_r3, x_c5_r3, criterion_report):
     ):
         tw = rg.halfspace_twist(ball, x, y)
         X = ball.complex
-        rc.verify_automorphism(md._adjacency_matrix(X),
+        rc.verify_automorphism(X.adjacency,
                                {X.index[v]: X.index[w] for v, w in tw.perm.items()})
         carrier = [v for v, k in zip(X.vertices, X.carriers[tw.hyperplane]) if k]
         ok = ok and bool(tw.moved)

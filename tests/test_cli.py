@@ -78,6 +78,19 @@ def test_analyze_rejects_non_median(tmp_path, capsys):
     assert code == 2 and "median" in err
 
 
+def test_analyze_names_edges_by_their_vertices(tmp_path, capsys):
+    """An edge written [1.0, 2] joins the vertices 1 and 2, and every part of
+    the report names them as the vertex list does."""
+    src = tmp_path / "mixed.json"
+    src.write_text(json.dumps({"vertices": [1, 2], "edges": [[1.0, 2]]}))
+    code, out, _ = run(capsys, "analyze", "--in", str(src), "--dot")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["complex"] == {"vertices": ["1", "2"], "edges": [["1", "2"]]}
+    assert doc["hyperplanes"][0]["edges"] == [["1", "2"]]
+    assert '"1" -- "2"' in doc["dot"]["skeleton"] and "1.0" not in out
+
+
 def test_analyze_single_vertex(tmp_path, capsys):
     """The empty link is a cone without an apex: the vertex is not extremal."""
     src = tmp_path / "point.json"
@@ -193,6 +206,12 @@ def test_verify_reports_a_refused_suite_and_exits_2(tmp_path, capsys, monkeypatc
     assert [r["instance"] for r in helly["refused"]] == ["SQUARE"]
     assert helly["violations"] == [] and "refused" not in cone_links
     assert cone_links["instancesChecked"] == 1 and cone_links["violations"] == []
+
+
+def test_unknown_builtin_message_is_unquoted(capsys):
+    code, out, err = run(capsys, "verify", "--builtin", "nope")
+    assert code == 2 and out == ""
+    assert err == "error: unknown builtin complex 'NOPE'\n"
 
 
 def test_verify_needs_graph(capsys):

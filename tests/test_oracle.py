@@ -52,6 +52,11 @@ quadrangle checks) must accept exactly the connected graphs that they
 accept, and name a triple whose median count, found by brute force, is not
 one.
 
+Adjacency: the reference is the matrix of X.edges.  X.adjacency, built from
+the edges on a complex without its metric and from _dist == 1 on one with
+it, must equal it on the builtins, random complexes, the session balls and
+every graph that validate_complex accepts.
+
 Distances: the reference is a Python BFS from each source.  The bit-parallel
 all-sources BFS (md._all_distances) must give the same matrix, in one source
 block or several, and an accepted graph must carry it as X._dist.
@@ -120,7 +125,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import adjacency_of, matrix_of
+from conftest import adjacency_of, matrix_of, skeleton_of
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -156,7 +161,7 @@ def reference_hyperplanes(X):
         classes.setdefault(find(e), []).append(e)
     ordered = sorted(classes.values(), key=lambda es: tuple(sorted(es[0])))
 
-    out = []
+    out, adj = [], skeleton_of(X)
     for dual in ordered:
         dual = frozenset(dual)
         comp = {}
@@ -167,7 +172,7 @@ def reference_hyperplanes(X):
             queue = deque([s])
             while queue:
                 u = queue.popleft()
-                for w in X.adj[u]:
+                for w in adj[u]:
                     if frozenset((u, w)) not in dual and w not in comp:
                         comp[w] = s
                         queue.append(w)
@@ -272,10 +277,10 @@ def reference_dimension(X):
 
 def reference_squares(X):
     """Each 4-cycle once, from its first vertex a and two neighbours b < d."""
-    found = {}
+    found, adj = {}, skeleton_of(X)
     for a in X.vertices:
-        for b, d in combinations(sorted(X.adj[a]), 2):
-            for c in (X.adj[b] & X.adj[d]) - {a}:
+        for b, d in combinations(sorted(adj[a]), 2):
+            for c in (adj[b] & adj[d]) - {a}:
                 found.setdefault(frozenset((a, b, c, d)), (a, b, c, d))
     return tuple(sorted(found.values()))
 
@@ -303,7 +308,18 @@ def hyperplane_sets(X):
             for dual, a, k in zip(md._dual_edges(X), X.sides, X.carriers)]
 
 
+def check_adjacency(X):
+    """Both sources of X.adjacency give the matrix of X.edges, read-only: the
+    edges, on a complex without its metric, and _dist == 1."""
+    want = adjacency_matrix(list(X.vertices), [tuple(e) for e in X.edges])
+    for dist in (None, X._dist):
+        M = md.CubeComplex(X.vertices, X.edges, dist).adjacency
+        assert M.dtype == bool and not M.flags.writeable and np.array_equal(M, want)
+    assert np.array_equal(X.adjacency, want) and not X.adjacency.flags.writeable
+
+
 def check_against_oracle(X):
+    check_adjacency(X)
     assert X.squares == reference_squares(X)
     for v in X.vertices:
         assert md.link_graph(X, v) == reference_link_graph(X, v)
@@ -778,6 +794,7 @@ def check_validation(vertices, edges):
         return len(medians)
     assert not defects, (vertices, edges)
     assert np.array_equal(X._dist, D), (vertices, edges)
+    check_adjacency(X)
     return "accepted"
 
 
@@ -915,14 +932,14 @@ def reference_pair_table(X):
     third common neighbour, with the vertices adjacent to all three as
     medians.  Returned as md._pair_table's arrays: the keys in insertion
     order, and the first and last entry of each value."""
-    table = {}
+    table, adj = {}, skeleton_of(X)
     for c, v in enumerate(X.vertices):
-        for pair in combinations(sorted(X.index[w] for w in X.adj[v]), 2):
+        for pair in combinations(sorted(X.index[w] for w in adj[v]), 2):
             common = table.setdefault(pair, [])
             common.append(c)
             if len(common) == 3:
                 V = X.vertices
-                medians = set.intersection(*(X.adj[V[t]] for t in common))
+                medians = set.intersection(*(adj[V[t]] for t in common))
                 raise NotMedian([V[t] for t in common], medians)
     vw = np.array(list(table), dtype=np.intp).reshape(-1, 2)
     common = np.array([(c[0], c[-1]) for c in table.values()], dtype=np.intp).reshape(-1, 2)
@@ -933,15 +950,15 @@ def check_pair_table(vertices, edges):
     """md._pair_table against the dict: the same arrays, or NotMedian with
     the same message.  Returns that message, or None."""
     X = md.CubeComplex(vertices, edges, None)
-    A = adjacency_matrix(vertices, edges)
+    assert np.array_equal(X.adjacency, adjacency_matrix(vertices, edges))
     try:
         want = reference_pair_table(X)
     except NotMedian as ex:
         with pytest.raises(NotMedian) as got:
-            md._pair_table(X, A)
+            md._pair_table(X)
         assert str(got.value) == str(ex), (vertices, edges)
         return str(ex)
-    vw, common = md._pair_table(X, A)
+    vw, common = md._pair_table(X)
     assert vw.dtype == common.dtype == np.intp
     assert np.array_equal(vw, want[0]) and np.array_equal(common, want[1]), (vertices, edges)
     return None
@@ -1019,12 +1036,11 @@ def test_pair_table_is_refused_before_it_is_built(monkeypatch):
     array of 2-paths exists, in validate_complex too; at that limit it is
     built."""
     X = md.builtin_complex("Q3")
-    A = X._dist == 1
     monkeypatch.setattr(md, "_ALLOC_LIMIT", 4223)
     with monkeypatch.context() as patch:
         patch.setattr(np, "repeat", lambda *args: pytest.fail("a 2-path array was built"))
         with pytest.raises(SizeLimitExceeded, match=r"^the pair table of 24 2-paths needs about 4224 "):
-            md._pair_table(X, A)
+            md._pair_table(X)
     with pytest.raises(SizeLimitExceeded, match=r"^the pair table of 24 2-paths "):
         md.validate_complex(X.vertices, X.edges)
     monkeypatch.setattr(md, "_ALLOC_LIMIT", 4224)
@@ -1041,13 +1057,14 @@ def test_pair_table_estimate_bounds_the_traced_peak(monkeypatch, y_p4_r4, shape)
         X = md.CubeComplex(V, [("c", leaf) for leaf in V[1:]], None)
     else:
         X = y_p4_r4.complex
-    A = adjacency_matrix(list(X.vertices), [tuple(e) for e in X.edges])
+    # X.adjacency is built before the trace, as validate_complex builds it
+    assert np.array_equal(X.adjacency, adjacency_matrix(list(X.vertices), list(map(tuple, X.edges))))
     asked, reserve = [], md._reserve
     monkeypatch.setattr(md, "_reserve", lambda nbytes, what: (
         asked.append(nbytes), reserve(nbytes, what)))
     tracemalloc.start()
     try:
-        vw, _ = md._pair_table(X, A)
+        vw, _ = md._pair_table(X)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1366,7 +1383,7 @@ def test_convexity_and_helly_balls(fixture, request):
 def random_subsets(X, count, rng):
     """Vertex sets of X: grown along edges from a random vertex (connected),
     or drawn with a random density (mostly not), in turn."""
-    V = X.vertices
+    V, adj = X.vertices, skeleton_of(X)
     for t in range(count):
         if t % 2:
             q = rng.random()
@@ -1374,7 +1391,7 @@ def random_subsets(X, count, rng):
             continue
         grown = {rng.choice(V)}
         for _ in range(rng.randrange(len(V))):
-            frontier = sorted({w for v in grown for w in X.adj[v]} - grown)
+            frontier = sorted({w for v in grown for w in adj[v]} - grown)
             if not frontier:
                 break
             grown.add(rng.choice(frontier))
@@ -1512,14 +1529,18 @@ def reference_extremal(X, v):
 
 def check_blocking_and_extremality(X):
     contact = ct.build_contact_family(X).contact
-    assert rc.reconstruct(rc.maximal_cliques(contact)) == reference_reconstruct(contact)
-    V = X.vertices
+    R, want = rc.reconstruct(rc.maximal_cliques(contact)), reference_reconstruct(contact)
+    cliques = want["vertices"]
+    assert len(R) == len(cliques) and not R.flags.writeable
+    assert {cliques[i]: {cliques[j] for j in nb} for i, nb in adjacency_of(R).items()} == (
+        want["adjacency"])
+    V, adj = X.vertices, skeleton_of(X)
     pairs = [(v, w) for v, w in combinations(V, 2) if reference_criterion(X, v, w)]
     rows = [(v, V[j]) for i, v in enumerate(V)
             for j in rc._joined(X.ids_at, i) if j > i]
     assert rows == pairs
     assert [tuple(p["pair"]) for p in vf._criterion(X)] == [
-        (str(v), str(w)) for v, w in pairs if w not in X.adj[v]]
+        (str(v), str(w)) for v, w in pairs if w not in adj[v]]
     assert [w for w in V[1:] if rc.adjacency_criterion(X, V[0], w)] == [
         w for v, w in pairs if v == V[0]]
     assert md.extremality(X) == {v: reference_extremal(X, v) for v in V}
@@ -1674,7 +1695,7 @@ def reference_extension_edges(ball, out):
 
 
 def check_runs(ball):
-    assert rg._syllable_graph(ball) == reference_syllable_adjacency(ball)
+    assert skeleton_of(ball.complex, rg._syllable_graph(ball)) == reference_syllable_adjacency(ball)
     if ball.kind != rg.ARTIN:
         return
     assert rg._segment_classes(ball) == reference_segment_classes(ball)

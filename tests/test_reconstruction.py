@@ -108,9 +108,9 @@ def test_reconstruct_collapses_tripod():
     # failure on complexes with extremal vertices
     X = md.builtin_complex("TRIPOD")
     F = ct.build_contact_family(X)
-    rec = rc.reconstruct(rc.maximal_cliques(F.contact))
-    assert len(rec["vertices"]) == 1
-    assert rec["edges"] == set()
+    R = rc.reconstruct(rc.maximal_cliques(F.contact))
+    assert len(R) == 1
+    assert not R.any()
 
 
 def test_reconstruct_domino_failure_shape():
@@ -118,15 +118,15 @@ def test_reconstruct_domino_failure_shape():
     # six vertices to one, since every vertex of the domino is extremal
     X = md.builtin_complex("DOMINO")
     F = ct.build_contact_family(X)
-    rec = rc.reconstruct(rc.maximal_cliques(F.contact))
-    assert len(rec["vertices"]) == 1 != len(X.vertices)
+    R = rc.reconstruct(rc.maximal_cliques(F.contact))
+    assert len(R) == 1 != len(X.vertices)
     assert all(rc.clique_atlas(X).extremal[v] for v in X.vertices)
 
 
 def test_iota_total_q3():
     X = md.builtin_complex("Q3")
     flip = {v: v[0] + v[1] + ("1" if v[2] == "0" else "0") for v in X.vertices}
-    rc.verify_automorphism(md._adjacency_matrix(X),
+    rc.verify_automorphism(X.adjacency,
                            {X.index[v]: X.index[w] for v, w in flip.items()})
     phi = rc.induce_iota(X, flip)
     # flipping the last coordinate fixes every hyperplane

@@ -8,7 +8,8 @@ normal-form walk for the runs of a ball's edge labels, no attribute set on
 a frozen object, no indented json encoding outside the tests, no
 hyperplane record, record cache or edge map beside the side and carrier
 matrices, contact, crossing and reduced graphs held as bool matrices with
-no dict-of-sets copy, and every function the benchmark tracer pins by name
+no dict-of-sets copy, the skeleton held as one bool matrix X.adjacency
+(test_skeleton_is_a_matrix), and every function the benchmark tracer pins by name
 still public.  Two scans cover the whole package: every `raise LemmaViolation`
 outside verify.py is one of the listed guards of a construction, and every
 public function that no package code calls is listed with its reason."""
@@ -30,6 +31,7 @@ from cubetact import cli
 from cubetact import contact as ct
 from cubetact import median as md
 from cubetact import ragroups as rg
+from cubetact import reconstruction as rc
 from cubetact import verify
 from cubetact.errors import NotMedian
 
@@ -146,15 +148,40 @@ def test_one_quadrangle_check():
     Their arrays are read only by the squares, links and extremality, the
     convexity check and the generator _quadrangle_failures, read in turn only by
     validate_complex (its first item) and the ball closure (each round's
-    repairs).  _pair_table builds them: from validate_complex's adjacency
-    matrix first, for its K_{2,3} check, or on first access."""
+    repairs).  _pair_table builds them from X.adjacency: in validate_complex
+    first, for its K_{2,3} check, or on first access."""
     assert users("_quadrangle_failures") == {
         ("median.py", "validate_complex"), ("median.py", "_repair_quadrangles")}
     assert users("pair_table") == {
         ("median.py", "CubeComplex"), ("median.py", "link_graph"), ("median.py", "extremality"),
-        ("median.py", "_nonconvex"), ("median.py", "_quadrangle_failures")}
-    assert users("_pair_table") == {
-        ("median.py", "CubeComplex"), ("median.py", "validate_complex")}
+        ("median.py", "_nonconvex"), ("median.py", "_quadrangle_failures"),
+        ("median.py", "validate_complex")}
+    assert users("_pair_table") == {("median.py", "CubeComplex")}
+
+
+def test_skeleton_is_a_matrix():
+    """The skeleton is one read-only bool matrix, X.adjacency: a complex keeps
+    no dict of sets (X.adj) and median.py has no second builder
+    (_adjacency_matrix); the pair table, extremality and the convexity
+    check read its arcs and compute no == 1.  The reconstruction and the
+    syllable graph are bool matrices too: the only BFS loop of ragroups.py
+    is build_ball's word BFS, and syllable_distance walks its matrix with
+    median._distances."""
+    X = md.builtin_complex("Q3")
+    assert not hasattr(X, "adj") and not hasattr(md, "_adjacency_matrix")
+    assert X.adjacency.dtype == bool and not X.adjacency.flags.writeable
+    tree = ast.parse(Path(md.__file__).read_text(encoding="utf-8"))
+    defs = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    for name in ("pair_table", "_pair_table", "extremality", "_nonconvex"):
+        ones = [node.lineno for node in ast.walk(defs[name]) if isinstance(node, ast.Compare)
+                and any(isinstance(op, ast.Eq) for op in node.ops)
+                and any(getattr(c, "value", None) == 1 for c in node.comparators)]
+        assert not ones, f"{name} computes == 1 at lines {ones}"
+    assert users("deque") == {("ragroups.py", "build_ball")}
+    assert ("ragroups.py", "syllable_distance") in median_users("_distances")
+    ball = rg.build_ball(rg.builtin_defining_graph("EDGE2"), rg.ARTIN, 2)
+    for M in (rc.reconstruct(rc.clique_atlas(ball.complex).cliques), rg._syllable_graph(ball)):
+        assert isinstance(M, np.ndarray) and M.dtype == bool
 
 
 def test_no_dict_pair_table_is_left():
