@@ -855,7 +855,7 @@ def random_median_complex(ambient_dim, seed_count, rng_seed, cap=None) -> CubeCo
         codes = _projection_closure(codes, ambient_dim)
         if len(codes) > cap:
             raise SizeLimitExceeded(f"majority closure exceeds {cap} vertices")
-        D = np.bitwise_count(codes[:, None] ^ codes).astype(np.int32)
+        D = hamming_distances(codes[:, None])
         c0 = _distances(D == 1, 0) >= 0
         if c0.all():
             break

@@ -33,7 +33,8 @@ COXETER = "coxeter"
 
 
 class DefiningGraph:
-    """A finite simple graph whose vertices are group generators."""
+    """A finite simple graph whose vertices are group generators; each edge
+    is a list or tuple of two of them."""
 
     def __init__(self, vertices, edges):
         vertices = tuple(vertices)
@@ -45,7 +46,10 @@ class DefiningGraph:
         self.order = {g: i for i, g in enumerate(self.vertices)}
         self.adj = {g: set() for g in self.vertices}
         for e in edges:
-            u, v = tuple(e)
+            if not (isinstance(e, (list, tuple)) and len(e) == 2
+                    and all(isinstance(g, str) for g in e)):
+                raise ValueError(f"edge {e!r} is not a list of two generator names")
+            u, v = e
             if u not in self.order or v not in self.order:
                 raise UnknownGenerator(e)
             if u == v:
@@ -114,7 +118,7 @@ BUILTIN_GRAPHS = ("P4", "C5", "STAR_EQ5", "F2", "EDGE2", "SINGLE")
 
 def graph_from_json(doc) -> DefiningGraph:
     vertices, edges = _median._document_lists(doc)
-    return DefiningGraph(vertices, [tuple(e) for e in edges])
+    return DefiningGraph(vertices, edges)
 
 
 def graph_to_json(gamma: DefiningGraph) -> dict:
@@ -128,47 +132,49 @@ def graph_to_json(gamma: DefiningGraph) -> dict:
 # Normal forms
 #
 # Words are tuples of syllables (generator, exponent).  Coxeter exponents are
-# always 1.  Reduction pushes one syllable at a time onto a stack, merging
-# with the last same-generator syllable reachable across commuting syllables;
-# the canonical representative is the ShortLex-least linearization under the
-# defining graph's vertex order.
+# always 1.  The normal form of an element is the ShortLex-least word for it
+# under the defining graph's vertex order.  Reduction pushes one syllable at a
+# time: it merges with the last same-generator syllable reachable across
+# commuting syllables, or else goes in after the last syllable it does not
+# commute with, before the first later one whose generator comes after its
+# own, so that each product is built canonical.
 
 def _push(gamma, kind, sylls, g, e):
+    """Multiply the normal form sylls by g^e in place, keeping it normal.
+
+    The scan from the right stops at j, one past the last syllable with
+    generator g or not commuting with g.  With no merge, (g, e) goes in at
+    the first place t >= j whose generator comes after g, or at the end.
+
+    Lemma: the normal form is the greedy linearization of its syllables,
+    which at each step takes the available syllable with the least
+    generator.  The appended syllable x is maximal, and all its
+    predecessors lie before j, so the greedy order repeats the old word
+    until x is available and then takes x before the first later syllable
+    with a larger generator.  A cancelled syllable was maximal too, so
+    deleting it keeps the order; a merge keeps the generator.
+    """
     if kind == COXETER:
         e = e % 2
     if e == 0:
         return
-    i = len(sylls) - 1
-    while i >= 0:
-        h, f = sylls[i]
+    j = len(sylls)
+    while j > 0:
+        h, f = sylls[j - 1]
         if h == g:
             merged = (f + e) % 2 if kind == COXETER else f + e
             if merged == 0:
-                del sylls[i]
+                del sylls[j - 1]
             else:
-                sylls[i] = (g, merged)
+                sylls[j - 1] = (g, merged)
             return
         if not gamma.commute(h, g):
             break
-        i -= 1
-    sylls.append((g, e))
-
-
-def _canonicalize(gamma, sylls):
-    remaining = list(sylls)
-    out = []
-    while remaining:
-        best = None
-        for i, (g, e) in enumerate(remaining):
-            if any(
-                h == g or not gamma.commute(h, g)
-                for h, _ in remaining[:i]
-            ):
-                continue
-            if best is None or gamma.order[g] < gamma.order[remaining[best][0]]:
-                best = i
-        out.append(remaining.pop(best))
-    return tuple(out)
+        j -= 1
+    rank = gamma.order[g]
+    while j < len(sylls) and gamma.order[sylls[j][0]] < rank:
+        j += 1
+    sylls.insert(j, (g, e))
 
 
 def normal_form(gamma: DefiningGraph, kind, word):
@@ -195,7 +201,7 @@ def nf_mult(gamma, kind, w1, w2):
         else:
             for _ in range(abs(e)):
                 _push(gamma, kind, sylls, g, 1 if e > 0 else -1)
-    return _canonicalize(gamma, sylls)
+    return tuple(sylls)
 
 
 def nf_inverse(kind, w):
@@ -251,8 +257,8 @@ def ambient_median(gamma, kind, x, y, z):
     Equals x times the longest common prefix (under commutation moves) of
     x^-1 y and x^-1 z.
     """
-    u = nf_mult(gamma, kind, nf_inverse(kind, x), y)
-    v = nf_mult(gamma, kind, nf_inverse(kind, x), z)
+    u = normal_form(gamma, kind, nf_inverse(kind, x) + y)
+    v = normal_form(gamma, kind, nf_inverse(kind, x) + z)
     m = x
     while True:
         common = initial_letters(gamma, kind, u) & initial_letters(gamma, kind, v)
@@ -266,14 +272,15 @@ def ambient_median(gamma, kind, x, y, z):
         v = nf_mult(gamma, kind, inv_step, v)
 
 
-def _walls(gamma, w):
+def _walls(gamma, kind, w):
     """Yield the keys of the walls that the normal-form path from 1 to w crosses.
 
     The edge from q to q.g (g positive in artin groups) is dual to the wall
     (g, shortest element of q<lk g>) (Davis, ch. 4; Charney).  A coxeter
     path only leaves q where q.g is longer, so q<lk g> there names the same
     wall as q<st g> would.  The shortest element drops from q, right to left,
-    each syllable in lk g that commutes with every kept one after it.
+    each syllable in lk g that commutes with every kept one after it; the
+    key holds its normal form.
     """
     prefix = ()
     for g, e in w:
@@ -283,7 +290,7 @@ def _walls(gamma, w):
             for h, f in reversed(prefix + ((g, k),) if k else prefix):
                 if h not in lk or not all(gamma.commute(h, x) for x, _ in kept):
                     kept.append((h, f))
-            yield g, _canonicalize(gamma, kept[::-1])
+            yield g, normal_form(gamma, kind, kept[::-1])
         prefix += ((g, e),)
 
 
@@ -303,7 +310,7 @@ def median_closure(gamma, kind, elements, cap):
 
     elems = sorted(set(elements), key=shortlex)
     column = {}
-    walls = [[column.setdefault(k, len(column)) for k in _walls(gamma, w)]
+    walls = [[column.setdefault(k, len(column)) for k in _walls(gamma, kind, w)]
              for w in elems]
     rows = np.zeros((len(elems), len(column)), dtype=bool)
     for i, cols in enumerate(walls):
@@ -311,7 +318,7 @@ def median_closure(gamma, kind, elements, cap):
     rows, D, witnesses = _median._repair_quadrangles(np.packbits(rows, axis=1), cap)
     for row, triple in zip(rows[len(elems):], witnesses):
         m = ambient_median(gamma, kind, *(elems[i] for i in triple))
-        cols = sorted(column.get(k, -1) for k in _walls(gamma, m))
+        cols = sorted(column.get(k, -1) for k in _walls(gamma, kind, m))
         if cols != np.flatnonzero(np.unpackbits(row, count=len(column))).tolist():
             raise LemmaViolation(
                 f"median {format_word(m)} of {[format_word(elems[i]) for i in triple]} "

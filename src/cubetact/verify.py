@@ -152,7 +152,8 @@ def interior_roundtrip(ball, margin=2):
     cs = [k for k, cl in enumerate(atlas.cliques) if atlas.vertex_of.get(cl) in interior]
     vs = [X.index[atlas.vertex_of[atlas.cliques[k]]] for k in cs]
     mapped = {V[i] for i in vs}
-    violations = [{"missing_interior_vertex": str(v)} for v in interior if v not in mapped]
+    violations = [{"missing_interior_vertex": str(v)} for v in V
+                  if v in interior and v not in mapped]
 
     rec = _rec.reconstruct(atlas.cliques)[np.ix_(cs, cs)]
     actual = X.adjacency[np.ix_(vs, vs)]
@@ -172,8 +173,8 @@ def interior_roundtrip(ball, margin=2):
                 vmap[vid] = img
         phi = _rec.induce_iota(X, vmap)
         rho, _issues = _rec.induce_rho(X, phi, atlas)
-        for vid in interior:
-            if vid in vmap and vmap[vid] in interior:
+        for vid in V:
+            if vid in interior and vid in vmap and vmap[vid] in interior:
                 if rho.get(vid) != vmap[vid]:
                     violations.append(
                         {"generator": g, "vertex": vid,

@@ -127,6 +127,7 @@ def test_analyze_rejects_malformed_edge(tmp_path, capsys, edge, message):
 MIXED = "vertex names must be all strings or all numbers"
 NOT_LISTS = "an object with 'vertices' and 'edges' lists"
 GENERATOR = "is not a non-empty string"
+EDGE = "is not a list of two generator names"
 
 
 @pytest.mark.parametrize("argv, doc, message", [
@@ -144,12 +145,18 @@ GENERATOR = "is not a non-empty string"
     (["generate", "--ball"], {"vertices": ["a", "b", "a.b"], "edges": []}, GENERATOR),
     (["generate", "--ball"], {"vertices": [""], "edges": []}, GENERATOR),
     (["verify", "--suite", "davis", "--graph"], {"vertices": [["a"]], "edges": []}, GENERATOR),
+    (["generate", "--ball"], {"vertices": ["a", "b", "c"], "edges": ["ab", {"b": 1, "c": 2}]},
+     "edge 'ab' " + EDGE),
+    (["generate", "--ball"], {"vertices": ["a", "b", "c"], "edges": [["a", "b", "c"]]},
+     "edge ['a', 'b', 'c'] " + EDGE),
+    (["generate", "--ball"], {"vertices": ["a", "b"], "edges": [["a", 1]]}, EDGE),
 ])
 def test_malformed_documents_exit_2(tmp_path, capsys, argv, doc, message):
     """A document that is not an object with vertex and edge lists, or whose
     vertex names are not all strings or all numbers, or a defining graph
-    whose generator names are not non-empty strings without "." or "^", is
-    invalid input."""
+    whose generator names are not non-empty strings without "." or "^", or
+    with an edge that is not a list of two generator names (a string or an
+    object of two items would unpack), is invalid input."""
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     extra = ["coxeter", "2"] if argv[0] == "generate" else []

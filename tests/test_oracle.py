@@ -24,6 +24,15 @@ adds the ambient median of every defect triple of the n^3 median scan.  The
 projection closure of the generator, the quadrangle repair of the balls and
 the certified constructor must give the same complexes.
 
+Normal forms: the reference is the original pair, an append-only push
+that merges each syllable with the last same-generator syllable reachable
+across commuting ones, followed by a greedy re-sort of the whole word that
+takes the available syllable with the least generator at each step.  The
+insertion push (rg._push), which builds each product canonical, must give
+its nf_mult, normal_form, ambient_median and wall keys on random defining
+graphs with 1-6 generators in any vertex order, in both kinds, on words
+with cancellations.
+
 Closures: the reference is the wall-row majority kernel (majority_closure,
 below), which closes packed 0/1 rows round by round over every triple.  The
 projection closure (md._projection_closure) must give its closure on every
@@ -701,6 +710,121 @@ def test_ball_closure_against_oracle(name, kind, radius):
 )
 def test_session_ball_closure_against_oracle(fixture, request):
     check_ball_against_oracle(request.getfixturevalue(fixture))
+
+
+def reference_push(gamma, kind, sylls, g, e):
+    """Merge with the last same-generator syllable reachable across
+    commuting syllables, or append."""
+    if kind == rg.COXETER:
+        e = e % 2
+    if e == 0:
+        return
+    i = len(sylls) - 1
+    while i >= 0:
+        h, f = sylls[i]
+        if h == g:
+            merged = (f + e) % 2 if kind == rg.COXETER else f + e
+            if merged == 0:
+                del sylls[i]
+            else:
+                sylls[i] = (g, merged)
+            return
+        if not gamma.commute(h, g):
+            break
+        i -= 1
+    sylls.append((g, e))
+
+
+def reference_canonicalize(gamma, sylls):
+    """The greedy linearization: at each step, the available syllable with
+    the least generator."""
+    remaining = list(sylls)
+    out = []
+    while remaining:
+        best = None
+        for i, (g, e) in enumerate(remaining):
+            if any(h == g or not gamma.commute(h, g) for h, _ in remaining[:i]):
+                continue
+            if best is None or gamma.order[g] < gamma.order[remaining[best][0]]:
+                best = i
+        out.append(remaining.pop(best))
+    return tuple(out)
+
+
+def reference_nf_mult(gamma, kind, w1, w2):
+    sylls = list(w1)
+    for g, e in w2:
+        if kind == rg.COXETER:
+            reference_push(gamma, kind, sylls, g, e)
+        else:
+            for _ in range(abs(e)):
+                reference_push(gamma, kind, sylls, g, 1 if e > 0 else -1)
+    return reference_canonicalize(gamma, sylls)
+
+
+def reference_ambient_median(gamma, kind, x, y, z):
+    u = reference_nf_mult(gamma, kind, rg.nf_inverse(kind, x), y)
+    v = reference_nf_mult(gamma, kind, rg.nf_inverse(kind, x), z)
+    m = x
+    while True:
+        common = rg.initial_letters(gamma, kind, u) & rg.initial_letters(gamma, kind, v)
+        if not common:
+            return m
+        g, s = min(common, key=lambda le: (gamma.order[le[0]], le[1]))
+        step = ((g, s),)
+        inv_step = ((g, -s),) if kind == rg.ARTIN else step
+        m = reference_nf_mult(gamma, kind, m, step)
+        u = reference_nf_mult(gamma, kind, inv_step, u)
+        v = reference_nf_mult(gamma, kind, inv_step, v)
+
+
+def reference_walls(gamma, w):
+    prefix = ()
+    for g, e in w:
+        lk = gamma.lk(g)
+        for k in range(min(e, 0), max(e, 0)):
+            kept = []
+            for h, f in reversed(prefix + ((g, k),) if k else prefix):
+                if h not in lk or not all(gamma.commute(h, x) for x, _ in kept):
+                    kept.append((h, f))
+            yield g, reference_canonicalize(gamma, kept[::-1])
+        prefix += ((g, e),)
+
+
+@st.composite
+def defining_graphs(draw):
+    """Graphs on 1-6 generators, named in a random order."""
+    names = draw(st.permutations("abcdef"))[:draw(st.integers(1, 6))]
+    pairs = list(combinations(names, 2))
+    bits = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return rg.DefiningGraph(names, [e for e, bit in zip(pairs, bits) if bit])
+
+
+def cancelling_words(draw, gamma, kind):
+    """A word, then the inverse of one of its tails: the product cancels."""
+    exponents = [1] if kind == rg.COXETER else [-2, -1, 1, 2]
+    syllable = st.tuples(st.sampled_from(gamma.vertices), st.sampled_from(exponents))
+    w = tuple(draw(st.lists(syllable, max_size=7)))
+    tail = draw(st.integers(0, len(w)))
+    return w + rg.nf_inverse(kind, w[tail:]) + tuple(draw(st.lists(syllable, max_size=3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(defining_graphs(), st.sampled_from([rg.ARTIN, rg.COXETER]), st.data())
+def test_normal_forms_against_the_greedy_resort(gamma, kind, data):
+    """nf_mult, normal_form, ambient_median and the wall keys of the
+    insertion push are those of the append-only push and the re-sort."""
+    words = [cancelling_words(data.draw, gamma, kind) for _ in range(4)]
+    forms = [rg.normal_form(gamma, kind, w) for w in words]
+    assert forms == [reference_nf_mult(gamma, kind, (), w) for w in words]
+    for a, b in combinations(range(4), 2):
+        assert rg.nf_mult(gamma, kind, forms[a], words[b]) == \
+            reference_nf_mult(gamma, kind, forms[a], words[b])
+    x, y, z = forms[:3]
+    assert rg.ambient_median(gamma, kind, x, y, z) == \
+        reference_ambient_median(gamma, kind, x, y, z)
+    for w in forms:
+        assert list(rg._walls(gamma, kind, w)) == list(reference_walls(gamma, w))
 
 
 @pytest.mark.parametrize("seed", range(1, 11))

@@ -39,6 +39,18 @@ def test_normal_form_examples():
     assert rg.normal_form(f2, rg.ARTIN, [("x", 2), ("x", -1)]) == (("x", 1),)
 
 
+def test_push_inserts_past_the_first_larger_generator():
+    """With a < b < c < d and only a, c not commuting, c.a.d . b is b.c.a.d:
+    b goes in before c, the first syllable with a larger generator, and not
+    just left of d, where moving it left from the end would stop."""
+    gamma = rg.DefiningGraph("abcd", [("a", "b"), ("a", "d"), ("b", "c"),
+                                      ("b", "d"), ("c", "d")])
+    w = rg.parse_word("c.a.d")
+    assert rg.normal_form(gamma, rg.COXETER, w) == w
+    product = rg.nf_mult(gamma, rg.COXETER, w, (("b", 1),))
+    assert rg.format_word(product) == "b.c.a.d"
+
+
 def test_normal_form_kind_validation():
     f2 = rg.builtin_defining_graph("F2")
     with pytest.raises(ValueError):

@@ -207,6 +207,22 @@ def test_roundtrip_hypothesis_is_exact_on_small_graphs():
     assert skipped == 44
 
 
+def test_roundtrip_lists_its_violations_in_vertex_order():
+    """At margin 0 the P4 coxeter ball of radius 3 misses 18 interior
+    vertices; they are listed in X.vertices order, and the rho mismatches
+    by generator, then vertex, so the report does not follow set order."""
+    ball = rg.build_ball(rg.builtin_defining_graph("P4"), rg.COXETER, 3)
+    V = ball.complex.vertices
+    violations = vf.interior_roundtrip(ball, 0)
+    missing = [v["missing_interior_vertex"] for v in violations
+               if "missing_interior_vertex" in v]
+    assert len(missing) == 18
+    assert missing == [v for v in V if v in set(missing)]
+    assert missing[:4] == ["a.b.c", "a.b.d", "a.c.a", "a.c.d"]
+    rho = [(v["generator"], V.index(v["vertex"])) for v in violations if "rho" in v]
+    assert rho == sorted(rho, key=lambda gv: (ball.gamma.order[gv[0]], gv[1]))
+
+
 @pytest.mark.parametrize("graph, reason", [
     ("P4", "coxeter ball with St a <= St b for (a, b) in [('a', 'b'), ('d', 'c')]"),
     ("SINGLE", "coxeter ball over a cone"),
