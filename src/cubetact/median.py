@@ -18,7 +18,9 @@ from itertools import combinations
 import numpy as np
 
 from .errors import (
+    HyperplaneNotPreserved,
     LemmaViolation,
+    NotAnAutomorphism,
     NotConnected,
     NotMedian,
     SizeLimitExceeded,
@@ -556,6 +558,38 @@ def _dual_edges(X: CubeComplex):
     return [[edges[e] for e in order[i:j]] for i, j in zip([0] + ends, ends)]
 
 
+def _hyperplane_map(X: CubeComplex, g):
+    """The hyperplane map of a partial vertex map g (a dict of vertices of X):
+    h -> the hyperplane that the images of h's dual edges cross, for each h
+    with a dual edge whose two ends lie in g's domain.  The image
+    hyperplanes of all those edges are read at once, each the one row of
+    sides parting its image's ends, as in hyperplane_of_edge.
+
+    Raises NotAnAutomorphism at the first such edge, in X.edge_labels
+    order, that g sends to a non-edge, then HyperplaneNotPreserved at the
+    least h whose edges cross several hyperplanes.
+    """
+    edges, label = X.edge_labels
+    index = X.index
+    image = np.full(len(X.vertices), -1, dtype=np.intp)
+    image[[index[u] for u in g]] = [index[w] for w in g.values()]
+    ends = image[[index[v] for e in edges for v in e]].reshape(-1, 2)
+    inside = np.flatnonzero((ends >= 0).all(axis=1))
+    if not len(inside):  # no argmax over an empty axis, as on one vertex
+        return {}
+    a, b = ends[inside].T
+    for e in inside[~X.adjacency[a, b]][:1].tolist():
+        raise NotAnAutomorphism(f"edge {list(edges[e])} maps to a non-edge")
+    A = X.sides
+    crossed = np.argmax(A[:, a] != A[:, b], axis=0)
+    # the distinct (h, image) pairs, sorted, as the keys h * H + image
+    h, crossed = np.divmod(np.unique(label[inside] * len(A) + crossed), len(A))
+    for k in np.flatnonzero(h[1:] == h[:-1])[:1].tolist():
+        raise HyperplaneNotPreserved(
+            f"hyperplane {h[k]} maps to several hyperplanes {crossed[h == h[k]].tolist()}")
+    return dict(zip(h.tolist(), crossed.tolist()))
+
+
 def _true_columns(M, labels=None):
     """The column indices of the True entries of each row of M, as lists; or
     their labels, read from the 1-d array labels at those indices."""
@@ -787,9 +821,10 @@ def is_extremal(X: CubeComplex, v):
 
 
 def dual_edge_id(e):
-    """Stable vertex id for a dual edge, used in hyperplane subcomplexes."""
-    u, v = sorted(e, key=str)
-    return f"{u}|{v}"
+    """Stable vertex id for a dual edge, used in hyperplane subcomplexes: its
+    two names in str order, each with "\\" and "|" escaped by a "\\",
+    joined by "|"; so distinct edges get distinct ids."""
+    return "|".join(str(v).replace("\\", "\\\\").replace("|", "\\|") for v in sorted(e, key=str))
 
 
 def hyperplane_complex(X: CubeComplex, hid) -> CubeComplex:
@@ -965,13 +1000,18 @@ def hyperplane_report(X: CubeComplex) -> list:
     ]
 
 
+def _dot_id(v):
+    """v's name as a quoted DOT ID, with "\\" and '"' escaped."""
+    return '"' + str(v).replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def complex_to_dot(X: CubeComplex) -> str:
     lines = ["graph skeleton {"]
     for v in X.vertices:
-        lines.append(f'  "{v}";')
+        lines.append(f"  {_dot_id(v)};")
     edges, label = X.edge_labels
     for (u, v), hid in zip(edges, label.tolist()):
-        lines.append(f'  "{u}" -- "{v}" [label="{hid}"];')
+        lines.append(f'  {_dot_id(u)} -- {_dot_id(v)} [label="{hid}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -50,8 +50,8 @@ class DefiningGraph:
                     and all(isinstance(g, str) for g in e)):
                 raise ValueError(f"edge {e!r} is not a list of two generator names")
             u, v = e
-            if u not in self.order or v not in self.order:
-                raise UnknownGenerator(e)
+            for g in [g for g in e if g not in self.order][:1]:
+                raise UnknownGenerator(f"edge {e!r} names the unknown generator {g!r}")
             if u == v:
                 raise ValueError(f"self-loop at {u!r}")
             self.adj[u].add(v)
@@ -716,6 +716,14 @@ def halfspace_twist(ball: Ball, x, y, side="A") -> HalfspaceTwist:
     return HalfspaceTwist(perm, h, side, moved)
 
 
+def _translation(ball: Ball, word):
+    """Left multiplication by the normal form word, as a vertex map: vertex
+    id -> vertex id, for the vertices whose image lies in the ball."""
+    gamma, kind = ball.gamma, ball.kind
+    images = ((vid, format_word(nf_mult(gamma, kind, word, w))) for vid, w in ball.words.items())
+    return {vid: image for vid, image in images if image in ball.words}
+
+
 @dataclass(frozen=True)
 class DavisPhi:
     phi: dict  # interior hyperplane id -> hyperplane id
@@ -734,8 +742,12 @@ def davis_phi(ball: Ball, a, b, base="1", margin=2) -> DavisPhi:
 
     Needs St a contained in St b; the induced vertex map fixes one halfspace,
     reflects the other, and therefore breaks every square crossed by both
-    hyperplanes.  The davis suite of verify.py checks that the reflection
-    fixes the transverse hyperplanes, that no contact edge joins the two
+    hyperplanes.  phi is the hyperplane map (median._hyperplane_map) of the
+    left multiplication by the reflection w b w^-1 on the A+ hyperplanes,
+    and the identity on the others; rho_map is that translation on the
+    a-plus side of the a-hyperplane and the identity off it.  The davis
+    suite of verify.py checks that the reflection fixes the transverse
+    hyperplanes, that no contact edge joins the two
     halves, that phi preserves contact and that the square at base breaks.
     """
     if ball.kind != COXETER:
@@ -788,35 +800,15 @@ def davis_phi(ball: Ball, a, b, base="1", margin=2) -> DavisPhi:
     reflection = nf_mult(
         gamma, kind, nf_mult(gamma, kind, w, ((b, 1),)), nf_inverse(kind, w)
     )
-
-    def reflect_vertex(vid):
-        img = nf_mult(gamma, kind, reflection, ball.words[vid])
-        return vertex(img)
-
-    phi, dual = {}, _median._dual_edges(X)
-    for hid, part in partition.items():
-        if part != "A+":
-            phi[hid] = hid
-            continue
-        images = set()
-        for u, v in dual[hid]:
-            iu, iv = reflect_vertex(u), reflect_vertex(v)
-            if iu is not None and iv is not None:
-                images.add(X.hyperplane_of_edge(iu, iv))
-        if len(images) != 1:
-            raise LemmaViolation(
-                f"reflection image of hyperplane {hid} ill-defined: {images}"
-            )
-        phi[hid] = images.pop()
-
-    rho_map = {}
-    for vid in ball.words:
-        if not a_plus[X.index[vid]]:
-            rho_map[vid] = vid
-        else:
-            img = reflect_vertex(vid)
-            if img is not None:
-                rho_map[vid] = img
+    reflect = _translation(ball, reflection)
+    moved = _median._hyperplane_map(X, reflect)
+    for h in [h for h, part in partition.items() if part == "A+" and h not in moved][:1]:
+        raise LemmaViolation(
+            f"reflection image of hyperplane {h} ill-defined: no dual edge maps into the ball")
+    phi = {h: moved[h] if part == "A+" else h for h, part in partition.items()}
+    plus = dict(zip(X.vertices, a_plus.tolist()))
+    rho_map = {vid: reflect[vid] if plus[vid] else vid
+               for vid in ball.words if vid in reflect or not plus[vid]}
 
     # a square crossed by both hyperplanes: one pair of opposite vertices is
     # fixed, the other is swapped, so one of its edges maps to a non-edge

@@ -9,15 +9,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .contact import ContactFamily, all_interaction_sets, build_contact_family
+from .contact import ContactFamily, _twins, build_contact_family
 from .errors import (
     AmbiguousClique,
     CliqueLimitExceeded,
-    HyperplaneNotPreserved,
     NotAnAutomorphism,
     UnknownClique,
 )
-from .median import CubeComplex, extremality
+from .median import CubeComplex, _hyperplane_map, extremality
 
 DEFAULT_CLIQUE_CAP = 100_000
 
@@ -193,27 +192,14 @@ def induce_iota(X: CubeComplex, g):
 
     ``g`` may be a partial vertex map (a dict); the returned hyperplane map is
     defined on every hyperplane with at least one dual edge fully inside the
-    domain, and consistency over all such edges is enforced.
+    domain, and consistency over all such edges is enforced
+    (median._hyperplane_map).
     """
     g = dict(g)
     for u in g:
         X.check_vertex(u)
         X.check_vertex(g[u])
-    images = {}  # hyperplane id -> ids of the images of its edges in the domain
-    edges, label = X.edge_labels
-    for (u, v), h in zip(edges, label.tolist()):
-        if u in g and v in g:  # adjacency must be preserved there
-            if frozenset((g[u], g[v])) not in X.edges:
-                raise NotAnAutomorphism(f"edge {[u, v]} maps to a non-edge")
-            images.setdefault(h, set()).add(X.hyperplane_of_edge(g[u], g[v]))
-    phi = {}
-    for h in sorted(images):
-        if len(images[h]) > 1:
-            raise HyperplaneNotPreserved(
-                f"hyperplane {h} maps to several hyperplanes {sorted(images[h])}"
-            )
-        phi[h] = images[h].pop()
-
+    phi = _hyperplane_map(X, g)
     if len(g) == len(X.vertices):  # total map: must induce a contact automorphism
         F = build_contact_family(X)
         verify_automorphism(F.contact, phi)
@@ -261,8 +247,9 @@ def kernel_subgroup(X: CubeComplex):
     """Generators (transpositions inside non-singleton I0 classes) of the
     subgroup of contact automorphisms fixing every maximal clique setwise;
     the kernel suite of verify.py checks that they are such automorphisms.
+    The I0 classes are the groups of equal carrier rows.
     """
-    classes = sorted({tuple(sorted(s.I0)) for s in all_interaction_sets(X).values()})
+    classes = sorted(map(tuple, _twins(X.carriers)))
     generators = []
     for cls in classes:
         for u, w in combinations(cls, 2):

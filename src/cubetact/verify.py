@@ -162,15 +162,8 @@ def interior_roundtrip(ball, margin=2):
                            "reconstructed": bool(rec[a, b]), "actual": bool(actual[a, b])})
 
     # rho(iota(g)) must restrict to g on the interior for left multiplications
-    gamma, kind = ball.gamma, ball.kind
-    for g in gamma.vertices:
-        vmap = {}
-        for vid, word in ball.words.items():
-            img = _rg.format_word(
-                _rg.nf_mult(gamma, kind, ((g, 1),), word)
-            )
-            if img in ball.words:
-                vmap[vid] = img
+    for g in ball.gamma.vertices:
+        vmap = _rg._translation(ball, ((g, 1),))
         phi = _rec.induce_iota(X, vmap)
         rho, _issues = _rec.induce_rho(X, phi, atlas)
         for vid in V:
@@ -236,22 +229,14 @@ def _davis(pair, gamma, radius):
     except CubetactError as ex:
         raise LemmaViolation(str(ex)) from ex
     X = ball.complex
-    C, dual = _contact._relation(X).contact, _median._dual_edges(X)
-
-    def reflect(vid):
-        return _rg.format_word(
-            _rg.nf_mult(gamma, _rg.COXETER, d.reflection, ball.words[vid]))
-
+    C = _contact._relation(X).contact
+    try:
+        moved = _median._hyperplane_map(X, _rg._translation(ball, d.reflection))
+    except CubetactError as ex:
+        raise LemmaViolation(str(ex)) from ex
     for hid, part in d.partition.items():
-        if part != "T":
-            continue
-        for e in dual[hid]:
-            iu, iv = (reflect(v) for v in e)
-            if iu in ball.words and iv in ball.words:
-                if X.hyperplane_of_edge(iu, iv) != hid:
-                    raise LemmaViolation(
-                        f"reflection moves transverse hyperplane {hid}")
-                break
+        if part == "T" and moved.get(hid, hid) != hid:
+            raise LemmaViolation(f"reflection moves transverse hyperplane {hid}")
 
     plus = [h for h, p in d.partition.items() if p == "A+"]
     minus = [h for h, p in d.partition.items() if p == "A-"]

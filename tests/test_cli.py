@@ -150,13 +150,16 @@ EDGE = "is not a list of two generator names"
     (["generate", "--ball"], {"vertices": ["a", "b", "c"], "edges": [["a", "b", "c"]]},
      "edge ['a', 'b', 'c'] " + EDGE),
     (["generate", "--ball"], {"vertices": ["a", "b"], "edges": [["a", 1]]}, EDGE),
+    (["generate", "--ball"], {"vertices": ["a", "b"], "edges": [["a", "z"]]},
+     "error: edge ['a', 'z'] names the unknown generator 'z'"),
 ])
 def test_malformed_documents_exit_2(tmp_path, capsys, argv, doc, message):
     """A document that is not an object with vertex and edge lists, or whose
     vertex names are not all strings or all numbers, or a defining graph
     whose generator names are not non-empty strings without "." or "^", or
     with an edge that is not a list of two generator names (a string or an
-    object of two items would unpack), is invalid input."""
+    object of two items would unpack) or that names an unknown generator,
+    is invalid input."""
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     extra = ["coxeter", "2"] if argv[0] == "generate" else []

@@ -204,6 +204,21 @@ def test_hyperplane_complex():
     assert len(H2) == 2 and len(H2.edges) == 1
 
 
+def test_dual_edge_ids_are_distinct_for_names_with_bars():
+    """In the square a|b - c - a - b|c the opposite edges (a|b, c) and
+    (a, b|c) would both join to "a|b|c"; escaped, each hyperplane complex
+    is one edge between two distinct ids."""
+    X = md.validate_complex(["a|b", "c", "a", "b|c"],
+                            [("a|b", "c"), ("c", "a"), ("a", "b|c"), ("b|c", "a|b")])
+    assert md.dual_edge_id(("c", "a|b")) == "a\\|b|c"
+    assert md.dual_edge_id(("a", "b|c")) == "a|b\\|c"
+    assert md.dual_edge_id(("b", "a\\")) == "a\\\\|b"
+    assert md.dual_edge_id(("0", "1")) == "0|1"
+    for h in range(len(X.sides)):
+        H = md.hyperplane_complex(X, h)
+        assert len(H) == 2 and len(H.edges) == 1
+
+
 def test_convexity_check_builtin():
     for name in md.BUILTIN_COMPLEXES:
         assert md.convexity_check(md.builtin_complex(name)) == []
@@ -288,6 +303,12 @@ def test_dot_output():
     dot = md.complex_to_dot(X)
     assert dot.startswith("graph skeleton {")
     assert dot.count("--") == 4
+
+
+def test_dot_escapes_quotes_and_backslashes():
+    X = md.validate_complex(['a"b', "c\\d"], [('a"b', "c\\d")])
+    assert md.complex_to_dot(X).splitlines()[1:4] == [
+        '  "a\\"b";', '  "c\\\\d";', '  "a\\"b" -- "c\\\\d" [label="0"];']
 
 
 def test_unknown_vertex():

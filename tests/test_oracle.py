@@ -118,6 +118,18 @@ must be the reference encoding of its document for generate, analyze and
 verify; hyperplane_report must give the same report on the builtins, random
 complexes, a ball and a complex with int vertices.
 
+Hyperplane maps: the references are the original per-edge loops.
+induce_iota took hyperplane_of_edge of the image of each edge inside the
+map's domain and collected the images per hyperplane; davis_phi did the
+same over the dual edges of each A+ hyperplane, reflecting each end with
+nf_mult, and reflected the a-plus vertices one by one for rho_map.
+md._hyperplane_map and induce_iota must give the loop's maps, or raise its
+errors with its texts, on translations by random words of the session
+balls, random restrictions of them and maps that send an edge to a
+non-edge or scatter a hyperplane; davis_phi must give the loops' phi and
+rho_map on the P4 and STAR_EQ5 coxeter balls of radius 4 at bases 1 and c;
+and one vertex must give the empty map.
+
 Graphs: the references are the original writers of the contact family's
 graphs, which read dicts of sets.  family_to_json and graph_to_dot read the
 bool matrices, and must give the same bytes on random symmetric matrices
@@ -144,7 +156,14 @@ from cubetact import median as md
 from cubetact import ragroups as rg
 from cubetact import reconstruction as rc
 from cubetact import verify as vf
-from cubetact.errors import NotConnected, NotMedian, SizeLimitExceeded
+from cubetact.errors import (
+    CubetactError,
+    HyperplaneNotPreserved,
+    NotAnAutomorphism,
+    NotConnected,
+    NotMedian,
+    SizeLimitExceeded,
+)
 
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
 
@@ -2085,3 +2104,151 @@ def test_hyperplane_report_against_the_oracle(x_c5_r2):
         assert md.hyperplane_report(X) == reference_hyperplane_report(X)
     report = md.hyperplane_report(int_grid())
     assert any(h["sideA"] != sorted(h["sideA"], key=int) for h in report)
+
+
+# ---------------------------------------------------------------------------
+# Hyperplane maps
+
+def reference_hyperplane_map(X, g):
+    """The original loop of induce_iota: the hyperplane of each edge's image,
+    by hyperplane_of_edge, collected per hyperplane over the edges inside
+    g's domain."""
+    images = {}
+    edges, label = X.edge_labels
+    for (u, v), h in zip(edges, label.tolist()):
+        if u in g and v in g:
+            if frozenset((g[u], g[v])) not in X.edges:
+                raise NotAnAutomorphism(f"edge {[u, v]} maps to a non-edge")
+            images.setdefault(h, set()).add(X.hyperplane_of_edge(g[u], g[v]))
+    phi = {}
+    for h in sorted(images):
+        if len(images[h]) > 1:
+            raise HyperplaneNotPreserved(
+                f"hyperplane {h} maps to several hyperplanes {sorted(images[h])}")
+        phi[h] = images[h].pop()
+    return phi
+
+
+def reference_induce_iota(X, g):
+    """The original induce_iota: the vertex checks, the loop, and the contact
+    check of a total map."""
+    for u in g:
+        X.check_vertex(u)
+        X.check_vertex(g[u])
+    phi = reference_hyperplane_map(X, g)
+    if len(g) == len(X.vertices):
+        rc.verify_automorphism(ct.build_contact_family(X).contact, phi)
+    return phi
+
+
+def outcome(f, *args):
+    """The items of the dict f returns, in order, or the type and the text
+    of the CubetactError it raises."""
+    try:
+        return list(f(*args).items())
+    except CubetactError as ex:
+        return type(ex), str(ex)
+
+
+MAP_BALLS = ("y_c5_r3", "y_p4_r4", "y_st5_r4", "x_c5_r2", "x_f2_r3", "z2_r3")
+
+
+@pytest.fixture(scope="session")
+def map_balls(request):
+    return {name: request.getfixturevalue(name) for name in MAP_BALLS}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(MAP_BALLS),
+       st.sampled_from(["translation", "restriction", "moved", "scatter"]), st.data())
+def test_hyperplane_map_against_the_edge_loop(map_balls, name, mode, data):
+    """_hyperplane_map and induce_iota give the maps of the loop, or raise
+    its errors with its texts, on translations by random words (the empty
+    word gives a total map), their random restrictions, translations with
+    one image moved to any vertex, and maps sending two dual edges of one
+    hyperplane to themselves and to a random edge."""
+    ball = map_balls[name]
+    X, gamma = ball.complex, ball.gamma
+    exponents = [1] if ball.kind == rg.COXETER else [-1, 1]
+    syllable = st.tuples(st.sampled_from(gamma.vertices), st.sampled_from(exponents))
+    word = rg.normal_form(gamma, ball.kind, data.draw(st.lists(syllable, max_size=4)))
+    g = rg._translation(ball, word)
+    rnd = data.draw(st.randoms(use_true_random=False))
+    dual = [e for e in md._dual_edges(X) if len(e) > 1]
+    if mode == "restriction":
+        g = {u: w for u, w in g.items() if rnd.random() < 0.5}
+    elif mode == "moved" and g:
+        g[rnd.choice(sorted(g))] = rnd.choice(X.vertices)
+    elif mode == "scatter" and dual:
+        (u1, v1), (u2, v2) = rnd.sample(rnd.choice(dual), 2)
+        x, y = rnd.choice(X.edge_labels[0])
+        g = {u1: u1, v1: v1, u2: x, v2: y}
+    assert outcome(md._hyperplane_map, X, g) == outcome(reference_hyperplane_map, X, g)
+    assert outcome(rc.induce_iota, X, g) == outcome(reference_induce_iota, X, g)
+
+
+@pytest.mark.parametrize("g, found", [
+    ({"00": "00", "01": "01", "20": "20", "21": "10"},
+     (HyperplaneNotPreserved, "hyperplane 0 maps to several hyperplanes [0, 2]")),
+    ({"00": "00", "10": "10", "11": "11", "01": "01", "20": "10", "21": "11"},
+     (NotAnAutomorphism, "edge ['10', '20'] maps to a non-edge")),
+], ids=["scatter", "non-edge"])
+def test_hyperplane_map_errors_are_the_loop_errors(g, found):
+    X = md.builtin_complex("DOMINO")
+    assert outcome(md._hyperplane_map, X, g) == outcome(reference_hyperplane_map, X, g) == found
+    assert outcome(rc.induce_iota, X, g) == found
+
+
+def test_hyperplane_map_of_one_vertex():
+    """One vertex has no edge, so its maps are empty (and no argmax runs over
+    an empty axis)."""
+    X = md.validate_complex(["v"], [])
+    assert rc.induce_iota(X, {"v": "v"}) == md._hyperplane_map(X, {"v": "v"}) == {}
+    assert md._hyperplane_map(X, {}) == {}
+
+
+def reference_davis_maps(ball, a, base, d):
+    """The original phi and rho_map loops of davis_phi: each A+ hyperplane
+    maps to the one hyperplane that its reflected dual edges in the ball
+    cross, and rho_map reflects the vertices on the a-plus side."""
+    X, gamma, kind = ball.complex, ball.gamma, ball.kind
+
+    def reflect(vid):
+        image = rg.format_word(rg.nf_mult(gamma, kind, d.reflection, ball.words[vid]))
+        return image if image in ball.words else None
+
+    va = rg.format_word(rg.nf_mult(gamma, kind, ball.words[base], ((a, 1),)))
+    a_plus = X.sides[d.a_hyperplane] == X.sides[d.a_hyperplane, X.index[va]]
+    phi, dual = {}, md._dual_edges(X)
+    for hid, part in d.partition.items():
+        if part != "A+":
+            phi[hid] = hid
+            continue
+        images = set()
+        for u, v in dual[hid]:
+            iu, iv = reflect(u), reflect(v)
+            if iu is not None and iv is not None:
+                images.add(X.hyperplane_of_edge(iu, iv))
+        assert len(images) == 1, (hid, images)
+        phi[hid] = images.pop()
+    rho_map = {}
+    for vid in ball.words:
+        if not a_plus[X.index[vid]]:
+            rho_map[vid] = vid
+        elif reflect(vid) is not None:
+            rho_map[vid] = reflect(vid)
+    return phi, rho_map
+
+
+@pytest.mark.parametrize("base", ["1", "c"])
+@pytest.mark.parametrize("fixture", ["y_p4_r4", "y_st5_r4"])
+def test_davis_phi_against_the_dual_edge_loop(request, fixture, base):
+    """davis_phi's phi and rho_map, read off the translation by the
+    reflection, are those of the loops, in the same order, on the P4 and
+    STAR_EQ5 coxeter balls of radius 4 at two bases."""
+    ball = request.getfixturevalue(fixture)
+    d = rg.davis_phi(ball, "a", "b", base=base)
+    phi, rho_map = reference_davis_maps(ball, "a", base, d)
+    assert list(d.phi.items()) == list(phi.items())
+    assert list(d.rho_map.items()) == list(rho_map.items())
+    assert any(rho_map[v] != v for v in rho_map)

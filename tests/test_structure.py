@@ -252,7 +252,7 @@ GUARDS = {
     ("ragroups.py", "median_closure"): 1,  # the named median has the majority walls
     ("ragroups.py", "build_ball"): 2,  # one label per edge and per hyperplane
     ("ragroups.py", "halfspace_twist"): 1,  # inverting y keeps the length
-    ("ragroups.py", "davis_phi"): 2,  # no straddling carrier, one reflection image
+    ("ragroups.py", "davis_phi"): 2,  # no straddling carrier, an image for each A+ plane
 }
 
 
