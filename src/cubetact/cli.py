@@ -1,7 +1,8 @@
 """Command-line surface: generate instances, analyze complexes, run suites.
 
 Exit codes: 0 success, 1 verification found violations, 2 invalid input
-or a verify run that refused an instance over a size or clique limit.
+or a verify run that refused an instance: one over a size or clique limit,
+or a ball too small for a group suite's construction.
 """
 
 from __future__ import annotations
@@ -139,8 +140,8 @@ def cmd_analyze(args):
         doc = json.load(fh)
     X = _median.complex_from_json(doc)
     F = _contact.build_contact_family(X, mode=args.reduced_mode)
-    atlas = _rec.clique_atlas(X, F)
-    isets = _contact.all_interaction_sets(X)
+    atlas = _rec.clique_atlas(X)
+    I = _contact._relation(X).I  # column w of I is I(w); of I & I.T, I0(w)
     cliques, R = atlas.cliques, _rec.reconstruct(atlas.cliques)
     out = {
         "complex": _median.complex_to_json(X),
@@ -155,8 +156,9 @@ def cmd_analyze(args):
             for v in X.vertices
         },
         "interaction": {
-            str(h): {"I": sorted(s.I), "I0": sorted(s.I0)}
-            for h, s in isets.items()
+            str(h): {"I": iw, "I0": i0}
+            for h, (iw, i0) in enumerate(zip(_median._true_columns(I.T),
+                                             _median._true_columns(I & I.T)))
         },
         "reconstruction": {
             "vertices": [list(cl) for cl in cliques],

@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -55,6 +56,12 @@ class CubeComplex:
     known vertices (UnknownVertex, ValueError), not the median property.
     An edge is stored as the frozenset of the vertices it names ([1.0, 2]
     as {1, 2}); the skeleton's one graph is the bool matrix X.adjacency.
+
+    Derived data are cached properties, computed on first access.  Two
+    caches are instead attributes filled by a module-level function, which
+    tests replace and a traced run wraps by its module name:
+    compute_hyperplanes fills the four hyperplane slots together, and
+    contact._relation fills _relation.
     """
 
     def __init__(self, vertices, edges, dist, squares=None):
@@ -70,18 +77,15 @@ class CubeComplex:
             edge_set.add(frozenset((V[index[u]], V[index[v]])))
         self.edges = frozenset(edge_set)
         self._dist = dist  # numpy (n, n) int matrix, indexed like self.vertices
-        self._adjacency = None
-        self._squares = None if squares is None else tuple(squares)
+        if squares is not None:
+            self.squares = tuple(squares)
         # hyperplane matrices and edge labels, filled together by
-        # compute_hyperplanes; ids_at is read off the carriers on first access
+        # compute_hyperplanes
         self._sides = None
         self._carriers = None
-        self._ids_at = None
         self._edge_list = None
         self._edge_label = None
         self._relation = None  # contact.py's hyperplane-pair relation
-        self._dimension = None
-        self._pairs = None  # the distance-2 pair table
 
     def __len__(self):
         return len(self.vertices)
@@ -92,24 +96,22 @@ class CubeComplex:
             f"{len(self.squares)} squares)"
         )
 
-    @property
+    @cached_property
     def adjacency(self):
         """The read-only (n, n) bool adjacency matrix of the skeleton, indexed
         like X.vertices: _dist == 1 once X has its metric, else (only inside
         validate_complex, which needs it to find the metric) built from
         X.edges."""
-        if self._adjacency is None:
-            if self._dist is not None:
-                A = self._dist == 1
-            else:
-                n, ends = len(self.vertices), [self.index[v] for e in self.edges for v in e]
-                A = np.zeros((n, n), dtype=bool)
-                A[ends[::2], ends[1::2]] = A[ends[1::2], ends[::2]] = True
-            A.flags.writeable = False
-            self._adjacency = A
-        return self._adjacency
+        if self._dist is not None:
+            A = self._dist == 1
+        else:
+            n, ends = len(self.vertices), [self.index[v] for e in self.edges for v in e]
+            A = np.zeros((n, n), dtype=bool)
+            A[ends[::2], ends[1::2]] = A[ends[1::2], ends[::2]] = True
+        A.flags.writeable = False
+        return A
 
-    @property
+    @cached_property
     def pair_table(self):
         """The distance-2 pair table (vw, common): two (p, 2) index arrays.
 
@@ -117,11 +119,9 @@ class CubeComplex:
         its first and last common neighbour (equal if it has one), in the
         order of the pairs' first 2-paths.  Built once by _pair_table, from
         X.adjacency."""
-        if self._pairs is None:
-            self._pairs = _pair_table(self)
-        return self._pairs
+        return _pair_table(self)
 
-    @property
+    @cached_property
     def squares(self):
         """The 4-cycles in cycle order (a, b, c, d): edges ab, bc, cd, da.
 
@@ -130,12 +130,10 @@ class CubeComplex:
         hold its first vertex a in vertex order, with b < d; the graph is
         bipartite, so no square has a chord.
         """
-        if self._squares is None:
-            V, (vw, common) = self.vertices, self.pair_table
-            at = (common[:, 0] != common[:, 1]) & (common[:, 0] < vw[:, 0])
-            self._squares = tuple(sorted((V[a], min(V[i], V[j]), V[c], max(V[i], V[j]))
-                                         for a, c, i, j in np.hstack((common, vw))[at].tolist()))
-        return self._squares
+        V, (vw, common) = self.vertices, self.pair_table
+        at = (common[:, 0] != common[:, 1]) & (common[:, 0] < vw[:, 0])
+        return tuple(sorted((V[a], min(V[i], V[j]), V[c], max(V[i], V[j]))
+                            for a, c, i, j in np.hstack((common, vw))[at].tolist()))
 
     def check_vertex(self, v):
         """The index of v; raises UnknownVertex if v is not a vertex."""
@@ -162,13 +160,11 @@ class CubeComplex:
         self._theta()
         return self._carriers
 
-    @property
+    @cached_property
     def ids_at(self):
         """W: W[i] is the frozenset of ids of the hyperplanes at vertices[i],
-        read off the columns of the carriers on first access."""
-        if self._ids_at is None:
-            self._ids_at = tuple(map(frozenset, _true_columns(self.carriers.T)))
-        return self._ids_at
+        read off the columns of the carriers."""
+        return tuple(map(frozenset, _true_columns(self.carriers.T)))
 
     @property
     def edge_labels(self):
@@ -195,20 +191,17 @@ class CubeComplex:
         A = self.sides
         return int(np.argmax(A[:, self.index[u]] != A[:, self.index[v]]))
 
-    @property
+    @cached_property
     def dimension(self):
         """Largest family of pairwise-transverse hyperplanes.
 
         Pairwise-transverse hyperplanes all cross one cube, so this is also
         the largest such family at one vertex.
         """
-        if self._dimension is None:
-            from .contact import _relation
-            from .reconstruction import maximal_cliques
+        from .contact import _relation
+        from .reconstruction import maximal_cliques
 
-            crossing = _relation(self).transverse
-            self._dimension = max(map(len, maximal_cliques(crossing)), default=0)
-        return self._dimension
+        return max(map(len, maximal_cliques(_relation(self).transverse)), default=0)
 
     def geodesic_vertices(self, u, v):
         """All vertices on some geodesic between u and v (the interval)."""

@@ -453,7 +453,7 @@ def ball_to_json(ball: Ball) -> dict:
 
 def definitional_I(X, hid):
     """I(w): hyperplane ids adjacent to every carrier vertex of w."""
-    return set(_contact.interaction_sets(X, hid).I)
+    return set(np.flatnonzero(_contact._relation(X).I[:, X.check_hyperplane(hid)]).tolist())
 
 
 def star_inclusion_I_check(ball: Ball, margin=2) -> dict:
@@ -468,10 +468,11 @@ def star_inclusion_I_check(ball: Ball, margin=2) -> dict:
     X = ball.complex
     interior = ball.interior_hyperplanes(margin)
     report = {"margin": margin, "hyperplanes": {}, "mismatches": []}
-    meets = _contact._relation(X).contact | np.eye(len(X.sides), dtype=bool)
+    rel = _contact._relation(X)
+    meets = rel.contact | np.eye(len(X.sides), dtype=bool)
+    # column w of I is I(w), and of I & I.T, I0(w)
+    I, I0 = _median._true_columns(rel.I.T), _median._true_columns(rel.I & rel.I.T)
     for w in sorted(interior):
-        sets = _contact.interaction_sets(X, w)
-        I, I0 = set(sets.I), set(sets.I0)
         st_w = ball.gamma.st(ball.labels[w])
         formula_I = {
             u
@@ -483,13 +484,13 @@ def star_inclusion_I_check(ball: Ball, margin=2) -> dict:
         }
         entry = {
             "label": ball.labels[w],
-            "I": sorted(I),
-            "I0": sorted(I0),
+            "I": I[w],
+            "I0": I0[w],
             "formula_I": sorted(formula_I),
             "formula_I0": sorted(formula_I0),
         }
         report["hyperplanes"][w] = entry
-        if I != formula_I or I0 != formula_I0:
+        if entry["I"] != entry["formula_I"] or entry["I0"] != entry["formula_I0"]:
             report["mismatches"].append(w)
     return report
 
@@ -596,7 +597,7 @@ def interior_reduced_classes(ball: Ball, margin=2):
             for cls in _contact._reduced_classes(T, "self-exclusive", interior)]
 
 
-def extension_graph_ball(gamma: DefiningGraph, radius, margin=None, ball=None) -> dict:
+def extension_graph_ball(ball: Ball, margin=None) -> dict:
     """Truncated extension graph of an artin ball, compared against the
     interior reduced crossing graph.
 
@@ -611,16 +612,14 @@ def extension_graph_ball(gamma: DefiningGraph, radius, margin=None, ball=None) -
     are the reduced classes, the edges agree too: the graphs are isomorphic
     (by the identity on classes) exactly when the partitions are equal.
     """
-    if ball is None:
-        ball = build_ball(gamma, ARTIN, radius)
     if ball.kind != ARTIN:
         raise ValueError("the extension graph lives on artin balls")
     if margin is None:
         margin = max(0, min(2, ball.radius - 1))
     equal_links = [
         (a, b)
-        for a, b in combinations(gamma.vertices, 2)
-        if gamma.lk(a) == gamma.lk(b)
+        for a, b in combinations(ball.gamma.vertices, 2)
+        if ball.gamma.lk(a) == ball.gamma.lk(b)
     ]
     T = _contact._relation(ball.complex).transverse
     interior = ball.interior_hyperplanes(margin)
@@ -729,6 +728,7 @@ class DavisPhi:
     phi: dict  # interior hyperplane id -> hyperplane id
     partition: dict  # hyperplane id -> 'A+', 'A-' or 'T'
     reflection: tuple  # normal form of the conjugate involution w b w^-1
+    reflected: dict  # hyperplane id -> id: the hyperplane map of that translation
     rho_map: dict  # partial vertex map induced by phi
     witness_square: tuple  # a square crossed by both hyperplanes
     broken_edge: tuple  # an edge of that square with a non-edge rho-image, or None
@@ -744,7 +744,8 @@ def davis_phi(ball: Ball, a, b, base="1", margin=2) -> DavisPhi:
     reflects the other, and therefore breaks every square crossed by both
     hyperplanes.  phi is the hyperplane map (median._hyperplane_map) of the
     left multiplication by the reflection w b w^-1 on the A+ hyperplanes,
-    and the identity on the others; rho_map is that translation on the
+    and the identity on the others; reflected is that hyperplane map on
+    every hyperplane it defines, and rho_map is that translation on the
     a-plus side of the a-hyperplane and the identity off it.  The davis
     suite of verify.py checks that the reflection fixes the transverse
     hyperplanes, that no contact edge joins the two
@@ -801,11 +802,11 @@ def davis_phi(ball: Ball, a, b, base="1", margin=2) -> DavisPhi:
         gamma, kind, nf_mult(gamma, kind, w, ((b, 1),)), nf_inverse(kind, w)
     )
     reflect = _translation(ball, reflection)
-    moved = _median._hyperplane_map(X, reflect)
-    for h in [h for h, part in partition.items() if part == "A+" and h not in moved][:1]:
+    reflected = _median._hyperplane_map(X, reflect)
+    for h in [h for h, part in partition.items() if part == "A+" and h not in reflected][:1]:
         raise LemmaViolation(
             f"reflection image of hyperplane {h} ill-defined: no dual edge maps into the ball")
-    phi = {h: moved[h] if part == "A+" else h for h, part in partition.items()}
+    phi = {h: reflected[h] if part == "A+" else h for h, part in partition.items()}
     plus = dict(zip(X.vertices, a_plus.tolist()))
     rho_map = {vid: reflect[vid] if plus[vid] else vid
                for vid in ball.words if vid in reflect or not plus[vid]}
@@ -820,7 +821,7 @@ def davis_phi(ball: Ball, a, b, base="1", margin=2) -> DavisPhi:
                 broken = (u, v)
                 break
     return DavisPhi(
-        phi, partition, reflection, rho_map, square, broken, ha, hb
+        phi, partition, reflection, reflected, rho_map, square, broken, ha, hb
     )
 
 

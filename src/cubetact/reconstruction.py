@@ -9,7 +9,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .contact import ContactFamily, _twins, build_contact_family
+from . import contact as _contact
 from .errors import (
     AmbiguousClique,
     CliqueLimitExceeded,
@@ -95,16 +95,15 @@ class CliqueAtlas:
     extremal: dict  # vertex id -> bool
 
 
-def clique_atlas(X: CubeComplex, F: ContactFamily = None, cap=DEFAULT_CLIQUE_CAP):
-    """Match maximal cliques of the contact graph with vertex hyperplane sets.
+def clique_atlas(X: CubeComplex, cap=DEFAULT_CLIQUE_CAP):
+    """Match maximal cliques of the contact graph, the contact matrix of
+    contact._relation, with vertex hyperplane sets.
 
     A maximal clique is matched with v when it is W_v and no other vertex
     attains it.  The cliques suite of verify.py checks that every maximal
     clique is some W_v, and that v is matched iff its link is not a cone.
     """
-    if F is None:
-        F = build_contact_family(X)
-    cliques = tuple(maximal_cliques(F.contact, cap=cap))
+    cliques = tuple(maximal_cliques(_contact._relation(X).contact, cap=cap))
     clique_of = dict(zip(X.vertices, X.ids_at))
     attained_by = {}
     for v, s in clique_of.items():
@@ -201,8 +200,7 @@ def induce_iota(X: CubeComplex, g):
         X.check_vertex(g[u])
     phi = _hyperplane_map(X, g)
     if len(g) == len(X.vertices):  # total map: must induce a contact automorphism
-        F = build_contact_family(X)
-        verify_automorphism(F.contact, phi)
+        verify_automorphism(_contact._relation(X).contact, phi)
     return phi
 
 
@@ -249,7 +247,7 @@ def kernel_subgroup(X: CubeComplex):
     the kernel suite of verify.py checks that they are such automorphisms.
     The I0 classes are the groups of equal carrier rows.
     """
-    classes = sorted(map(tuple, _twins(X.carriers)))
+    classes = sorted(map(tuple, _contact._twins(X.carriers)))
     generators = []
     for cls in classes:
         for u, w in combinations(cls, 2):

@@ -24,12 +24,28 @@ from . import median as _median
 from . import ragroups as _rg
 from . import reconstruction as _rec
 from .errors import (
+    BallTooSmall,
     CliqueLimitExceeded,
     CubetactError,
     LemmaViolation,
-    NotAnAutomorphism,
+    NotInterior,
     SizeLimitExceeded,
 )
+
+# an instance that raises one of these was not checked: the runner lists it
+# under "refused" instead of as a violation
+_REFUSED = (SizeLimitExceeded, CliqueLimitExceeded, BallTooSmall, NotInterior)
+
+
+def _witness(f, *args):
+    """f(*args), with any CubetactError it raises, other than a refusal,
+    raised as a LemmaViolation with the same message."""
+    try:
+        return f(*args)
+    except _REFUSED:
+        raise
+    except CubetactError as ex:
+        raise LemmaViolation(str(ex)) from ex
 
 
 def _helly(X):
@@ -110,12 +126,12 @@ def _iw(X):
             f"characterization {np.flatnonzero(characterized[:, w]).tolist()}"
         )
 
-    dim = X.dimension
-    classes = {}
-    for w, s in _contact.all_interaction_sets(X).items():
-        if len(s.I) > dim:
-            yield {"hyperplane": w, "I_size": len(s.I)}
-        classes.setdefault(s.I0, set()).add(w)
+    sizes = rel.I.sum(axis=0)
+    for w in np.flatnonzero(sizes > X.dimension).tolist():
+        yield {"hyperplane": w, "I_size": int(sizes[w])}
+    classes = {}  # I0(w) -> the hyperplanes w with that I0, from I & I.T
+    for w, i0 in enumerate(_median._true_columns(rel.I & rel.I.T)):
+        classes.setdefault(frozenset(i0), set()).add(w)
     # I0 classes partition the hyperplanes
     seen = set()
     for cls in classes.values():
@@ -143,8 +159,7 @@ def interior_roundtrip(ball, margin=2):
     interior 1-skeleton and left multiplications survive iota then rho.
     """
     X, V = ball.complex, ball.complex.vertices
-    F = _contact.build_contact_family(X)
-    atlas = _rec.clique_atlas(X, F)
+    atlas = _rec.clique_atlas(X)
     interior = ball.interior_vertices(margin)
 
     # the cliques matched with interior vertices, in canonical order, and
@@ -202,13 +217,10 @@ def _roundtrip(ball, margin):
 def _kernel(X):
     """Each kernel generator is a contact automorphism of order two fixing
     every maximal clique setwise."""
-    contact = _contact.build_contact_family(X).contact
+    contact = _contact._relation(X).contact
     cliques = _rec.maximal_cliques(contact)
     for perm in _rec.kernel_subgroup(X):
-        try:
-            _rec.verify_automorphism(contact, perm)
-        except NotAnAutomorphism as ex:
-            raise LemmaViolation(str(ex)) from ex
+        _witness(_rec.verify_automorphism, contact, perm)
         moved = " ".join(str(h) for h in perm if perm[h] != h)
         for cl in cliques:
             if {perm[h] for h in cl} != set(cl):
@@ -224,18 +236,10 @@ def _davis(pair, gamma, radius):
     a-hyperplane (so the piecewise phi is consistent), no contact edge joins
     the two halves, phi preserves contact, and rho(phi) breaks the square."""
     ball = _rg.build_ball(gamma, _rg.COXETER, radius)
-    try:
-        d = _rg.davis_phi(ball, *pair)
-    except CubetactError as ex:
-        raise LemmaViolation(str(ex)) from ex
-    X = ball.complex
-    C = _contact._relation(X).contact
-    try:
-        moved = _median._hyperplane_map(X, _rg._translation(ball, d.reflection))
-    except CubetactError as ex:
-        raise LemmaViolation(str(ex)) from ex
+    d = _witness(_rg.davis_phi, ball, *pair)
+    C = _contact._relation(ball.complex).contact
     for hid, part in d.partition.items():
-        if part == "T" and moved.get(hid, hid) != hid:
+        if part == "T" and d.reflected.get(hid, hid) != hid:
             raise LemmaViolation(f"reflection moves transverse hyperplane {hid}")
 
     plus = [h for h, p in d.partition.items() if p == "A+"]
@@ -264,10 +268,7 @@ def _twist(pair, gamma, radius):
     """The twist fixes the carrier of its hyperplane pointwise (carrier words
     avoid y, so the two pieces agree there) and is a ball automorphism."""
     ball = _rg.build_ball(gamma, _rg.ARTIN, radius)
-    try:
-        tw = _rg.halfspace_twist(ball, *pair)
-    except CubetactError as ex:
-        raise LemmaViolation(str(ex)) from ex
+    tw = _witness(_rg.halfspace_twist, ball, *pair)
     X = ball.complex
     carrier = np.flatnonzero(X.carriers[tw.hyperplane]).tolist()
     for v in sorted(X.vertices[i] for i in carrier):
@@ -277,15 +278,13 @@ def _twist(pair, gamma, radius):
                 f"inverting {pair[1]} moves carrier vertex {v} to {image}")
     index = X.index  # an image outside the ball is no bijection
     perm = {index.get(v, -1): index.get(w, -1) for v, w in tw.perm.items()}
-    try:
-        _rec.verify_automorphism(X.adjacency, perm)
-    except NotAnAutomorphism as ex:
-        raise LemmaViolation(str(ex)) from ex
+    _witness(_rec.verify_automorphism, X.adjacency, perm)
     return {"witness": {"hyperplane": tw.hyperplane, "moved": len(tw.moved)}}
 
 
 def _extension_graph(gamma, radius):
-    cmp_ = _rg.extension_graph_ball(gamma, radius)["comparison"]
+    ball = _rg.build_ball(gamma, _rg.ARTIN, radius)
+    cmp_ = _rg.extension_graph_ball(ball)["comparison"]
     if cmp_ is None:
         return {}
     if cmp_.get("skipped"):
@@ -345,10 +344,10 @@ def _run(suite, instances, *args, violations=()):
     Violations get their instance's name, unless it is None (the group
     suites, which check one generator pair or graph).  With several
     instances, each skipped reason is prefixed by its instance's name and
-    the reasons are joined.  An instance over a size or clique limit is
-    listed under "refused" with the limit's message, and the other
-    instances still run.  args follow the instance in each call;
-    violations are found before any instance.
+    the reasons are joined.  An instance over a size or clique limit, or a
+    ball too small for its construction, is listed under "refused" with the
+    error's message, and the other instances still run.  args follow the
+    instance in each call; violations are found before any instance.
     """
     anchor, check = _TABLE[suite]
     t0 = time.perf_counter()
@@ -366,7 +365,7 @@ def _run(suite, instances, *args, violations=()):
                 violations.append({**label, **v})
         except LemmaViolation as ex:
             violations.append({**label, "witness": str(ex)})
-        except (SizeLimitExceeded, CliqueLimitExceeded) as ex:
+        except _REFUSED as ex:
             refused.append({**label, "reason": str(ex)})
     if skipped:
         extra["skipped"] = "; ".join(skipped)

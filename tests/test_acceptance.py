@@ -240,7 +240,7 @@ def test_criterion_9_halfspace_twist(x_f2_r3, x_c5_r3, criterion_report):
 
 
 def test_criterion_10_extension_graph(x_c5_r3, z2_r3, criterion_report):
-    out = rg.extension_graph_ball(x_c5_r3.gamma, 3, ball=x_c5_r3)
+    out = rg.extension_graph_ball(x_c5_r3)
     iso = bool(out["comparison"] and out["comparison"].get("isomorphic"))
 
     shuffle = rg.syllable_shuffle(z2_r3, {1: 2, 2: 1}, apex="y")

@@ -268,7 +268,7 @@ def test_unknown_suite_rejected(capsys):
 
 
 @pytest.mark.parametrize("suite, runs", [
-    # success, a failed precondition, no generator pair
+    # success, a ball too small for the construction, no generator pair
     ("davis", [("P4", "3"), ("P4", "1"), ("C5", "3")]),
     ("twist", [("C5", "2"), ("F2", "1"), ("EDGE2", "2")]),
 ])
@@ -280,8 +280,27 @@ def test_verify_group_suite_keeps_its_anchor(capsys, suite, runs):
         (entry,) = json.loads(out)["suites"]
         anchors.add(entry["anchor"])
         codes.append(code)
-    assert codes == [0, 1, 1]
+    assert codes == [0, 2, 1]
     assert anchors == {cli._verify._TABLE[suite][0]}
+
+
+@pytest.mark.parametrize("suite, graph, radius, reason", [
+    ("davis", "P4", "1", "no a,b square at base '1'"),
+    ("davis", "P4", "2", "a-hyperplane 0 not interior at margin 2"),
+    ("twist", "C5", "1", "radius >= 2 needed to witness a nontrivial twist"),
+])
+def test_verify_refuses_a_ball_too_small_for_the_construction(capsys, suite, graph,
+                                                              radius, reason):
+    """The statement was not checked, so nothing was violated: the ball is
+    listed under "refused" with the construction's message, and the run
+    exits 2 without passing."""
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--graph", graph,
+                       "--radius", radius)
+    report = json.loads(out)
+    (entry,) = report["suites"]
+    assert code == 2 and report["pass"] is False
+    assert entry["violations"] == []
+    assert entry["refused"] == [{"reason": reason}]
 
 
 def test_python_m_cubetact_runs_the_cli():

@@ -6,7 +6,9 @@ hyperplane pairs are classified one at a time from frozensets, reduced
 classes come from a union-find over the neighbourhood relation, I(w)
 intersects the W_v over w's carrier, and the dimension is the largest clique
 of a link graph.  The fast path must agree with it, in both reduced modes,
-on the builtins, random complexes and the session balls.
+on the builtins, random complexes and the session balls.  analyze reads I
+and I0 off the columns of the relation's I, and its interaction section
+must be the sorted all_interaction_sets records on the same instances.
 
 Hyperplane rows: the reference is the original compute_hyperplanes, which
 built a record per hyperplane (dual edges, sides and carrier as frozensets)
@@ -399,6 +401,35 @@ def test_oracle_balls(fixture, request):
     check_against_oracle(request.getfixturevalue(fixture).complex)
 
 
+def check_interaction_section(X, tmp_path):
+    """analyze's interaction section, read off the columns of the relation's
+    I, is the sorted all_interaction_sets records of the complex it reads."""
+    doc, src, dst = md.complex_to_json(X), tmp_path / "in.json", tmp_path / "out.json"
+    src.write_text(json.dumps(doc))
+    assert cli.main(["analyze", "--in", str(src), "--out", str(dst)]) == 0
+    isets = ct.all_interaction_sets(md.complex_from_json(doc))
+    assert json.loads(dst.read_text())["interaction"] == {
+        str(w): {"I": sorted(s.I), "I0": sorted(s.I0)} for w, s in isets.items()}
+
+
+@pytest.mark.parametrize("name", md.BUILTIN_COMPLEXES)
+def test_interaction_section_builtins(name, tmp_path):
+    check_interaction_section(md.builtin_complex(name), tmp_path)
+
+
+def test_interaction_section_random(tmp_path):
+    for seed in range(1, 51):
+        check_interaction_section(md.random_median_complex(6, 5, seed), tmp_path)
+
+
+@pytest.mark.parametrize(
+    "fixture",
+    ["y_c5_r3", "y_p4_r4", "y_st5_r3", "y_st5_r4", "x_c5_r2", "x_f2_r3", "z2_r3"],
+)
+def test_interaction_section_balls(fixture, request, tmp_path):
+    check_interaction_section(request.getfixturevalue(fixture).complex, tmp_path)
+
+
 Record = namedtuple("Record", "id dual_edges side_a side_b carrier")
 
 
@@ -462,7 +493,7 @@ def check_records_against_eager(X):
         u, v = tuple(e)
         assert X.hyperplane_of_edge(u, v) == X.hyperplane_of_edge(v, u) == h.id
         assert type(X.hyperplane_of_edge(u, v)) is int
-    assert X._ids_at is None
+    assert "ids_at" not in vars(X)
     assert X.ids_at == ids_at
 
 
@@ -1842,7 +1873,7 @@ def check_runs(ball):
     if ball.kind != rg.ARTIN:
         return
     assert rg._segment_classes(ball) == reference_segment_classes(ball)
-    out = rg.extension_graph_ball(ball.gamma, ball.radius, ball=ball)
+    out = rg.extension_graph_ball(ball)
     edges, same_edges = reference_extension_edges(ball, out)
     assert out["edges"] == edges
     if same_edges is not None:

@@ -520,19 +520,19 @@ def test_syllable_shuffle_not_a_cone(x_f2_r3):
 # Extension graph
 
 def test_extension_graph_single():
-    out = rg.extension_graph_ball(rg.builtin_defining_graph("SINGLE"), 1)
+    out = rg.extension_graph_ball(rg.build_ball(rg.builtin_defining_graph("SINGLE"), rg.ARTIN, 1))
     assert len(out["vertices"]) == 1 and out["edges"] == set()
 
 
 def test_extension_graph_edge2():
-    out = rg.extension_graph_ball(rg.builtin_defining_graph("EDGE2"), 2)
+    out = rg.extension_graph_ball(rg.build_ball(rg.builtin_defining_graph("EDGE2"), rg.ARTIN, 2))
     # one x-class and one y-class, joined
     assert len(out["vertices"]) == 2 and len(out["edges"]) == 1
     assert sorted(out["labels"].values()) == ["x", "y"]
 
 
 def test_extension_graph_c5(x_c5_r3):
-    out = rg.extension_graph_ball(x_c5_r3.gamma, 3, ball=x_c5_r3)
+    out = rg.extension_graph_ball(x_c5_r3)
     cmp = out["comparison"]
     assert "skipped" not in cmp
     assert cmp["isomorphic"]
@@ -545,7 +545,7 @@ def test_extension_graph_comparison_against_networkx(ball, request):
     comparison is skipped (equal links), and the graphs are not isomorphic."""
     nx = pytest.importorskip("networkx")
     ball = request.getfixturevalue(ball)
-    out = rg.extension_graph_ball(ball.gamma, 3, ball=ball)
+    out = rg.extension_graph_ball(ball)
     interior = ball.interior_hyperplanes(out["margin"])
     cores = {cls: cls & interior for cls in out["vertices"]}
     extension = nx.Graph()
@@ -581,11 +581,11 @@ def test_extension_graph_refuses_coxeter_balls():
     c5 = rg.builtin_defining_graph("C5")
     ball = rg.build_ball(c5, rg.COXETER, 2)
     with pytest.raises(ValueError, match="the extension graph lives on artin balls"):
-        rg.extension_graph_ball(c5, 2, ball=ball)
+        rg.extension_graph_ball(ball)
 
 
 def test_extension_graph_f2(x_f2_r3):
-    out = rg.extension_graph_ball(x_f2_r3.gamma, 3, ball=x_f2_r3)
+    out = rg.extension_graph_ball(x_f2_r3)
     # free group: no crossings at all, and the comparison is skipped because
     # the two generators have equal (empty) links
     assert out["edges"] == set()

@@ -9,13 +9,16 @@ a frozen object, no indented json encoding outside the tests, no
 hyperplane record, record cache or edge map beside the side and carrier
 matrices, contact, crossing and reduced graphs held as bool matrices with
 no dict-of-sets copy, the skeleton held as one bool matrix X.adjacency
-(test_skeleton_is_a_matrix), and every function the benchmark tracer pins by name
+(test_skeleton_is_a_matrix), the derived data of a complex cached as cached
+properties, the contact graph and I read from the one cached relation, the
+Davis reflection mapped once, and every function the benchmark tracer pins by name
 still public.  Two scans cover the whole package: every `raise LemmaViolation`
 outside verify.py is one of the listed guards of a construction, and every
 public function that no package code calls is listed with its reason."""
 
 import ast
 import dataclasses
+import functools
 import importlib
 import inspect
 import json
@@ -127,6 +130,8 @@ def test_contact_graphs_are_matrices():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
             func = getattr(node, "func", None)
+            if getattr(func, "id", None) == "_witness":  # verify's _witness(f, *args)
+                func = node.args[0]
             if (isinstance(node, ast.Call) and getattr(func, "attr", getattr(func, "id", None))
                     in ("verify_automorphism", "maximal_cliques")):
                 calls.append(node)
@@ -427,6 +432,54 @@ def test_analyze_and_verify_reach_no_link_graph(monkeypatch, tmp_path, capsys):
     capsys.readouterr()
 
 
+CACHED = ("adjacency", "pair_table", "squares", "ids_at", "dimension")
+
+
+def test_derived_data_have_one_cache():
+    """The lazy data of a complex are cached properties, with no slot of
+    their own; the only attribute caches are the hyperplane slots that
+    compute_hyperplanes fills and the slot of contact._relation."""
+    for name in CACHED:
+        assert isinstance(inspect.getattr_static(md.CubeComplex, name),
+                          functools.cached_property), name
+    X = md.builtin_complex("DOMINO")
+    for name in CACHED:
+        getattr(X, name)
+    assert set(CACHED) <= set(vars(X))
+    assert {k for k in vars(X) if k.startswith("_")} == {
+        "_dist", "_sides", "_carriers", "_edge_list", "_edge_label", "_relation"}
+
+
+def test_contact_graph_and_I_are_read_from_the_relation(monkeypatch, x_c5_r2, y_c5_r3):
+    """The atlas, a total iota, the kernel, iw and roundtrip suites and the
+    star-inclusion check read the contact matrix and I of contact._relation:
+    they run with the contact family and the interaction-set records patched
+    to raise."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a contact family or an interaction-set record was built")
+
+    monkeypatch.setattr(ct, "build_contact_family", unreachable)
+    monkeypatch.setattr(ct, "interaction_sets", unreachable)
+    X = md.builtin_complex("DOMINO")
+    assert rc.clique_atlas(X).cliques
+    assert rc.induce_iota(X, {v: v for v in X.vertices}) == {
+        h: h for h in range(len(X.sides))}
+    instances = [("domino", X), ("square", md.builtin_complex("SQUARE"))]
+    for entry in (verify.suite_kernel(instances), verify.suite_iw(instances),
+                  verify.suite_roundtrip([("C5", x_c5_r2)])):
+        assert entry["violations"] == [] and "refused" not in entry, entry["lemmaId"]
+    assert rg.star_inclusion_I_check(y_c5_r3)["mismatches"] == []
+
+
+def test_davis_maps_the_reflection_once(monkeypatch):
+    """The davis suite reads the reflection's hyperplane map from davis_phi
+    (DavisPhi.reflected): one davis item translates the ball once."""
+    real, calls = rg._translation, []
+    monkeypatch.setattr(rg, "_translation", lambda *a: calls.append(a) or real(*a))
+    entry = verify.suite_davis(rg.builtin_defining_graph("P4"), 4, "a", "b")
+    assert entry["violations"] == [] and len(calls) == 1
+
+
 def tracer_pins():
     """The names perfbench/tracer.py wraps by name: HOT and the hook keys."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -507,6 +560,8 @@ UNCALLED = {
     ("median", "median_triple_defects"):
         "the tracer counts its spans, and tests/test_oracle.py's n^3 reference",
     ("ragroups", "star_inclusion_I_check"): "the README example",
+    ("contact", "all_interaction_sets"):
+        "tests/test_oracle.py compares analyze's interaction section with it",
     ("ragroups", "syllable_shuffle"): "acceptance criterion 10",
     ("median", "hyperplane_complex"): "a kept construction: a hyperplane's cube complex",
     ("contact", "pushforward_reduced"):

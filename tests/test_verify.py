@@ -100,7 +100,7 @@ def replace(**fields):
      "phi breaks contact adjacency on (0, 4)"),
     (replace(partition=lambda d: {**d.partition, 0: "A+"}),
      "contact edge between halves: 0 (A+), 2 (A-)"),
-    (replace(reflection=lambda d: (("c", 1),)),
+    (replace(reflected=lambda d: {**d.reflected, 0: 1}),
      "reflection moves transverse hyperplane 0"),
     (replace(broken_edge=lambda d: None),
      "rho(phi) preserves the square at '1'; no witness found"),
@@ -172,10 +172,10 @@ def test_a_refused_instance_is_reported_and_the_run_goes_on(monkeypatch):
     monkeypatch.setattr(md, "_ALLOC_LIMIT", 1 << 20)
     real = rc.clique_atlas
 
-    def atlas(Z, F=None):
+    def atlas(Z):
         if Z is Y:
             raise CliqueLimitExceeded("more than 7 maximal cliques")
-        return real(Z, F)
+        return real(Z)
 
     monkeypatch.setattr(rc, "clique_atlas", atlas)
     after = vf.run_suites(vf.SUITES, instances=instances)
