@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from json.encoder import INFINITY as _INF
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
@@ -271,9 +272,14 @@ def build_parser():
     return parser
 
 
+@cache
+def _parser():
+    """build_parser(), built on main's first call and read by the later ones."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except NotMedian as ex:

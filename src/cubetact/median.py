@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 
 import numpy as np
@@ -102,12 +102,7 @@ class CubeComplex:
         like X.vertices: _dist == 1 once X has its metric, else (only inside
         validate_complex, which needs it to find the metric) built from
         X.edges."""
-        if self._dist is not None:
-            A = self._dist == 1
-        else:
-            n, ends = len(self.vertices), [self.index[v] for e in self.edges for v in e]
-            A = np.zeros((n, n), dtype=bool)
-            A[ends[::2], ends[1::2]] = A[ends[1::2], ends[::2]] = True
+        A = self._dist == 1 if self._dist is not None else _edge_matrix(self)
         A.flags.writeable = False
         return A
 
@@ -209,6 +204,14 @@ class CubeComplex:
         du, dv = self._dist[iu], self._dist[iv]
         on = np.flatnonzero(du + dv == du[iv]).tolist()
         return {self.vertices[w] for w in on}
+
+
+def _edge_matrix(X):
+    """The (n, n) bool matrix of the edges X was given, indexed like X.vertices."""
+    n, ends = len(X.vertices), [X.index[v] for e in X.edges for v in e]
+    A = np.zeros((n, n), dtype=bool)
+    A[ends[::2], ends[1::2]] = A[ends[1::2], ends[::2]] = True
+    return A
 
 
 def _distances(adjacent, start):
@@ -469,6 +472,20 @@ def _repair_quadrangles(rows, cap):
         witnesses += new.values()
 
 
+def _descends(A, dist):
+    """Whether every row but row 0 has an A-neighbour one step nearer to row
+    0 in dist, for distinct rows with metric dist and Hamming-1 graph A.
+
+    Then A is connected: from any row, the steps down dist[0] end at
+    distance 0, at row 0.  The converse holds for majority-closed rows
+    (certified_complex's proof, with v = row 0) and for
+    _repair_quadrangles output with no quadrangle failure (its lemma), so
+    for both it is exactly the test of connectivity, in one O(n^2) step.
+    """
+    r = dist[:1]  # distances from row 0, as a row; none on no rows
+    return bool((A & (r == r.T - 1)).any(axis=1)[1:].all())
+
+
 def certified_complex(vertices, edges, dist) -> CubeComplex:
     """The complex on distinct majority-closed 0/1 rows, without the n^3 scan.
 
@@ -485,16 +502,18 @@ def certified_complex(vertices, edges, dist) -> CubeComplex:
     coordinate: medians exist and are unique.
 
     The rows come closed from random_median_complex's projections, or from
-    build_ball's _repair_quadrangles if connected, as checked here.
+    build_ball's _repair_quadrangles if connected.  Connectivity is checked
+    by _descends, which decides it on both; connected rows that are not
+    closed may be refused as not connected.  The edges are compared with
+    X.adjacency as a matrix, and the first difference named on a mismatch.
     """
     X = CubeComplex(vertices, edges, dist)
-    ones = {
-        frozenset((vertices[i], vertices[j]))
-        for i, j in np.argwhere(np.triu(X.adjacency)).tolist()
-    }
-    for e in sorted(map(sorted, X.edges ^ ones))[:1]:
-        raise LemmaViolation(f"the edges and the Hamming-1 pairs differ at {e}")
-    if (_distances(X.adjacency, 0) < 0).any():
+    A = X.adjacency
+    if not np.array_equal(_edge_matrix(X), A):
+        ones = {frozenset((vertices[i], vertices[j])) for i, j in np.argwhere(np.triu(A)).tolist()}
+        for e in sorted(map(sorted, X.edges ^ ones))[:1]:
+            raise LemmaViolation(f"the edges and the Hamming-1 pairs differ at {e}")
+    if not _descends(A, dist):
         raise NotConnected("the Hamming-1 graph of the rows is not connected")
     return X
 
@@ -836,6 +855,19 @@ def hyperplane_complex(X: CubeComplex, hid) -> CubeComplex:
     return validate_complex(sorted(dual_edge_id(e) for e in dual), edges)
 
 
+@cache
+def _pair_keys(dim):
+    """The read-only (2^dim, T) uint16 table of _projection_closure, for the
+    T coordinate pairs i <= j of dim bits: [x, t] is 4 t + 2 x_i + x_j, the
+    pair t and the projection (x_i, x_j) of the code x, top bit first.
+    Built on the first call for each dim, then read."""
+    cube = np.arange(2 ** dim)[:, None] >> np.arange(dim)[::-1] & 1  # [x, i]: x_i
+    i, j = np.triu_indices(dim)
+    keys = (4 * np.arange(len(i)) + 2 * cube[:, i] + cube[:, j]).astype(np.uint16)
+    keys.flags.writeable = False
+    return keys
+
+
 def _projection_closure(codes, dim):
     """The majority closure of distinct dim-bit codes: the sorted codes x
     with (x_i, x_j) in {(s_i, s_j) : s in codes} for all i, j (Baker and
@@ -847,14 +879,14 @@ def _projection_closure(codes, dim):
     x has them, x agrees with a point of C on any k coordinates, by
     induction: for k >= 3 and three of them, i1, i2, i3, the majority of
     points of C agreeing with x on all k but i1, i2, i3 in turn agrees with
-    x on all k.  All 2^dim codes are tested, in (2^dim, dim, dim) cells.
+    x on all k.  The pairs i <= j suffice, as (x_j, x_i) mirrors (x_i, x_j).
+    All 2^dim codes are tested at once against the seen projections, read
+    through the table _pair_keys(dim).
     """
-    cube = np.arange(2 ** dim)[:, None] >> np.arange(dim)[::-1] & 1  # [x, i]: x_i, top first
-    pairs = 2 * cube[:, :, None] + cube[:, None, :]  # [x, i, j]: (x_i, x_j) as 0..3
-    I, J = np.indices((dim, dim))
-    seen = np.zeros((4, dim, dim), dtype=bool)
-    seen[pairs[codes], I, J] = True
-    return np.flatnonzero(seen[pairs, I, J].all(axis=(1, 2)))
+    keys = _pair_keys(dim)
+    seen = np.zeros(4 * keys.shape[1], dtype=bool)
+    seen[keys[codes]] = True
+    return np.flatnonzero(seen[keys].all(axis=1))
 
 
 def random_median_complex(ambient_dim, seed_count, rng_seed, cap=None) -> CubeComplex:
@@ -862,9 +894,10 @@ def random_median_complex(ambient_dim, seed_count, rng_seed, cap=None) -> CubeCo
 
     The codes close in one step (_projection_closure; the bound of 12 also
     bounds its 2^ambient_dim table).  A closed set can still be disconnected
-    (two antipodal seeds, say): then the closest pair between the first two
-    components, in string order, is bridged by a bit-flip path and closed
-    again.  Deterministic per rng_seed.
+    (two antipodal seeds, say), which _descends finds: then the closest pair
+    between the first two components, in string order, is bridged by a
+    bit-flip path and closed again.  Deterministic per rng_seed: each point
+    is ambient_dim rng.randint(0, 1) bits, top bit first.
     """
     if not 1 <= ambient_dim <= 12:
         raise ValueError(f"ambient_dim must be in 1..12, got {ambient_dim}")
@@ -875,19 +908,23 @@ def random_median_complex(ambient_dim, seed_count, rng_seed, cap=None) -> CubeCo
     rng = random.Random(rng_seed)
     points = set()
     while len(points) < min(seed_count, 2 ** ambient_dim):
-        points.add(tuple(rng.randint(0, 1) for _ in range(ambient_dim)))
+        code = 0
+        for _ in range(ambient_dim):
+            code = 2 * code + rng.randint(0, 1)
+        points.add(code)
 
     weights = 1 << np.arange(ambient_dim)[::-1]  # codes sort like the strings
-    codes = np.unique([int("".join(map(str, p)), 2) for p in points])
+    codes = np.unique(list(points))
     while True:
         codes = _projection_closure(codes, ambient_dim)
         if len(codes) > cap:
             raise SizeLimitExceeded(f"majority closure exceeds {cap} vertices")
         D = hamming_distances(codes[:, None])
-        c0 = _distances(D == 1, 0) >= 0
-        if c0.all():
+        A = D == 1
+        if _descends(A, D):
             break
-        a, b = np.flatnonzero(c0), np.flatnonzero(_distances(D == 1, np.argmin(c0)) >= 0)
+        c0 = _distances(A, 0) >= 0
+        a, b = np.flatnonzero(c0), np.flatnonzero(_distances(A, np.argmin(c0)) >= 0)
         i, j = np.unravel_index(np.argmin(D[np.ix_(a, b)]), (len(a), len(b)))
         p, q = codes[a[i]], codes[b[j]]
         # flip the differing coordinates in ascending order, keeping each step
@@ -895,7 +932,7 @@ def random_median_complex(ambient_dim, seed_count, rng_seed, cap=None) -> CubeCo
         codes = np.unique(codes)
 
     verts = [format(c, f"0{ambient_dim}b") for c in codes.tolist()]
-    edges = [(verts[i], verts[j]) for i, j in np.argwhere(np.triu(D == 1)).tolist()]
+    edges = [(verts[i], verts[j]) for i, j in np.argwhere(np.triu(A)).tolist()]
     return certified_complex(verts, edges, D)
 
 

@@ -35,6 +35,25 @@ def test_generate_random_deterministic(capsys):
     assert code3 == 0 and out3 != out1
 
 
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    """main builds the parser on its first call and reads it on the later
+    ones, so the outputs do not change from call to call."""
+    calls = []
+
+    def counted():
+        calls.append(1)
+        return build_parser()
+
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        outs = [run(capsys, "generate", "--random", "6", "5", "42") for _ in range(3)]
+    finally:
+        cli._parser.cache_clear()
+    assert len(calls) == 1 and outs[0][0] == 0 and outs.count(outs[0]) == 3
+
+
 def test_generate_ball(capsys):
     code, out, _ = run(capsys, "generate", "--ball", "EDGE2", "artin", "2")
     assert code == 0

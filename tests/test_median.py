@@ -1,5 +1,6 @@
 """Median graph validation, hyperplanes and convexity."""
 
+import hashlib
 import json
 import tracemalloc
 from collections import deque
@@ -269,20 +270,62 @@ def packed(*strings):
 
 
 def test_certified_complex_needs_the_hamming_1_edges():
+    """The edges are compared as a matrix; a mismatch names its first
+    differing pair, missing or extra, in sorted order."""
     verts = ["00", "01", "10", "11"]
     D = md.hamming_distances(packed(*verts))
     cycle = [("00", "01"), ("01", "11"), ("11", "10"), ("10", "00")]
     X = md.certified_complex(verts, cycle, D)
     assert X.squares == (("00", "01", "11", "10"),)
-    with pytest.raises(LemmaViolation, match="Hamming-1 pairs differ"):
-        md.certified_complex(verts, cycle[:3], D)
-    with pytest.raises(LemmaViolation, match="Hamming-1 pairs differ"):
-        md.certified_complex(verts, cycle + [("00", "11")], D)
+    for edges, pair in ((cycle[:3], "['00', '10']"), (cycle + [("00", "11")], "['00', '11']")):
+        with pytest.raises(LemmaViolation) as ex:
+            md.certified_complex(verts, edges, D)
+        assert str(ex.value) == f"the edges and the Hamming-1 pairs differ at {pair}"
 
 
 def test_certified_complex_needs_connected_rows():
-    with pytest.raises(NotConnected):
-        md.certified_complex(["00", "11"], [], md.hamming_distances(packed("00", "11")))
+    for verts in (["00", "11"], ["110", "101", "011"]):
+        with pytest.raises(NotConnected) as ex:
+            md.certified_complex(verts, [], md.hamming_distances(packed(*verts)))
+        assert str(ex.value) == "the Hamming-1 graph of the rows is not connected"
+
+
+def test_certified_complex_refuses_connected_rows_that_are_not_closed():
+    """The path 000-001-011-111-110 is connected, but 110 has no neighbour
+    nearer to 000: the rows miss their majorities (010, 100), so the
+    descent test refuses them, as its precondition does."""
+    verts = ["000", "001", "011", "111", "110"]
+    edges = list(zip(verts, verts[1:]))
+    with pytest.raises(NotConnected, match="not connected"):
+        md.certified_complex(verts, edges, md.hamming_distances(packed(*verts)))
+
+
+def test_the_draw_pool_is_pinned():
+    """random_median_complex's JSON on random(6, 5) seeds 1-4096 and four
+    larger shapes, hashed in that order: the digest of the generator as it
+    drew these before its tables were cached and its descent test."""
+    shapes = [(6, 5, s) for s in range(1, 4097)]
+    shapes += [(8, 10, 2), (8, 10, 3), (8, 10, 5), (9, 10, 2), (12, 3, 1)]
+    h = hashlib.sha256()
+    for shape in shapes:
+        h.update(json.dumps(md.complex_to_json(md.random_median_complex(*shape))).encode())
+    assert h.hexdigest() == "b9cfbede54f6d40a1923b52e845502a2bc4d88d92e46f81dd960cb4b7613d92c"
+
+
+def test_closure_tables_are_built_once_per_dim():
+    """_projection_closure reads one read-only key table per dim: the second
+    call reads the object that the first built."""
+    codes = np.array([3, 17, 40])
+    md._projection_closure(codes, 7)
+    before = md._pair_keys.cache_info()
+    keys = md._pair_keys(7)
+    md._projection_closure(codes, 7)
+    after = md._pair_keys.cache_info()
+    assert after.misses == before.misses and after.hits == before.hits + 2
+    assert md._pair_keys(7) is keys and keys.shape == (2 ** 7, 7 * 8 // 2)
+    assert keys.dtype == np.uint16 and not keys.flags.writeable
+    with pytest.raises(ValueError):
+        keys[0, 0] = 0
 
 
 def test_random_median_complex_cap():

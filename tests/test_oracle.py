@@ -40,7 +40,9 @@ below), which closes packed 0/1 rows round by round over every triple.  The
 projection closure (md._projection_closure) must give its closure on every
 row set; the quadrangle repair (md._repair_quadrangles) must give it on
 every row set whose Hamming-1 graph is connected, and {110, 101, 011}, with
-no edge, shows that it needs that.
+no edge, shows that it needs that.  The descent test of certified_complex
+(md._descends) must decide the BFS reachability of all rows on both
+closures, connected or not, and imply it on any rows.
 
 Squares and links: the reference squares come from a triple loop over each
 vertex and two of its neighbours, and the reference link of v from the
@@ -1464,6 +1466,25 @@ def test_local_closure_test_is_sound_and_complete_on_connected_rows(bits):
     """The repair stops, with no quadrangle failure left, at the kernel's
     closure whenever its rows are connected (see check_repair)."""
     check_repair(bits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_sets(), st.data())
+def test_descent_is_connectivity_on_closed_rows(bits, data):
+    """md._descends against BFS reachability (connected_rows), with any row
+    first: equal on majority-closed rows (the projection closure of the
+    rows) and on the quadrangle repair of the rows, connected or not; on
+    the rows themselves, descent implies connected."""
+    cols = bits.shape[1]
+    weights = 1 << np.arange(cols)[::-1]  # column 0 is the top bit
+    closed = md._projection_closure(bits @ weights, cols)[:, None] >> np.arange(cols)[::-1] & 1
+    repaired = md._repair_quadrangles(np.packbits(bits, axis=1), 2 ** cols)[0]
+    for rows, exact in ((np.packbits(closed, axis=1), True), (repaired, True),
+                        (np.packbits(bits, axis=1), False)):
+        rows = np.roll(rows, -data.draw(st.integers(0, len(rows) - 1)), axis=0)
+        D = md.hamming_distances(rows)
+        descends, connected = md._descends(D == 1, D), connected_rows(rows)
+        assert descends == connected if exact else connected or not descends
 
 
 def interval_tensor(X):
