@@ -114,6 +114,10 @@ def _load_graph(source):
 
 
 def cmd_generate(args):
+    given = [f"--{name}" for name in ("builtin", "random", "ball")
+             if getattr(args, name) is not None]
+    if len(given) > 1:
+        raise CubetactError(f"{given[0]} and {given[1]} are two instance sources; give one")
     if args.builtin:
         name = args.builtin.upper()
         if name in _median.BUILTIN_COMPLEXES:

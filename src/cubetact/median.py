@@ -14,7 +14,7 @@ import os
 import random
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -35,8 +35,13 @@ _ALLOC_LIMIT = 1 << 30  # bytes: a larger single allocation raises SizeLimitExce
 
 
 def vertex_cap() -> int:
-    env = os.environ.get("CUBETACT_CAP_VERTICES")
-    return int(env) if env else DEFAULT_VERTEX_CAP
+    """CUBETACT_CAP_VERTICES if it is set and not empty, else
+    DEFAULT_VERTEX_CAP.  Raises ValueError, naming the variable, unless it
+    is a decimal integer >= 1 (surrounding blanks are ignored)."""
+    env = os.environ.get("CUBETACT_CAP_VERTICES") or str(DEFAULT_VERTEX_CAP)
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise ValueError(f"CUBETACT_CAP_VERTICES must be an integer >= 1, not {env!r}")
+    return int(env)
 
 
 @dataclass(frozen=True)
@@ -54,8 +59,11 @@ class CubeComplex:
     Use :func:`validate_complex` or :func:`certified_complex` to construct one;
     the constructor itself only checks that the edges join two distinct
     known vertices (UnknownVertex, ValueError), not the median property.
-    An edge is stored as the frozenset of the vertices it names ([1.0, 2]
-    as {1, 2}); the skeleton's one graph is the bool matrix X.adjacency.
+    The skeleton is stored once, as X._pairs: the (m, 2) intp array of the
+    index pairs (i, j), i < j, of the given edges, repeated and reversed
+    ones collapsed, in no particular order.  The bool matrix X.adjacency,
+    the frozensets X.edges and the name-ordered ends of X.edge_labels are
+    read from it.
 
     Derived data are cached properties, computed on first access.  Two
     caches are instead attributes filled by a module-level function, which
@@ -65,25 +73,27 @@ class CubeComplex:
     """
 
     def __init__(self, vertices, edges, dist, squares=None):
-        self.vertices = V = tuple(vertices)
-        self.index = index = {v: i for i, v in enumerate(V)}
-        edge_set = set()
+        self.vertices = tuple(vertices)
+        self.index = index = {v: i for i, v in enumerate(self.vertices)}
+        pairs = set()
         for e in edges:  # the one pass over the edges, in input order
             u, v = tuple(e)
             if u not in index or v not in index:
                 raise UnknownVertex(e)
-            if u == v:
+            i, j = index[u], index[v]
+            if i == j:
                 raise ValueError(f"self-loop at {u!r}; the graph must be simple")
-            edge_set.add(frozenset((V[index[u]], V[index[v]])))
-        self.edges = frozenset(edge_set)
+            pairs.add((i, j) if i < j else (j, i))
+        flat = chain.from_iterable(pairs)
+        self._pairs = np.fromiter(flat, np.intp, 2 * len(pairs)).reshape(-1, 2)
         self._dist = dist  # numpy (n, n) int matrix, indexed like self.vertices
         if squares is not None:
             self.squares = tuple(squares)
-        # hyperplane matrices and edge labels, filled together by
-        # compute_hyperplanes
+        # hyperplane matrices and the ordered edges with their labels, filled
+        # together by compute_hyperplanes
         self._sides = None
         self._carriers = None
-        self._edge_list = None
+        self._ends = None
         self._edge_label = None
         self._relation = None  # contact.py's hyperplane-pair relation
 
@@ -92,17 +102,24 @@ class CubeComplex:
 
     def __repr__(self):
         return (
-            f"CubeComplex({len(self.vertices)} vertices, {len(self.edges)} edges, "
+            f"CubeComplex({len(self.vertices)} vertices, {len(self._pairs)} edges, "
             f"{len(self.squares)} squares)"
         )
 
     @cached_property
+    def edges(self):
+        """The edges as frozensets of the vertices they join ([1.0, 2] given
+        as {1, 2}), read from the index pairs."""
+        V = self.vertices
+        return frozenset(frozenset((V[i], V[j])) for i, j in self._pairs.tolist())
+
+    @cached_property
     def adjacency(self):
         """The read-only (n, n) bool adjacency matrix of the skeleton, indexed
-        like X.vertices: _dist == 1 once X has its metric, else (only inside
-        validate_complex, which needs it to find the metric) built from
-        X.edges."""
-        A = self._dist == 1 if self._dist is not None else _edge_matrix(self)
+        like X.vertices, built from the index pairs."""
+        A = np.zeros((len(self.vertices),) * 2, dtype=bool)
+        i, j = self._pairs.T
+        A[i, j] = A[j, i] = True
         A.flags.writeable = False
         return A
 
@@ -163,11 +180,12 @@ class CubeComplex:
 
     @property
     def edge_labels(self):
-        """(edges, label): the edges as (u, v) tuples with u < v, in sorted
-        order, and the int array label, label[e] the id of the hyperplane
-        dual to edges[e]."""
+        """(ends, label): the (m, 2) intp array of the edges' vertex indices,
+        row e the edge (u, v) with u < v by name, rows in the order of the
+        sorted (u, v) name tuples, and the intp array label, label[e] the id
+        of the hyperplane dual to edge e."""
         self._theta()
-        return self._edge_list, self._edge_label
+        return self._ends, self._edge_label
 
     def check_hyperplane(self, hid):
         """hid as an int; raises UnknownHyperplane unless hid is an int or a
@@ -181,10 +199,11 @@ class CubeComplex:
         """The id of the hyperplane dual to the edge uv, as an int: the one
         row of sides parting u and v.  Raises UnknownHyperplane unless uv is
         an edge."""
-        if frozenset((u, v)) not in self.edges:
+        i, j = self.index.get(u), self.index.get(v)
+        if i is None or j is None or not self.adjacency[i, j]:
             raise UnknownHyperplane((u, v))
         A = self.sides
-        return int(np.argmax(A[:, self.index[u]] != A[:, self.index[v]]))
+        return int(np.argmax(A[:, i] != A[:, j]))
 
     @cached_property
     def dimension(self):
@@ -204,14 +223,6 @@ class CubeComplex:
         du, dv = self._dist[iu], self._dist[iv]
         on = np.flatnonzero(du + dv == du[iv]).tolist()
         return {self.vertices[w] for w in on}
-
-
-def _edge_matrix(X):
-    """The (n, n) bool matrix of the edges X was given, indexed like X.vertices."""
-    n, ends = len(X.vertices), [X.index[v] for e in X.edges for v in e]
-    A = np.zeros((n, n), dtype=bool)
-    A[ends[::2], ends[1::2]] = A[ends[1::2], ends[::2]] = True
-    return A
 
 
 def _distances(adjacent, start):
@@ -381,7 +392,7 @@ def validate_complex(vertices, edges, cap=None) -> CubeComplex:
     if len(vertices) > cap:
         raise SizeLimitExceeded(f"{len(vertices)} vertices exceeds cap {cap}")
     X = CubeComplex(vertices, edges, None)  # X._dist is set by step (3)
-    A = X.adjacency  # from the edges, as X has no metric yet
+    A = X.adjacency
     d0 = _distances(A, 0)
     if (d0 < 0).any():
         raise NotConnected("graph is not connected")
@@ -508,10 +519,10 @@ def certified_complex(vertices, edges, dist) -> CubeComplex:
     X.adjacency as a matrix, and the first difference named on a mismatch.
     """
     X = CubeComplex(vertices, edges, dist)
-    A = X.adjacency
-    if not np.array_equal(_edge_matrix(X), A):
-        ones = {frozenset((vertices[i], vertices[j])) for i, j in np.argwhere(np.triu(A)).tolist()}
-        for e in sorted(map(sorted, X.edges ^ ones))[:1]:
+    A, V = X.adjacency, X.vertices
+    if not np.array_equal(A, dist == 1):
+        differ = np.argwhere(np.triu(A != (dist == 1))).tolist()
+        for e in sorted(sorted((V[i], V[j])) for i, j in differ)[:1]:
             raise LemmaViolation(f"the edges and the Hamming-1 pairs differ at {e}")
     if not _descends(A, dist):
         raise NotConnected("the Hamming-1 graph of the rows is not connected")
@@ -534,13 +545,16 @@ def compute_hyperplanes(X: CubeComplex):
     the edges of its class, each with the side W_uv, and the classes embed
     X isometrically in a cube.
     """
-    n, D = len(X.vertices), X._dist
-    edges = sorted(tuple(sorted(e)) for e in X.edges)
-    eu = np.array([X.index[u] for u, _ in edges], dtype=np.intp)
-    ev = np.array([X.index[v] for _, v in edges], dtype=np.intp)
-    label = np.full(len(edges), -1, dtype=np.intp)
+    V, n, D = X.vertices, len(X.vertices), X._dist
+    # each edge's names and ends, the smaller name first; sorted, the names
+    # decide, as distinct edges have distinct name pairs.  ends holds the
+    # two columns of ends, eu and ev.
+    named = sorted((V[i], V[j], i, j) if V[i] < V[j] else (V[j], V[i], j, i)
+                   for i, j in X._pairs.tolist())
+    eu, ev = ends = np.array(list(zip(*named))[2:], dtype=np.intp).reshape(2, -1)
+    label = np.full(len(named), -1, dtype=np.intp)
     rows = []  # each class's side, the one holding vertex 0
-    for e in range(len(edges)):
+    for e in range(len(named)):
         if label[e] >= 0:
             continue
         W = D[eu[e]] < D[ev[e]]
@@ -556,18 +570,18 @@ def compute_hyperplanes(X: CubeComplex):
     K[label, eu] = True
     K[label, ev] = True
     X._sides, X._carriers = A, K
-    X._edge_list, X._edge_label = edges, label
+    X._ends, X._edge_label = ends.T, label
     return A
 
 
 def _dual_edges(X: CubeComplex):
     """The edges dual to each hyperplane, in id order: lists of the (u, v)
-    tuples of X.edge_labels, in their order (one stable argsort of the
-    labels)."""
-    edges, label = X.edge_labels
-    order = np.argsort(label, kind="stable").tolist()
-    ends = np.cumsum(np.bincount(label, minlength=len(X.sides))).tolist()
-    return [[edges[e] for e in order[i:j]] for i, j in zip([0] + ends, ends)]
+    name tuples of the rows of X.edge_labels, in their order (one stable
+    argsort of the labels)."""
+    (ends, label), V = X.edge_labels, X.vertices
+    named = [(V[u], V[v]) for u, v in ends[np.argsort(label, kind="stable")].tolist()]
+    cuts = np.cumsum(np.bincount(label, minlength=len(X.sides))).tolist()
+    return [named[i:j] for i, j in zip([0] + cuts, cuts)]
 
 
 def _hyperplane_map(X: CubeComplex, g):
@@ -581,17 +595,16 @@ def _hyperplane_map(X: CubeComplex, g):
     order, that g sends to a non-edge, then HyperplaneNotPreserved at the
     least h whose edges cross several hyperplanes.
     """
-    edges, label = X.edge_labels
-    index = X.index
-    image = np.full(len(X.vertices), -1, dtype=np.intp)
+    (ends, label), V, index = X.edge_labels, X.vertices, X.index
+    image = np.full(len(V), -1, dtype=np.intp)
     image[[index[u] for u in g]] = [index[w] for w in g.values()]
-    ends = image[[index[v] for e in edges for v in e]].reshape(-1, 2)
-    inside = np.flatnonzero((ends >= 0).all(axis=1))
+    to = image[ends]
+    inside = np.flatnonzero((to >= 0).all(axis=1))
     if not len(inside):  # no argmax over an empty axis, as on one vertex
         return {}
-    a, b = ends[inside].T
+    a, b = to[inside].T
     for e in inside[~X.adjacency[a, b]][:1].tolist():
-        raise NotAnAutomorphism(f"edge {list(edges[e])} maps to a non-edge")
+        raise NotAnAutomorphism(f"edge {[V[i] for i in ends[e].tolist()]} maps to a non-edge")
     A = X.sides
     crossed = np.argmax(A[:, a] != A[:, b], axis=0)
     # the distinct (h, image) pairs, sorted, as the keys h * H + image
@@ -770,11 +783,14 @@ def link_graph(X: CubeComplex, v) -> LinkGraph:
     Two neighbours of v span a square there when they are a pair of
     X.pair_table with v and a second common neighbour.
     """
-    nodes = hyperplanes_at(X, v)
-    V, (vw, common) = X.vertices, X.pair_table
-    at = (common[:, 0] != common[:, 1]) & (common == X.index[v]).any(axis=1)
-    adjacency = frozenset(frozenset((X.hyperplane_of_edge(v, V[b]), X.hyperplane_of_edge(v, V[d])))
-                          for b, d in vw[at].tolist())
+    nodes, i = hyperplanes_at(X, v), X.index[v]
+    vw, common = X.pair_table
+    at = (common[:, 0] != common[:, 1]) & (common == i).any(axis=1)
+    # the pairs b, d of neighbours spanning a square at v; edge v b crosses
+    # the row of sides parting v and b
+    spans, A = vw[at], X.sides
+    crossed = np.argmax(A[:, spans.ravel()] != A[:, [i]], axis=0) if len(spans) else spans
+    adjacency = frozenset(map(frozenset, crossed.reshape(-1, 2).tolist()))
     return LinkGraph(v, frozenset(nodes), adjacency)
 
 
@@ -969,9 +985,10 @@ BUILTIN_COMPLEXES = ("EDGE", "SQUARE", "Q3", "PATH3", "TRIPOD", "DOMINO")
 # Serialization
 
 def complex_to_json(X: CubeComplex) -> dict:
+    names = [str(v) for v in X.vertices]
     return {
-        "vertices": [str(v) for v in X.vertices],
-        "edges": sorted(sorted(map(str, e)) for e in X.edges),
+        "vertices": names,
+        "edges": sorted(sorted((names[i], names[j])) for i, j in X._pairs.tolist()),
     }
 
 
@@ -1036,12 +1053,9 @@ def _dot_id(v):
 
 
 def complex_to_dot(X: CubeComplex) -> str:
-    lines = ["graph skeleton {"]
-    for v in X.vertices:
-        lines.append(f"  {_dot_id(v)};")
-    edges, label = X.edge_labels
-    for (u, v), hid in zip(edges, label.tolist()):
-        lines.append(f'  {_dot_id(u)} -- {_dot_id(v)} [label="{hid}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    (ends, label), ids = X.edge_labels, [_dot_id(v) for v in X.vertices]
+    lines = ["graph skeleton {", *(f"  {v};" for v in ids)]
+    lines += [f'  {ids[u]} -- {ids[v]} [label="{h}"];'
+              for (u, v), h in zip(ends.tolist(), label.tolist())]
+    return "\n".join(lines + ["}"]) + "\n"
 

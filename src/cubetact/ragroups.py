@@ -339,8 +339,7 @@ class Ball:
     radius: int
     complex: _median.CubeComplex
     words: dict  # vertex id -> normal form
-    edge_label: dict  # frozenset edge -> generator
-    labels: dict  # hyperplane id -> generator
+    labels: dict  # hyperplane id -> generator, the label of each of its dual edges
     depth: dict  # vertex id -> radius - word length
 
     @property
@@ -363,10 +362,9 @@ class Ball:
 
     def interior_hyperplanes(self, margin):
         """Hyperplanes with a dual edge whose endpoints both sit at depth >= margin."""
-        edges, label = self.complex.edge_labels
-        depth = self.depth
-        return {h for (u, v), h in zip(edges, label.tolist())
-                if depth[u] >= margin and depth[v] >= margin}
+        ends, label = self.complex.edge_labels
+        deep = np.array([self.depth[v] >= margin for v in self.complex.vertices], dtype=bool)
+        return set(label[deep[ends].all(axis=1)].tolist())
 
 
 def _letters(gamma, kind):
@@ -379,8 +377,8 @@ def build_ball(gamma: DefiningGraph, kind, radius, cap=None) -> Ball:
     """BFS over normal forms up to the given word length, median-closed.
 
     median_closure adds the missing medians.  The complex is certified by
-    median.certified_complex; hyperplane labels are checked to be
-    well-defined.
+    median.certified_complex; edge and hyperplane labels are checked to be
+    well-defined, so an edge's generator is the label of its hyperplane.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
@@ -435,7 +433,7 @@ def build_ball(gamma: DefiningGraph, kind, radius, cap=None) -> Ball:
     depth = {
         vid: radius - word_length(kind, w) for vid, w in vid_words.items()
     }
-    return Ball(gamma, kind, radius, X, vid_words, edges, labels, depth)
+    return Ball(gamma, kind, radius, X, vid_words, labels, depth)
 
 
 def ball_to_json(ball: Ball) -> dict:
@@ -528,10 +526,11 @@ def _syllable_graph(ball: Ball):
     """The bool adjacency matrix of the syllable graph, indexed like
     ball.complex.vertices: each vertex is joined to the other vertices of
     the runs through it."""
-    index = ball.complex.index
-    M = np.zeros((len(index),) * 2, dtype=bool)
-    for run in _components(((u, g), (w, g)) for (u, w), g in ball.edge_label.items()):
-        k = [index[v] for v, _ in run]
+    ends, label = ball.complex.edge_labels
+    M = np.zeros((len(ball.complex.vertices),) * 2, dtype=bool)
+    labels = [ball.labels[h] for h in label.tolist()]
+    for run in _components(((u, g), (w, g)) for (u, w), g in zip(ends.tolist(), labels)):
+        k = [v for v, _ in run]
         M[np.ix_(k, k)] = True
     np.fill_diagonal(M, False)
     return M
@@ -546,14 +545,9 @@ def syllable_distance(ball: Ball, x, y) -> int:
     true syllable metric: a shorter path through vertices outside the ball
     cannot be seen here.
     """
-    x = x if isinstance(x, str) else format_word(x)
-    y = y if isinstance(y, str) else format_word(y)
-    if x not in ball.words:
-        raise UnknownVertex(x)
-    if y not in ball.words:
-        raise UnknownVertex(y)
-    index = ball.complex.index
-    d = int(_median._distances(_syllable_graph(ball), index[x])[index[y]])
+    x, y = (v if isinstance(v, str) else format_word(v) for v in (x, y))
+    X = ball.complex  # its vertices are the ids of ball.words
+    d = int(_median._distances(_syllable_graph(ball), X.check_vertex(x))[X.check_vertex(y)])
     if d < 0:
         raise UnknownVertex(f"{y} unreachable in the syllable graph")
     return d
@@ -574,12 +568,11 @@ def _segment_classes(ball: Ball):
     is labelled g: a pair joins two g-edges, and build_ball has refused a
     hyperplane whose dual edges carry two labels.
     """
-    at = {}  # (vertex, label) -> hyperplanes of the edges with that label
-    edges, label = ball.complex.edge_labels
-    for edge, h in zip(edges, label.tolist()):
-        g = ball.edge_label[frozenset(edge)]
-        for v in edge:
-            at.setdefault((v, g), []).append(h)
+    at = {}  # (vertex index, label) -> hyperplanes of the edges with that label
+    ends, label = ball.complex.edge_labels
+    for (u, v), h in zip(ends.tolist(), label.tolist()):
+        at.setdefault((u, ball.labels[h]), []).append(h)
+        at.setdefault((v, ball.labels[h]), []).append(h)
     classes = _components((hs[0], hs[-1]) for hs in at.values())
     return sorted(((ball.labels[c[0]], frozenset(c)) for c in classes),
                   key=lambda it: (it[0], sorted(it[1])))
@@ -813,13 +806,10 @@ def davis_phi(ball: Ball, a, b, base="1", margin=2) -> DavisPhi:
 
     # a square crossed by both hyperplanes: one pair of opposite vertices is
     # fixed, the other is swapped, so one of its edges maps to a non-edge
-    square = (base, va, vab, vb)
-    broken = None
-    for u, v in ((base, va), (va, vab), (vab, vb), (vb, base)):
-        if u in rho_map and v in rho_map:
-            if frozenset((rho_map[u], rho_map[v])) not in X.edges:
-                broken = (u, v)
-                break
+    square, index = (base, va, vab, vb), X.index
+    broken = next(((u, v) for u, v in zip(square, square[1:] + square[:1])
+                   if u in rho_map and v in rho_map
+                   and not X.adjacency[index[rho_map[u]], index[rho_map[v]]]), None)
     return DavisPhi(
         phi, partition, reflection, reflected, rho_map, square, broken, ha, hb
     )

@@ -54,6 +54,9 @@ LITERAL = {
     "numeric-square": {"vertices": [10, 9, 2, 1],
                        "edges": [[10, 9], [2, 9], [2, 1], [1, 10]]},
     "float-edge": {"vertices": [1, 2], "edges": [[1.0, 2]]},
+    # names that DOT and dual_edge_id escape
+    "escaped-names": {"vertices": ['a"b', "c\\d", "e|f"],
+                      "edges": [['a"b', "c\\d"], ["e|f", "c\\d"]]},
     "point": {"vertices": ["a"], "edges": []},
     "triangle": {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["a", "c"]]},
     "k23": {"vertices": ["a", "b", "x", "y", "z"],
@@ -86,10 +89,6 @@ SUBPROCESS = (
 HASH_SEEDS = ("0", "1")
 
 
-def _doc(name):
-    return "@" + name
-
-
 def generated_documents():
     """name -> the generate argv whose stdout is that document."""
     docs = {name.lower(): ["generate", "--builtin", name] for name in BUILTIN_COMPLEXES}
@@ -108,32 +107,34 @@ def rows():
     out += [
         ["generate", "--builtin", "NOPE"],
         ["generate"],
+        ["generate", "--builtin", "EDGE", "--random", "3", "2", "1"],
+        ["generate", "--random", "3", "2", "1", "--ball", "P4", "coxeter", "2"],
         ["generate", "--ball", "P4", "coxeter", "0"],
         ["generate", "--ball", "P4", "euclid", "2"],
         ["generate", "--random", "13", "5", "1"],
     ]
     analyzed = sorted(p.stem for p in CORPUS.glob("*.json"))
     analyzed += list(generated_documents())
-    analyzed += ["repeated-reversed", "numeric-square", "float-edge", "point"]
+    analyzed += ["repeated-reversed", "numeric-square", "float-edge", "escaped-names", "point"]
     for name in analyzed:
         for mode in ("self-exclusive", "strict"):
-            out.append(["analyze", "--in", _doc(name), "--dot", "--reduced-mode", mode])
-    out += [["analyze", "--in", _doc(name)] for name in (
+            out.append(["analyze", "--in", f"@{name}", "--dot", "--reduced-mode", mode])
+    out += [["analyze", "--in", f"@{name}"] for name in (
         "triangle", "k23", "c6", "disconnected", "self-loop", "three-ends",
         "string-edge", "unknown-end", "mixed-names", "list-name", "bool-names",
         "not-an-object", "string-vertices", "no-edges", "missing")]
-    out += [["verify", "--in", _doc(name)] for name in ("mixed-names", "point", "repeated-reversed")]
+    out += [["verify", "--in", f"@{name}"] for name in ("mixed-names", "point", "repeated-reversed")]
     for name in ("not-an-object", "string-vertices", "number-generators", "bool-names",
                  "dotted-generator", "empty-generator", "three-ends", "string-edge",
                  "unknown-generator"):
-        out.append(["generate", "--ball", _doc(name), "coxeter", "2"])
-    out.append(["verify", "--suite", "davis", "--graph", _doc("list-name")])
+        out.append(["generate", "--ball", f"@{name}", "coxeter", "2"])
+    out.append(["verify", "--suite", "davis", "--graph", "@list-name"])
     out += [
         ["verify", *(a for name in BUILTIN_COMPLEXES for a in ("--builtin", name))],
         ["verify", "--random-count", "30"],
         *(["verify", "--graph", graph, "--kind", kind]
           for graph in ("P4", "C5", "STAR_EQ5") for kind in ("coxeter", "artin")),
-        ["verify", "--in", _doc("P4-coxeter-6"), "--suite", "helly"],
+        ["verify", "--in", "@P4-coxeter-6", "--suite", "helly"],
         ["verify", "--suite", "davis", "--graph", "P4", "--radius", "1"],
         ["verify", "--suite", "davis", "--graph", "P4", "--radius", "2"],
         ["verify", "--suite", "twist", "--graph", "C5", "--radius", "1"],
@@ -165,10 +166,7 @@ def run(argv):
 
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as ex:  # argparse refuses the argv
-            code = ex.code
+        code = cli.main(argv)
     return code, out.getvalue(), err.getvalue()
 
 

@@ -72,6 +72,21 @@ def test_generate_requires_source(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["--builtin", "EDGE", "--random", "3", "2", "1"], "--builtin and --random"),
+    (["--random", "3", "2", "1", "--ball", "P4", "coxeter", "2"], "--random and --ball"),
+    (["--ball", "P4", "coxeter", "2", "--builtin", "EDGE"], "--builtin and --ball"),
+    (["--builtin", "EDGE", "--random", "3", "2", "1", "--ball", "P4", "coxeter", "2"],
+     "--builtin and --random"),
+])
+def test_generate_refuses_two_instance_sources(capsys, argv, named):
+    """Two of --builtin, --random and --ball exit 2 with a message naming
+    both (the first two of three), instead of dropping the later ones."""
+    code, out, err = run(capsys, "generate", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {named} are two instance sources; give one\n"
+
+
 def test_analyze_domino(tmp_path, capsys):
     src = tmp_path / "domino.json"
     code, out, _ = run(capsys, "generate", "--builtin", "DOMINO", "--out", str(src))

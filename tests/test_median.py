@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import tracemalloc
 from collections import deque
 from itertools import combinations
@@ -92,6 +93,21 @@ def test_vertex_cap(monkeypatch):
     assert md.vertex_cap() == 3
     with pytest.raises(SizeLimitExceeded):
         md.validate_complex("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "0", "1.5", " "])
+def test_vertex_cap_must_be_a_positive_integer(monkeypatch, value):
+    """A cap that is not an integer >= 1 is refused with a message naming
+    the variable, before any instance is built; an empty one keeps the
+    default."""
+    monkeypatch.setenv("CUBETACT_CAP_VERTICES", value)
+    message = f"CUBETACT_CAP_VERTICES must be an integer >= 1, not {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        md.vertex_cap()
+    with pytest.raises(ValueError, match="CUBETACT_CAP_VERTICES"):
+        md.random_median_complex(3, 2, 1)
+    monkeypatch.setenv("CUBETACT_CAP_VERTICES", "")
+    assert md.vertex_cap() == md.DEFAULT_VERTEX_CAP
 
 
 def test_median_matches_oracle():

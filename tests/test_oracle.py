@@ -66,8 +66,8 @@ accept, and name a triple whose median count, found by brute force, is not
 one.
 
 Adjacency: the reference is the matrix of X.edges.  X.adjacency, built from
-the edges on a complex without its metric and from _dist == 1 on one with
-it, must equal it on the builtins, random complexes, the session balls and
+the index pairs of the edges whether or not the complex has its metric,
+must equal it on the builtins, random complexes, the session balls and
 every graph that validate_complex accepts.
 
 Distances: the reference is a Python BFS from each source.  The bit-parallel
@@ -341,8 +341,8 @@ def hyperplane_sets(X):
 
 
 def check_adjacency(X):
-    """Both sources of X.adjacency give the matrix of X.edges, read-only: the
-    edges, on a complex without its metric, and _dist == 1."""
+    """X.adjacency is the matrix of X.edges, read-only, on a copy of X
+    without its metric, on one with it, and on X."""
     want = adjacency_matrix(list(X.vertices), [tuple(e) for e in X.edges])
     for dist in (None, X._dist):
         M = md.CubeComplex(X.vertices, X.edges, dist).adjacency
@@ -2166,8 +2166,9 @@ def reference_hyperplane_map(X, g):
     by hyperplane_of_edge, collected per hyperplane over the edges inside
     g's domain."""
     images = {}
-    edges, label = X.edge_labels
-    for (u, v), h in zip(edges, label.tolist()):
+    ends, label = X.edge_labels
+    V = X.vertices
+    for (u, v), h in zip([(V[i], V[j]) for i, j in ends.tolist()], label.tolist()):
         if u in g and v in g:
             if frozenset((g[u], g[v])) not in X.edges:
                 raise NotAnAutomorphism(f"edge {[u, v]} maps to a non-edge")
@@ -2233,7 +2234,7 @@ def test_hyperplane_map_against_the_edge_loop(map_balls, name, mode, data):
         g[rnd.choice(sorted(g))] = rnd.choice(X.vertices)
     elif mode == "scatter" and dual:
         (u1, v1), (u2, v2) = rnd.sample(rnd.choice(dual), 2)
-        x, y = rnd.choice(X.edge_labels[0])
+        x, y = (X.vertices[i] for i in rnd.choice(X.edge_labels[0].tolist()))
         g = {u1: u1, v1: v1, u2: x, v2: y}
     assert outcome(md._hyperplane_map, X, g) == outcome(reference_hyperplane_map, X, g)
     assert outcome(rc.induce_iota, X, g) == outcome(reference_induce_iota, X, g)

@@ -290,12 +290,22 @@ def test_ball_of_the_trivial_group():
     assert X.vertices == ("1",) and not X.edges and X._dist.tolist() == [[0]]
 
 
+def one_syllable(ball, u, v):
+    """The normal form of words[u]^-1 words[v], for the vertices u, v."""
+    return rg.nf_mult(ball.gamma, ball.kind, rg.nf_inverse(ball.kind, ball.words[u]),
+                      ball.words[v])
+
+
 def test_hyperplane_labels(z2_r3):
+    """Each edge u v joins words that differ by one syllable, whose
+    generator is the label of the edge's hyperplane."""
     labels = set(z2_r3.labels.values())
     assert labels == {"x", "y"}
-    for e, g in z2_r3.edge_label.items():
-        h = z2_r3.complex.hyperplane_of_edge(*tuple(e))
-        assert type(h) is int and z2_r3.labels[h] == g
+    for e in z2_r3.complex.edges:
+        u, v = sorted(e)
+        h = z2_r3.complex.hyperplane_of_edge(u, v)
+        diff = one_syllable(z2_r3, u, v)
+        assert type(h) is int and len(diff) == 1 and diff[0][0] == z2_r3.labels[h]
 
 
 def expected_link(gamma, kind):
@@ -328,19 +338,12 @@ def check_ball_links(ball, margin=2):
         for h in lk.nodes:
             (e,) = [frozenset(e) for e in dual[h] if v in e]
             (nbr,) = e - {v}
-            g = ball.edge_label[e]
-            if ball.kind == rg.COXETER:
-                germ[h] = (g, 1)
-            else:
-                diff = rg.nf_mult(
-                    ball.gamma, ball.kind,
-                    rg.nf_inverse(ball.kind, ball.words[v]), ball.words[nbr],
-                )
-                assert len(diff) == 1 and diff[0][0] == g, (
-                    f"edge {v}-{nbr} labelled {g} joins words differing "
-                    f"by {rg.format_word(diff)}"
-                )
-                germ[h] = (g, 1 if diff[0][1] > 0 else -1)
+            g, diff = ball.labels[h], one_syllable(ball, v, nbr)
+            assert len(diff) == 1 and diff[0][0] == g, (
+                f"edge {v}-{nbr} labelled {g} joins words differing "
+                f"by {rg.format_word(diff)}"
+            )
+            germ[h] = (g, 1 if ball.kind == rg.COXETER or diff[0][1] > 0 else -1)
         assert set(germ.values()) == exp_nodes, (
             f"vertex {v}: germs {sorted(germ.values())} != expected"
         )

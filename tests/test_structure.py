@@ -9,7 +9,8 @@ a frozen object, no indented json encoding outside the tests, no
 hyperplane record, record cache or edge map beside the side and carrier
 matrices, contact, crossing and reduced graphs held as bool matrices with
 no dict-of-sets copy, the skeleton held as one bool matrix X.adjacency
-(test_skeleton_is_a_matrix), the derived data of a complex cached as cached
+(test_skeleton_is_a_matrix) read from the one stored form of the edges,
+their index pairs (test_the_skeleton_is_stored_once), the derived data of a complex cached as cached
 properties, the contact graph and I read from the one cached relation, the
 Davis reflection mapped once, and every function the benchmark tracer pins by name
 still public.  Two scans cover the whole package: every `raise LemmaViolation`
@@ -187,6 +188,28 @@ def test_skeleton_is_a_matrix():
     ball = rg.build_ball(rg.builtin_defining_graph("EDGE2"), rg.ARTIN, 2)
     for M in (rc.reconstruct(rc.clique_atlas(ball.complex).cliques), rg._syllable_graph(ball)):
         assert isinstance(M, np.ndarray) and M.dtype == bool
+
+
+def test_the_skeleton_is_stored_once():
+    """A complex stores its edges once, as the index pairs X._pairs: no
+    name-tuple edge list (_edge_list), no second matrix builder
+    (_edge_matrix), no label per ball edge (Ball.edge_label).  X.adjacency
+    has the one source: given a metric whose distance-1 pairs are not the
+    edges, it is still the matrix of the edges.  X.edges is a view of the
+    pairs, and X.edge_labels gives index arrays."""
+    for path in SOURCES:
+        text = path.read_text(encoding="utf-8")
+        gone = [name for name in (r"_edge_list", r"_edge_matrix", r"\bedge_label\b")
+                if re.search(name, text)]
+        assert not gone, f"{path.name} names {gone}"
+    assert "edge_label" not in {f.name for f in dataclasses.fields(rg.Ball)}
+    path = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    X = md.CubeComplex("abc", [("b", "a"), ["a", "b"]], path)
+    assert X._pairs.tolist() == [[0, 1]] and X.edges == {frozenset("ab")}
+    assert X.adjacency.tolist() == [[False, True, False], [True, False, False],
+                                    [False, False, False]]
+    ends, label = md.builtin_complex("SQUARE").edge_labels
+    assert ends.dtype == label.dtype == np.intp and ends.shape == (4, 2)
 
 
 def test_no_dict_pair_table_is_left():
@@ -432,7 +455,7 @@ def test_analyze_and_verify_reach_no_link_graph(monkeypatch, tmp_path, capsys):
     capsys.readouterr()
 
 
-CACHED = ("adjacency", "pair_table", "squares", "ids_at", "dimension")
+CACHED = ("edges", "adjacency", "pair_table", "squares", "ids_at", "dimension")
 
 
 def test_derived_data_have_one_cache():
@@ -447,7 +470,7 @@ def test_derived_data_have_one_cache():
         getattr(X, name)
     assert set(CACHED) <= set(vars(X))
     assert {k for k in vars(X) if k.startswith("_")} == {
-        "_dist", "_sides", "_carriers", "_edge_list", "_edge_label", "_relation"}
+        "_pairs", "_dist", "_sides", "_carriers", "_ends", "_edge_label", "_relation"}
 
 
 def test_contact_graph_and_I_are_read_from_the_relation(monkeypatch, x_c5_r2, y_c5_r3):
