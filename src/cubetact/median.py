@@ -57,43 +57,40 @@ class CubeComplex:
     """Immutable container for a validated median graph and its derived data.
 
     Use :func:`validate_complex` or :func:`certified_complex` to construct one;
-    the constructor itself only checks that the edges join two distinct
-    known vertices (UnknownVertex, ValueError), not the median property.
-    The skeleton is stored once, as X._pairs: the (m, 2) intp array of the
-    index pairs (i, j), i < j, of the given edges, repeated and reversed
-    ones collapsed, in no particular order.  The bool matrix X.adjacency,
-    the frozensets X.edges and the name-ordered ends of X.edge_labels are
-    read from it.
+    the constructor itself takes index pairs into X.vertices and only checks
+    that each joins two distinct indices in range(n) (ValueError), not the
+    median property.  The skeleton is stored once, as X.edges: the
+    read-only (m, 2) intp array of the index pairs, each with the smaller
+    name first, rows in sorted-name order.  The constructor orients,
+    dedupes and sorts the given pairs in one pass, and takes X.edges itself.
+    X.adjacency, the squares and the hyperplanes are read from it.
 
     Derived data are cached properties, computed on first access.  Two
     caches are instead attributes filled by a module-level function, which
     tests replace and a traced run wraps by its module name:
-    compute_hyperplanes fills the four hyperplane slots together, and
+    compute_hyperplanes fills the three hyperplane slots together, and
     contact._relation fills _relation.
     """
 
     def __init__(self, vertices, edges, dist, squares=None):
-        self.vertices = tuple(vertices)
-        self.index = index = {v: i for i, v in enumerate(self.vertices)}
-        pairs = set()
-        for e in edges:  # the one pass over the edges, in input order
-            u, v = tuple(e)
-            if u not in index or v not in index:
-                raise UnknownVertex(e)
-            i, j = index[u], index[v]
+        self.vertices = V = tuple(vertices)
+        self.index = {v: i for i, v in enumerate(V)}
+        named = set()
+        for i, j in edges.tolist() if isinstance(edges, np.ndarray) else edges:
+            if not (0 <= i < len(V) and 0 <= j < len(V)):
+                raise ValueError(f"edge {[i, j]} has an index outside range({len(V)})")
             if i == j:
-                raise ValueError(f"self-loop at {u!r}; the graph must be simple")
-            pairs.add((i, j) if i < j else (j, i))
-        flat = chain.from_iterable(pairs)
-        self._pairs = np.fromiter(flat, np.intp, 2 * len(pairs)).reshape(-1, 2)
+                raise ValueError(f"self-loop at {V[i]!r}; the graph must be simple")
+            named.add((V[i], V[j], i, j) if V[i] < V[j] else (V[j], V[i], j, i))
+        # sorted, the names decide, as distinct edges have distinct name pairs
+        flat = chain.from_iterable(e[2:] for e in sorted(named))
+        self.edges = _frozen(np.fromiter(flat, np.intp, 2 * len(named)).reshape(-1, 2))
         self._dist = dist  # numpy (n, n) int matrix, indexed like self.vertices
         if squares is not None:
-            self.squares = tuple(squares)
-        # hyperplane matrices and the ordered edges with their labels, filled
-        # together by compute_hyperplanes
+            self.squares = _frozen(np.array(squares, dtype=np.intp).reshape(-1, 4))
+        # hyperplane matrices and edge labels, filled by compute_hyperplanes
         self._sides = None
         self._carriers = None
-        self._ends = None
         self._edge_label = None
         self._relation = None  # contact.py's hyperplane-pair relation
 
@@ -102,26 +99,18 @@ class CubeComplex:
 
     def __repr__(self):
         return (
-            f"CubeComplex({len(self.vertices)} vertices, {len(self._pairs)} edges, "
+            f"CubeComplex({len(self.vertices)} vertices, {len(self.edges)} edges, "
             f"{len(self.squares)} squares)"
         )
 
     @cached_property
-    def edges(self):
-        """The edges as frozensets of the vertices they join ([1.0, 2] given
-        as {1, 2}), read from the index pairs."""
-        V = self.vertices
-        return frozenset(frozenset((V[i], V[j])) for i, j in self._pairs.tolist())
-
-    @cached_property
     def adjacency(self):
         """The read-only (n, n) bool adjacency matrix of the skeleton, indexed
-        like X.vertices, built from the index pairs."""
+        like X.vertices, built from X.edges."""
         A = np.zeros((len(self.vertices),) * 2, dtype=bool)
-        i, j = self._pairs.T
+        i, j = self.edges.T
         A[i, j] = A[j, i] = True
-        A.flags.writeable = False
-        return A
+        return _frozen(A)
 
     @cached_property
     def pair_table(self):
@@ -135,17 +124,17 @@ class CubeComplex:
 
     @cached_property
     def squares(self):
-        """The 4-cycles in cycle order (a, b, c, d): edges ab, bc, cd, da.
+        """The read-only (s, 4) intp array of the 4-cycles, each row the
+        indices (a, b, c, d) in cycle order: edges ab, bc, cd, da.
 
-        Each is a pair b, d of the pair table with two common neighbours a,
-        c.  It is read from the one of its two pairs whose common neighbours
-        hold its first vertex a in vertex order, with b < d; the graph is
+        Each is a pair b < d of the pair table with two common neighbours
+        a < c.  It is read from the one of its two pairs whose common
+        neighbours hold its first vertex, in table order; the graph is
         bipartite, so no square has a chord.
         """
-        V, (vw, common) = self.vertices, self.pair_table
+        vw, common = self.pair_table
         at = (common[:, 0] != common[:, 1]) & (common[:, 0] < vw[:, 0])
-        return tuple(sorted((V[a], min(V[i], V[j]), V[c], max(V[i], V[j]))
-                            for a, c, i, j in np.hstack((common, vw))[at].tolist()))
+        return _frozen(np.hstack((common, vw))[at][:, [0, 2, 1, 3]])
 
     def check_vertex(self, v):
         """The index of v; raises UnknownVertex if v is not a vertex."""
@@ -180,12 +169,10 @@ class CubeComplex:
 
     @property
     def edge_labels(self):
-        """(ends, label): the (m, 2) intp array of the edges' vertex indices,
-        row e the edge (u, v) with u < v by name, rows in the order of the
-        sorted (u, v) name tuples, and the intp array label, label[e] the id
+        """(X.edges, label): label is the intp array whose entry e is the id
         of the hyperplane dual to edge e."""
         self._theta()
-        return self._ends, self._edge_label
+        return self.edges, self._edge_label
 
     def check_hyperplane(self, hid):
         """hid as an int; raises UnknownHyperplane unless hid is an int or a
@@ -362,6 +349,9 @@ def validate_complex(vertices, edges, cap=None) -> CubeComplex:
     I(u, v), likewise in I(u, w).  (2) makes the median unique (modular
     graphs without K_{2,3}, in the sources above).
 
+    The edges are pairs of names, mapped to indices here and nowhere else,
+    in input order: the first unknown name or self-loop raises.
+
     Checks the three in that order: (1) on the BFS layers from vertex 0,
     which also show that the graph is connected; (2) while building
     X.pair_table; (3) on its pairs (the first of _quadrangle_failures),
@@ -391,7 +381,15 @@ def validate_complex(vertices, edges, cap=None) -> CubeComplex:
         cap = vertex_cap()
     if len(vertices) > cap:
         raise SizeLimitExceeded(f"{len(vertices)} vertices exceeds cap {cap}")
-    X = CubeComplex(vertices, edges, None)  # X._dist is set by step (3)
+    index, pairs = {v: i for i, v in enumerate(vertices)}, []
+    for e in edges:  # names to indices, in input order
+        u, v = tuple(e)
+        if u not in index or v not in index:
+            raise UnknownVertex(e)
+        if index[u] == index[v]:
+            raise ValueError(f"self-loop at {u!r}; the graph must be simple")
+        pairs.append((index[u], index[v]))
+    X = CubeComplex(vertices, pairs, None)  # X._dist is set by step (3)
     A = X.adjacency
     d0 = _distances(A, 0)
     if (d0 < 0).any():
@@ -469,7 +467,7 @@ def _repair_quadrangles(rows, cap):
     witnesses = []
     while True:
         D = hamming_distances(rows)
-        G = CubeComplex(range(len(rows)), np.argwhere(np.triu(D == 1)).tolist(), D)
+        G = CubeComplex(range(len(rows)), np.argwhere(np.triu(D == 1)), D)
         new = {}  # row bytes -> witness
         for u, v, w in _quadrangle_failures(G):
             maj = (rows[u] & rows[v]) | (rows[w] & (rows[u] | rows[v]))
@@ -501,8 +499,8 @@ def certified_complex(vertices, edges, dist) -> CubeComplex:
     """The complex on distinct majority-closed 0/1 rows, without the n^3 scan.
 
     dist is the hamming_distances of such rows, vertices name them in order.
-    Raises LemmaViolation unless the edges are exactly the pairs at Hamming
-    distance 1, NotConnected unless they connect the rows.  Then the graph
+    Raises LemmaViolation unless the edges (index pairs) are exactly the
+    pairs at Hamming distance 1, NotConnected unless they connect the rows.  Then the graph
     is median with metric dist.  Proof: for rows u != v take a path
     u = x_0, ..., x_L = v.  Each y_i = maj(u, v, x_i) is a row (the rows are
     closed) in the cube interval [u, v], and y_i, y_i+1 differ at most where
@@ -534,10 +532,10 @@ def compute_hyperplanes(X: CubeComplex):
 
     The side of edge uv is W_uv = {w : d(w, u) < d(w, v)}; edges lie in one
     class when their sides agree up to complement.  Ids follow the classes'
-    smallest sorted edges, and side_a is the side whose first vertex in
-    X.vertices order has the smaller str.  Fills X's side and carrier
-    matrices (see CubeComplex.sides and .carriers) and its edge labels, and
-    returns the side matrix, one row per hyperplane.
+    smallest edges in X.edges order, and side_a is the side whose first
+    vertex in X.vertices order has the smaller str.  Fills X's side and
+    carrier matrices (see CubeComplex.sides and .carriers) and its edge
+    labels, and returns the side matrix, one row per hyperplane.
 
     X must be median, as validate_complex and certified_complex make sure.
     Classes are found one at a time: the smallest edge uv in no class yet
@@ -545,16 +543,11 @@ def compute_hyperplanes(X: CubeComplex):
     the edges of its class, each with the side W_uv, and the classes embed
     X isometrically in a cube.
     """
-    V, n, D = X.vertices, len(X.vertices), X._dist
-    # each edge's names and ends, the smaller name first; sorted, the names
-    # decide, as distinct edges have distinct name pairs.  ends holds the
-    # two columns of ends, eu and ev.
-    named = sorted((V[i], V[j], i, j) if V[i] < V[j] else (V[j], V[i], j, i)
-                   for i, j in X._pairs.tolist())
-    eu, ev = ends = np.array(list(zip(*named))[2:], dtype=np.intp).reshape(2, -1)
-    label = np.full(len(named), -1, dtype=np.intp)
+    n, D = len(X.vertices), X._dist
+    eu, ev = X.edges.T  # in the order of the sorted name pairs
+    label = np.full(len(eu), -1, dtype=np.intp)
     rows = []  # each class's side, the one holding vertex 0
-    for e in range(len(named)):
+    for e in range(len(eu)):
         if label[e] >= 0:
             continue
         W = D[eu[e]] < D[ev[e]]
@@ -569,8 +562,7 @@ def compute_hyperplanes(X: CubeComplex):
     K = np.zeros((H, n), dtype=bool)
     K[label, eu] = True
     K[label, ev] = True
-    X._sides, X._carriers = A, K
-    X._ends, X._edge_label = ends.T, label
+    X._sides, X._carriers, X._edge_label = A, K, label
     return A
 
 
@@ -628,6 +620,12 @@ def _bit_columns(B):
     """The columns of the bool matrix B, whose rows come in whole words of
     64, as rows of uint64 words: row t of B at bit t in np.packbits order."""
     return np.packbits(np.ascontiguousarray(B.T), axis=1).view(np.uint64)
+
+
+def _frozen(a):
+    """a, made read-only."""
+    a.flags.writeable = False
+    return a
 
 
 def _reserve(nbytes, what):
@@ -858,17 +856,15 @@ def dual_edge_id(e):
 def hyperplane_complex(X: CubeComplex, hid) -> CubeComplex:
     """The cubical structure induced on a hyperplane.
 
-    Vertices are the dual edges; two are joined when they lie in a common
-    square of X.
+    Vertices are the dual edges, named by dual_edge_id; two are joined when
+    they are opposite in a square of X (its edges ab and cd, or bc and da).
     """
-    dual = set(map(frozenset, _dual_edges(X)[X.check_hyperplane(hid)]))
-    edges = {
-        (dual_edge_id(e1), dual_edge_id(e2))
-        for a, b, c, d in X.squares
-        for e1, e2 in (((a, b), (c, d)), ((b, c), (d, a)))
-        if {frozenset(e1), frozenset(e2)} <= dual
-    }
-    return validate_complex(sorted(dual_edge_id(e) for e in dual), edges)
+    h, V, S = X.check_hyperplane(hid), X.vertices, X.squares
+    side = X.sides[h][S]  # each square's corners' sides of h
+    # the squares as rows (a, b, c, d) whose edges ab and cd cross h
+    S = np.vstack((S[side[:, 0] != side[:, 1]], np.roll(S, -1, axis=1)[side[:, 1] != side[:, 2]]))
+    edges = [(dual_edge_id((V[a], V[b])), dual_edge_id((V[c], V[d]))) for a, b, c, d in S.tolist()]
+    return validate_complex(sorted(map(dual_edge_id, _dual_edges(X)[h])), edges)
 
 
 @cache
@@ -948,8 +944,7 @@ def random_median_complex(ambient_dim, seed_count, rng_seed, cap=None) -> CubeCo
         codes = np.unique(codes)
 
     verts = [format(c, f"0{ambient_dim}b") for c in codes.tolist()]
-    edges = [(verts[i], verts[j]) for i, j in np.argwhere(np.triu(A)).tolist()]
-    return certified_complex(verts, edges, D)
+    return certified_complex(verts, np.argwhere(np.triu(A)), D)
 
 
 # ---------------------------------------------------------------------------
@@ -988,7 +983,7 @@ def complex_to_json(X: CubeComplex) -> dict:
     names = [str(v) for v in X.vertices]
     return {
         "vertices": names,
-        "edges": sorted(sorted((names[i], names[j])) for i, j in X._pairs.tolist()),
+        "edges": sorted(sorted((names[i], names[j])) for i, j in X.edges.tolist()),
     }
 
 

@@ -377,8 +377,9 @@ def build_ball(gamma: DefiningGraph, kind, radius, cap=None) -> Ball:
     """BFS over normal forms up to the given word length, median-closed.
 
     median_closure adds the missing medians.  The complex is certified by
-    median.certified_complex; edge and hyperplane labels are checked to be
-    well-defined, so an edge's generator is the label of its hyperplane.
+    median.certified_complex, from the index pairs of the products; edge
+    and hyperplane labels are checked to be well-defined, by index through
+    X.edge_labels, so an edge's generator is the label of its hyperplane.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
@@ -406,29 +407,27 @@ def build_ball(gamma: DefiningGraph, kind, radius, cap=None) -> Ball:
     ids, ambient_dist = median_closure(gamma, kind, words, cap)
     products = {w: words.get(w) or step(w) for w in ids}
 
-    edges = {}
+    vid_words = {format_word(w): w for w in ids}
+    names, index = list(vid_words), {w: i for i, w in enumerate(ids)}
+    on = {}  # the index pair (i, j) of an edge, as in X.edges -> its generator
     for w, ws in products.items():
         for (g, _), w2 in zip(letters, ws):
-            if w2 in products:
-                edge = frozenset((format_word(w), format_word(w2)))
-                prev = edges.get(edge)
-                if prev is not None and prev != g:
+            if w2 in index:
+                i, j = sorted((index[w], index[w2]), key=names.__getitem__)
+                if on.setdefault((i, j), g) != g:
                     raise LemmaViolation(
-                        f"edge {sorted(edge)} carries labels {prev} and {g}"
-                    )
-                edges[edge] = g
+                        f"edge {[names[i], names[j]]} carries labels {on[i, j]} and {g}")
+    pairs = np.array(list(on), dtype=np.intp).reshape(-1, 2)
+    X = _median.certified_complex(names, pairs, ambient_dist)
 
-    vid_words = {format_word(w): w for w in ids}
-    X = _median.certified_complex(list(vid_words), edges, ambient_dist)
-
-    labels = {}
-    for h, dual in enumerate(_median._dual_edges(X)):
-        labs = {edges[frozenset(e)] for e in dual}
-        if len(labs) != 1:
-            raise LemmaViolation(
-                f"hyperplane {h} carries labels {sorted(labs)}"
-            )
-        labels[h] = labs.pop()
+    ends, label = X.edge_labels
+    labs = [set() for _ in X.sides]
+    for e, h in zip(ends.tolist(), label.tolist()):
+        labs[h].add(on[tuple(e)])
+    for h, gs in enumerate(labs):
+        if len(gs) != 1:
+            raise LemmaViolation(f"hyperplane {h} carries labels {sorted(gs)}")
+    labels = {h: gs.pop() for h, gs in enumerate(labs)}
 
     depth = {
         vid: radius - word_length(kind, w) for vid, w in vid_words.items()

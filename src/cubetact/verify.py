@@ -65,9 +65,9 @@ def _cliques(X):
     rel = _contact._relation(X)
     H = len(rel.contact)
     shares_square = np.zeros((H, H), dtype=bool)
-    if X.squares:
+    if len(X.squares):
         # the hyperplane of edge uv is the one row of sides parting u and v
-        S = X.sides.T[[[X.index[v] for v in sq[:3]] for sq in X.squares]]
+        S = X.sides.T[X.squares[:, :3]]
         h1 = np.argmax(S[:, 0] != S[:, 1], axis=1)
         h2 = np.argmax(S[:, 1] != S[:, 2], axis=1)
         shares_square[h1, h2] = shares_square[h2, h1] = True
@@ -346,8 +346,9 @@ def _run(suite, instances, *args, violations=()):
     instances, each skipped reason is prefixed by its instance's name and
     the reasons are joined.  An instance over a size or clique limit, or a
     ball too small for its construction, is listed under "refused" with the
-    error's message, and the other instances still run.  args follow the
-    instance in each call; violations are found before any instance.
+    error's message, and the other instances still run; so is one given as
+    a function of no arguments that builds it, when the build is refused.
+    args follow the instance in each call; violations are found first.
     """
     anchor, check = _TABLE[suite]
     t0 = time.perf_counter()
@@ -355,7 +356,7 @@ def _run(suite, instances, *args, violations=()):
     for name, instance in instances:
         label = {} if name is None else {"instance": name}
         try:
-            found = check(instance, *args)
+            found = check(instance() if callable(instance) else instance, *args)
             if isinstance(found, dict):
                 if len(instances) > 1 and "skipped" in found:
                     skipped.append(f"{name}: {found.pop('skipped')}")

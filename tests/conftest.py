@@ -1,6 +1,7 @@
 """Shared fixtures; the expensive balls are built once per session.  Also
 the graph converters the tests share: the library's graphs are bool
-adjacency matrices, and the references read dicts of sets."""
+adjacency matrices, and the references read dicts of sets; a complex's
+edges are index pairs, and the references read names."""
 
 import numpy as np
 import pytest
@@ -20,6 +21,30 @@ def skeleton_of(X, M=None):
     V = X.vertices
     M = X.adjacency if M is None else M
     return {V[u]: {V[w] for w in nb} for u, nb in adjacency_of(M).items()}
+
+
+def edge_names(X):
+    """The edges of X as name pairs (u, v), the rows of X.edges in order."""
+    V = X.vertices
+    return [(V[i], V[j]) for i, j in X.edges.tolist()]
+
+
+def edge_set(X):
+    """The edges of X as a frozenset of frozensets of names, for comparing
+    the skeletons of complexes whose vertex orders may differ."""
+    return frozenset(map(frozenset, edge_names(X)))
+
+
+def has_edge(X, u, v):
+    """Whether u and v are vertices of X joined by an edge."""
+    return u in X.index and v in X.index and bool(X.adjacency[X.index[u], X.index[v]])
+
+
+def index_pairs(vertices, edges):
+    """The name pairs edges as index pairs into vertices, as CubeComplex
+    and certified_complex take them."""
+    index = {v: i for i, v in enumerate(vertices)}
+    return [(index[u], index[v]) for u, v in edges]
 
 
 def matrix_of(adjacency):

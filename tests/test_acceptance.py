@@ -4,6 +4,7 @@ import time
 from itertools import combinations
 
 import pytest
+from conftest import has_edge
 
 from cubetact import contact as ct
 from cubetact import median as md
@@ -138,8 +139,8 @@ def test_criterion_7_davis(y_p4_r4, y_c5_r3, criterion_report):
     u, v = out.broken_edge
     X = y_p4_r4.complex
     broken = (
-        frozenset((u, v)) in X.edges
-        and frozenset((out.rho_map[u], out.rho_map[v])) not in X.edges
+        has_edge(X, u, v)
+        and not has_edge(X, out.rho_map[u], out.rho_map[v])
     )
     rejected = False
     try:

@@ -252,6 +252,26 @@ def test_verify_reports_a_refused_suite_and_exits_2(tmp_path, capsys, monkeypatc
     assert cone_links["instancesChecked"] == 1 and cone_links["violations"] == []
 
 
+def test_verify_refuses_a_roundtrip_ball_over_the_cap(tmp_path, capsys, monkeypatch):
+    """Over CUBETACT_CAP_VERTICES, roundtrip's ball is refused like the
+    twist and extension-graph balls, not raised before the suites: the
+    report is written, lists each refusal and does not pass, and the run
+    exits 2."""
+    monkeypatch.setenv("CUBETACT_CAP_VERTICES", "50")
+    dst = tmp_path / "verify.json"
+    code, out, err = run(capsys, "verify", "--graph", "C5", "--suite", "roundtrip",
+                         "--suite", "twist", "--suite", "extension-graph", "--out", str(dst))
+    assert code == 2 and out == err == ""
+    doc = json.loads(dst.read_text())
+    assert doc["pass"] is False
+    roundtrip, twist, extension = doc["suites"]
+    assert roundtrip["refused"] == [{"instance": "C5", "reason": "ball exceeds 50 vertices"}]
+    for entry in (twist, extension):
+        assert entry["refused"] == [{"reason": "ball exceeds 50 vertices"}]
+    for entry in doc["suites"]:
+        assert entry["violations"] == [] and entry["instancesChecked"] == 1
+
+
 def test_unknown_builtin_message_is_unquoted(capsys):
     code, out, err = run(capsys, "verify", "--builtin", "nope")
     assert code == 2 and out == ""

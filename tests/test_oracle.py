@@ -46,8 +46,8 @@ closures, connected or not, and imply it on any rows.
 
 Squares and links: the reference squares come from a triple loop over each
 vertex and two of its neighbours, and the reference link of v from the
-squares through v.  The pair table must give the same squares, in the same
-order, and the same links.
+squares through v.  The pair table must give the same squares, as index
+rows in the order of their pairs in the table, and the same links.
 
 Pair table: the reference is the dict that the table used to be, built
 by a loop over each vertex and the pairs of its neighbours.  md._pair_table
@@ -65,8 +65,15 @@ quadrangle checks) must accept exactly the connected graphs that they
 accept, and name a triple whose median count, found by brute force, is not
 one.
 
-Adjacency: the reference is the matrix of X.edges.  X.adjacency, built from
-the index pairs of the edges whether or not the complex has its metric,
+Edges: the reference is the original path from named edges, a name pass
+into a set of index pairs followed by compute_hyperplanes' sort of the name
+tuples.  validate_complex's one name pass and the constructor's sort must
+give its X.edges and hyperplane ids on random median complexes under str,
+int and mixed numeric names, in any vertex order, with edges repeated and
+reversed; the generators must hand the constructor index arrays.
+
+Adjacency: the reference is the matrix of the named rows of X.edges.
+X.adjacency, built from X.edges whether or not the complex has its metric,
 must equal it on the builtins, random complexes, the session balls and
 every graph that validate_complex accepts.
 
@@ -143,6 +150,7 @@ the families of the oracle instances above.
 
 import json
 import random
+import sys
 import tracemalloc
 from collections import deque, namedtuple
 from itertools import combinations
@@ -150,7 +158,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import adjacency_of, matrix_of, skeleton_of
+from conftest import adjacency_of, edge_names, edge_set, has_edge, index_pairs, matrix_of, skeleton_of
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -174,7 +182,7 @@ CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
 
 def reference_hyperplanes(X):
     """(dual_edges, side_a, side_b, carrier) per hyperplane, in id order."""
-    edges = sorted(X.edges, key=lambda e: tuple(sorted(e)))
+    edges = sorted(edge_set(X), key=lambda e: tuple(sorted(e)))
     parent = {e: e for e in edges}
 
     def find(x):
@@ -183,7 +191,7 @@ def reference_hyperplanes(X):
             x = parent[x]
         return x
 
-    for a, b, c, d in X.squares:
+    for a, b, c, d in ([X.vertices[i] for i in sq] for sq in X.squares.tolist()):
         for e1, e2 in (((a, b), (c, d)), ((b, c), (d, a))):
             r1, r2 = find(frozenset(e1)), find(frozenset(e2))
             if r1 != r2:
@@ -287,7 +295,7 @@ def reference_I(X, hyps):
 
 def reference_dimension(X):
     """Largest clique of a link graph, over all vertices."""
-    best = 1 if X.edges else 0
+    best = 1 if len(X.edges) else 0
 
     def grow(size, cands, adj):
         nonlocal best
@@ -343,16 +351,28 @@ def hyperplane_sets(X):
 def check_adjacency(X):
     """X.adjacency is the matrix of X.edges, read-only, on a copy of X
     without its metric, on one with it, and on X."""
-    want = adjacency_matrix(list(X.vertices), [tuple(e) for e in X.edges])
+    want = adjacency_matrix(list(X.vertices), edge_names(X))
     for dist in (None, X._dist):
         M = md.CubeComplex(X.vertices, X.edges, dist).adjacency
         assert M.dtype == bool and not M.flags.writeable and np.array_equal(M, want)
     assert np.array_equal(X.adjacency, want) and not X.adjacency.flags.writeable
 
 
+def check_squares(X):
+    """X.squares against the triple loop: each square once, from its first
+    vertex a, with b < d by name, and the rows in the order of their pairs
+    b, d in X.pair_table."""
+    V, rows = X.vertices, X.squares.tolist()
+    named = [(V[a], min(V[b], V[d]), V[c], max(V[b], V[d])) for a, b, c, d in rows]
+    assert tuple(sorted(named)) == reference_squares(X)
+    at = {pair: r for r, pair in enumerate(map(tuple, X.pair_table[0].tolist()))}
+    order = [at[b, d] for a, b, c, d in rows]
+    assert order == sorted(order) and all(a < c and b < d for a, b, c, d in rows)
+
+
 def check_against_oracle(X):
     check_adjacency(X)
-    assert X.squares == reference_squares(X)
+    check_squares(X)
     for v in X.vertices:
         assert md.link_graph(X, v) == reference_link_graph(X, v)
     hyps = reference_hyperplanes(X)
@@ -439,7 +459,7 @@ def eager_hyperplanes(X):
     """The original compute_hyperplanes, which built the records with the
     matrices: (records, edge map, ids_at, sides, carriers), X unchanged."""
     n, D = len(X.vertices), X._dist
-    edges = sorted(tuple(sorted(e)) for e in X.edges)
+    edges = sorted(tuple(sorted(e)) for e in edge_set(X))
     eu = np.array([X.index[u] for u, _ in edges], dtype=np.intp)
     ev = np.array([X.index[v] for _, v in edges], dtype=np.intp)
     label = np.full(len(edges), -1, dtype=np.intp)
@@ -538,6 +558,87 @@ def test_separating_against_the_records():
             found.append(len(got))
         assert md.separating(X, set(), set()) == set(range(len(hyps)))
     assert found.count(0) > 100 and sum(n > 1 for n in found) > 100
+
+
+# ---------------------------------------------------------------------------
+# Edges
+
+def reference_edges(vertices, edges):
+    """The original path from named edges to X.edges: the constructor's
+    name pass into a set of index pairs (i, j), i < j, then
+    compute_hyperplanes' sort of the (u, v, i, j) name tuples, the smaller
+    name first.  Returns the (m, 2) intp ends in that order."""
+    V = list(dict.fromkeys(vertices))
+    index, pairs = {v: i for i, v in enumerate(V)}, set()
+    for e in edges:
+        i, j = (index[v] for v in e)
+        pairs.add((i, j) if i < j else (j, i))
+    named = sorted((V[i], V[j], i, j) if V[i] < V[j] else (V[j], V[i], j, i) for i, j in pairs)
+    return np.array([e[2:] for e in named], dtype=np.intp).reshape(-1, 2)
+
+
+def reference_labels(ends, D):
+    """compute_hyperplanes' class loop on the ends: an edge in no class yet
+    takes every edge crossing its side."""
+    eu, ev = ends.T
+    label, H = np.full(len(ends), -1, dtype=np.intp), 0
+    for e in range(len(ends)):
+        if label[e] < 0:
+            W = D[eu[e]] < D[ev[e]]
+            label[W[eu] != W[ev]] = H
+            H += 1
+    return label
+
+
+@st.composite
+def named_median_graphs(draw):
+    """(vertices, edges) of a random median complex under new names (str,
+    int, or ints and floats mixed), its vertices in a drawn order, its edges
+    shuffled, each reversed or not, some given twice."""
+    X = md.random_median_complex(draw(st.integers(1, 5)), draw(st.integers(1, 6)),
+                                 draw(st.integers(0, 10 ** 6)))
+    n, kind = len(X), draw(st.sampled_from(["str", "int", "mixed"]))
+    keys = draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n, unique=True))
+    names = {"str": [str(k) for k in keys], "int": keys,
+             "mixed": [k if k % 2 == 0 else k + 0.5 for k in keys]}[kind]
+    vertices = [names[i] for i in draw(st.permutations(range(n)))]
+    edges = [(names[i], names[j]) for i, j in X.edges.tolist()]
+    edges += draw(st.lists(st.sampled_from(edges), max_size=4)) if edges else []
+    edges = [e[::-1] if draw(st.booleans()) else e for e in draw(st.permutations(edges))]
+    return vertices, edges
+
+
+@settings(max_examples=200, deadline=None)
+@given(named_median_graphs())
+def test_edges_against_the_name_pass(graph):
+    """validate_complex's one name pass and the constructor's sort give the
+    ends and the hyperplane ids of the original path."""
+    vertices, edges = graph
+    X = md.validate_complex(vertices, edges)
+    want = reference_edges(vertices, edges)
+    ends, label = X.edge_labels
+    assert ends is X.edges and X.edges.dtype == np.intp
+    assert np.array_equal(X.edges, want), graph
+    assert np.array_equal(label, reference_labels(want, X._dist)), graph
+
+
+def test_generators_hand_the_constructor_index_arrays(monkeypatch):
+    """random_median_complex, the quadrangle repair and build_ball pass the
+    index pairs they hold to the constructor as ndarrays, not names."""
+    calls = []
+
+    class Spy(md.CubeComplex):
+        def __init__(self, vertices, edges, dist, squares=None):
+            frame = sys._getframe(1)
+            calls.append((frame.f_code.co_name, frame.f_back.f_code.co_name, type(edges)))
+            super().__init__(vertices, edges, dist, squares)
+
+    monkeypatch.setattr(md, "CubeComplex", Spy)
+    md.random_median_complex(5, 6, 3)
+    rg.build_ball(rg.builtin_defining_graph("STAR_EQ5"), rg.ARTIN, 3)  # one repair round
+    assert set(calls) == {("certified_complex", "random_median_complex", np.ndarray),
+                          ("_repair_quadrangles", "median_closure", np.ndarray),
+                          ("certified_complex", "build_ball", np.ndarray)}
 
 
 def test_maximal_cliques_against_networkx(request):
@@ -720,10 +821,10 @@ def reference_median_closure(gamma, kind, elements):
 
 def assert_same_complex(X, Y):
     assert X.vertices == Y.vertices
-    assert X.edges == Y.edges
+    np.testing.assert_array_equal(X.edges, Y.edges)
     assert X._dist.dtype == Y._dist.dtype
     np.testing.assert_array_equal(X._dist, Y._dist)
-    assert X.squares == Y.squares
+    np.testing.assert_array_equal(X.squares, Y.squares)
 
 
 def check_ball_against_oracle(ball):
@@ -737,7 +838,7 @@ def check_ball_against_oracle(ball):
     np.testing.assert_array_equal(D, ref_D)
     X = ball.complex
     assert list(X.vertices) == [rg.format_word(w) for w in ref_elems]
-    assert_same_complex(X, md.validate_complex(X.vertices, X.edges))
+    assert_same_complex(X, md.validate_complex(X.vertices, edge_names(X)))
 
 
 @pytest.mark.parametrize(
@@ -914,7 +1015,7 @@ def random_graphs(count, seed):
             X = md.random_median_complex(
                 rng.randint(2, 5), rng.randint(2, 6), rng.randrange(10 ** 6)
             )
-            vertices, edges = list(X.vertices), {tuple(sorted(e)) for e in X.edges}
+            vertices, edges = list(X.vertices), {tuple(sorted(e)) for e in edge_names(X)}
             for _ in range(rng.randint(0, 2)):
                 edges ^= {tuple(sorted(rng.sample(vertices, 2)))}
         else:
@@ -1078,10 +1179,10 @@ def distance_inputs():
     benchmark corpus, two disconnected graphs and the one-vertex graph."""
     for name in md.BUILTIN_COMPLEXES:
         X = md.builtin_complex(name)
-        yield list(X.vertices), [tuple(e) for e in X.edges]
+        yield list(X.vertices), edge_names(X)
     for seed in range(1, 101):
         X = md.random_median_complex(6, 5, seed)
-        yield list(X.vertices), [tuple(e) for e in X.edges]
+        yield list(X.vertices), edge_names(X)
     for path in sorted(CORPUS.glob("*.json")):
         doc = json.loads(path.read_text(encoding="utf-8"))
         yield doc["vertices"], [tuple(e) for e in doc["edges"]]
@@ -1125,7 +1226,7 @@ def reference_pair_table(X):
 def check_pair_table(vertices, edges):
     """md._pair_table against the dict: the same arrays, or NotMedian with
     the same message.  Returns that message, or None."""
-    X = md.CubeComplex(vertices, edges, None)
+    X = md.CubeComplex(vertices, index_pairs(vertices, edges), None)
     assert np.array_equal(X.adjacency, adjacency_matrix(vertices, edges))
     try:
         want = reference_pair_table(X)
@@ -1144,7 +1245,7 @@ def test_pair_table_against_the_dict(y_p4_r4, x_c5_r2):
     """The distance inputs, two balls and random graphs, median or not:
     both kinds of outcome occur."""
     graphs = list(distance_inputs()) + list(random_graphs(600, seed=6))
-    graphs += [(list(b.complex.vertices), list(map(tuple, b.complex.edges)))
+    graphs += [(list(b.complex.vertices), edge_names(b.complex))
                for b in (y_p4_r4, x_c5_r2)]
     outcomes = [check_pair_table(*graph) for graph in graphs]
     assert outcomes.count(None) > 600 and len(set(outcomes)) > 50
@@ -1218,9 +1319,9 @@ def test_pair_table_is_refused_before_it_is_built(monkeypatch):
         with pytest.raises(SizeLimitExceeded, match=r"^the pair table of 24 2-paths needs about 4224 "):
             md._pair_table(X)
     with pytest.raises(SizeLimitExceeded, match=r"^the pair table of 24 2-paths "):
-        md.validate_complex(X.vertices, X.edges)
+        md.validate_complex(X.vertices, edge_names(X))
     monkeypatch.setattr(md, "_ALLOC_LIMIT", 4224)
-    assert len(md.validate_complex(X.vertices, X.edges).squares) == 6
+    assert len(md.validate_complex(X.vertices, edge_names(X)).squares) == 6
 
 
 @pytest.mark.parametrize("shape", ["star", "ball"])
@@ -1230,11 +1331,11 @@ def test_pair_table_estimate_bounds_the_traced_peak(monkeypatch, y_p4_r4, shape)
     and on P4/coxeter/4."""
     if shape == "star":
         V = ["c"] + [f"l{i:03}" for i in range(300)]
-        X = md.CubeComplex(V, [("c", leaf) for leaf in V[1:]], None)
+        X = md.CubeComplex(V, [(0, leaf) for leaf in range(1, len(V))], None)
     else:
         X = y_p4_r4.complex
     # X.adjacency is built before the trace, as validate_complex builds it
-    assert np.array_equal(X.adjacency, adjacency_matrix(list(X.vertices), list(map(tuple, X.edges))))
+    assert np.array_equal(X.adjacency, adjacency_matrix(list(X.vertices), edge_names(X)))
     asked, reserve = [], md._reserve
     monkeypatch.setattr(md, "_reserve", lambda nbytes, what: (
         asked.append(nbytes), reserve(nbytes, what)))
@@ -2170,7 +2271,7 @@ def reference_hyperplane_map(X, g):
     V = X.vertices
     for (u, v), h in zip([(V[i], V[j]) for i, j in ends.tolist()], label.tolist()):
         if u in g and v in g:
-            if frozenset((g[u], g[v])) not in X.edges:
+            if not has_edge(X, g[u], g[v]):
                 raise NotAnAutomorphism(f"edge {[u, v]} maps to a non-edge")
             images.setdefault(h, set()).add(X.hyperplane_of_edge(g[u], g[v]))
     phi = {}

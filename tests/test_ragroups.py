@@ -5,6 +5,7 @@ from collections import deque
 from itertools import combinations
 
 import pytest
+from conftest import edge_names, has_edge
 
 from cubetact import contact as ct
 from cubetact import median as md
@@ -285,9 +286,32 @@ def test_closed_balls_need_no_repair_round(monkeypatch):
     assert scans == [0] and (len(X), len(X.edges), len(X.sides)) == (531, 710, 350)
 
 
+def test_build_ball_guards_name_the_edge_and_the_hyperplane(monkeypatch):
+    """build_ball refuses an edge with two generators, named by its two
+    vertices in order, and a hyperplane whose edges carry two, named by its
+    id: with b multiplied as a, the edge 1 - a is labelled a and b; with
+    every edge of the x, y square given hyperplane 0, that hyperplane
+    carries x and y."""
+    real_mult, real_hyperplanes = rg.nf_mult, md.compute_hyperplanes
+    with monkeypatch.context() as patch:
+        patch.setattr(rg, "nf_mult", lambda gamma, kind, w1, w2: real_mult(
+            gamma, kind, w1, tuple(("a", e) if g == "b" else (g, e) for g, e in w2)))
+        with pytest.raises(LemmaViolation, match=r"^edge \['1', 'a'\] carries labels a and b$"):
+            rg.build_ball(rg.DefiningGraph(["a", "b"], []), rg.COXETER, 1)
+
+    def one_hyperplane(X):
+        A = real_hyperplanes(X)
+        X._edge_label[:] = 0
+        return A
+
+    monkeypatch.setattr(md, "compute_hyperplanes", one_hyperplane)
+    with pytest.raises(LemmaViolation, match=r"^hyperplane 0 carries labels \['x', 'y'\]$"):
+        rg.build_ball(rg.builtin_defining_graph("EDGE2"), rg.COXETER, 2)
+
+
 def test_ball_of_the_trivial_group():
     X = rg.build_ball(rg.DefiningGraph([], []), rg.ARTIN, 1).complex
-    assert X.vertices == ("1",) and not X.edges and X._dist.tolist() == [[0]]
+    assert X.vertices == ("1",) and X.edges.shape == (0, 2) and X._dist.tolist() == [[0]]
 
 
 def one_syllable(ball, u, v):
@@ -301,8 +325,7 @@ def test_hyperplane_labels(z2_r3):
     generator is the label of the edge's hyperplane."""
     labels = set(z2_r3.labels.values())
     assert labels == {"x", "y"}
-    for e in z2_r3.complex.edges:
-        u, v = sorted(e)
+    for u, v in edge_names(z2_r3.complex):
         h = z2_r3.complex.hyperplane_of_edge(u, v)
         diff = one_syllable(z2_r3, u, v)
         assert type(h) is int and len(diff) == 1 and diff[0][0] == z2_r3.labels[h]
@@ -625,8 +648,8 @@ def test_davis_phi_p4(y_p4_r4):
     assert out.broken_edge is not None
     u, v = out.broken_edge
     X = y_p4_r4.complex
-    assert frozenset((u, v)) in X.edges
-    assert frozenset((out.rho_map[u], out.rho_map[v])) not in X.edges
+    assert has_edge(X, u, v)
+    assert not has_edge(X, out.rho_map[u], out.rho_map[v])
     # phi fixes the transverse part and is injective; images of reflected
     # hyperplanes may leave the interior domain on a finite ball
     for hid, part in out.partition.items():

@@ -10,7 +10,7 @@ hyperplane record, record cache or edge map beside the side and carrier
 matrices, contact, crossing and reduced graphs held as bool matrices with
 no dict-of-sets copy, the skeleton held as one bool matrix X.adjacency
 (test_skeleton_is_a_matrix) read from the one stored form of the edges,
-their index pairs (test_the_skeleton_is_stored_once), the derived data of a complex cached as cached
+the index array X.edges (test_the_skeleton_is_stored_once), the derived data of a complex cached as cached
 properties, the contact graph and I read from the one cached relation, the
 Davis reflection mapped once, and every function the benchmark tracer pins by name
 still public.  Two scans cover the whole package: every `raise LemmaViolation`
@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import edge_names
 
 import cubetact
 from cubetact import cli
@@ -191,25 +192,43 @@ def test_skeleton_is_a_matrix():
 
 
 def test_the_skeleton_is_stored_once():
-    """A complex stores its edges once, as the index pairs X._pairs: no
-    name-tuple edge list (_edge_list), no second matrix builder
-    (_edge_matrix), no label per ball edge (Ball.edge_label).  X.adjacency
-    has the one source: given a metric whose distance-1 pairs are not the
-    edges, it is still the matrix of the edges.  X.edges is a view of the
-    pairs, and X.edge_labels gives index arrays."""
+    """A complex stores its edges once, as X.edges: the read-only (m, 2)
+    intp array of index pairs, each with the smaller name first, rows in
+    sorted-name order.  No other edge form is left: no set-order pairs
+    (_pairs), no name-ordered copy (_ends), no name-tuple list
+    (_edge_list), no frozenset view, no second matrix builder
+    (_edge_matrix), no label per ball edge (Ball.edge_label).  The
+    constructor takes index pairs in either orientation, repeated, or
+    X.edges itself, and refuses an index outside range(n) and a self-loop.
+    X.adjacency has the one source: given a metric whose distance-1 pairs
+    are not the edges, it is still the matrix of the edges.
+    X.edge_labels[0] is X.edges, and X.squares is an index array too."""
     for path in SOURCES:
         text = path.read_text(encoding="utf-8")
-        gone = [name for name in (r"_edge_list", r"_edge_matrix", r"\bedge_label\b")
-                if re.search(name, text)]
+        gone = [name for name in (r"_edge_list", r"_edge_matrix", r"\bedge_label\b",
+                                  r"\b_pairs\b", r"\b_ends\b") if re.search(name, text)]
         assert not gone, f"{path.name} names {gone}"
     assert "edge_label" not in {f.name for f in dataclasses.fields(rg.Ball)}
     path = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
-    X = md.CubeComplex("abc", [("b", "a"), ["a", "b"]], path)
-    assert X._pairs.tolist() == [[0, 1]] and X.edges == {frozenset("ab")}
-    assert X.adjacency.tolist() == [[False, True, False], [True, False, False],
-                                    [False, False, False]]
-    ends, label = md.builtin_complex("SQUARE").edge_labels
-    assert ends.dtype == label.dtype == np.intp and ends.shape == (4, 2)
+    X = md.CubeComplex("cab", [(2, 1), [1, 2], np.array([1, 2])], path)
+    assert X.edges.tolist() == [[1, 2]] and X.edges.dtype == np.intp
+    assert X.adjacency.tolist() == [[False, False, False], [False, False, True],
+                                    [False, True, False]]
+    X = md.CubeComplex("dcba", np.array([(0, 1), (2, 1), (3, 2)]), None)
+    assert X.edges.tolist() == [[3, 2], [2, 1], [1, 0]]  # ab, bc, cd
+    for edges, text in (([(0, 4)], r"edge \[0, 4\] has an index outside range\(4\)"),
+                        ([(0, 1), (-1, 0)], r"edge \[-1, 0\] has an index outside range"),
+                        ([(2, 2)], r"^self-loop at 'b'; the graph must be simple$")):
+        with pytest.raises(ValueError, match=text):
+            md.CubeComplex("dcba", edges, None)
+    for X in (md.builtin_complex("SQUARE"), md.random_median_complex(5, 6, 3)):
+        ends, label = X.edge_labels
+        assert ends is X.edges and label.dtype == np.intp and ends.shape == (len(label), 2)
+        assert not X.edges.flags.writeable and not X.squares.flags.writeable
+        assert X.squares.dtype == np.intp and X.squares.shape[1] == 4
+        Y = md.CubeComplex(X.vertices, X.edges, X._dist, X.squares)
+        assert np.array_equal(Y.edges, X.edges) and np.array_equal(Y.squares, X.squares)
+        assert edge_names(X) == sorted(tuple(sorted(e)) for e in edge_names(X))
 
 
 def test_no_dict_pair_table_is_left():
@@ -252,7 +271,7 @@ def test_validate_complex_reaches_neither_the_kernel_nor_the_classes(monkeypatch
     monkeypatch.setattr(md, "compute_hyperplanes", unreachable)
     for name in md.BUILTIN_COMPLEXES:
         md.builtin_complex(name)
-    assert md.validate_complex(X.vertices, X.edges).squares == X.squares
+    assert np.array_equal(md.validate_complex(X.vertices, edge_names(X)).squares, X.squares)
     for edges in (["ab", "bc", "ca"], ["ab", "bc", "cd", "de", "ef", "fa"],
                   ["ac", "ad", "ae", "bc", "bd", "be"]):
         with pytest.raises(NotMedian):
@@ -455,7 +474,7 @@ def test_analyze_and_verify_reach_no_link_graph(monkeypatch, tmp_path, capsys):
     capsys.readouterr()
 
 
-CACHED = ("edges", "adjacency", "pair_table", "squares", "ids_at", "dimension")
+CACHED = ("adjacency", "pair_table", "squares", "ids_at", "dimension")
 
 
 def test_derived_data_have_one_cache():
@@ -470,7 +489,7 @@ def test_derived_data_have_one_cache():
         getattr(X, name)
     assert set(CACHED) <= set(vars(X))
     assert {k for k in vars(X) if k.startswith("_")} == {
-        "_pairs", "_dist", "_sides", "_carriers", "_ends", "_edge_label", "_relation"}
+        "_dist", "_sides", "_carriers", "_edge_label", "_relation"}
 
 
 def test_contact_graph_and_I_are_read_from_the_relation(monkeypatch, x_c5_r2, y_c5_r3):
