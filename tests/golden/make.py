@@ -42,6 +42,11 @@ BUILTIN_COMPLEXES = ("EDGE", "SQUARE", "Q3", "PATH3", "TRIPOD", "DOMINO")
 BUILTIN_GRAPHS = ("P4", "C5", "STAR_EQ5", "F2", "EDGE2", "SINGLE")
 BALLS = [(graph, kind, radius) for graph in ("C5", "P4", "STAR_EQ5", "EDGE2")
          for kind, radius in (("artin", "2"), ("coxeter", "3"))]
+# balls that are generated but not analyzed: the trivial group (one vertex,
+# no wall), free products, and STAR_EQ5 balls that the closure repairs
+MORE_BALLS = [("@empty-graph", "artin", "1"), ("@empty-graph", "coxeter", "1"),
+              ("F2", "artin", "2"), ("SINGLE", "coxeter", "2"),
+              ("STAR_EQ5", "coxeter", "4"), ("STAR_EQ5", "artin", "3")]
 RANDOM_SEEDS = range(200)
 
 # documents written here: name -> JSON value
@@ -78,6 +83,7 @@ LITERAL = {
     "dotted-generator": {"vertices": ["a", "b", "a.b"], "edges": []},
     "empty-generator": {"vertices": [""], "edges": []},
     "unknown-generator": {"vertices": ["a", "b"], "edges": [["a", "z"]]},
+    "empty-graph": {"vertices": [], "edges": []},
 }
 
 # rows that also run as subprocesses, once per PYTHONHASHSEED
@@ -85,6 +91,7 @@ SUBPROCESS = (
     "generate --ball C5 artin 2",
     "analyze --in @C5-artin-2 --dot --reduced-mode strict",
     "verify --builtin SQUARE --builtin TRIPOD --suite helly --suite cliques",
+    "generate --ball STAR_EQ5 artin 3",
 )
 HASH_SEEDS = ("0", "1")
 
@@ -103,7 +110,7 @@ def rows():
     """The argv of every row, in file order."""
     out = [["generate", "--builtin", name] for name in BUILTIN_COMPLEXES + BUILTIN_GRAPHS]
     out += [["generate", "--random", "6", "5", str(s)] for s in RANDOM_SEEDS]
-    out += [["generate", "--ball", *ball] for ball in BALLS]
+    out += [["generate", "--ball", *ball] for ball in BALLS + MORE_BALLS]
     out += [
         ["generate", "--builtin", "NOPE"],
         ["generate"],
