@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import (
     HyperplaneNotPreserved,
-    LemmaViolation,
     NotAnAutomorphism,
     NotConnected,
     NotMedian,
@@ -328,7 +327,7 @@ def median_triple_defects(dist, first_only=True):
     return defects
 
 
-def validate_complex(vertices, edges, cap=None) -> CubeComplex:
+def validate_complex(vertices, edges) -> CubeComplex:
     """Check that the given graph is a finite connected median graph.
 
     Theorem (Mulder, The interval function of a graph, 1980; Bandelt and
@@ -377,8 +376,7 @@ def validate_complex(vertices, edges, cap=None) -> CubeComplex:
     vertices = list(dict.fromkeys(vertices))
     if not vertices:
         raise NotConnected("empty graph")
-    if cap is None:
-        cap = vertex_cap()
+    cap = vertex_cap()
     if len(vertices) > cap:
         raise SizeLimitExceeded(f"{len(vertices)} vertices exceeds cap {cap}")
     index, pairs = {v: i for i, v in enumerate(vertices)}, []
@@ -495,13 +493,13 @@ def _descends(A, dist):
     return bool((A & (r == r.T - 1)).any(axis=1)[1:].all())
 
 
-def certified_complex(vertices, edges, dist) -> CubeComplex:
+def certified_complex(vertices, dist) -> CubeComplex:
     """The complex on distinct majority-closed 0/1 rows, without the n^3 scan.
 
     dist is the hamming_distances of such rows, vertices name them in order.
-    Raises LemmaViolation unless the edges (index pairs) are exactly the
-    pairs at Hamming distance 1, NotConnected unless they connect the rows.  Then the graph
-    is median with metric dist.  Proof: for rows u != v take a path
+    The edges are the pairs at Hamming distance 1, read off dist; raises
+    NotConnected unless they connect the rows.  Then the graph is median
+    with metric dist.  Proof: for rows u != v take a path
     u = x_0, ..., x_L = v.  Each y_i = maj(u, v, x_i) is a row (the rows are
     closed) in the cube interval [u, v], and y_i, y_i+1 differ at most where
     x_i, x_i+1 do, so the first y_i != u is a neighbour of u one step nearer
@@ -513,18 +511,12 @@ def certified_complex(vertices, edges, dist) -> CubeComplex:
     The rows come closed from random_median_complex's projections, or from
     build_ball's _repair_quadrangles if connected.  Connectivity is checked
     by _descends, which decides it on both; connected rows that are not
-    closed may be refused as not connected.  The edges are compared with
-    X.adjacency as a matrix, and the first difference named on a mismatch.
+    closed may be refused as not connected.
     """
-    X = CubeComplex(vertices, edges, dist)
-    A, V = X.adjacency, X.vertices
-    if not np.array_equal(A, dist == 1):
-        differ = np.argwhere(np.triu(A != (dist == 1))).tolist()
-        for e in sorted(sorted((V[i], V[j])) for i, j in differ)[:1]:
-            raise LemmaViolation(f"the edges and the Hamming-1 pairs differ at {e}")
+    A = dist == 1
     if not _descends(A, dist):
         raise NotConnected("the Hamming-1 graph of the rows is not connected")
-    return X
+    return CubeComplex(vertices, np.argwhere(np.triu(A)), dist)
 
 
 def compute_hyperplanes(X: CubeComplex):
@@ -901,7 +893,7 @@ def _projection_closure(codes, dim):
     return np.flatnonzero(seen[keys].all(axis=1))
 
 
-def random_median_complex(ambient_dim, seed_count, rng_seed, cap=None) -> CubeComplex:
+def random_median_complex(ambient_dim, seed_count, rng_seed) -> CubeComplex:
     """Majority closure of random 0/1-vectors inside the hypercube.
 
     The codes close in one step (_projection_closure; the bound of 12 also
@@ -915,8 +907,7 @@ def random_median_complex(ambient_dim, seed_count, rng_seed, cap=None) -> CubeCo
         raise ValueError(f"ambient_dim must be in 1..12, got {ambient_dim}")
     if seed_count < 1:
         raise ValueError("seed_count must be >= 1")
-    if cap is None:
-        cap = vertex_cap()
+    cap = vertex_cap()
     rng = random.Random(rng_seed)
     points = set()
     while len(points) < min(seed_count, 2 ** ambient_dim):
@@ -944,7 +935,7 @@ def random_median_complex(ambient_dim, seed_count, rng_seed, cap=None) -> CubeCo
         codes = np.unique(codes)
 
     verts = [format(c, f"0{ambient_dim}b") for c in codes.tolist()]
-    return certified_complex(verts, np.argwhere(np.triu(A)), D)
+    return certified_complex(verts, D)
 
 
 # ---------------------------------------------------------------------------

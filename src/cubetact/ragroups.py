@@ -302,8 +302,10 @@ def median_closure(gamma, kind, elements, cap):
     it from 1, so ambient distance is Hamming distance and the median is
     majority.  median._repair_quadrangles closes the rows, connected in a
     ball, and ambient_median names each new row from its witness triple.
-    Returns (elements, D): the closure in (length, format) order and its
-    ambient distance matrix.
+    Returns (elements, D, rows, walls): the closure in (length, format)
+    order, its ambient distance matrix, its packed rows (as np.packbits
+    gives) in the same order, and walls, the key of each row column, as
+    _walls yields them.
     """
     def shortlex(w):
         return word_length(kind, w), format_word(w)
@@ -326,7 +328,7 @@ def median_closure(gamma, kind, elements, cap):
             )
         elems.append(m)
     order = sorted(range(len(elems)), key=lambda i: shortlex(elems[i]))
-    return [elems[i] for i in order], D[np.ix_(order, order)]
+    return [elems[i] for i in order], D[np.ix_(order, order)], rows[order], list(column)
 
 
 # ---------------------------------------------------------------------------
@@ -373,62 +375,40 @@ def _letters(gamma, kind):
     return [(g, e) for g in gamma.vertices for e in (1, -1)]
 
 
-def build_ball(gamma: DefiningGraph, kind, radius, cap=None) -> Ball:
+def build_ball(gamma: DefiningGraph, kind, radius) -> Ball:
     """BFS over normal forms up to the given word length, median-closed.
 
-    median_closure adds the missing medians.  The complex is certified by
-    median.certified_complex, from the index pairs of the products; edge
-    and hyperplane labels are checked to be well-defined, by index through
-    X.edge_labels, so an edge's generator is the label of its hyperplane.
+    median_closure adds the missing medians, and the complex is
+    median.certified_complex on the closed wall rows: its edges are the
+    pairs of rows at Hamming distance 1.  Each edge crosses the one wall in
+    whose column its rows differ, and its generator is the wall's, so the
+    label of hyperplane h is read off the column of its first dual edge.
+    The ball holds at most vertex_cap() elements.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    if cap is None:
-        cap = _median.vertex_cap()
+    cap = _median.vertex_cap()
     letters = _letters(gamma, kind)
-
-    def step(w):  # w times each letter
-        return [nf_mult(gamma, kind, w, (letter,)) for letter in letters]
-
-    words = {(): None}  # word -> its products, filled by the BFS
-    queue = deque([()])
-    while queue:
+    words, queue = {()}, deque([()])
+    while queue:  # a letter moves a word one step, so one at the radius adds none
         w = queue.popleft()
-        words[w] = step(w)
-        for w2 in words[w]:
-            if word_length(kind, w2) > radius:
-                continue
+        if word_length(kind, w) == radius:
+            continue
+        for letter in letters:
+            w2 = nf_mult(gamma, kind, w, (letter,))
             if w2 not in words:
                 if len(words) >= cap:
                     raise SizeLimitExceeded(f"ball exceeds {cap} vertices")
-                words[w2] = None
+                words.add(w2)
                 queue.append(w2)
 
-    ids, ambient_dist = median_closure(gamma, kind, words, cap)
-    products = {w: words.get(w) or step(w) for w in ids}
-
+    ids, ambient_dist, rows, walls = median_closure(gamma, kind, words, cap)
     vid_words = {format_word(w): w for w in ids}
-    names, index = list(vid_words), {w: i for i, w in enumerate(ids)}
-    on = {}  # the index pair (i, j) of an edge, as in X.edges -> its generator
-    for w, ws in products.items():
-        for (g, _), w2 in zip(letters, ws):
-            if w2 in index:
-                i, j = sorted((index[w], index[w2]), key=names.__getitem__)
-                if on.setdefault((i, j), g) != g:
-                    raise LemmaViolation(
-                        f"edge {[names[i], names[j]]} carries labels {on[i, j]} and {g}")
-    pairs = np.array(list(on), dtype=np.intp).reshape(-1, 2)
-    X = _median.certified_complex(names, pairs, ambient_dist)
-
+    X = _median.certified_complex(list(vid_words), ambient_dist)
     ends, label = X.edge_labels
-    labs = [set() for _ in X.sides]
-    for e, h in zip(ends.tolist(), label.tolist()):
-        labs[h].add(on[tuple(e)])
-    for h, gs in enumerate(labs):
-        if len(gs) != 1:
-            raise LemmaViolation(f"hyperplane {h} carries labels {sorted(gs)}")
-    labels = {h: gs.pop() for h, gs in enumerate(labs)}
-
+    a, b = ends[np.unique(label, return_index=True)[1]].T
+    cols = np.nonzero(np.unpackbits(rows[a] ^ rows[b], axis=1))[1]
+    labels = {h: walls[c][0] for h, c in enumerate(cols.tolist())}
     depth = {
         vid: radius - word_length(kind, w) for vid, w in vid_words.items()
     }
@@ -564,8 +544,8 @@ def _segment_classes(ball: Ball):
     frozenset of hyperplane ids).
 
     The classes partition the hyperplanes, and every hyperplane of a class
-    is labelled g: a pair joins two g-edges, and build_ball has refused a
-    hyperplane whose dual edges carry two labels.
+    is labelled g: a pair joins two g-edges, and an edge's generator is
+    its hyperplane's label, that of the one wall the edge crosses.
     """
     at = {}  # (vertex index, label) -> hyperplanes of the edges with that label
     ends, label = ball.complex.edge_labels

@@ -95,7 +95,7 @@ class CliqueAtlas:
     extremal: dict  # vertex id -> bool
 
 
-def clique_atlas(X: CubeComplex, cap=DEFAULT_CLIQUE_CAP):
+def clique_atlas(X: CubeComplex):
     """Match maximal cliques of the contact graph, the contact matrix of
     contact._relation, with vertex hyperplane sets.
 
@@ -103,7 +103,7 @@ def clique_atlas(X: CubeComplex, cap=DEFAULT_CLIQUE_CAP):
     attains it.  The cliques suite of verify.py checks that every maximal
     clique is some W_v, and that v is matched iff its link is not a cone.
     """
-    cliques = tuple(maximal_cliques(_contact._relation(X).contact, cap=cap))
+    cliques = tuple(maximal_cliques(_contact._relation(X).contact))
     clique_of = dict(zip(X.vertices, X.ids_at))
     attained_by = {}
     for v, s in clique_of.items():

@@ -338,7 +338,7 @@ SUITES = tuple(_TABLE)
 GROUP_SUITES = frozenset({"roundtrip", "davis", "twist", "extension-graph"})  # need a graph
 
 
-def _run(suite, instances, *args, violations=()):
+def _run(suite, instances, *args):
     """The report entry of one suite's check over (name, instance) pairs.
 
     Violations get their instance's name, unless it is None (the group
@@ -348,11 +348,11 @@ def _run(suite, instances, *args, violations=()):
     ball too small for its construction, is listed under "refused" with the
     error's message, and the other instances still run; so is one given as
     a function of no arguments that builds it, when the build is refused.
-    args follow the instance in each call; violations are found first.
+    args follow the instance in each call.
     """
     anchor, check = _TABLE[suite]
     t0 = time.perf_counter()
-    violations, extra, skipped, refused = list(violations), {}, [], []
+    violations, extra, skipped, refused = [], {}, [], []
     for name, instance in instances:
         label = {} if name is None else {"instance": name}
         try:
@@ -419,8 +419,7 @@ def suite_davis(gamma, radius, a=None, b=None):
     if a is None or b is None:
         pairs = _star_containments(gamma)
         if not pairs:
-            return _run("davis", [], violations=[
-                {"witness": "no star containment in the defining graph"}])
+            return skipped_entry("davis", "no star containment in the defining graph")
         a, b = pairs[0]
     return _run("davis", [(None, (a, b))], gamma, radius)
 
@@ -433,8 +432,7 @@ def suite_twist(gamma, radius, x=None, y=None):
             if not gamma.commute(u, v)
         ]
         if not pairs:
-            return _run("twist", [], violations=[
-                {"witness": "the defining graph is complete"}])
+            return skipped_entry("twist", "the defining graph is complete")
         x, y = pairs[0]
     return _run("twist", [(None, (x, y))], gamma, radius)
 

@@ -42,7 +42,7 @@ def has_edge(X, u, v):
 
 def index_pairs(vertices, edges):
     """The name pairs edges as index pairs into vertices, as CubeComplex
-    and certified_complex take them."""
+    takes them."""
     index = {v: i for i, v in enumerate(vertices)}
     return [(index[u], index[v]) for u, v in edges]
 

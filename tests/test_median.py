@@ -9,11 +9,10 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from conftest import edge_set, index_pairs, skeleton_of
+from conftest import edge_set, skeleton_of
 
 from cubetact import median as md
 from cubetact.errors import (
-    LemmaViolation,
     NotConnected,
     NotMedian,
     SizeLimitExceeded,
@@ -286,23 +285,16 @@ def packed(*strings):
 
 
 def test_certified_complex_needs_the_hamming_1_edges():
-    """The edges are compared as a matrix; a mismatch names its first
-    differing pair, missing or extra, in sorted order."""
+    """The edges are the pairs at Hamming distance 1, read off the distances."""
     verts = ["00", "01", "10", "11"]
-    D = md.hamming_distances(packed(*verts))
-    cycle = [("00", "01"), ("01", "11"), ("11", "10"), ("10", "00")]
-    X = md.certified_complex(verts, index_pairs(verts, cycle), D)
+    X = md.certified_complex(verts, md.hamming_distances(packed(*verts)))
     assert X.squares.tolist() == [[0, 1, 3, 2]]  # 00, 01, 11, 10
-    for edges, pair in ((cycle[:3], "['00', '10']"), (cycle + [("00", "11")], "['00', '11']")):
-        with pytest.raises(LemmaViolation) as ex:
-            md.certified_complex(verts, index_pairs(verts, edges), D)
-        assert str(ex.value) == f"the edges and the Hamming-1 pairs differ at {pair}"
 
 
 def test_certified_complex_needs_connected_rows():
     for verts in (["00", "11"], ["110", "101", "011"]):
         with pytest.raises(NotConnected) as ex:
-            md.certified_complex(verts, [], md.hamming_distances(packed(*verts)))
+            md.certified_complex(verts, md.hamming_distances(packed(*verts)))
         assert str(ex.value) == "the Hamming-1 graph of the rows is not connected"
 
 
@@ -311,9 +303,8 @@ def test_certified_complex_refuses_connected_rows_that_are_not_closed():
     nearer to 000: the rows miss their majorities (010, 100), so the
     descent test refuses them, as its precondition does."""
     verts = ["000", "001", "011", "111", "110"]
-    edges = [(i, i + 1) for i in range(len(verts) - 1)]
     with pytest.raises(NotConnected, match="not connected"):
-        md.certified_complex(verts, edges, md.hamming_distances(packed(*verts)))
+        md.certified_complex(verts, md.hamming_distances(packed(*verts)))
 
 
 def test_the_draw_pool_is_pinned():
@@ -344,9 +335,10 @@ def test_closure_tables_are_built_once_per_dim():
         keys[0, 0] = 0
 
 
-def test_random_median_complex_cap():
+def test_random_median_complex_cap(monkeypatch):
+    monkeypatch.setenv("CUBETACT_CAP_VERTICES", "3")
     with pytest.raises(SizeLimitExceeded, match="majority closure exceeds 3"):
-        md.random_median_complex(6, 5, 1, cap=3)
+        md.random_median_complex(6, 5, 1)
 
 
 def test_json_roundtrip():

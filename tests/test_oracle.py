@@ -26,6 +26,14 @@ adds the ambient median of every defect triple of the n^3 median scan.  The
 projection closure of the generator, the quadrangle repair of the balls and
 the certified constructor must give the same complexes.
 
+Ball skeletons: the reference is build_ball's original product path, which
+multiplied every element of the closure by every letter, took the products
+inside the ball as its edges, and checked that each edge and each
+hyperplane carries one generator.  build_ball, which reads its edges and
+labels off the closed wall rows, must give the same vertices, name-pair
+edges and hyperplane labels on the builtin and session balls and on random
+defining graphs, the empty one included, in both kinds at radii 1-3.
+
 Normal forms: the reference is the original pair, an append-only push
 that merges each syllable with the last same-generator syllable reachable
 across commuting ones, followed by a greedy re-sort of the whole word that
@@ -827,18 +835,69 @@ def assert_same_complex(X, Y):
     np.testing.assert_array_equal(X.squares, Y.squares)
 
 
+def reference_ball_skeleton(gamma, kind, radius):
+    """build_ball's original product path: a BFS that keeps each word's
+    products with every letter, median_closure, the products of the medians
+    it adds, and the table of the products inside the closure, which must
+    give each edge one generator.  Returns (names, on): the vertex names of
+    the closure in order, and each edge as a sorted name pair -> its
+    generator."""
+    letters = rg._letters(gamma, kind)
+
+    def step(w):
+        return [rg.nf_mult(gamma, kind, w, (letter,)) for letter in letters]
+
+    words, queue = {(): None}, deque([()])  # word -> its products
+    while queue:
+        w = queue.popleft()
+        words[w] = step(w)
+        for w2 in words[w]:
+            if rg.word_length(kind, w2) <= radius and w2 not in words:
+                words[w2] = None
+                queue.append(w2)
+    ids = rg.median_closure(gamma, kind, words, md.vertex_cap())[0]
+    inside, on = set(ids), {}
+    for w in ids:
+        for (g, _), w2 in zip(letters, words.get(w) or step(w)):
+            if w2 in inside:
+                e = tuple(sorted((rg.format_word(w), rg.format_word(w2))))
+                assert on.setdefault(e, g) == g, f"edge {list(e)} carries {on[e]} and {g}"
+    return [rg.format_word(w) for w in ids], on
+
+
+def check_ball_skeleton(ball):
+    """The ball's vertices and edges are those of the product path, and the
+    generators of each hyperplane's dual edges there are one, its label."""
+    X = ball.complex
+    names, on = reference_ball_skeleton(ball.gamma, ball.kind, ball.radius)
+    assert list(X.vertices) == names
+    assert set(edge_names(X)) == set(on)
+    labs = [set() for _ in X.sides]
+    for e, h in zip(edge_names(X), X.edge_labels[1].tolist()):
+        labs[h].add(on[e])
+    assert all(len(gs) == 1 for gs in labs), labs
+    assert ball.labels == {h: gs.pop() for h, gs in enumerate(labs)}
+
+
 def check_ball_against_oracle(ball):
-    """Same closure and distances as the reference; same complex as validation."""
+    """Same closure and distances as the reference, and rows that mark each
+    element's walls; same complex as validation; same edges and labels as
+    the product path."""
     gamma, kind = ball.gamma, ball.kind
     words = {w for w in ball.words.values() if rg.word_length(kind, w) <= ball.radius}
     ref_elems, ref_D = reference_median_closure(gamma, kind, words)
-    elems, D = rg.median_closure(gamma, kind, words, md.vertex_cap())
+    elems, D, rows, walls = rg.median_closure(gamma, kind, words, md.vertex_cap())
     assert elems == ref_elems
     assert D.dtype == ref_D.dtype
     np.testing.assert_array_equal(D, ref_D)
+    bits = np.unpackbits(rows, axis=1, count=len(walls))
+    for w, row in zip(elems, bits):
+        assert [walls[c] for c in np.flatnonzero(row)] == sorted(
+            rg._walls(gamma, kind, w), key=walls.index)
     X = ball.complex
     assert list(X.vertices) == [rg.format_word(w) for w in ref_elems]
     assert_same_complex(X, md.validate_complex(X.vertices, edge_names(X)))
+    check_ball_skeleton(ball)
 
 
 @pytest.mark.parametrize(
@@ -951,6 +1010,17 @@ def defining_graphs(draw):
     pairs = list(combinations(names, 2))
     bits = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return rg.DefiningGraph(names, [e for e, bit in zip(pairs, bits) if bit])
+
+
+@settings(max_examples=60, deadline=None)
+@given(defining_graphs(), st.sampled_from([rg.ARTIN, rg.COXETER]), st.integers(1, 3))
+@example(rg.DefiningGraph([], []), rg.ARTIN, 1)
+@example(rg.DefiningGraph([], []), rg.COXETER, 1)
+def test_ball_edges_and_labels_against_the_products(gamma, kind, radius):
+    """build_ball reads its edges and labels off the wall rows; the product
+    path gives the same name-pair edges and the same label on every
+    hyperplane, on random defining graphs and the empty one."""
+    check_ball_skeleton(rg.build_ball(gamma, kind, radius))
 
 
 def cancelling_words(draw, gamma, kind):
@@ -1489,7 +1559,7 @@ def check_repair(bits):
     else:
         assert not connected
         with pytest.raises(NotConnected):
-            md.certified_complex(range(len(repaired)), np.argwhere(np.triu(D == 1)).tolist(), D)
+            md.certified_complex(range(len(repaired)), D)
     return connected, kernel_closed(rows)
 
 
@@ -1538,7 +1608,7 @@ def test_repair_needs_connected_rows():
     assert repaired.tolist() == rows.tolist() and witnesses == []
     assert len(majority_closure(rows, 8)[0]) == 4
     with pytest.raises(NotConnected):
-        md.certified_complex(["110", "101", "011"], [], D)
+        md.certified_complex(["110", "101", "011"], D)
 
 
 @st.composite

@@ -246,8 +246,10 @@ def test_ball_closure_can_exceed_radius(y_st5_r3):
 def test_ball_closure_checks_named_medians(monkeypatch):
     st5 = rg.builtin_defining_graph("STAR_EQ5")
     assert len(rg.build_ball(st5, rg.COXETER, 2).complex) == 21  # 19 + 2 medians
-    with pytest.raises(SizeLimitExceeded):
-        rg.build_ball(st5, rg.COXETER, 2, cap=20)
+    with monkeypatch.context() as patch:
+        patch.setenv("CUBETACT_CAP_VERTICES", "20")
+        with pytest.raises(SizeLimitExceeded, match="majority closure exceeds 20"):
+            rg.build_ball(st5, rg.COXETER, 2)
     with monkeypatch.context() as patch:
         patch.setattr(rg, "ambient_median", lambda gamma, kind, x, y, z: x)
         with pytest.raises(LemmaViolation, match="majority of their walls"):
@@ -284,29 +286,6 @@ def test_closed_balls_need_no_repair_round(monkeypatch):
     assert scans == [0] and len(X) == 68
     X, scans = repair_scans(monkeypatch, "C5", rg.ARTIN, 3)
     assert scans == [0] and (len(X), len(X.edges), len(X.sides)) == (531, 710, 350)
-
-
-def test_build_ball_guards_name_the_edge_and_the_hyperplane(monkeypatch):
-    """build_ball refuses an edge with two generators, named by its two
-    vertices in order, and a hyperplane whose edges carry two, named by its
-    id: with b multiplied as a, the edge 1 - a is labelled a and b; with
-    every edge of the x, y square given hyperplane 0, that hyperplane
-    carries x and y."""
-    real_mult, real_hyperplanes = rg.nf_mult, md.compute_hyperplanes
-    with monkeypatch.context() as patch:
-        patch.setattr(rg, "nf_mult", lambda gamma, kind, w1, w2: real_mult(
-            gamma, kind, w1, tuple(("a", e) if g == "b" else (g, e) for g, e in w2)))
-        with pytest.raises(LemmaViolation, match=r"^edge \['1', 'a'\] carries labels a and b$"):
-            rg.build_ball(rg.DefiningGraph(["a", "b"], []), rg.COXETER, 1)
-
-    def one_hyperplane(X):
-        A = real_hyperplanes(X)
-        X._edge_label[:] = 0
-        return A
-
-    monkeypatch.setattr(md, "compute_hyperplanes", one_hyperplane)
-    with pytest.raises(LemmaViolation, match=r"^hyperplane 0 carries labels \['x', 'y'\]$"):
-        rg.build_ball(rg.builtin_defining_graph("EDGE2"), rg.COXETER, 2)
 
 
 def test_ball_of_the_trivial_group():

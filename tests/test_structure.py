@@ -295,9 +295,7 @@ def test_no_interval_tensor_is_left():
 # (file, top-level definition) -> its guards: the raises of LemmaViolation
 # without which the object being built is not defined
 GUARDS = {
-    ("median.py", "certified_complex"): 1,  # the edges are the Hamming-1 pairs
     ("ragroups.py", "median_closure"): 1,  # the named median has the majority walls
-    ("ragroups.py", "build_ball"): 2,  # one label per edge and per hyperplane
     ("ragroups.py", "halfspace_twist"): 1,  # inverting y keeps the length
     ("ragroups.py", "davis_phi"): 2,  # no straddling carrier, an image for each A+ plane
 }

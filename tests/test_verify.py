@@ -234,6 +234,19 @@ def test_roundtrip_skips_outside_its_hypothesis(graph, reason):
     assert "St a <= St b" in entry["anchor"]
 
 
+@pytest.mark.parametrize("suite, gamma, reason", [
+    (vf.suite_davis, rg.builtin_defining_graph("C5"), "no star containment in the defining graph"),
+    (vf.suite_twist, rg.DefiningGraph([], []), "the defining graph is complete"),
+], ids=["davis-C5", "twist-empty"])
+def test_group_suites_skip_an_unmet_hypothesis(suite, gamma, reason):
+    """C5 has no St a <= St b, and the empty graph no pair of generators that
+    do not commute: the construction's hypothesis is unmet, so the entry is
+    skipped with the reason, not violated."""
+    entry = suite(gamma, 3)
+    assert entry["skipped"] == reason and entry["violations"] == []
+    assert entry["instancesChecked"] == 0
+
+
 @pytest.mark.parametrize("order", [("P4", "C5"), ("C5", "P4")], ids=["P4-C5", "C5-P4"])
 def test_several_balls_name_each_skipped_reason(order, y_c5_r3):
     """With several balls, the entry names the ball its skipped reason is
