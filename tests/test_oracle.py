@@ -631,8 +631,9 @@ def test_edges_against_the_name_pass(graph):
 
 
 def test_generators_hand_the_constructor_index_arrays(monkeypatch):
-    """random_median_complex, the quadrangle repair and build_ball pass the
-    index pairs they hold to the constructor as ndarrays, not names."""
+    """The constructor gets index pairs as ndarrays, not names, from the
+    quadrangle repair and from certified_complex, which reads them off the
+    distances for random_median_complex and build_ball."""
     calls = []
 
     class Spy(md.CubeComplex):
