@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotAnAutomorphism
-from .median import CubeComplex
+from .median import CubeComplex, _frozen
 
 REDUCED_MODES = ("self-exclusive", "strict")
 
@@ -49,17 +48,10 @@ def _relation(X: CubeComplex) -> _Relation:
     quadrants = (AA, na[:, None] - AA, na[None, :] - AA,
                  n - na[:, None] - na[None, :] + AA)
     transverse = np.logical_and.reduce([q > 0 for q in quadrants])
-    X._relation = _Relation(
-        *_frozen(transverse, (G > 0) & ~np.eye(H, dtype=bool), G == nk[None, :])
-    )
+    X._relation = _Relation(*map(
+        _frozen, (transverse, (G > 0) & ~np.eye(H, dtype=bool), G == nk[None, :])
+    ))
     return X._relation
-
-
-def _frozen(*arrays):
-    """The arrays, made read-only."""
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
 
 
 def interaction(X: CubeComplex, u, w):
@@ -135,7 +127,7 @@ def build_contact_family(X: CubeComplex, mode="self-exclusive") -> ContactFamily
     iu, iw = np.nonzero(T)
     linked[label[iu], label[iw]] = True
     linked &= ~np.eye(len(classes), dtype=bool)
-    return ContactFamily(X, rel.contact, T, classes, *_frozen(label, linked), mode)
+    return ContactFamily(X, rel.contact, T, classes, _frozen(label), _frozen(linked), mode)
 
 
 @dataclass(frozen=True)
@@ -165,30 +157,25 @@ def all_interaction_sets(X: CubeComplex):
 
 
 def pushforward_reduced(F: ContactFamily, phi):
-    """Map an automorphism of the crossing graph down to the reduced graph.
+    """Map an automorphism phi of the crossing graph down to the reduced
+    graph: class index -> the index of the class of phi's image of its
+    first member.  Raises NotAnAutomorphism unless phi is one.
 
-    Well-defined because crossing automorphisms preserve the equal-neighborhood
-    relation; class sizes must be permuted consistently.
+    The image class is the same for every member, and the map is a
+    bijection that keeps class sizes.  Proof: phi and its inverse keep the
+    crossing matrix T, so u, w are open twins (T_u = T_w) iff phi(u),
+    phi(w) are, and closed twins (T_u | {u} = T_w | {w}) iff phi(u), phi(w)
+    are.  The classes of either mode (_reduced_classes) are defined from
+    these two relations alone: strict mode groups the open twins, and
+    self-exclusive mode the open twins, then the closed twins of the rows
+    with no open twin.  So phi maps each class onto a class, and the
+    inverse maps that class back.
     """
     from .reconstruction import verify_automorphism
 
     verify_automorphism(F.crossing, phi)
-    class_of, induced = F.class_of.tolist(), {}
-    for cid, cls in enumerate(F.classes):
-        images = {class_of[phi[h]] for h in cls}
-        if len(images) != 1:
-            raise NotAnAutomorphism(
-                f"class {cls} is scattered across classes {sorted(images)}"
-            )
-        target = images.pop()
-        if len(F.classes[target]) != len(cls):
-            raise NotAnAutomorphism(
-                f"class {cls} maps to a class of different size"
-            )
-        induced[cid] = target
-    if set(induced.values()) != set(induced):
-        raise NotAnAutomorphism("induced class map is not a bijection")
-    return induced
+    class_of = F.class_of.tolist()
+    return {cid: class_of[phi[cls[0]]] for cid, cls in enumerate(F.classes)}
 
 
 # ---------------------------------------------------------------------------

@@ -867,9 +867,7 @@ def _pair_keys(dim):
     Built on the first call for each dim, then read."""
     cube = np.arange(2 ** dim)[:, None] >> np.arange(dim)[::-1] & 1  # [x, i]: x_i
     i, j = np.triu_indices(dim)
-    keys = (4 * np.arange(len(i)) + 2 * cube[:, i] + cube[:, j]).astype(np.uint16)
-    keys.flags.writeable = False
-    return keys
+    return _frozen((4 * np.arange(len(i)) + 2 * cube[:, i] + cube[:, j]).astype(np.uint16))
 
 
 def _projection_closure(codes, dim):
@@ -898,10 +896,11 @@ def random_median_complex(ambient_dim, seed_count, rng_seed) -> CubeComplex:
 
     The codes close in one step (_projection_closure; the bound of 12 also
     bounds its 2^ambient_dim table).  A closed set can still be disconnected
-    (two antipodal seeds, say), which _descends finds: then the closest pair
-    between the first two components, in string order, is bridged by a
-    bit-flip path and closed again.  Deterministic per rng_seed: each point
-    is ambient_dim rng.randint(0, 1) bits, top bit first.
+    (two antipodal seeds, say), which certified_complex finds: then the
+    closest pair between the first two components, in string order, is
+    bridged by a bit-flip path and closed again.  Deterministic per
+    rng_seed: each point is ambient_dim rng.randint(0, 1) bits, top bit
+    first.
     """
     if not 1 <= ambient_dim <= 12:
         raise ValueError(f"ambient_dim must be in 1..12, got {ambient_dim}")
@@ -923,9 +922,11 @@ def random_median_complex(ambient_dim, seed_count, rng_seed) -> CubeComplex:
         if len(codes) > cap:
             raise SizeLimitExceeded(f"majority closure exceeds {cap} vertices")
         D = hamming_distances(codes[:, None])
+        try:
+            return certified_complex([format(c, f"0{ambient_dim}b") for c in codes.tolist()], D)
+        except NotConnected:
+            pass
         A = D == 1
-        if _descends(A, D):
-            break
         c0 = _distances(A, 0) >= 0
         a, b = np.flatnonzero(c0), np.flatnonzero(_distances(A, np.argmin(c0)) >= 0)
         i, j = np.unravel_index(np.argmin(D[np.ix_(a, b)]), (len(a), len(b)))
@@ -933,9 +934,6 @@ def random_median_complex(ambient_dim, seed_count, rng_seed) -> CubeComplex:
         # flip the differing coordinates in ascending order, keeping each step
         codes = np.append(codes, p ^ np.cumsum(weights[((p ^ q) & weights) > 0]))
         codes = np.unique(codes)
-
-    verts = [format(c, f"0{ambient_dim}b") for c in codes.tolist()]
-    return certified_complex(verts, D)
 
 
 # ---------------------------------------------------------------------------

@@ -523,13 +523,14 @@ def syllable_distance(ball: Ball, x, y) -> int:
     their coset line is a ball vertex too.  This is an upper bound for the
     true syllable metric: a shorter path through vertices outside the ball
     cannot be seen here.
+
+    Every vertex is reached: each edge of the ball's skeleton lies on a run
+    of its label, so the syllable graph holds the skeleton, which is
+    connected.
     """
     x, y = (v if isinstance(v, str) else format_word(v) for v in (x, y))
     X = ball.complex  # its vertices are the ids of ball.words
-    d = int(_median._distances(_syllable_graph(ball), X.check_vertex(x))[X.check_vertex(y)])
-    if d < 0:
-        raise UnknownVertex(f"{y} unreachable in the syllable graph")
-    return d
+    return int(_median._distances(_syllable_graph(ball), X.check_vertex(x))[X.check_vertex(y)])
 
 
 def _segment_classes(ball: Ball):
@@ -654,6 +655,11 @@ def halfspace_twist(ball: Ball, x, y, side="A") -> HalfspaceTwist:
     so the result is an automorphism of the ball's skeleton that fixes the
     carrier pointwise; the twist suite of verify.py checks both.  Raises
     BallTooSmall when the result is the identity.
+
+    Each image is a ball vertex: y -> y^-1 sends every generator to itself
+    or its inverse, so it is an automorphism of the group that keeps the
+    word length, and the ball is the set of words of length at most its
+    radius.
     """
     if ball.kind != ARTIN:
         raise ValueError("the halfspace twist lives on artin balls")
@@ -673,12 +679,7 @@ def halfspace_twist(ball: Ball, x, y, side="A") -> HalfspaceTwist:
     perm = {}
     for v, w in ball.words.items():
         if halfspace[X.index[v]]:
-            image = _invert_generator(ball.gamma, w, y)
-            if word_length(ARTIN, image) != word_length(ARTIN, w):
-                raise LemmaViolation(
-                    f"inverting {y} changes the length of {v}"
-                )
-            perm[v] = format_word(image)
+            perm[v] = format_word(_invert_generator(ball.gamma, w, y))
         else:
             perm[v] = v
     moved = tuple(sorted(v for v in perm if perm[v] != v))
@@ -722,6 +723,15 @@ def davis_phi(ball: Ball, a, b, base="1", margin=2) -> DavisPhi:
     suite of verify.py checks that the reflection fixes the transverse
     hyperplanes, that no contact edge joins the two
     halves, that phi preserves contact and that the square at base breaks.
+
+    The carrier of a hyperplane h that is neither ha nor transverse to it
+    lies on one side of ha, so its part is A+ or A-.  Proof: a dual edge of
+    h crosses h alone, so both its ends lie on one side of ha.  The dual
+    edges of h are joined by a chain of squares, each with two opposite
+    dual edges of h (Mulder, The interval function of a graph, 1980).  If
+    the chain changed sides of ha, one square would have its other two
+    edges dual to ha; its four vertices lie in all four quadrants of h and
+    ha, so h would be transverse to ha.
     """
     if ball.kind != COXETER:
         raise ValueError("the reflection construction lives on coxeter balls")
@@ -756,19 +766,11 @@ def davis_phi(ball: Ball, a, b, base="1", margin=2) -> DavisPhi:
     # the side of ha holding va, which the reflection acts on
     a_plus = X.sides[ha] == X.sides[ha, X.index[va]]
     K, transverse = X.carriers, _contact._relation(X).transverse
-    partition = {}
-    for h in sorted(interior):
-        if h == ha or transverse[ha, h]:
-            partition[h] = "T"
-        elif not (K[h] & ~a_plus).any():
-            partition[h] = "A+"
-        elif not (K[h] & a_plus).any():
-            partition[h] = "A-"
-        else:
-            raise LemmaViolation(
-                f"carrier of hyperplane {h} straddles non-transverse "
-                f"hyperplane {ha}"
-            )
+    partition = {
+        h: "T" if h == ha or transverse[ha, h]
+        else "A-" if (K[h] & ~a_plus).any() else "A+"
+        for h in sorted(interior)
+    }
 
     reflection = nf_mult(
         gamma, kind, nf_mult(gamma, kind, w, ((b, 1),)), nf_inverse(kind, w)

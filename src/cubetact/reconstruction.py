@@ -16,7 +16,7 @@ from .errors import (
     NotAnAutomorphism,
     UnknownClique,
 )
-from .median import CubeComplex, _hyperplane_map, extremality
+from .median import CubeComplex, _frozen, _hyperplane_map, extremality
 
 DEFAULT_CLIQUE_CAP = 100_000
 
@@ -154,16 +154,12 @@ def adjacency_criterion(X: CubeComplex, v, w):
 
     Matches actual adjacency when hyperplanes of X have no extremal vertices;
     the direction non-adjacent => False holds unconditionally.  One _joined
-    row, with the members of the h at v read off the carrier rows, which
-    are those members' bitsets.
+    row.
     """
     i, j = X.check_vertex(v), X.check_vertex(w)
     if v == w:
         raise ValueError("criterion needs two distinct vertices")
-    at = sorted(X.ids_at[i])
-    bits = np.packbits(X.carriers[at], axis=1, bitorder="little")
-    members = {h: int.from_bytes(row.tobytes(), "little") for h, row in zip(at, bits)}
-    return j in _joined(X.ids_at, i, members)
+    return j in _joined(X.ids_at, i)
 
 
 def reconstruct(cliques):
@@ -182,8 +178,7 @@ def reconstruct(cliques):
     R = np.zeros((len(cliques),) * 2, dtype=bool)
     for i in range(len(cliques)):
         R[i, _joined(cliques, i, members)] = True
-    R.flags.writeable = False
-    return R
+    return _frozen(R)
 
 
 def induce_iota(X: CubeComplex, g):

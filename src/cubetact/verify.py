@@ -114,7 +114,17 @@ def _cone_links(X):
 
 def _iw(X):
     """u is in I(w) iff u = w, or u is transverse to w and to every other
-    hyperplane transverse to w; then the I0 and dimension checks."""
+    hyperplane transverse to w.
+
+    The anchor's other two claims follow, so they are not checked.  |I(w)|
+    is at most the dimension: by the characterization, each u != w in I(w)
+    is transverse to w, and N(w) - {u} lies in N(u) in the crossing graph,
+    so any two members of I(w) are transverse.  I(w) is a crossing clique,
+    and X.dimension is the clique number of the crossing graph.  The I0
+    classes partition the hyperplanes: I[u, w] says that u's carrier
+    contains w's (contact._relation), and containment is a preorder, so
+    I & I.T, equality of carriers, is an equivalence relation.
+    """
     rel = _contact._relation(X)
     T = rel.transverse
     Tf = T.astype(np.float32)
@@ -125,22 +135,7 @@ def _iw(X):
             f"I({w}) definitional {np.flatnonzero(rel.I[:, w]).tolist()} != "
             f"characterization {np.flatnonzero(characterized[:, w]).tolist()}"
         )
-
-    sizes = rel.I.sum(axis=0)
-    for w in np.flatnonzero(sizes > X.dimension).tolist():
-        yield {"hyperplane": w, "I_size": int(sizes[w])}
-    classes = {}  # I0(w) -> the hyperplanes w with that I0, from I & I.T
-    for w, i0 in enumerate(_median._true_columns(rel.I & rel.I.T)):
-        classes.setdefault(frozenset(i0), set()).add(w)
-    # I0 classes partition the hyperplanes
-    seen = set()
-    for cls in classes.values():
-        if cls & seen:
-            yield {"overlap": sorted(cls & seen)}
-        seen |= cls
-    for cls, members in classes.items():
-        if set(cls) != members:
-            yield {"class": sorted(cls), "members": sorted(members)}
+    return ()
 
 
 def _criterion(X):
@@ -215,8 +210,9 @@ def _roundtrip(ball, margin):
 
 
 def _kernel(X):
-    """Each kernel generator is a contact automorphism of order two fixing
-    every maximal clique setwise."""
+    """Each kernel generator is a contact automorphism fixing every maximal
+    clique setwise.  It has order two by construction: kernel_subgroup
+    builds each generator as a transposition."""
     contact = _contact._relation(X).contact
     cliques = _rec.maximal_cliques(contact)
     for perm in _rec.kernel_subgroup(X):
@@ -227,8 +223,7 @@ def _kernel(X):
                 raise LemmaViolation(
                     f"I0 transposition ({moved}) moves maximal clique {cl}"
                 )
-        if any(perm[perm[h]] != h for h in perm):
-            yield {"witness": "generator of order > 2"}
+    return ()
 
 
 def _davis(pair, gamma, radius):

@@ -119,6 +119,36 @@ def test_interaction_sets_random():
             assert len(s.I) <= X.dimension
 
 
+def check_iw_invariants(X):
+    """Every I(w) has at most X.dimension members, and the columns of
+    I & I.T partition the hyperplanes: column w holds w, and each of its
+    members has the same column."""
+    I = ct._relation(X).I
+    assert I.sum(axis=0).max(initial=0) <= X.dimension
+    I0 = I & I.T
+    assert I0.diagonal().all()
+    for w in range(len(I0)):
+        assert (I0[:, I0[:, w]] == I0[:, [w]]).all(), w
+
+
+@pytest.mark.parametrize("name", md.BUILTIN_COMPLEXES)
+def test_iw_invariants_builtins(name):
+    check_iw_invariants(md.builtin_complex(name))
+
+
+def test_iw_invariants_random():
+    for seed in range(1, 101):
+        check_iw_invariants(md.random_median_complex(6, 5, seed))
+
+
+@pytest.mark.parametrize(
+    "fixture",
+    ["y_c5_r3", "y_p4_r4", "y_st5_r3", "y_st5_r4", "x_c5_r2", "x_c5_r3", "x_f2_r3", "z2_r3"],
+)
+def test_iw_invariants_balls(fixture, request):
+    check_iw_invariants(request.getfixturevalue(fixture).complex)
+
+
 def test_crossing_automorphism_checks():
     X = md.builtin_complex("Q3")
     F = ct.build_contact_family(X)

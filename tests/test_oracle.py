@@ -154,6 +154,14 @@ graphs, which read dicts of sets.  family_to_json and graph_to_dot read the
 bool matrices, and must give the same bytes on random symmetric matrices
 with at most 12 vertices, the empty and complete graphs among them, and on
 the families of the oracle instances above.
+
+Reduced maps: the reference is the original pushforward_reduced, which
+checked, after the automorphism check, that each class goes onto one class
+of its size and that the class map is a bijection.  pushforward_reduced,
+which reads the image of each class off its first member, must give the
+same map on the crossing-graph automorphisms that networkx's GraphMatcher
+finds (a capped number per graph), in both modes, on the builtins, random
+complexes and small balls, and raise the same error on random shuffles.
 """
 
 import json
@@ -161,7 +169,7 @@ import random
 import sys
 import tracemalloc
 from collections import deque, namedtuple
-from itertools import combinations
+from itertools import combinations, islice
 from pathlib import Path
 
 import numpy as np
@@ -2477,3 +2485,57 @@ def test_davis_phi_against_the_dual_edge_loop(request, fixture, base):
     assert list(d.phi.items()) == list(phi.items())
     assert list(d.rho_map.items()) == list(rho_map.items())
     assert any(rho_map[v] != v for v in rho_map)
+
+
+def reference_pushforward_reduced(F, phi):
+    """The original pushforward_reduced, which checked that each class goes
+    onto one class of its size and that the class map is a bijection."""
+    rc.verify_automorphism(F.crossing, phi)
+    class_of, induced = F.class_of.tolist(), {}
+    for cid, cls in enumerate(F.classes):
+        images = {class_of[phi[h]] for h in cls}
+        if len(images) != 1:
+            raise NotAnAutomorphism(
+                f"class {cls} is scattered across classes {sorted(images)}"
+            )
+        target = images.pop()
+        if len(F.classes[target]) != len(cls):
+            raise NotAnAutomorphism(
+                f"class {cls} maps to a class of different size"
+            )
+        induced[cid] = target
+    if set(induced.values()) != set(induced):
+        raise NotAnAutomorphism("induced class map is not a bijection")
+    return induced
+
+
+PUSHFORWARD_CAP = 100  # crossing automorphisms per graph and mode
+
+
+def test_pushforward_reduced_against_the_checked_map():
+    """pushforward_reduced, with no checks of its own after the automorphism
+    check, gives the checked map on up to PUSHFORWARD_CAP crossing-graph
+    automorphisms per graph (networkx's GraphMatcher) in both modes, on the
+    builtins, 100 random(6, 5) draws and the builtin balls of radius 1-2;
+    and a shuffle that is no automorphism is refused by both with the same
+    message."""
+    nx = pytest.importorskip("networkx")
+    instances = [md.builtin_complex(name) for name in md.BUILTIN_COMPLEXES]
+    instances += [md.random_median_complex(6, 5, seed) for seed in range(1, 101)]
+    instances += [rg.build_ball(rg.builtin_defining_graph(name), kind, radius).complex
+                  for name in rg.BUILTIN_GRAPHS for kind in (rg.ARTIN, rg.COXETER)
+                  for radius in (1, 2)]
+    rnd, checked = random.Random(5), 0
+    for X in instances:
+        for mode in ct.REDUCED_MODES:
+            F = ct.build_contact_family(X, mode)
+            G = nx.from_numpy_array(F.crossing)
+            matcher = nx.algorithms.isomorphism.GraphMatcher(G, G)
+            for iso in islice(matcher.isomorphisms_iter(), PUSHFORWARD_CAP):
+                assert ct.pushforward_reduced(F, iso) == reference_pushforward_reduced(F, iso)
+                checked += 1
+            shuffled = rnd.sample(range(len(F.crossing)), len(F.crossing))
+            phi = dict(enumerate(shuffled))
+            assert (outcome(ct.pushforward_reduced, F, phi)
+                    == outcome(reference_pushforward_reduced, F, phi))
+    assert checked > 5000

@@ -2,7 +2,7 @@
 
 import random
 from collections import deque
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from conftest import edge_names, has_edge
@@ -16,6 +16,7 @@ from cubetact.errors import (
     GeneratorsAdjacent,
     LemmaViolation,
     NotACone,
+    NotInterior,
     SizeLimitExceeded,
     StarNotContained,
     UnknownGenerator,
@@ -490,6 +491,16 @@ def test_syllable_distance_f2(x_f2_r3):
     assert rg.syllable_distance(x_f2_r3, "1", "x^2.y") == 2
 
 
+@pytest.mark.parametrize("kind", [rg.ARTIN, rg.COXETER])
+@pytest.mark.parametrize("name", rg.BUILTIN_GRAPHS)
+def test_syllable_graph_is_connected(name, kind):
+    """syllable_distance reads no unreachable vertex: the syllable graph of
+    every builtin ball of radius 1-3 reaches each vertex from the first."""
+    for radius in (1, 2, 3):
+        ball = rg.build_ball(rg.builtin_defining_graph(name), kind, radius)
+        assert (md._distances(rg._syllable_graph(ball), 0) >= 0).all()
+
+
 def test_syllable_shuffle_identity(z2_r3):
     out = rg.syllable_shuffle(z2_r3, {})
     assert out["moved"] == []
@@ -611,6 +622,27 @@ def test_halfspace_twist_c5(x_c5_r3):
         assert tw.perm[tw.perm[v]] == v
 
 
+def test_halfspace_twist_keeps_word_length():
+    """Every image of every twist is a ball vertex of the same word length,
+    on the F2, C5, P4 and STAR_EQ5 artin balls of radius 2-3, for each
+    ordered non-adjacent pair and each side."""
+    images = 0
+    for name in ("F2", "C5", "P4", "STAR_EQ5"):
+        gamma = rg.builtin_defining_graph(name)
+        for radius in (2, 3):
+            ball = rg.build_ball(gamma, rg.ARTIN, radius)
+            for x, y in permutations(gamma.vertices, 2):
+                if gamma.commute(x, y):
+                    continue
+                for side in "AB":
+                    perm = rg.halfspace_twist(ball, x, y, side).perm
+                    for v, image in perm.items():
+                        assert (rg.word_length(rg.ARTIN, ball.words[image])
+                                == rg.word_length(rg.ARTIN, ball.words[v])), (v, image)
+                    images += len(perm)
+    assert images > 10_000
+
+
 def test_halfspace_twist_errors(x_c5_r3):
     with pytest.raises(GeneratorsAdjacent):
         rg.halfspace_twist(x_c5_r3, "a", "b")
@@ -635,6 +667,35 @@ def test_davis_phi_p4(y_p4_r4):
         if part == "T":
             assert out.phi[hid] == hid
     assert len(set(out.phi.values())) == len(out.phi)
+
+
+def test_davis_carriers_do_not_straddle_the_a_hyperplane():
+    """The carrier of an interior hyperplane that is neither ha nor
+    transverse to it lies on the side of ha its part names, for every base
+    and star containment where davis_phi returns, on the P4 and STAR_EQ5
+    coxeter balls of radius 3-4; read from X.carriers and X.sides."""
+    built = 0
+    for name in ("P4", "STAR_EQ5"):
+        gamma = rg.builtin_defining_graph(name)
+        for radius in (3, 4):
+            ball = rg.build_ball(gamma, rg.COXETER, radius)
+            X = ball.complex
+            T = ct._relation(X).transverse
+            for a, b in vf._star_containments(gamma):
+                for base in sorted(ball.words):
+                    try:
+                        d = rg.davis_phi(ball, a, b, base)
+                    except (BallTooSmall, NotInterior, LemmaViolation):
+                        continue
+                    ha, va = d.a_hyperplane, X.index[d.witness_square[1]]
+                    for h, part in d.partition.items():
+                        if h == ha or T[ha, h]:
+                            assert part == "T"
+                            continue
+                        on_va_side = X.sides[ha, X.carriers[h]] == X.sides[ha, va]
+                        assert on_va_side.all() if part == "A+" else not on_va_side.any()
+                    built += 1
+    assert built == 144
 
 
 def test_davis_phi_composite_bases(y_p4_r4):
