@@ -57,7 +57,7 @@ class UnknownClique(CubetactError):
 
 
 class LemmaViolation(CubetactError):
-    """A machine-checked statement failed; carries the offending witness."""
+    """A statement checked by a verify suite failed; carries the witness."""
 
 
 class GeneratorsAdjacent(CubetactError):

@@ -19,7 +19,6 @@ from . import median as _median
 from .errors import (
     BallTooSmall,
     GeneratorsAdjacent,
-    LemmaViolation,
     NotACone,
     NotInterior,
     SizeLimitExceeded,
@@ -318,15 +317,8 @@ def median_closure(gamma, kind, elements, cap):
     for i, cols in enumerate(walls):
         rows[i, cols] = True
     rows, D, witnesses = _median._repair_quadrangles(np.packbits(rows, axis=1), cap)
-    for row, triple in zip(rows[len(elems):], witnesses):
-        m = ambient_median(gamma, kind, *(elems[i] for i in triple))
-        cols = sorted(column.get(k, -1) for k in _walls(gamma, kind, m))
-        if cols != np.flatnonzero(np.unpackbits(row, count=len(column))).tolist():
-            raise LemmaViolation(
-                f"median {format_word(m)} of {[format_word(elems[i]) for i in triple]} "
-                f"does not have the majority of their walls"
-            )
-        elems.append(m)
+    for triple in witnesses:
+        elems.append(ambient_median(gamma, kind, *(elems[i] for i in triple)))
     order = sorted(range(len(elems)), key=lambda i: shortlex(elems[i]))
     return [elems[i] for i in order], D[np.ix_(order, order)], rows[order], list(column)
 
@@ -611,7 +603,6 @@ def extension_graph_ball(ball: Ball, margin=None) -> dict:
         "vertices": verts,
         "labels": labels,
         "edges": edges,
-        "comparison": None,
     }
     if equal_links:
         out["comparison"] = {
@@ -721,8 +712,9 @@ def davis_phi(ball: Ball, a, b, base="1", margin=2) -> DavisPhi:
     every hyperplane it defines, and rho_map is that translation on the
     a-plus side of the a-hyperplane and the identity off it.  The davis
     suite of verify.py checks that the reflection fixes the transverse
-    hyperplanes, that no contact edge joins the two
-    halves, that phi preserves contact and that the square at base breaks.
+    hyperplanes, that no contact edge joins the two halves, that phi
+    preserves contact and that the square at base breaks.  BallTooSmall:
+    no a,b square at base, or an A+ hyperplane has no reflection image.
 
     The carrier of a hyperplane h that is neither ha nor transverse to it
     lies on one side of ha, so its part is A+ or A-.  Proof: a dual edge of
@@ -778,7 +770,7 @@ def davis_phi(ball: Ball, a, b, base="1", margin=2) -> DavisPhi:
     reflect = _translation(ball, reflection)
     reflected = _median._hyperplane_map(X, reflect)
     for h in [h for h, part in partition.items() if part == "A+" and h not in reflected][:1]:
-        raise LemmaViolation(
+        raise BallTooSmall(
             f"reflection image of hyperplane {h} ill-defined: no dual edge maps into the ball")
     phi = {h: reflected[h] if part == "A+" else h for h, part in partition.items()}
     plus = dict(zip(X.vertices, a_plus.tolist()))

@@ -33,19 +33,8 @@ from .errors import (
 )
 
 # an instance that raises one of these was not checked: the runner lists it
-# under "refused" instead of as a violation
+# under "refused"; any other CubetactError is a violation
 _REFUSED = (SizeLimitExceeded, CliqueLimitExceeded, BallTooSmall, NotInterior)
-
-
-def _witness(f, *args):
-    """f(*args), with any CubetactError it raises, other than a refusal,
-    raised as a LemmaViolation with the same message."""
-    try:
-        return f(*args)
-    except _REFUSED:
-        raise
-    except CubetactError as ex:
-        raise LemmaViolation(str(ex)) from ex
 
 
 def _helly(X):
@@ -216,7 +205,7 @@ def _kernel(X):
     contact = _contact._relation(X).contact
     cliques = _rec.maximal_cliques(contact)
     for perm in _rec.kernel_subgroup(X):
-        _witness(_rec.verify_automorphism, contact, perm)
+        _rec.verify_automorphism(contact, perm)
         moved = " ".join(str(h) for h in perm if perm[h] != h)
         for cl in cliques:
             if {perm[h] for h in cl} != set(cl):
@@ -231,7 +220,7 @@ def _davis(pair, gamma, radius):
     a-hyperplane (so the piecewise phi is consistent), no contact edge joins
     the two halves, phi preserves contact, and rho(phi) breaks the square."""
     ball = _rg.build_ball(gamma, _rg.COXETER, radius)
-    d = _witness(_rg.davis_phi, ball, *pair)
+    d = _rg.davis_phi(ball, *pair)
     C = _contact._relation(ball.complex).contact
     for hid, part in d.partition.items():
         if part == "T" and d.reflected.get(hid, hid) != hid:
@@ -263,7 +252,7 @@ def _twist(pair, gamma, radius):
     """The twist fixes the carrier of its hyperplane pointwise (carrier words
     avoid y, so the two pieces agree there) and is a ball automorphism."""
     ball = _rg.build_ball(gamma, _rg.ARTIN, radius)
-    tw = _witness(_rg.halfspace_twist, ball, *pair)
+    tw = _rg.halfspace_twist(ball, *pair)
     X = ball.complex
     carrier = np.flatnonzero(X.carriers[tw.hyperplane]).tolist()
     for v in sorted(X.vertices[i] for i in carrier):
@@ -273,15 +262,13 @@ def _twist(pair, gamma, radius):
                 f"inverting {pair[1]} moves carrier vertex {v} to {image}")
     index = X.index  # an image outside the ball is no bijection
     perm = {index.get(v, -1): index.get(w, -1) for v, w in tw.perm.items()}
-    _witness(_rec.verify_automorphism, X.adjacency, perm)
+    _rec.verify_automorphism(X.adjacency, perm)
     return {"witness": {"hyperplane": tw.hyperplane, "moved": len(tw.moved)}}
 
 
 def _extension_graph(gamma, radius):
     ball = _rg.build_ball(gamma, _rg.ARTIN, radius)
     cmp_ = _rg.extension_graph_ball(ball)["comparison"]
-    if cmp_ is None:
-        return {}
     if cmp_.get("skipped"):
         return {"skipped": cmp_["skipped"]}
     if not cmp_["isomorphic"]:
@@ -294,7 +281,7 @@ def _extension_graph(gamma, radius):
 
 # suite -> (anchor, check).  A check takes one instance and returns its
 # violations, or (the group suites) a dict of extra entry fields; it raises
-# LemmaViolation to report one witness for the instance.
+# a CubetactError, such as LemmaViolation, to report one witness.
 _TABLE = {
     "helly": (
         "halfspaces and carriers are convex; four pairwise-intersecting "
@@ -339,11 +326,12 @@ def _run(suite, instances, *args):
     Violations get their instance's name, unless it is None (the group
     suites, which check one generator pair or graph).  With several
     instances, each skipped reason is prefixed by its instance's name and
-    the reasons are joined.  An instance over a size or clique limit, or a
-    ball too small for its construction, is listed under "refused" with the
-    error's message, and the other instances still run; so is one given as
-    a function of no arguments that builds it, when the build is refused.
-    args follow the instance in each call.
+    the reasons are joined.  Errors are sorted here alone: an instance over
+    a size or clique limit, or a ball too small for its construction, is
+    "refused" with the error's message, and any other CubetactError is a
+    violation with the message as witness; the other instances still run.
+    An instance may be a function of no arguments that builds it.  args
+    follow the instance in each call.
     """
     anchor, check = _TABLE[suite]
     t0 = time.perf_counter()
@@ -359,10 +347,10 @@ def _run(suite, instances, *args):
                 continue
             for v in found:
                 violations.append({**label, **v})
-        except LemmaViolation as ex:
-            violations.append({**label, "witness": str(ex)})
         except _REFUSED as ex:
             refused.append({**label, "reason": str(ex)})
+        except CubetactError as ex:
+            violations.append({**label, "witness": str(ex)})
     if skipped:
         extra["skipped"] = "; ".join(skipped)
     if refused:

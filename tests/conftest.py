@@ -47,6 +47,17 @@ def index_pairs(vertices, edges):
     return [(index[u], index[v]) for u, v in edges]
 
 
+def wall_row_mismatches(gamma, kind, elems, rows, walls):
+    """The elements of a rg.median_closure result whose packed row does not
+    mark exactly their walls; none when each named median has the majority
+    of its witness triple's walls."""
+    column = {k: c for c, k in enumerate(walls)}
+    bits = np.unpackbits(rows, axis=1, count=len(walls))
+    return [w for w, row in zip(elems, bits)
+            if sorted(column.get(k, -1) for k in rg._walls(gamma, kind, w))
+            != np.flatnonzero(row).tolist()]
+
+
 def matrix_of(adjacency):
     """(nodes, M) for a dict-of-sets graph: its sorted nodes, and its bool
     adjacency matrix with nodes[k] at row and column k."""

@@ -174,7 +174,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import adjacency_of, edge_names, edge_set, has_edge, index_pairs, matrix_of, skeleton_of
+from conftest import (
+    adjacency_of,
+    edge_names,
+    edge_set,
+    has_edge,
+    index_pairs,
+    matrix_of,
+    skeleton_of,
+    wall_row_mismatches,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -899,10 +908,7 @@ def check_ball_against_oracle(ball):
     assert elems == ref_elems
     assert D.dtype == ref_D.dtype
     np.testing.assert_array_equal(D, ref_D)
-    bits = np.unpackbits(rows, axis=1, count=len(walls))
-    for w, row in zip(elems, bits):
-        assert [walls[c] for c in np.flatnonzero(row)] == sorted(
-            rg._walls(gamma, kind, w), key=walls.index)
+    assert not wall_row_mismatches(gamma, kind, elems, rows, walls)
     X = ball.complex
     assert list(X.vertices) == [rg.format_word(w) for w in ref_elems]
     assert_same_complex(X, md.validate_complex(X.vertices, edge_names(X)))

@@ -1,11 +1,11 @@
 """Normal forms, group balls, star analysis and the exotic automorphisms."""
 
 import random
-from collections import deque
+from collections import Counter, deque
 from itertools import combinations, permutations
 
 import pytest
-from conftest import edge_names, has_edge
+from conftest import edge_names, has_edge, wall_row_mismatches
 
 from cubetact import contact as ct
 from cubetact import median as md
@@ -14,7 +14,6 @@ from cubetact import verify as vf
 from cubetact.errors import (
     BallTooSmall,
     GeneratorsAdjacent,
-    LemmaViolation,
     NotACone,
     NotInterior,
     SizeLimitExceeded,
@@ -244,17 +243,41 @@ def test_ball_closure_can_exceed_radius(y_st5_r3):
     assert not set(deep) & y_st5_r3.interior_vertices(0)
 
 
+def ball_words(gamma, kind, radius):
+    """The words of length at most radius, which build_ball closes."""
+    ball = rg.build_ball(gamma, kind, radius)
+    return {w for w in ball.words.values() if rg.word_length(kind, w) <= radius}
+
+
 def test_ball_closure_checks_named_medians(monkeypatch):
+    """The cap stops the closure.  median_closure trusts ambient_median to
+    name each new row; a median named with the wrong walls is caught by
+    the wall-row check, which the tests run and the closure does not."""
     st5 = rg.builtin_defining_graph("STAR_EQ5")
     assert len(rg.build_ball(st5, rg.COXETER, 2).complex) == 21  # 19 + 2 medians
     with monkeypatch.context() as patch:
         patch.setenv("CUBETACT_CAP_VERTICES", "20")
         with pytest.raises(SizeLimitExceeded, match="majority closure exceeds 20"):
             rg.build_ball(st5, rg.COXETER, 2)
+    words = ball_words(st5, rg.COXETER, 2)
+    elems, _, rows, walls = rg.median_closure(st5, rg.COXETER, words, md.vertex_cap())
+    assert not wall_row_mismatches(st5, rg.COXETER, elems, rows, walls)
     with monkeypatch.context() as patch:
         patch.setattr(rg, "ambient_median", lambda gamma, kind, x, y, z: x)
-        with pytest.raises(LemmaViolation, match="majority of their walls"):
-            rg.build_ball(st5, rg.COXETER, 2)
+        elems, _, rows, walls = rg.median_closure(st5, rg.COXETER, words, md.vertex_cap())
+    assert len(elems) == 21 and len(set(elems)) == 19
+    assert len(wall_row_mismatches(st5, rg.COXETER, elems, rows, walls)) == 2
+
+
+def test_named_medians_have_their_walls_on_a_large_closure():
+    """STAR_EQ5/artin/3 adds 112 medians, where the session fixtures add at
+    most 8; the wall-row check, without the n^3 reference closure of
+    tests/test_oracle.py, covers each of them."""
+    st5 = rg.builtin_defining_graph("STAR_EQ5")
+    words = ball_words(st5, rg.ARTIN, 3)
+    elems, _, rows, walls = rg.median_closure(st5, rg.ARTIN, words, md.vertex_cap())
+    assert len(elems) - len(words) == 112
+    assert not wall_row_mismatches(st5, rg.ARTIN, elems, rows, walls)
 
 
 def repair_scans(monkeypatch, name, kind, radius):
@@ -673,8 +696,10 @@ def test_davis_carriers_do_not_straddle_the_a_hyperplane():
     """The carrier of an interior hyperplane that is neither ha nor
     transverse to it lies on the side of ha its part names, for every base
     and star containment where davis_phi returns, on the P4 and STAR_EQ5
-    coxeter balls of radius 3-4; read from X.carriers and X.sides."""
-    built = 0
+    coxeter balls of radius 3-4; read from X.carriers and X.sides.  A ball
+    too small for the construction refuses: BallTooSmall (also when an A+
+    hyperplane has no reflection image in the ball) or NotInterior."""
+    outcomes = Counter()
     for name in ("P4", "STAR_EQ5"):
         gamma = rg.builtin_defining_graph(name)
         for radius in (3, 4):
@@ -685,7 +710,9 @@ def test_davis_carriers_do_not_straddle_the_a_hyperplane():
                 for base in sorted(ball.words):
                     try:
                         d = rg.davis_phi(ball, a, b, base)
-                    except (BallTooSmall, NotInterior, LemmaViolation):
+                    except (BallTooSmall, NotInterior) as ex:
+                        outcomes["reflection image" if "reflection image" in str(ex)
+                                 else type(ex).__name__] += 1
                         continue
                     ha, va = d.a_hyperplane, X.index[d.witness_square[1]]
                     for h, part in d.partition.items():
@@ -694,8 +721,9 @@ def test_davis_carriers_do_not_straddle_the_a_hyperplane():
                             continue
                         on_va_side = X.sides[ha, X.carriers[h]] == X.sides[ha, va]
                         assert on_va_side.all() if part == "A+" else not on_va_side.any()
-                    built += 1
-    assert built == 144
+                    outcomes["built"] += 1
+    assert outcomes == {"built": 144, "reflection image": 24,
+                        "BallTooSmall": 210, "NotInterior": 120}
 
 
 def test_davis_phi_composite_bases(y_p4_r4):
@@ -707,11 +735,17 @@ def test_davis_phi_composite_bases(y_p4_r4):
     assert fixed1 != fixed2
 
 
-def test_davis_phi_errors(y_c5_r3):
+def test_davis_phi_errors(y_c5_r3, y_p4_r4):
     with pytest.raises(StarNotContained):
         rg.davis_phi(y_c5_r3, "a", "b")
     with pytest.raises(StarNotContained):
         rg.davis_phi(y_c5_r3, "a", "a")
+    # at base d.a the reflection maps no dual edge of hyperplane 4 into the
+    # ball: a limit of the finite ball, not a failed statement
+    with pytest.raises(BallTooSmall) as info:
+        rg.davis_phi(y_p4_r4, "a", "b", base="d.a")
+    assert str(info.value) == (
+        "reflection image of hyperplane 4 ill-defined: no dual edge maps into the ball")
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,10 @@ no dict-of-sets copy, the skeleton held as one bool matrix X.adjacency
 the index array X.edges (test_the_skeleton_is_stored_once), the derived data of a complex cached as cached
 properties, the contact graph and I read from the one cached relation, the
 Davis reflection mapped once, and every function the benchmark tracer pins by name
-still public.  Two scans cover the whole package: every `raise LemmaViolation`
-outside verify.py is one of the listed guards of a construction, and every
-public function that no package code calls is listed with its reason."""
+still public.  Three scans cover the whole package: no module but verify.py
+raises LemmaViolation, only verify._run (and cli.main, at the process
+boundary) catches CubetactError, and every public function that no package
+code calls is listed with its reason."""
 
 import ast
 import dataclasses
@@ -133,8 +134,6 @@ def test_contact_graphs_are_matrices():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
             func = getattr(node, "func", None)
-            if getattr(func, "id", None) == "_witness":  # verify's _witness(f, *args)
-                func = node.args[0]
             if (isinstance(node, ast.Call) and getattr(func, "attr", getattr(func, "id", None))
                     in ("verify_automorphism", "maximal_cliques")):
                 calls.append(node)
@@ -294,11 +293,10 @@ def test_no_interval_tensor_is_left():
 
 
 # (file, top-level definition) -> its guards: the raises of LemmaViolation
-# without which the object being built is not defined
-GUARDS = {
-    ("ragroups.py", "median_closure"): 1,  # the named median has the majority walls
-    ("ragroups.py", "davis_phi"): 1,  # an image for each A+ plane
-}
+# outside verify.py.  There are none: a construction that the ball is too
+# small to define raises BallTooSmall, a refusal, and the wall rows of the
+# named medians are checked by the tests (conftest.wall_row_mismatches).
+GUARDS = {}
 
 
 def lemma_raises():
@@ -319,10 +317,24 @@ def lemma_raises():
     return dict(found)
 
 
+def error_catchers():
+    """(file, top-level definition) pairs of src/ with an except clause
+    naming CubetactError, alone or in a tuple."""
+    found = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.ExceptHandler) and node.type is not None and any(
+                        "CubetactError" in (getattr(n, "id", None), getattr(n, "attr", None))
+                        for n in ast.walk(node.type)):
+                    found.add((path.name, getattr(top, "name", "<module>")))
+    return found
+
+
 def test_core_raises_lemma_violation_only_at_its_guards():
     """Theorem checks live in the verify suites and the tests, not on the
-    computing path: outside verify.py, LemmaViolation is raised only by the
-    guards of a construction."""
+    computing path: outside verify.py, nothing raises LemmaViolation."""
     assert lemma_raises() == GUARDS
 
 
@@ -337,9 +349,16 @@ def test_core_raises_lemma_violation_only_at_its_guards():
     ("ragroups", "davis_phi"),
 ])
 def test_core_functions_only_compute(module, func):
-    """The same scan, read for the computing core function by function."""
-    key = (f"{module}.py", func)
-    assert lemma_raises().get(key, 0) == GUARDS.get(key, 0)
+    """The same scans, read for the computing core function by function:
+    it raises no LemmaViolation and converts no error."""
+    assert (f"{module}.py", func) not in lemma_raises().keys() | error_catchers()
+
+
+def test_only_the_runner_sorts_errors():
+    """verify._run alone turns a CubetactError into a violation or a
+    refusal; no check or construction converts one.  cli.main prints what
+    escapes a command as an error line and exits 2."""
+    assert error_catchers() == {("verify.py", "_run"), ("cli.py", "main")}
 
 
 def test_constructions_do_not_certify_themselves():

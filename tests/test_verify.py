@@ -12,7 +12,7 @@ from cubetact import median as md
 from cubetact import ragroups as rg
 from cubetact import reconstruction as rc
 from cubetact import verify as vf
-from cubetact.errors import CliqueLimitExceeded, LemmaViolation
+from cubetact.errors import BallTooSmall, CliqueLimitExceeded, LemmaViolation, NotAnAutomorphism
 
 
 def witnesses(entry):
@@ -156,6 +156,22 @@ def test_runner_labels_instances_and_converts_lemma_violations(monkeypatch):
     assert entry["anchor"] == "the anchor" and entry["instancesChecked"] == 2
     assert set(entry) == {"lemmaId", "anchor", "instancesChecked",
                           "violations", "seconds"}
+
+
+@pytest.mark.parametrize("error, violations, refused", [
+    (NotAnAutomorphism, [{"instance": "p", "witness": "the message"}], []),
+    (BallTooSmall, [], [{"instance": "p", "reason": "the message"}]),
+], ids=["violation", "refusal"])
+def test_runner_sorts_a_construction_error(monkeypatch, error, violations, refused):
+    """An error that a check does not catch reaches the runner: a refusal
+    is listed under "refused", and any other CubetactError is a violation
+    with its message as witness."""
+    def kernel_subgroup(X):
+        raise error("the message")
+
+    monkeypatch.setattr(rc, "kernel_subgroup", kernel_subgroup)
+    entry = vf.suite_kernel([("p", md.builtin_complex("PATH3"))])
+    assert entry["violations"] == violations and entry.get("refused", []) == refused
 
 
 def without_seconds(entries):
