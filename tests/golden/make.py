@@ -10,7 +10,7 @@ output that depends on the clock, are zeroed before hashing.
 The documents are the benchmark corpus (perfbench/corpus), the output of
 the generate rows for the builtin complexes, every fourth random draw and
 the balls, and a few documents written here: repeated and reversed edges,
-numeric names, non-median and malformed input.
+numeric names, names written as escapes, non-median and malformed input.
 
 Regenerate, from the root of a checkout, with
 
@@ -63,6 +63,14 @@ LITERAL = {
     "escaped-names": {"vertices": ['a"b', "c\\d", "e|f"],
                       "edges": [['a"b', "c\\d"], ["e|f", "c\\d"]]},
     "point": {"vertices": ["a"], "edges": []},
+    # a 2 x 3 grid whose names JSON writes as escapes: a Latin-1 letter, CJK,
+    # an astral character (a surrogate pair) and quotes mixed with backslashes
+    "unicode-names": {"vertices": ["\u00e9", "\u4e2d\u6587", "\U0001d538", 'q"\\',
+                                   '\\"\u00e9', "plain"],
+                      "edges": [["\u00e9", "\u4e2d\u6587"], ["\u4e2d\u6587", "\U0001d538"],
+                                ['q"\\', '\\"\u00e9'], ['\\"\u00e9', "plain"],
+                                ["\u00e9", 'q"\\'], ["\u4e2d\u6587", '\\"\u00e9'],
+                                ["\U0001d538", "plain"]]},
     "triangle": {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["a", "c"]]},
     "k23": {"vertices": ["a", "b", "x", "y", "z"],
             "edges": [[s, t] for s in "ab" for t in "xyz"]},
@@ -122,7 +130,8 @@ def rows():
     ]
     analyzed = sorted(p.stem for p in CORPUS.glob("*.json"))
     analyzed += list(generated_documents())
-    analyzed += ["repeated-reversed", "numeric-square", "float-edge", "escaped-names", "point"]
+    analyzed += ["repeated-reversed", "numeric-square", "float-edge", "escaped-names", "point",
+                 "unicode-names"]
     for name in analyzed:
         for mode in ("self-exclusive", "strict"):
             out.append(["analyze", "--in", f"@{name}", "--dot", "--reduced-mode", mode])
