@@ -10,10 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from functools import cache, partial
+from itertools import chain
 from json.encoder import INFINITY as _INF
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
+
+import numpy as np
 
 from . import contact as _contact
 from . import median as _median
@@ -28,45 +32,62 @@ EXIT_INVALID = 2
 
 
 def _emit(doc, out):
-    text = _encode(doc) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write doc's encoding, then the newline on its own: appending it to
+    the text would copy the whole report once more."""
+    text = _encode(doc)
+    with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as fh:
+        fh.write(text)
+        fh.write("\n")
 
 
-def _encode(obj, pad="\n"):
+class _Quoted(dict):
+    """str -> its JSON text, quoted on the first lookup of each string."""
+
+    __slots__ = ()
+
+    def __missing__(self, s):
+        text = self[s] = _quote(s)
+        return text
+
+
+def _encode(obj, pad="\n", quoted=None):
     """obj as json.dumps(obj, indent=2, sort_keys=True) writes it, with sets
-    and frozensets as lists sorted by str.
+    and frozensets as lists sorted by str, and numpy arrays as their
+    tolist().
 
     The standard library falls back to its pure-Python encoder whenever an
     indent is set; this one builds each container as one join of its items
     and reads the leaves with the C string escape.  pad is the newline and
-    indent before the container's closing bracket.  Keys are sorted as they
-    are, then written as json writes them, so keys that do not compare raise
-    TypeError as json.dumps does.  No cycle check: a document that holds
-    itself raises RecursionError.
+    indent before the container's closing bracket.  quoted is the memo of
+    the str items of lists and arrays, shared by one call's whole document,
+    so a vertex name that appears in many lists is escaped once.  Keys are
+    sorted as they are, then written as json writes them, so keys that do
+    not compare raise TypeError as json.dumps does.  No cycle check: a
+    document that holds itself raises RecursionError.
     """
+    if quoted is None:
+        quoted = _Quoted()
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         inner = pad + "  "
         return "{" + inner + ("," + inner).join([
-            _key(key) + ": " + _encode(value, inner)
+            _key(key) + ": " + _encode(value, inner, quoted)
             for key, value in sorted(obj.items(), key=itemgetter(0))
         ]) + pad + "}"
+    if isinstance(obj, np.ndarray):
+        return _array(obj, pad, quoted)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         inner = pad + "  "
         kinds = set(map(type, obj))
         if kinds == {str}:
-            items = map(_quote, obj)
+            items = map(quoted.__getitem__, obj)
         elif kinds == {int}:
             items = map(int.__repr__, obj)
         else:
-            items = [_encode(item, inner) for item in obj]
+            items = [_encode(item, inner, quoted) for item in obj]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     if isinstance(obj, str):
         return _quote(obj)
@@ -81,8 +102,34 @@ def _encode(obj, pad="\n"):
     if isinstance(obj, float):
         return _float(obj)
     if isinstance(obj, (set, frozenset)):
-        return _encode(sorted(obj, key=str), pad)
+        return _encode(sorted(obj, key=str), pad, quoted)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _array(a, pad, quoted):
+    """The 1-d or 2-d int or str array a, as _encode writes a.tolist().
+
+    The text is one % template, the row's template repeated, filled with
+    all of a's items at once: ints by %d, and strs (an object array) by %s
+    from the quoted memo.  A 1-d str array is one join of its quoted items
+    instead, which is faster than the template.  Another shape or dtype, or
+    an object array that holds a non-str, raises TypeError.
+    """
+    if a.ndim not in (1, 2) or a.dtype.kind not in "iuO":
+        raise TypeError(f"cannot serialize a {a.ndim}-d array of {a.dtype}")
+    if not len(a):
+        return "[]"
+    inner, items, field = pad + "  ", a.ravel().tolist(), "%d"
+    if a.dtype.kind == "O":
+        items, field = map(quoted.__getitem__, items), "%s"
+        if a.ndim == 1:
+            return "[" + inner + ("," + inner).join(items) + pad + "]"
+    row = field
+    if a.ndim == 2:
+        cell = inner + "  "
+        row = ("[" + cell + ("," + cell).join([field] * a.shape[1]) + inner + "]"
+               if a.shape[1] else "[]")
+    return ("[" + inner + ("," + inner).join([row] * len(a)) + pad + "]") % tuple(items)
 
 
 def _float(x):
@@ -148,26 +195,25 @@ def cmd_analyze(args):
     atlas = _rec.clique_atlas(X)
     I = _contact._relation(X).I  # column w of I is I(w); of I & I.T, I0(w)
     cliques, R = atlas.cliques, _rec.reconstruct(atlas.cliques)
+    members = _median._runs(np.fromiter(chain.from_iterable(cliques), np.intp),
+                            list(map(len, cliques)))
+    slices = _median._true_slices  # the True columns of each row, as intp slices
     out = {
-        "complex": _median.complex_to_json(X),
+        "complex": _median._complex_arrays(X),
         "dimension": X.dimension,
         "hyperplanes": _median.hyperplane_report(X),
         "contact_family": _contact.family_to_json(F),
         "atlas": {
-            str(v): {
-                "extremal": atlas.extremal[v],
-                "clique": sorted(atlas.clique_of[v]),
-            }
-            for v in X.vertices
+            str(v): {"extremal": atlas.extremal[v], "clique": ids}
+            for v, ids in zip(X.vertices, slices(X.carriers.T))
         },
         "interaction": {
             str(h): {"I": iw, "I0": i0}
-            for h, (iw, i0) in enumerate(zip(_median._true_columns(I.T),
-                                             _median._true_columns(I & I.T)))
+            for h, (iw, i0) in enumerate(zip(slices(I.T), slices(I & I.T)))
         },
         "reconstruction": {
-            "vertices": [list(cl) for cl in cliques],
-            "edges": [[list(cliques[i]), list(cliques[j])] for i, j in _contact._edges(R)],
+            "vertices": members,
+            "edges": [[members[i], members[j]] for i, j in _contact._edges(R).tolist()],
             "diagnostics": {
                 "extremal_vertices": sorted(
                     str(v) for v in X.vertices if atlas.extremal[v]

@@ -182,14 +182,17 @@ def pushforward_reduced(F: ContactFamily, phi):
 # Serialization
 
 def _edges(M):
-    """The pairs [u, w], u < w, marked in a bool adjacency matrix, as int
-    lists in sorted order (np.argwhere reads row by row)."""
-    return np.argwhere(np.triu(M, 1)).tolist()
+    """The pairs [u, w], u < w, marked in a bool adjacency matrix, as the
+    rows of an (E, 2) intp array in sorted order (np.argwhere reads row by
+    row)."""
+    return np.argwhere(np.triu(M, 1))
 
 
 def family_to_json(F: ContactFamily) -> dict:
+    """The family as a document whose graphs are intp arrays: vertices
+    (H,), and edges (E, 2) as _edges gives them."""
     graphs = {
-        name: {"vertices": list(range(len(M))), "edges": _edges(M)}
+        name: {"vertices": np.arange(len(M)), "edges": _edges(M)}
         for name, M in (("contact", F.contact), ("crossing", F.crossing))
     }
     return {
@@ -206,6 +209,6 @@ def graph_to_dot(M, name="graph"):
     """The graph of the bool adjacency matrix M in DOT, vertices 0..len(M)-1."""
     lines = [f"graph {name} {{"]
     lines += [f'  "{v}";' for v in range(len(M))]
-    lines += [f'  "{u}" -- "{w}";' for u, w in _edges(M)]
+    lines += [f'  "{u}" -- "{w}";' for u, w in _edges(M).tolist()]
     lines.append("}")
     return "\n".join(lines) + "\n"

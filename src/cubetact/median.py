@@ -599,13 +599,22 @@ def _hyperplane_map(X: CubeComplex, g):
     return dict(zip(h.tolist(), crossed.tolist()))
 
 
-def _true_columns(M, labels=None):
-    """The column indices of the True entries of each row of M, as lists; or
-    their labels, read from the 1-d array labels at those indices."""
+def _true_columns(M):
+    """The column indices of the True entries of each row of M, as lists."""
+    return _runs(M.nonzero()[1].tolist(), M.sum(axis=1))
+
+
+def _true_slices(M, labels=None):
+    """The column indices of the True entries of each row of M, or the
+    entries of the 1-d array labels at them, as slices of one array."""
     cols = M.nonzero()[1]
-    cols = (cols if labels is None else labels[cols]).tolist()
-    ends = np.cumsum(M.sum(axis=1)).tolist()
-    return [cols[i:j] for i, j in zip([0] + ends, ends)]
+    return _runs(cols if labels is None else labels[cols], M.sum(axis=1))
+
+
+def _runs(a, lengths):
+    """a (a list or an array) cut into consecutive slices of the given lengths."""
+    cuts = np.cumsum(lengths).tolist()
+    return [a[i:j] for i, j in zip([0] + cuts, cuts)]
 
 
 def _bit_columns(B):
@@ -969,11 +978,33 @@ BUILTIN_COMPLEXES = ("EDGE", "SQUARE", "Q3", "PATH3", "TRIPOD", "DOMINO")
 # Serialization
 
 def complex_to_json(X: CubeComplex) -> dict:
+    """X as a document of lists: the vertex names in vertex order, and the
+    edges as name pairs, each pair and the pairs in str order."""
+    return {key: a.tolist() for key, a in _complex_arrays(X).items()}
+
+
+def _complex_arrays(X: CubeComplex) -> dict:
+    """complex_to_json's document, with object arrays of str for lists."""
+    named, order = _sorted_names(X)
+    return {"vertices": named[np.argsort(order)], "edges": _named_edges(X, named, order)}
+
+
+def _sorted_names(X: CubeComplex):
+    """(named, order): the str names of X's vertices in str order, as an
+    object array, and the intp array order, named[k] = str(vertices[order[k]])."""
     names = [str(v) for v in X.vertices]
-    return {
-        "vertices": names,
-        "edges": sorted(sorted((names[i], names[j])) for i, j in X.edges.tolist()),
-    }
+    order = sorted(range(len(names)), key=names.__getitem__)
+    return np.array([names[i] for i in order], dtype=object), np.array(order, dtype=np.intp)
+
+
+def _named_edges(X: CubeComplex, named, order, *keys):
+    """X's edges as the (m, 2) rows of their ends' names from _sorted_names,
+    each row in str order, and the rows sorted by keys (arrays over the
+    edges, the last the most significant), then by their names."""
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    ranked = np.sort(rank[X.edges], axis=1)
+    return named[ranked[np.lexsort((ranked[:, 1], ranked[:, 0], *keys))]]
 
 
 def _document_lists(doc):
@@ -1008,26 +1039,22 @@ def complex_from_json(doc) -> CubeComplex:
 
 
 def hyperplane_report(X: CubeComplex) -> list:
-    """Each hyperplane's id, dual edges, sides and carrier, as sorted str lists.
+    """Each hyperplane's id, dual edges, sides and carrier, with the vertex
+    names as object arrays of str in str order: "edges" is (k, 2), each row
+    and the rows in str order, and "sideA", "sideB" and "carrier" are 1-d.
 
-    The vertex names are sorted once and the side and carrier matrices read
-    in that column order, so only the dual edges, grouped by their labels,
-    are sorted per hyperplane.
+    The vertex names are sorted once; the edges are cut from one
+    _named_edges, sorted by hyperplane first, and the sides and carriers
+    from one gather each, with the matrices read in the names' order.
     """
-    names = [str(v) for v in X.vertices]
-    order = sorted(range(len(names)), key=names.__getitem__)
-    named = np.array([names[i] for i in order], dtype=object)
+    named, order = _sorted_names(X)
+    (_, label), H = X.edge_labels, len(X.sides)
     A, K = X.sides[:, order], X.carriers[:, order]
-    rows = zip(_dual_edges(X), *(_true_columns(M, named) for M in (A, ~A, K)))
+    rows = zip(_runs(_named_edges(X, named, order, label), np.bincount(label, minlength=H)),
+               *(_true_slices(M, named) for M in (A, ~A, K)))
     return [
-        {
-            "id": h,
-            "edges": sorted(sorted(map(str, e)) for e in dual),
-            "sideA": side_a,
-            "sideB": side_b,
-            "carrier": carrier,
-        }
-        for h, (dual, side_a, side_b, carrier) in enumerate(rows)
+        {"id": h, "edges": edges, "sideA": side_a, "sideB": side_b, "carrier": carrier}
+        for h, (edges, side_a, side_b, carrier) in enumerate(rows)
     ]
 
 

@@ -132,10 +132,12 @@ Output: the reference is the CLI's original encoding, json.dumps with
 indent=2, sort_keys=True and a fallback that writes sets as lists sorted
 by str, and the original hyperplane report, which sorted each side and
 carrier by str.  cli._encode must give the same text, or raise TypeError
-where json.dumps does, on nested values of every kind; what cli.main writes
-must be the reference encoding of its document for generate, analyze and
-verify; hyperplane_report must give the same report on the builtins, random
-complexes, a ball and a complex with int vertices.
+where json.dumps does, on nested values of every kind, and write a 1-d or
+2-d int or str array as the reference writes its tolist(); what cli.main
+writes must be the reference encoding of its document, arrays as lists,
+for generate, analyze and verify; hyperplane_report, its arrays as lists,
+must give the same report on the builtins, random complexes, a ball and a
+complex with int vertices.
 
 Hyperplane maps: the references are the original per-edge loops.
 induce_iota took hyperplane_of_edge of the image of each edge inside the
@@ -2125,10 +2127,14 @@ def test_syllable_distance_against_the_walk(fixture, request):
 
 
 def reference_jsonable(obj):
-    """The fallback the CLI passed to json.dumps, verbatim.  Its tuple
-    branch is never reached: json writes tuples as lists itself."""
+    """The fallback the CLI passed to json.dumps, verbatim, plus a numpy
+    array as its tolist(), the list the CLI wrote before reports held
+    arrays.  Its tuple branch is never reached: json writes tuples as
+    lists itself."""
     if isinstance(obj, (set, frozenset)):
         return sorted(obj, key=str)
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
     if isinstance(obj, tuple):
         return list(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -2211,6 +2217,61 @@ def test_encoder_refuses_what_json_dumps_refuses():
         cli._encode([1j])
     with pytest.raises(TypeError, match="keys must be str, int, float, bool or None, not tuple"):
         cli._encode({(1, 2): 0})
+
+
+@st.composite
+def json_arrays(draw):
+    """The arrays the encoder writes, 1-d or 2-d, the empty and (k, 0)
+    shapes among them: intp, int32 or uint8 ints over each dtype's range,
+    or an object array of strs drawn from a small pool, so strings recur."""
+    shape = draw(st.one_of(st.tuples(st.integers(0, 6)),
+                           st.tuples(st.integers(0, 4), st.integers(0, 3))))
+    size = int(np.prod(shape))
+    dtype = draw(st.sampled_from([np.intp, np.int32, np.uint8, object]))
+    if dtype is object:
+        pool = draw(st.lists(json_strings, min_size=1, max_size=4))
+        a = np.empty(size, dtype=object)
+        a[:] = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+        return a.reshape(shape)
+    info = np.iinfo(dtype)
+    ints = st.one_of(st.integers(-3, 3).filter(lambda i: i >= info.min),
+                     st.integers(int(info.min), int(info.max)))
+    items = draw(st.lists(ints, min_size=size, max_size=size))
+    return np.array(items, dtype=dtype).reshape(shape)
+
+
+def object_array(items, shape=None):
+    a = np.empty(len(items), dtype=object)
+    a[:] = items
+    return a.reshape(shape or (len(items),))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(json_arrays(), min_size=1, max_size=3), json_strings)
+@example([np.zeros(0, np.intp), np.zeros((3, 0), np.int32), np.zeros((0, 2), np.uint8)], "")
+@example([np.array([-1, -(2 ** 31)], np.int32),
+          np.array([[np.iinfo(np.intp).min, -2], [np.iinfo(np.intp).max, 0]]),
+          np.array([0, 255], np.uint8)], "k")
+@example([object_array(list(NAMED_CHARACTERS)),
+          object_array(list(NAMED_CHARACTERS[::-1]) + ["%s", "%d"], (4, 4))], "%")
+def test_encoder_writes_arrays_as_their_tolist(arrays, key):
+    """cli._encode of an array, alone and in nested containers beside other
+    arrays whose strings it shares, is the oracle's text of its tolist()."""
+    for doc in (arrays[0], arrays, {key: arrays, "x": [[arrays[-1]], arrays[0]]}):
+        same_encoding(doc)
+
+
+def test_encoder_refuses_other_arrays():
+    """Arrays of floats, bools or fixed-width strs, of another shape, or an
+    object array that holds a non-str raise TypeError, as json.dumps does
+    for any array."""
+    for a in (np.zeros(2), np.zeros(2, dtype=bool), np.array(["a"]), np.zeros(0),
+              np.array(5), np.zeros((1, 1, 1), dtype=np.intp), object_array(["a", 1]),
+              object_array([None])):
+        with pytest.raises(TypeError):
+            json.dumps(a)
+        with pytest.raises(TypeError):
+            cli._encode({"a": [a]})
 
 
 CLI_RUNS = [
@@ -2334,13 +2395,23 @@ def int_grid():
     return md.validate_complex(list(range(12)), edges)
 
 
+def report_lists(report):
+    """A hyperplane report with its name arrays as lists, once each is
+    checked to be an object array of the documented shape."""
+    for h in report:
+        assert [(h[k].dtype, h[k].ndim) for k in ("edges", "sideA", "sideB", "carrier")] == [
+            (object, 2), (object, 1), (object, 1), (object, 1)]
+    return [{k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in h.items()}
+            for h in report]
+
+
 def test_hyperplane_report_against_the_oracle(x_c5_r2):
     complexes = [md.builtin_complex(name) for name in md.BUILTIN_COMPLEXES]
     complexes += [md.random_median_complex(6, 5, seed) for seed in range(1, 51)]
     complexes += [x_c5_r2.complex, int_grid()]
     for X in complexes:
-        assert md.hyperplane_report(X) == reference_hyperplane_report(X)
-    report = md.hyperplane_report(int_grid())
+        assert report_lists(md.hyperplane_report(X)) == reference_hyperplane_report(X)
+    report = report_lists(md.hyperplane_report(int_grid()))
     assert any(h["sideA"] != sorted(h["sideA"], key=int) for h in report)
 
 
