@@ -32,12 +32,20 @@ EXIT_INVALID = 2
 
 
 def _emit(doc, out):
-    """Write doc's encoding, then the newline on its own: appending it to
-    the text would copy the whole report once more."""
-    text = _encode(doc)
+    """Write the dict doc as _encode writes it, and a newline, one entry at
+    a time, each text in slices: the report is never held whole, and the
+    file's encoder copies a slice, not the report."""
+    quoted, sep = _Quoted(), "{"
     with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as fh:
-        fh.write(text)
-        fh.write("\n")
+        for key, value in sorted(doc.items(), key=itemgetter(0)):
+            for text in (sep + "\n  " + _key(key) + ": ", _encode(value, "\n  ", quoted)):
+                for i in range(0, len(text), _SLICE):
+                    fh.write(text[i:i + _SLICE])
+            sep = ","
+        fh.write("\n}\n" if doc else "{}\n")
+
+
+_SLICE = 1 << 16
 
 
 class _Quoted(dict):
@@ -109,27 +117,41 @@ def _encode(obj, pad="\n", quoted=None):
 def _array(a, pad, quoted):
     """The 1-d or 2-d int or str array a, as _encode writes a.tolist().
 
-    The text is one % template, the row's template repeated, filled with
-    all of a's items at once: ints by %d, and strs (an object array) by %s
-    from the quoted memo.  A 1-d str array is one join of its quoted items
-    instead, which is faster than the template.  Another shape or dtype, or
-    an object array that holds a non-str, raises TypeError.
+    Each block of up to _BLOCK rows is one % template, the row's template
+    repeated, filled with all of the block's items at once: ints by %d,
+    and strs (an object array) by %s from the quoted memo.  The blocks
+    bound the item lists and templates that a long array needs.  Another
+    shape or dtype, or an object array that holds a non-str, raises
+    TypeError.
     """
     if a.ndim not in (1, 2) or a.dtype.kind not in "iuO":
         raise TypeError(f"cannot serialize a {a.ndim}-d array of {a.dtype}")
     if not len(a):
         return "[]"
-    inner, items, field = pad + "  ", a.ravel().tolist(), "%d"
-    if a.dtype.kind == "O":
-        items, field = map(quoted.__getitem__, items), "%s"
-        if a.ndim == 1:
-            return "[" + inner + ("," + inner).join(items) + pad + "]"
-    row = field
+    inner = pad + "  "
+    row = "%s" if a.dtype.kind == "O" else "%d"
     if a.ndim == 2:
         cell = inner + "  "
-        row = ("[" + cell + ("," + cell).join([field] * a.shape[1]) + inner + "]"
-               if a.shape[1] else "[]")
-    return ("[" + inner + ("," + inner).join([row] * len(a)) + pad + "]") % tuple(items)
+        row = "[" + cell + ("," + cell).join([row] * a.shape[1]) + inner + "]" if a.shape[1] else "[]"
+    return "[" + inner + _rows(a, row, "," + inner, quoted) + pad + "]"
+
+
+_BLOCK = 1 << 12
+
+
+def _rows(a, row, sep, quoted):
+    """The rows of the array a, each written by the template row, joined by
+    sep, a block of _BLOCK rows at a time.  A 1-d str array is one join of
+    its quoted items instead, which is faster than the template."""
+    if len(a) > _BLOCK:
+        return sep.join([_rows(a[i:i + _BLOCK], row, sep, quoted)
+                         for i in range(0, len(a), _BLOCK)])
+    items = a.ravel().tolist()
+    if a.dtype.kind == "O":
+        items = map(quoted.__getitem__, items)
+        if a.ndim == 1:
+            return sep.join(items)
+    return sep.join([row] * len(a)) % tuple(items)
 
 
 def _float(x):

@@ -2254,9 +2254,12 @@ def object_array(items, shape=None):
           np.array([0, 255], np.uint8)], "k")
 @example([object_array(list(NAMED_CHARACTERS)),
           object_array(list(NAMED_CHARACTERS[::-1]) + ["%s", "%d"], (4, 4))], "%")
+@example([np.arange(-3, 2 * cli._BLOCK).reshape(-1, 1), np.arange(2 * cli._BLOCK + 1),
+          object_array(list(NAMED_CHARACTERS) * cli._BLOCK, (-1, 2))], "blocks")
 def test_encoder_writes_arrays_as_their_tolist(arrays, key):
     """cli._encode of an array, alone and in nested containers beside other
-    arrays whose strings it shares, is the oracle's text of its tolist()."""
+    arrays whose strings it shares, is the oracle's text of its tolist();
+    also for arrays of several blocks of rows."""
     for doc in (arrays[0], arrays, {key: arrays, "x": [[arrays[-1]], arrays[0]]}):
         same_encoding(doc)
 
@@ -2272,6 +2275,28 @@ def test_encoder_refuses_other_arrays():
             json.dumps(a)
         with pytest.raises(TypeError):
             cli._encode({"a": [a]})
+
+
+def test_encoder_emit_writes_the_report_an_entry_at_a_time(tmp_path, capsys):
+    """_emit writes _encode's text and a newline, to a file or to stdout,
+    the empty dict and texts longer than one write slice included.  It
+    encodes and writes a report one entry at a time, so its traced peak
+    stays under the size of the report, which encoding it whole doubles."""
+    path = tmp_path / "out.json"
+    sections = {f"s{k}": np.arange(k, k + 120_000).reshape(-1, 2) for k in range(6)}
+    for doc in ({}, {"x": [1, {"y": "z" * (cli._SLICE + 5)}], "": None}, sections):
+        cli._emit(doc, str(path))
+        assert path.read_text(encoding="utf-8") == cli._encode(doc) + "\n"
+        cli._emit(doc, None)
+        assert capsys.readouterr().out == cli._encode(doc) + "\n"
+    size = len(cli._encode(sections))
+    tracemalloc.start()
+    try:
+        cli._emit(sections, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size
 
 
 CLI_RUNS = [
