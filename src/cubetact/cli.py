@@ -132,7 +132,8 @@ def _array(a, pad, quoted):
     row = "%s" if a.dtype.kind == "O" else "%d"
     if a.ndim == 2:
         cell = inner + "  "
-        row = "[" + cell + ("," + cell).join([row] * a.shape[1]) + inner + "]" if a.shape[1] else "[]"
+        row = ("[" + cell + ("," + cell).join([row] * a.shape[1]) + inner + "]"
+               if a.shape[1] else "[]")
     return "[" + inner + _rows(a, row, "," + inner, quoted) + pad + "]"
 
 
