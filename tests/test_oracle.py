@@ -2241,6 +2241,8 @@ def json_arrays(draw):
 
 
 def object_array(items, shape=None):
+    """items in an object array of the given shape (1-d by default), even
+    where np.array would make a str or a 2-d array of them."""
     a = np.empty(len(items), dtype=object)
     a[:] = items
     return a.reshape(shape or (len(items),))
