@@ -262,7 +262,7 @@ def _verify_instances(args):
     if args.infile:
         with open(args.infile, encoding="utf-8") as fh:
             instances.append((args.infile, _median.complex_from_json(json.load(fh))))
-    for seed in range(1, (args.random_count or 0) + 1):
+    for seed in range(1, args.random_count + 1):
         instances.append(
             (f"random-{seed}", _median.random_median_complex(args.dim, args.seeds, seed))
         )
@@ -306,6 +306,17 @@ def cmd_verify(args):
     return EXIT_OK if violations == 0 else EXIT_VIOLATION
 
 
+def _count(text):
+    """An argparse type: the int of text, which must be >= 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, not {n}")
+    return n
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="cubetact",
@@ -334,7 +345,7 @@ def build_parser():
     v.add_argument("--suite", action="append", choices=_verify.SUITES)
     v.add_argument("--builtin", action="append")
     v.add_argument("--in", dest="infile")
-    v.add_argument("--random-count", type=int, default=0)
+    v.add_argument("--random-count", type=_count, default=0)
     v.add_argument("--dim", type=int, default=6)
     v.add_argument("--seeds", type=int, default=5)
     v.add_argument("--graph")

@@ -488,6 +488,7 @@ def _descends(A, dist):
     (certified_complex's proof, with v = row 0) and for
     _repair_quadrangles output with no quadrangle failure (its lemma), so
     for both it is exactly the test of connectivity, in one O(n^2) step.
+    certified_complex runs it on the balls' repaired rows only.
     """
     r = dist[:1]  # distances from row 0, as a row; none on no rows
     return bool((A & (r == r.T - 1)).any(axis=1)[1:].all())
@@ -508,10 +509,11 @@ def certified_complex(vertices, dist) -> CubeComplex:
     each pair of a, b, c, and any vertex that does agrees with it in every
     coordinate: medians exist and are unique.
 
-    The rows come closed from random_median_complex's projections, or from
-    build_ball's _repair_quadrangles if connected.  Connectivity is checked
-    by _descends, which decides it on both; connected rows that are not
-    closed may be refused as not connected.
+    The rows come from build_ball's _repair_quadrangles, closed if
+    connected.  Connectivity is checked by _descends, which decides it
+    there; connected rows that are not closed may be refused as not
+    connected.  random_median_complex rests on the same proof, but checks
+    the connectivity of its closed codes by a BFS of its own.
     """
     A = dist == 1
     if not _descends(A, dist):
@@ -900,16 +902,38 @@ def _projection_closure(codes, dim):
     return np.flatnonzero(seen[keys].all(axis=1))
 
 
+def _component(start, index, bits):
+    """The set of codes of index reached from the code start by flipping
+    one of bits at a time, staying inside index: a BFS on the Hamming-1
+    graph of the codes."""
+    seen, front = {start}, [start]
+    for c in front:
+        for bit in bits:
+            if (d := c ^ bit) in index and d not in seen:
+                seen.add(d)
+                front.append(d)
+    return seen
+
+
 def random_median_complex(ambient_dim, seed_count, rng_seed) -> CubeComplex:
     """Majority closure of random 0/1-vectors inside the hypercube.
 
     The codes close in one step (_projection_closure; the bound of 12 also
-    bounds its 2^ambient_dim table).  A closed set can still be disconnected
-    (two antipodal seeds, say), which certified_complex finds: then the
-    closest pair between the first two components, in string order, is
-    bridged by a bit-flip path and closed again.  Deterministic per
-    rng_seed: each point is ambient_dim rng.randint(0, 1) bits, top bit
-    first.
+    bounds its 2^ambient_dim table), and are then held as sorted Python
+    ints.  A BFS over bit flips inside the code set, from the first code
+    (_component), decides whether their Hamming-1 graph is connected.  A
+    closed set can still be disconnected (two antipodal seeds, say).  Then
+    a second BFS, from the first code that the first one missed, gives a
+    second component.  The closest pair (p, q), p in the first component
+    and q in the second, first in string order, is bridged by a bit-flip
+    path, and the codes are closed again.
+
+    Certificate: the codes are closed (the projection theorem) and the BFS
+    shows them connected, so by certified_complex's proof their Hamming-1
+    graph is median with metric hamming_distances.  Its edges are the
+    pairs (i, j), j > i, with codes[j] = codes[i] ^ bit, and the draw hands
+    them to the constructor itself.  Deterministic per rng_seed: each
+    point is ambient_dim rng.randint(0, 1) bits, top bit first.
     """
     if not 1 <= ambient_dim <= 12:
         raise ValueError(f"ambient_dim must be in 1..12, got {ambient_dim}")
@@ -924,25 +948,29 @@ def random_median_complex(ambient_dim, seed_count, rng_seed) -> CubeComplex:
             code = 2 * code + rng.randint(0, 1)
         points.add(code)
 
-    weights = 1 << np.arange(ambient_dim)[::-1]  # codes sort like the strings
-    codes = np.unique(list(points))
+    bits = [1 << k for k in reversed(range(ambient_dim))]  # top bit first
+    codes = list(points)
     while True:
-        codes = _projection_closure(codes, ambient_dim)
+        codes = _projection_closure(codes, ambient_dim).tolist()
         if len(codes) > cap:
             raise SizeLimitExceeded(f"majority closure exceeds {cap} vertices")
-        D = hamming_distances(codes[:, None])
-        try:
-            return certified_complex([format(c, f"0{ambient_dim}b") for c in codes.tolist()], D)
-        except NotConnected:
-            pass
-        A = D == 1
-        c0 = _distances(A, 0) >= 0
-        a, b = np.flatnonzero(c0), np.flatnonzero(_distances(A, np.argmin(c0)) >= 0)
-        i, j = np.unravel_index(np.argmin(D[np.ix_(a, b)]), (len(a), len(b)))
-        p, q = codes[a[i]], codes[b[j]]
-        # flip the differing coordinates in ascending order, keeping each step
-        codes = np.append(codes, p ^ np.cumsum(weights[((p ^ q) & weights) > 0]))
-        codes = np.unique(codes)
+        index = {c: i for i, c in enumerate(codes)}
+        near = _component(codes[0], index, bits)
+        if len(near) == len(codes):
+            break
+        far = _component(next(c for c in codes if c not in near), index, bits)
+        a, b = np.array(sorted(near)), np.array(sorted(far))
+        i, j = divmod(int(np.bitwise_count(a[:, None] ^ b).argmin()), len(b))
+        p, q = int(a[i]), int(b[j])
+        for bit in bits:  # flip the differing coordinates in ascending order, keeping each step
+            if (p ^ q) & bit:
+                p ^= bit
+                codes.append(p)
+    edges = [(i, j) for i, c in enumerate(codes) for bit in bits
+             if (j := index.get(c ^ bit, -1)) > i]
+    return CubeComplex([format(c, f"0{ambient_dim}b") for c in codes],
+                       np.array(edges, dtype=np.intp).reshape(-1, 2),
+                       hamming_distances(np.array(codes)[:, None]))
 
 
 # ---------------------------------------------------------------------------

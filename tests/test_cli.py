@@ -306,6 +306,26 @@ def test_bare_verify_has_nothing_to_verify(capsys):
     assert code == 2 and out == "" and "nothing to verify" in err
 
 
+@pytest.mark.parametrize("argv", [["--random-count", "-2", "--builtin", "EDGE"],
+                                  ["--random-count", "-2"], ["--random-count", "x"]])
+def test_verify_random_count_must_be_a_count(capsys, argv):
+    """A negative or non-int --random-count is refused when the arguments
+    are parsed, with exit 2: not read as zero draws beside the other
+    instances, nor as nothing to verify."""
+    with pytest.raises(SystemExit) as ex:
+        cli.main(["verify", *argv])
+    out, err = capsys.readouterr()
+    assert ex.value.code == 2 and out == ""
+    assert "argument --random-count:" in err and "nothing to verify" not in err
+    assert ("must be >= 0, not -2" if argv[1] == "-2" else "invalid int value: 'x'") in err
+
+
+def test_verify_random_count_zero_adds_no_draw(capsys):
+    code, out, _ = run(capsys, "verify", "--random-count", "0", "--builtin", "EDGE",
+                       "--suite", "helly")
+    assert code == 0 and json.loads(out)["suites"][0]["instancesChecked"] == 1
+
+
 @pytest.mark.parametrize("suite", ["davis", "twist", "roundtrip"])
 @pytest.mark.parametrize("radius", ["0", "-1"])
 def test_verify_radius_below_one_is_invalid(capsys, suite, radius):

@@ -24,7 +24,12 @@ Instances: the references are the tuple-majority random generator and the
 ball closure that rebuilds the word-metric distance matrix with nf_mult and
 adds the ambient median of every defect triple of the n^3 median scan.  The
 projection closure of the generator, the quadrangle repair of the balls and
-the certified constructor must give the same complexes.
+the certified constructor must give the same complexes.  The generator's
+earlier draw loop, which certified each closure with certified_complex and
+found its bridges with two md._distances runs and an np.ix_ argmin, is the
+reference of its BFS on the integer codes: the same JSON and distances on
+every random(6, 5) draw of the pinned pool, on any shape with dim 1-9, and
+on antipodal seeds, which must be bridged.
 
 Ball skeletons: the reference is build_ball's original product path, which
 multiplied every element of the closure by every letter, took the products
@@ -172,6 +177,7 @@ import sys
 import tracemalloc
 from collections import deque, namedtuple
 from itertools import combinations, islice
+from operator import xor
 from pathlib import Path
 
 import numpy as np
@@ -651,8 +657,9 @@ def test_edges_against_the_name_pass(graph):
 
 def test_generators_hand_the_constructor_index_arrays(monkeypatch):
     """The constructor gets index pairs as ndarrays, not names, from the
-    quadrangle repair and from certified_complex, which reads them off the
-    distances for random_median_complex and build_ball."""
+    quadrangle repair, from random_median_complex, which reads them off its
+    codes' bit flips, and from certified_complex, which reads them off the
+    distances for build_ball."""
     calls = []
 
     class Spy(md.CubeComplex):
@@ -664,7 +671,7 @@ def test_generators_hand_the_constructor_index_arrays(monkeypatch):
     monkeypatch.setattr(md, "CubeComplex", Spy)
     md.random_median_complex(5, 6, 3)
     rg.build_ball(rg.builtin_defining_graph("STAR_EQ5"), rg.ARTIN, 3)  # one repair round
-    assert set(calls) == {("certified_complex", "random_median_complex", np.ndarray),
+    assert set(calls) == {("random_median_complex", sys._getframe().f_code.co_name, np.ndarray),
                           ("_repair_quadrangles", "median_closure", np.ndarray),
                           ("certified_complex", "build_ball", np.ndarray)}
 
@@ -924,6 +931,87 @@ def check_ball_against_oracle(ball):
 )
 def test_random_generator_against_oracle(shape):
     assert_same_complex(md.random_median_complex(*shape), reference_random_median_complex(*shape))
+
+
+def drawn_codes(ambient_dim, seed_count, rng_seed):
+    """The seed codes of random_median_complex's draw, as a set of ints."""
+    rng = random.Random(rng_seed)
+    points = set()
+    while len(points) < min(seed_count, 2 ** ambient_dim):
+        code = 0
+        for _ in range(ambient_dim):
+            code = 2 * code + rng.randint(0, 1)
+        points.add(code)
+    return points
+
+
+def descent_random_median_complex(ambient_dim, seed_count, rng_seed):
+    """The draw loop that random_median_complex ran before it held its codes
+    as ints: each closure goes to certified_complex, and when its descent
+    test raises NotConnected, two md._distances BFS runs give the first two
+    components, and the first argmin of their np.ix_ block of distances
+    the pair that a bit-flip path bridges.  Returns (X, bridges), the
+    number of paths added."""
+    weights = 1 << np.arange(ambient_dim)[::-1]  # codes sort like the strings
+    codes, bridges = np.unique(list(drawn_codes(ambient_dim, seed_count, rng_seed))), 0
+    while True:
+        codes = md._projection_closure(codes, ambient_dim)
+        D = md.hamming_distances(codes[:, None])
+        names = [format(c, f"0{ambient_dim}b") for c in codes.tolist()]
+        try:
+            return md.certified_complex(names, D), bridges
+        except NotConnected:
+            pass
+        A = D == 1
+        c0 = md._distances(A, 0) >= 0
+        a, b = np.flatnonzero(c0), np.flatnonzero(md._distances(A, np.argmin(c0)) >= 0)
+        i, j = np.unravel_index(np.argmin(D[np.ix_(a, b)]), (len(a), len(b)))
+        p, q = codes[a[i]], codes[b[j]]
+        # flip the differing coordinates in ascending order, keeping each step
+        codes = np.unique(np.append(codes, p ^ np.cumsum(weights[((p ^ q) & weights) > 0])))
+        bridges += 1
+
+
+def check_draw_against_descent(shape):
+    """random_median_complex(*shape) writes the descent path's JSON and
+    carries its distances; returns the descent path's bridge count."""
+    X, bridges = descent_random_median_complex(*shape)
+    Y = md.random_median_complex(*shape)
+    assert md.complex_to_json(Y) == md.complex_to_json(X), shape
+    assert Y._dist.dtype == X._dist.dtype and np.array_equal(Y._dist, X._dist), shape
+    return bridges
+
+
+def test_integer_draws_against_the_descent_path():
+    """Every random(6, 5) draw of the pinned pool; most of them bridge."""
+    bridged = sum(check_draw_against_descent((6, 5, s)) > 0 for s in range(1, 4097))
+    assert bridged == 2386  # of 4096
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 12), st.integers(0, 2 ** 32))
+def test_integer_draws_against_the_descent_path_on_any_shape(dim, seed_count, rng_seed):
+    check_draw_against_descent((dim, seed_count, rng_seed))
+
+
+def test_antipodal_seeds_are_bridged_by_a_path():
+    """Two antipodal seeds are closed, two points with no edge.  Both draw
+    paths bridge them once, by the path from the smaller code that flips
+    the coordinates in ascending order, and that path is closed."""
+    for dim in range(2, 10):
+        full = 2 ** dim - 1
+        antipodal = (s for s in range(1 << 20) if xor(*drawn_codes(dim, 2, s)) == full)
+        seeds = list(islice(antipodal, 3))
+        assert len(seeds) == 3, dim
+        for seed in seeds:
+            p = min(drawn_codes(dim, 2, seed))
+            assert md._projection_closure([p, p ^ full], dim).tolist() == [p, p ^ full]
+            assert check_draw_against_descent((dim, 2, seed)) == 1
+            X = md.random_median_complex(dim, 2, seed)
+            path = [p ^ full ^ ((1 << k) - 1) for k in range(dim, -1, -1)]
+            assert X.vertices == tuple(sorted(format(c, f"0{dim}b") for c in path))
+            assert sorted(map(sorted, edge_names(X))) == sorted(
+                sorted(format(c, f"0{dim}b") for c in pair) for pair in zip(path, path[1:]))
 
 
 @pytest.mark.parametrize("radius", [1, 2])

@@ -150,6 +150,24 @@ def test_majority_closure_runs_only_where_medians_may_be_missing():
     assert users("_repair_quadrangles") == {("ragroups.py", "median_closure")}
 
 
+def test_random_draws_check_connectivity_on_their_codes(monkeypatch):
+    """A random draw decides connectivity and finds its bridges by BFS on
+    its integer codes: it names neither the descent certificate nor the
+    matrix BFS, raises or catches no NotConnected, and reaches none of
+    them when it bridges; certified_complex certifies balls only."""
+    for name in ("certified_complex", "_descends", "_distances", "NotConnected"):
+        assert ("median.py", "random_median_complex") not in users(name), name
+    assert users("certified_complex") == {("ragroups.py", "build_ball")}
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("random_median_complex reached a forbidden function")
+
+    for name in ("certified_complex", "_descends", "_distances", "_all_distances"):
+        monkeypatch.setattr(md, name, unreachable)
+    X = md.random_median_complex(3, 2, 9)  # the seeds 000 and 111, bridged
+    assert X.vertices == ("000", "100", "110", "111")
+
+
 def test_one_quadrangle_check():
     """A quadrangle check reads the common neighbours of the distance-2 pairs.
     Their arrays are read only by the squares, links and extremality, the
