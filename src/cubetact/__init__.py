@@ -29,8 +29,10 @@ from .errors import (
 )
 from .median import (
     BUILTIN_COMPLEXES,
+    Column,
     CubeComplex,
     LinkGraph,
+    RowTable,
     builtin_complex,
     complex_from_json,
     complex_to_dot,

@@ -32,17 +32,15 @@ EXIT_INVALID = 2
 
 
 def _emit(doc, out):
-    """Write the dict doc as _encode writes it, and a newline, one entry at
-    a time, each text in slices: the report is never held whole, and the
-    file's encoder copies a slice, not the report."""
-    quoted, sep = _Quoted(), "{"
+    """Write doc as _encode writes it, and a newline, in the pieces of
+    _chunks, each in slices: the report is never held whole, nor the text
+    of a table or an array, only a block of its rows, and the file's
+    encoder copies a slice, not the report."""
     with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as fh:
-        for key, value in sorted(doc.items(), key=itemgetter(0)):
-            for text in (sep + "\n  " + _key(key) + ": ", _encode(value, "\n  ", quoted)):
-                for i in range(0, len(text), _SLICE):
-                    fh.write(text[i:i + _SLICE])
-            sep = ","
-        fh.write("\n}\n" if doc else "{}\n")
+        for text in _chunks(doc, "\n", _Quoted()):
+            for i in range(0, len(text), _SLICE):
+                fh.write(text[i:i + _SLICE])
+        fh.write("\n")
 
 
 _SLICE = 1 << 16
@@ -60,31 +58,23 @@ class _Quoted(dict):
 
 def _encode(obj, pad="\n", quoted=None):
     """obj as json.dumps(obj, indent=2, sort_keys=True) writes it, with sets
-    and frozensets as lists sorted by str, and numpy arrays as their
-    tolist().
+    and frozensets as lists sorted by str, and numpy arrays and row tables
+    as their tolist().
 
     The standard library falls back to its pure-Python encoder whenever an
     indent is set; this one builds each container as one join of its items
     and reads the leaves with the C string escape.  pad is the newline and
     indent before the container's closing bracket.  quoted is the memo of
-    the str items of lists and arrays, shared by one call's whole document,
-    so a vertex name that appears in many lists is escaped once.  Keys are
-    sorted as they are, then written as json writes them, so keys that do
-    not compare raise TypeError as json.dumps does.  No cycle check: a
-    document that holds itself raises RecursionError.
+    the str items of lists, arrays and tables, shared by one call's whole
+    document, so a vertex name that appears in many lists is escaped once.
+    Keys are sorted as they are, then written as json writes them, so keys
+    that do not compare raise TypeError as json.dumps does.  No cycle
+    check: a document that holds itself raises RecursionError.
     """
     if quoted is None:
         quoted = _Quoted()
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = pad + "  "
-        return "{" + inner + ("," + inner).join([
-            _key(key) + ": " + _encode(value, inner, quoted)
-            for key, value in sorted(obj.items(), key=itemgetter(0))
-        ]) + pad + "}"
-    if isinstance(obj, np.ndarray):
-        return _array(obj, pad, quoted)
+    if isinstance(obj, (dict, np.ndarray, _median.RowTable)):
+        return "".join(_chunks(obj, pad, quoted))
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -114,45 +104,151 @@ def _encode(obj, pad="\n", quoted=None):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _array(a, pad, quoted):
-    """The 1-d or 2-d int or str array a, as _encode writes a.tolist().
+def _chunks(obj, pad, quoted):
+    """The text of obj as _encode writes it, in pieces: a dict an entry at
+    a time, a row table or an array a block of rows at a time, and any
+    other value whole."""
+    if isinstance(obj, _median.RowTable):
+        yield from _table(obj, pad, quoted)
+    elif isinstance(obj, np.ndarray):
+        yield from _array(obj, pad, quoted)
+    elif isinstance(obj, dict):
+        inner, head = pad + "  ", "{"
+        for key, value in sorted(obj.items(), key=itemgetter(0)):
+            yield head + inner + _key(key) + ": "
+            yield from _chunks(value, inner, quoted)
+            head = ","
+        yield pad + "}" if obj else "{}"
+    else:
+        yield _encode(obj, pad, quoted)
 
-    Each block of up to _BLOCK rows is one % template, the row's template
-    repeated, filled with all of the block's items at once: ints by %d,
-    and strs (an object array) by %s from the quoted memo.  The blocks
-    bound the item lists and templates that a long array needs.  Another
-    shape or dtype, or an object array that holds a non-str, raises
-    TypeError.
+
+def _array(a, pad, quoted):
+    """The 1-d or 2-d int or str array a, as _encode writes a.tolist(), a
+    block of _BLOCK rows at a time.
+
+    Each block is one % template, the row's template repeated, filled with
+    all of the block's items at once: ints by %d, and strs (an object
+    array) by %s from the quoted memo; a 1-d str array's block is one join
+    of its quoted items instead, which is faster than the template.
+    Another shape or dtype, or an object array that holds a non-str,
+    raises TypeError.
     """
     if a.ndim not in (1, 2) or a.dtype.kind not in "iuO":
         raise TypeError(f"cannot serialize a {a.ndim}-d array of {a.dtype}")
     if not len(a):
-        return "[]"
+        yield "[]"
+        return
     inner = pad + "  "
+    head, sep = "[" + inner, "," + inner
     row = "%s" if a.dtype.kind == "O" else "%d"
     if a.ndim == 2:
         cell = inner + "  "
         row = ("[" + cell + ("," + cell).join([row] * a.shape[1]) + inner + "]"
                if a.shape[1] else "[]")
-    return "[" + inner + _rows(a, row, "," + inner, quoted) + pad + "]"
+    for i in range(0, len(a), _BLOCK):
+        block = a[i:i + _BLOCK]
+        items = block.ravel().tolist()
+        if a.dtype.kind == "O":
+            items = map(quoted.__getitem__, items)
+        text = (sep.join(items) if a.ndim == 1 and a.dtype.kind == "O"
+                else sep.join([row] * len(block)) % tuple(items))
+        yield head + text
+        head = sep
+    yield pad + "]"
 
 
-_BLOCK = 1 << 12
+_BLOCK = 1 << 12  # rows of an array, or tokens of a row table, per block
 
 
-def _rows(a, row, sep, quoted):
-    """The rows of the array a, each written by the template row, joined by
-    sep, a block of _BLOCK rows at a time.  A 1-d str array is one join of
-    its quoted items instead, which is faster than the template."""
-    if len(a) > _BLOCK:
-        return sep.join([_rows(a[i:i + _BLOCK], row, sep, quoted)
-                         for i in range(0, len(a), _BLOCK)])
-    items = a.ravel().tolist()
-    if a.dtype.kind == "O":
-        items = map(quoted.__getitem__, items)
-        if a.ndim == 1:
-            return sep.join(items)
-    return sep.join([row] * len(a)) % tuple(items)
+def _table(t, pad, quoted):
+    """The RowTable t, as _encode writes t.tolist(), a block of rows of
+    about _BLOCK tokens at a time.
+
+    Each column's vocabulary is turned into its JSON tokens once, through
+    the quoted memo for strs.  A block then gathers each column's tokens
+    with one numpy index, joins each row's list of them (a list of pairs
+    first fills one % template per pair), and fills the row's % frame, the
+    names and brackets of one row, with its values.  A vocabulary of
+    floats or other objects, or an object one that holds a non-str, raises
+    TypeError.
+    """
+    n, (start, end) = len(t), "[]" if t.keys is None else "{}"
+    if not n:
+        yield start + end
+        return
+    inner = pad + "  "
+    cell = inner + "  "
+    cols = t.columns
+    if isinstance(cols, _median.Column):
+        frame, cell, cols = "%s", inner, (cols,)
+    elif isinstance(cols, dict):
+        names = sorted(cols)
+        frame = "{" + cell + ("," + cell).join(
+            [_quote(name).replace("%", "%%") + ": %s" for name in names]) + inner + "}"
+        cols = [cols[name] for name in names]
+    else:
+        frame = "[" + cell + ("," + cell).join(["%s"] * len(cols)) + inner + "]"
+    if t.keys is not None:
+        frame = "%s: " + frame
+    sizes, writers = zip(*(_column(c, cell, quoted) for c in cols))
+    size = sum(sizes)
+    first = (np.cumsum(size) - size) // _BLOCK  # the block of each row's first token
+    cuts = [0, *(np.flatnonzero(np.diff(first)) + 1).tolist(), n]
+    head, sep = start + inner, "," + inner
+    for lo, hi in zip(cuts, cuts[1:]):
+        values = [cells(lo, hi) for cells in writers]
+        if t.keys is not None:
+            values.insert(0, map(quoted.__getitem__, t.keys[lo:hi].tolist()))
+        yield head + sep.join(map(frame.__mod__, zip(*values)))
+        head = sep
+    yield pad + end
+
+
+def _column(c, pad, quoted):
+    """(sizes, cells) for the Column c of a table with n rows: the tokens in
+    each row, an (n,) array, and the function of (lo, hi) that gives the
+    texts of c's values in rows lo to hi, each at the given pad."""
+    tokens = _tokens(c.vocab, quoted)
+    if c.lengths is None:
+        return np.ones(len(c.index), dtype=np.intp), lambda lo, hi: tokens[c.index[lo:hi]].tolist()
+    inner = pad + "  "
+    start, sep, end = "[" + inner, "," + inner, pad + "]"
+    ends = np.concatenate(([0], np.cumsum(c.lengths)))
+    item, w = None, 1
+    if c.index.ndim == 2:  # each item a list of w tokens, by one % template
+        cell, w = inner + "  ", c.index.shape[1]
+        item = "[" + cell + ("," + cell).join(["%s"] * w) + inner + "]" if w else "[]"
+
+    def cells(lo, hi):
+        first = ends[lo]
+        items = tokens[c.index[first:ends[hi]]].tolist()
+        if item:
+            items = list(map(item.__mod__, map(tuple, items)))
+        cuts = (ends[lo:hi + 1] - first).tolist()
+        return [start + sep.join(items[i:j]) + end if i < j else "[]"
+                for i, j in zip(cuts, cuts[1:])]
+
+    return np.asarray(c.lengths) * max(1, w), cells
+
+
+_BOOLS = {False: "false", True: "true"}
+
+
+def _tokens(vocab, quoted):
+    """The JSON texts of the items of the 1-d array vocab, an object array:
+    strs through the quoted memo, ints by repr, and bools.  Another dtype,
+    or an object array that holds a non-str, raises TypeError."""
+    kind, items = vocab.dtype.kind, vocab.tolist()
+    if kind == "O":
+        texts = map(quoted.__getitem__, items)
+    elif kind in "iu":
+        texts = map(int.__repr__, items)
+    elif kind == "b":
+        texts = map(_BOOLS.__getitem__, items)
+    else:
+        raise TypeError(f"cannot serialize a vocabulary of {vocab.dtype}")
+    return np.array(list(texts), dtype=object)
 
 
 def _float(x):
@@ -217,31 +313,32 @@ def cmd_analyze(args):
     F = _contact.build_contact_family(X, mode=args.reduced_mode)
     atlas = _rec.clique_atlas(X)
     I = _contact._relation(X).I  # column w of I is I(w); of I & I.T, I0(w)
-    cliques, R = atlas.cliques, _rec.reconstruct(atlas.cliques)
-    members = _median._runs(np.fromiter(chain.from_iterable(cliques), np.intp),
-                            list(map(len, cliques)))
-    slices = _median._true_slices  # the True columns of each row, as intp slices
+    named, order = _median._sorted_names(X)  # the atlas keys, in str order
+    extremal = np.fromiter(map(atlas.extremal.__getitem__, X.vertices), bool, len(X))
+    ids = np.arange(len(I))
+    by_str = sorted(range(len(I)), key=str)  # the interaction keys' order
+    cliques = atlas.cliques
+    members = _median.Column(ids, np.fromiter(chain.from_iterable(cliques), np.intp),
+                             np.fromiter(map(len, cliques), np.intp, len(cliques)))
+    entries = _median._true_entries
     out = {
         "complex": _median._complex_arrays(X),
         "dimension": X.dimension,
         "hyperplanes": _median.hyperplane_report(X),
         "contact_family": _contact.family_to_json(F),
-        "atlas": {
-            str(v): {"extremal": atlas.extremal[v], "clique": ids}
-            for v, ids in zip(X.vertices, slices(X.carriers.T))
-        },
-        "interaction": {
-            str(h): {"I": iw, "I0": i0}
-            for h, (iw, i0) in enumerate(zip(slices(I.T), slices(I & I.T)))
-        },
+        "atlas": _median.RowTable({
+            "extremal": _median.Column(extremal, order),
+            "clique": entries(ids, X.carriers.T[order]),
+        }, named),
+        "interaction": _median.RowTable({
+            "I": entries(ids, I.T[by_str]),
+            "I0": entries(ids, (I & I.T)[by_str]),
+        }, np.array([str(h) for h in by_str], dtype=object)),
         "reconstruction": {
-            "vertices": members,
-            "edges": [[members[i], members[j]] for i, j in _contact._edges(R).tolist()],
-            "diagnostics": {
-                "extremal_vertices": sorted(
-                    str(v) for v in X.vertices if atlas.extremal[v]
-                ),
-            },
+            "vertices": _median.RowTable(members),
+            "edges": _median.RowTable(tuple(
+                _runs_at(members, ends) for ends in _contact._edges(_rec.reconstruct(cliques)).T)),
+            "diagnostics": {"extremal_vertices": named[extremal[order]]},
         },
     }
     if args.dot:
@@ -252,6 +349,14 @@ def cmd_analyze(args):
         }
     _emit(out, args.out)
     return EXIT_OK
+
+
+def _runs_at(c, rows):
+    """The Column whose row k is row rows[k] of the list Column c."""
+    lengths = c.lengths[rows]
+    starts = (np.cumsum(c.lengths) - c.lengths)[rows]
+    at = np.arange(lengths.sum()) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    return _median.Column(c.vocab, c.index[at], lengths)
 
 
 def _verify_instances(args):

@@ -606,13 +606,6 @@ def _true_columns(M):
     return _runs(M.nonzero()[1].tolist(), M.sum(axis=1))
 
 
-def _true_slices(M, labels=None):
-    """The column indices of the True entries of each row of M, or the
-    entries of the 1-d array labels at them, as slices of one array."""
-    cols = M.nonzero()[1]
-    return _runs(cols if labels is None else labels[cols], M.sum(axis=1))
-
-
 def _runs(a, lengths):
     """a (a list or an array) cut into consecutive slices of the given lengths."""
     cuts = np.cumsum(lengths).tolist()
@@ -1014,7 +1007,7 @@ def complex_to_json(X: CubeComplex) -> dict:
 def _complex_arrays(X: CubeComplex) -> dict:
     """complex_to_json's document, with object arrays of str for lists."""
     named, order = _sorted_names(X)
-    return {"vertices": named[np.argsort(order)], "edges": _named_edges(X, named, order)}
+    return {"vertices": named[np.argsort(order)], "edges": named[_ranked_edges(X, order)]}
 
 
 def _sorted_names(X: CubeComplex):
@@ -1025,14 +1018,75 @@ def _sorted_names(X: CubeComplex):
     return np.array([names[i] for i in order], dtype=object), np.array(order, dtype=np.intp)
 
 
-def _named_edges(X: CubeComplex, named, order, *keys):
-    """X's edges as the (m, 2) rows of their ends' names from _sorted_names,
-    each row in str order, and the rows sorted by keys (arrays over the
-    edges, the last the most significant), then by their names."""
+def _ranked_edges(X: CubeComplex, order, *keys):
+    """X's edges as the (m, 2) rows of their ends' ranks in the str order of
+    _sorted_names, each row in str order, and the rows sorted by keys
+    (arrays over the edges, the last the most significant), then by their
+    names."""
     rank = np.empty(len(order), dtype=np.intp)
     rank[order] = np.arange(len(order))
     ranked = np.sort(rank[X.edges], axis=1)
-    return named[ranked[np.lexsort((ranked[:, 1], ranked[:, 0], *keys))]]
+    return ranked[np.lexsort((ranked[:, 1], ranked[:, 0], *keys))]
+
+
+@dataclass(frozen=True, eq=False)
+class Column:
+    """One column of a RowTable: its values are items of the 1-d array
+    vocab (of str objects, ints or bools), given by their intp indices.
+
+    With lengths None, index is (rows,): one item per row.  Else row r's
+    value is a list of the next lengths[r] entries of index, which is
+    (sum(lengths),), or (sum(lengths), w) for a list of w-item lists.
+    """
+
+    vocab: np.ndarray
+    index: np.ndarray
+    lengths: np.ndarray = None
+
+    def tolist(self):
+        """The column's value in each row, as Python lists and items."""
+        items = self.vocab[self.index].tolist()
+        return items if self.lengths is None else _runs(items, self.lengths)
+
+
+@dataclass(frozen=True, eq=False)
+class RowTable:
+    """A JSON list of rows, or an object of them, held as int columns over
+    vocabularies instead of a dict or list per row.
+
+    columns is a dict of Columns, each row an object of their values under
+    those names; a tuple of Columns, each row the list of their values; or
+    one Column, each row its value.  keys is None for a list of rows, or a
+    1-d object array of one str per row, in sorted order, for an object.
+    tolist() gives the rows as Python values, and cli writes a table as
+    json.dumps writes its tolist().
+    """
+
+    columns: object
+    keys: np.ndarray = None
+
+    def __len__(self):
+        c = self.columns
+        if not isinstance(c, Column):
+            c = next(iter(c.values() if isinstance(c, dict) else c))
+        return len(c.index if c.lengths is None else c.lengths)
+
+    def tolist(self):
+        cols = self.columns
+        if isinstance(cols, Column):
+            rows = cols.tolist()
+        elif isinstance(cols, dict):
+            rows = [dict(zip(cols, row)) for row in zip(*(c.tolist() for c in cols.values()))]
+        else:
+            rows = [list(row) for row in zip(*(c.tolist() for c in cols))]
+        return rows if self.keys is None else dict(zip(self.keys.tolist(), rows))
+
+
+def _true_entries(vocab, M):
+    """The Column of vocab items at the True entries of each row of the bool
+    matrix M, over its columns."""
+    index = np.flatnonzero(M)
+    return Column(vocab, np.remainder(index, M.shape[1], out=index), M.sum(axis=1))
 
 
 def _document_lists(doc):
@@ -1066,24 +1120,29 @@ def complex_from_json(doc) -> CubeComplex:
     return validate_complex(vertices, edges)
 
 
-def hyperplane_report(X: CubeComplex) -> list:
-    """Each hyperplane's id, dual edges, sides and carrier, with the vertex
-    names as object arrays of str in str order: "edges" is (k, 2), each row
-    and the rows in str order, and "sideA", "sideB" and "carrier" are 1-d.
+def hyperplane_report(X: CubeComplex) -> RowTable:
+    """Each hyperplane's id, dual edges, sides and carrier, as a RowTable
+    whose tolist() is the list of dicts {"id", "edges", "sideA", "sideB",
+    "carrier"}, with the vertex names as str: "edges" is a list of name
+    pairs, each pair and the pairs in str order, and the others are lists
+    in str order.
 
-    The vertex names are sorted once; the edges are cut from one
-    _named_edges, sorted by hyperplane first, and the sides and carriers
-    from one gather each, with the matrices read in the names' order.
+    The vertex names are sorted once and are the vocabulary of every
+    column but the id: the edges are ranked by _ranked_edges, sorted by
+    hyperplane first, and the sides and carriers are the True entries of
+    the matrices read in the names' order.
     """
     named, order = _sorted_names(X)
     (_, label), H = X.edge_labels, len(X.sides)
     A, K = X.sides[:, order], X.carriers[:, order]
-    rows = zip(_runs(_named_edges(X, named, order, label), np.bincount(label, minlength=H)),
-               *(_true_slices(M, named) for M in (A, ~A, K)))
-    return [
-        {"id": h, "edges": edges, "sideA": side_a, "sideB": side_b, "carrier": carrier}
-        for h, (edges, side_a, side_b, carrier) in enumerate(rows)
-    ]
+    ids = np.arange(H)
+    return RowTable({
+        "id": Column(ids, ids),
+        "edges": Column(named, _ranked_edges(X, order, label), np.bincount(label, minlength=H)),
+        "sideA": _true_entries(named, A),
+        "sideB": _true_entries(named, ~A),
+        "carrier": _true_entries(named, K),
+    })
 
 
 def _dot_id(v):

@@ -138,11 +138,12 @@ indent=2, sort_keys=True and a fallback that writes sets as lists sorted
 by str, and the original hyperplane report, which sorted each side and
 carrier by str.  cli._encode must give the same text, or raise TypeError
 where json.dumps does, on nested values of every kind, and write a 1-d or
-2-d int or str array as the reference writes its tolist(); what cli.main
-writes must be the reference encoding of its document, arrays as lists,
-for generate, analyze and verify; hyperplane_report, its arrays as lists,
-must give the same report on the builtins, random complexes, a ball and a
-complex with int vertices.
+2-d int or str array, or a row table, as the reference writes its
+tolist(), and _emit must write the same text a block at a time; what
+cli.main writes must be the reference encoding of its document, arrays
+and tables as lists, for generate, analyze and verify; the tolist() of
+hyperplane_report must give the same report on the builtins, random
+complexes, a ball and a complex with int vertices.
 
 Hyperplane maps: the references are the original per-edge loops.
 induce_iota took hyperplane_of_edge of the image of each edge inside the
@@ -171,6 +172,8 @@ finds (a capped number per graph), in both modes, on the builtins, random
 complexes and small balls, and raise the same error on random shuffles.
 """
 
+import contextlib
+import io
 import json
 import random
 import sys
@@ -2216,12 +2219,12 @@ def test_syllable_distance_against_the_walk(fixture, request):
 
 def reference_jsonable(obj):
     """The fallback the CLI passed to json.dumps, verbatim, plus a numpy
-    array as its tolist(), the list the CLI wrote before reports held
-    arrays.  Its tuple branch is never reached: json writes tuples as
-    lists itself."""
+    array or a row table as its tolist(), the lists and dicts the CLI wrote
+    before reports held them.  Its tuple branch is never reached: json
+    writes tuples as lists itself."""
     if isinstance(obj, (set, frozenset)):
         return sorted(obj, key=str)
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.ndarray, md.RowTable)):
         return obj.tolist()
     if isinstance(obj, tuple):
         return list(obj)
@@ -2389,6 +2392,139 @@ def test_encoder_emit_writes_the_report_an_entry_at_a_time(tmp_path, capsys):
     assert peak < size
 
 
+TABLE_NAMES = st.one_of(json_strings, st.sampled_from(
+    [*NAMED_CHARACTERS, "%s", "%d", "%%", "10", "2", "-1", "1e3"]))
+
+
+@st.composite
+def table_columns(draw, rows):
+    """A Column of a table of the given rows, over a vocabulary of strs
+    (TABLE_NAMES: escapes, surrogate pairs, % formats and numeric names),
+    ints over intp's range, or bools: one item a row, or a list a row, the
+    empty list among them, of items or of w-item lists, w = 0..2."""
+    kind = draw(st.sampled_from(["str", "int", "bool"]))
+    if kind == "str":
+        vocab = object_array(draw(st.lists(TABLE_NAMES, min_size=1, max_size=4)))
+    elif kind == "int":
+        info = np.iinfo(np.intp)
+        ints = st.one_of(st.integers(-3, 12), st.integers(int(info.min), int(info.max)))
+        vocab = np.array(draw(st.lists(ints, min_size=1, max_size=4)), dtype=np.intp)
+    else:
+        vocab = np.array([False, True])
+    items = st.integers(0, len(vocab) - 1)
+    if draw(st.booleans()):
+        index = draw(st.lists(items, min_size=rows, max_size=rows))
+        return md.Column(vocab, np.array(index, dtype=np.intp))
+    lengths = draw(st.lists(st.integers(0, 3), min_size=rows, max_size=rows))
+    width = draw(st.sampled_from([(), (0,), (1,), (2,)]))
+    shape = (sum(lengths), *width)
+    size = int(np.prod(shape))
+    index = draw(st.lists(items, min_size=size, max_size=size))
+    return md.Column(vocab, np.array(index, dtype=np.intp).reshape(shape),
+                     np.array(lengths, dtype=np.intp))
+
+
+@st.composite
+def row_tables(draw):
+    """Row tables of 0-5 rows: each row an object of 1-3 named columns, a
+    list of 1-3 columns, or one column's value; a list of rows, or an
+    object keyed by sorted TABLE_NAMES."""
+    rows = draw(st.integers(0, 5))
+    form = draw(st.sampled_from(["dict", "tuple", "one"]))
+    if form == "one":
+        columns = draw(table_columns(rows))
+    else:
+        k = draw(st.integers(1, 3))
+        columns = tuple(draw(table_columns(rows)) for _ in range(k))
+        if form == "dict":
+            names = draw(st.lists(TABLE_NAMES, min_size=k, max_size=k, unique=True))
+            columns = dict(zip(names, columns))
+    keys = draw(st.one_of(st.none(), st.lists(TABLE_NAMES, min_size=rows, max_size=rows,
+                                             unique=True).map(lambda ks: object_array(sorted(ks)))))
+    return md.RowTable(columns, keys)
+
+
+def long_table(rows, keyed):
+    """A table of more rows, and tokens, than one block: names from
+    NAMED_CHARACTERS and % formats, lists of 0-3 of them and of 0-2 name
+    pairs, and an int id; keyed, if asked, by the ids' strs in str order."""
+    names = object_array([*NAMED_CHARACTERS, "%s", "%d"])
+    lengths = np.arange(rows) % 4
+    pairs = np.arange(rows) % 3
+    ids = np.arange(rows)
+    keys = object_array(sorted(map(str, range(rows)))) if keyed else None
+    return md.RowTable({
+        "names": md.Column(names, np.arange(lengths.sum()) % len(names), lengths),
+        "pairs": md.Column(names, (np.arange(2 * pairs.sum()) % 7).reshape(-1, 2), pairs),
+        "id": md.Column(ids, ids),
+    }, keys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_tables())
+@example(md.RowTable({"a": md.Column(np.arange(2), np.zeros(0, np.intp))}))
+@example(md.RowTable(md.Column(np.arange(2), np.zeros(0, np.intp), np.zeros(0, np.intp)),
+                     object_array([])))
+@example(md.RowTable(md.Column(np.arange(3), np.array([0, 2]), np.array([0, 2, 0]))))
+@example(md.RowTable((md.Column(np.arange(3), np.array([1]), np.array([0, 1])),
+                      md.Column(np.arange(3), np.zeros((0, 2), np.intp), np.array([0, 0])))))
+@example(long_table(cli._BLOCK + 5, keyed=False))
+@example(long_table(2 * cli._BLOCK, keyed=True))
+@example(md.RowTable(md.Column(object_array(list(NAMED_CHARACTERS)),
+                               (np.arange(6 * cli._BLOCK) % 14).reshape(-1, 2),
+                               np.array([1, 3 * cli._BLOCK - 2, 0, 1]))))
+def test_encoder_writes_row_tables_as_their_tolist(table):
+    """cli._encode of a row table, alone and nested, and what _emit writes
+    of a document that holds it, are json.dumps of its tolist(): tables
+    with no rows, with empty list rows, and of several blocks of rows, or
+    with one row of several blocks, among them."""
+    same_text(cli._encode(table), json.dumps(table.tolist(), indent=2, sort_keys=True))
+    doc = {"t": table, "u": [table, {"v": table}], "w": 1}
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli._emit(doc, None)
+    same_text(out.getvalue(), reference_dumps(doc) + "\n")
+
+
+def same_text(text, expected):
+    """Fail, naming the first line that differs, unless text == expected:
+    pytest's own diff of two long texts can take minutes."""
+    if text != expected:
+        a, b = text.splitlines(), expected.splitlines()
+        k = next((k for k, pair in enumerate(zip(a, b)) if pair[0] != pair[1]), min(len(a), len(b)))
+        pytest.fail(f"the texts differ first at line {k}: {a[k:k + 1]} != {b[k:k + 1]}")
+
+
+def test_encoder_refuses_other_vocabularies():
+    """A table over floats or fixed-width strs, or an object vocabulary
+    that holds a non-str, raises TypeError."""
+    for vocab in (np.zeros(2), np.array(["a", "b"]), object_array(["a", 1]), object_array([None])):
+        with pytest.raises(TypeError):
+            cli._encode({"a": md.RowTable(md.Column(vocab, np.zeros(2, np.intp)))})
+
+
+def test_encoder_emit_streams_the_report_of_a_path(tmp_path, monkeypatch):
+    """_emit writes the analyze report of a 400-vertex path, whose largest
+    entry is the hyperplane table (399 rows of 400 names), a block of rows
+    at a time: its traced peak stays under a quarter of that entry's text,
+    which writing an entry whole would hold at least once."""
+    src, dst = tmp_path / "path.json", tmp_path / "out.json"
+    src.write_text(json.dumps({"vertices": list(range(400)),
+                               "edges": [[v, v + 1] for v in range(399)]}))
+    docs = []
+    monkeypatch.setattr(cli, "_emit", lambda doc, out: docs.append(doc))
+    assert cli.main(["analyze", "--in", str(src), "--out", str(dst)]) == 0
+    monkeypatch.undo()
+    size = len(cli._encode(docs[0]["hyperplanes"], "\n  "))
+    tracemalloc.start()
+    try:
+        cli._emit(docs[0], str(dst))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size / 4
+    same_text(dst.read_text(encoding="utf-8"), reference_dumps(docs[0]) + "\n")
+
+
 CLI_RUNS = [
     *(["generate", "--builtin", name] for name in md.BUILTIN_COMPLEXES + rg.BUILTIN_GRAPHS),
     ["generate", "--random", "6", "5", "42"],
@@ -2510,23 +2646,15 @@ def int_grid():
     return md.validate_complex(list(range(12)), edges)
 
 
-def report_lists(report):
-    """A hyperplane report with its name arrays as lists, once each is
-    checked to be an object array of the documented shape."""
-    for h in report:
-        assert [(h[k].dtype, h[k].ndim) for k in ("edges", "sideA", "sideB", "carrier")] == [
-            (object, 2), (object, 1), (object, 1), (object, 1)]
-    return [{k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in h.items()}
-            for h in report]
-
-
 def test_hyperplane_report_against_the_oracle(x_c5_r2):
     complexes = [md.builtin_complex(name) for name in md.BUILTIN_COMPLEXES]
     complexes += [md.random_median_complex(6, 5, seed) for seed in range(1, 51)]
     complexes += [x_c5_r2.complex, int_grid()]
     for X in complexes:
-        assert report_lists(md.hyperplane_report(X)) == reference_hyperplane_report(X)
-    report = report_lists(md.hyperplane_report(int_grid()))
+        report = md.hyperplane_report(X)
+        assert isinstance(report, md.RowTable) and len(report) == len(X.sides)
+        assert report.tolist() == reference_hyperplane_report(X)
+    report = md.hyperplane_report(int_grid()).tolist()
     assert any(h["sideA"] != sorted(h["sideA"], key=int) for h in report)
 
 

@@ -35,7 +35,7 @@ def stated_outputs(block):
 def test_the_example_states_outputs():
     assert len(example_blocks()) == 2
     assert [lit for b in example_blocks() for _, lit in stated_outputs(b)] == [
-        [[0, 1], [0, 2], [1, 2]], []]
+        [[0, 1], [0, 2], [1, 2]], ["10", "11", "20", "21"], []]
 
 
 @pytest.mark.parametrize("block", example_blocks(), ids=["complex", "ball"])
